@@ -1,0 +1,35 @@
+"""Golden snapshot: `run` on `synth --seed 7 --days 30` against committed output.
+
+The files under ``tests/golden/`` are the seven artifacts and the stdout
+summary of that run, made with relative paths from the run's own directory
+so that ``config.json`` is stable too. The rerun tests elsewhere compare one
+run with another; this one compares with fixed bytes, so a change that moves
+a single printed digit fails here. Regenerate the files only on purpose, and
+say why in CHANGES.md.
+"""
+
+from pathlib import Path
+
+from mdlpatterns import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+ARTIFACTS = [
+    "config.json",
+    "transactions.csv",
+    "itemsets.tsv",
+    "pattern_table.tsv",
+    "acceptance_log.tsv",
+    "scores.tsv",
+    "report.txt",
+]
+
+
+def test_run_matches_golden_snapshot(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    synth_args = ["synth", "--seed", "7", "--days", "30"]
+    assert cli.main(synth_args + ["--output", "raw.csv", "--manifest", "manifest.txt"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--input", "raw.csv", "--output-dir", "out"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
