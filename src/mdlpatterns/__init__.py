@@ -9,9 +9,9 @@ anomalies.
 
 Typical use::
 
-    from mdlpatterns import compress, score_all, top_fraction
+    from mdlpatterns import compress, frequent_itemsets, score_all, top_fraction
 
-    result = compress(transactions, threshold)
+    result = compress(transactions, frequent_itemsets(transactions, threshold))
     scored = score_all(transactions, result.table)
     worst = top_fraction(scored, 0.05)
 """
@@ -34,7 +34,6 @@ from .codec import (
     TrialRecord,
     compress,
     cover_database,
-    cover_transaction,
     database_length,
     init_pattern_table,
     pattern_code_length,
@@ -42,7 +41,6 @@ from .codec import (
     recompute_usages,
     table_length,
     total_length,
-    transaction_code_length,
     write_acceptance_log,
     write_pattern_table,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "canonical_key",
     "compress",
     "cover_database",
-    "cover_transaction",
     "database_length",
     "discretize",
     "format_items",
@@ -134,7 +131,6 @@ __all__ = [
     "table_length",
     "top_fraction",
     "total_length",
-    "transaction_code_length",
     "write_acceptance_log",
     "write_itemsets",
     "write_manifest",

@@ -9,12 +9,13 @@ hour-of-day histogram built over the extracted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from datetime import datetime
 from typing import Sequence
 
-from .codec import PatternTable, cover_database, pattern_code_length
+from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
+from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .ingest import Item, Transaction
-from .mining import format_items
+from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 
@@ -36,17 +37,16 @@ class HourHistogram:
             raise ValueError(f"expected 24 bins, got {len(self.bins)}")
 
 
-def score_all(
-    transactions: Sequence[Transaction], table: PatternTable
-) -> list[ScoredTransaction]:
-    """Score every transaction and rank descending; ties rank earlier hours first."""
-    covers = cover_database(transactions, table)
-    unranked = []
-    for cover in covers:
-        score = sum(pattern_code_length(part, table) for part in cover.parts)
-        unranked.append(
-            (cover.transaction, tuple(part.items for part in cover.parts), score)
-        )
+def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[ScoredTransaction]:
+    """Score every transaction and rank descending; ties rank earlier hours first.
+
+    Each distinct row is covered and scored once, under the table as given.
+    """
+    db = distinct_rows(transactions)
+    covers = cover_rows(db, cover_order(table.patterns))
+    bits = row_lengths(covers, code_lengths(table))
+    parts = [tuple(part.items for part in cover) for cover in covers]
+    unranked = [(txn, parts[row], bits[row]) for txn, row in zip(transactions, db.index)]
     unranked.sort(key=lambda entry: (-entry[2], entry[0].timestamp))
     return [
         ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank)
@@ -57,12 +57,12 @@ def score_all(
 def top_fraction(
     scored: Sequence[ScoredTransaction], fraction: float
 ) -> list[ScoredTransaction]:
-    """The highest-scoring ceil(fraction * n) transactions."""
+    """The highest-scoring ceil(fraction * n) transactions (see exact_ceil)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if not scored:
         raise ValueError("scored list is empty")
-    k = ceil(fraction * len(scored))
+    k = exact_ceil(fraction, len(scored))
     return list(scored[:k])
 
 
@@ -138,10 +138,6 @@ def write_scores(
 
 def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
     """Reload a scored file; returns (scored transactions, attribute names)."""
-    from datetime import datetime
-
-    from .mining import parse_items
-
     scored = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")

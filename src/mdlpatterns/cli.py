@@ -153,7 +153,7 @@ def run_pipeline(config: RunConfig) -> int:
 
     # compress
     try:
-        result = codec.compress(transactions, threshold)
+        result = codec.compress(transactions, itemsets)
         codec.write_pattern_table(str(out / "pattern_table.tsv"), result.table)
         codec.write_acceptance_log(str(out / "acceptance_log.tsv"), result)
     except Exception as exc:
@@ -266,7 +266,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         threshold = parse_threshold(
             args.threshold, minimum=args.threshold_minimum
         )
-        result = codec.compress(transactions, threshold)
+        candidates = mining.frequent_itemsets(transactions, threshold)
+        result = codec.compress(transactions, candidates)
         codec.write_pattern_table(args.table_out, result.table)
         codec.write_acceptance_log(args.log_out, result)
     except Exception as exc:

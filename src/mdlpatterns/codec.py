@@ -11,6 +11,11 @@ cardinality, then descending usage, then lexicographic items. A pattern's
 code length is -log2 of its share of all usages, so frequent patterns get
 short codes; a transaction's code length (the anomaly score downstream) is
 the sum over its cover.
+
+Covers, usages and code lengths depend only on which distinct row a
+transaction is, so the database is collapsed once into distinct rows with
+multiplicities (usage over a multiset, as in Krimp). Cover passes repeat
+until the cover order is stable, and the last pass's covers give the length.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from math import log2
 from typing import Iterable, Sequence
 
 from .ingest import Item, Transaction
-from .mining import SupportThreshold, canonical_key, format_items, frequent_itemsets, parse_items
+from .mining import Itemset, canonical_key, format_items, parse_items
+from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
-# usage order, so recomputation iterates until the usage vector is stable.
-# Preference feeds back positively, so in practice this converges in a pass
-# or two; the cap only guards against pathological cycling.
+# usage order, so cover passes repeat until the order is stable. Preference
+# feeds back positively, so in practice this takes a pass or two; a trial
+# still moving after the cap raises rather than continuing on unsettled usages.
 _MAX_RECOVER_PASSES = 25
 
 
@@ -57,12 +63,6 @@ class PatternTable:
     def active_usage_total(self) -> int:
         return sum(p.usage for p in self.patterns)
 
-    def find(self, items: frozenset[Item]) -> Pattern | None:
-        for pattern in self.patterns:
-            if pattern.items == items:
-                return pattern
-        return None
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -93,6 +93,28 @@ class CompressionResult:
         return self.final_length / self.initial_length
 
 
+@dataclass(frozen=True)
+class DistinctRows:
+    """A database collapsed to its distinct rows, each with its multiplicity."""
+
+    weights: list[int]  # per distinct row, in order of first appearance
+    index: list[int]  # distinct-row index of every transaction, in order
+    holding: dict[Item, int]  # bit r set: distinct row r holds the item
+
+
+def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
+    position: dict[frozenset[Item], int] = {}
+    index = [position.setdefault(txn.item_set, len(position)) for txn in transactions]
+    weights = [0] * len(position)
+    for row in index:
+        weights[row] += 1
+    holding: dict[Item, int] = {}
+    for row, items in enumerate(position):
+        for item in items:
+            holding[item] = holding.get(item, 0) | 1 << row
+    return DistinctRows(weights=weights, index=index, holding=holding)
+
+
 def init_pattern_table(transactions: Sequence[Transaction]) -> PatternTable:
     """Singleton-only table: one pattern per distinct item, usage = raw count."""
     if not transactions:
@@ -111,169 +133,162 @@ def init_pattern_table(transactions: Sequence[Transaction]) -> PatternTable:
     )
 
 
-def _cover_order(patterns: Iterable[Pattern]) -> list[Pattern]:
+def cover_order(patterns: Iterable[Pattern]) -> list[Pattern]:
     return sorted(patterns, key=lambda p: canonical_key(p.items, p.usage))
 
 
-def _greedy_cover(row: frozenset[Item], order: Sequence[Pattern]) -> tuple[Pattern, ...]:
-    uncovered = set(row)
-    parts = []
-    for pattern in order:
-        if not uncovered:
-            break
-        if pattern.items <= uncovered:
-            parts.append(pattern)
-            uncovered -= pattern.items
-    if uncovered:  # pre-condition violation: some item has no singleton
-        missing = format_items(uncovered)
-        raise ValueError(f"table cannot cover item(s) {missing}")
-    return tuple(parts)
+def cover_rows(db: DistinctRows, order: Sequence[Pattern]) -> list[tuple[Pattern, ...]]:
+    """Greedy cover of every distinct row under one cover order.
 
-
-def cover_transaction(txn: Transaction, table: PatternTable) -> Cover:
-    """Greedy cover of one transaction in canonical cover order."""
-    for item in txn.items:
-        if item not in table.singleton_counts and table.find(frozenset([item])) is None:
-            raise ValueError(f"unknown item {item[0]}:{item[1]} (no singleton pattern)")
-    parts = _greedy_cover(txn.item_set, _cover_order(table.patterns))
-    return Cover(transaction=txn, parts=parts)
-
-
-def cover_database(
-    transactions: Sequence[Transaction], table: PatternTable
-) -> list[Cover]:
-    """Cover every transaction under one fixed canonical order (single pass)."""
-    order = _cover_order(table.patterns)
-    memo: dict[frozenset[Item], tuple[Pattern, ...]] = {}
-    covers = []
-    for txn in transactions:
-        row = txn.item_set
-        parts = memo.get(row)
-        if parts is None:
-            parts = _greedy_cover(row, order)
-            memo[row] = parts
-        covers.append(Cover(transaction=txn, parts=parts))
-    return covers
-
-
-def recompute_usages(
-    table: PatternTable, transactions: Sequence[Transaction]
-) -> PatternTable:
-    """Set every pattern's usage to the number of covers that include it.
-
-    Iterates cover passes until usages are self-consistent (the covers
-    produced under the current usage ordering reproduce those same usages),
-    so afterwards ``sum of usages == sum of cover sizes`` exactly.
+    Visits each pattern once, in order, and puts it into the cover of every
+    row in which all its items are still uncovered: for each row, exactly
+    the parts, in the same order, that a scan of that row alone would pick.
     """
+    uncovered = dict(db.holding)  # row bitmasks, as in DistinctRows.holding
+    parts: list[list[Pattern]] = [[] for _ in db.weights]
+    for pattern in order:
+        taken = -1
+        for item in pattern.items:
+            taken &= uncovered.get(item, 0)
+        if taken:
+            for item in pattern.items:
+                uncovered[item] &= ~taken
+            while taken:
+                parts[(taken & -taken).bit_length() - 1].append(pattern)
+                taken &= taken - 1  # clear the lowest set bit
+    stranded = 0
+    for rows in uncovered.values():
+        stranded |= rows
+    if stranded:  # pre-condition violation: some item has no singleton
+        first = stranded & -stranded  # the first transaction's row that failed
+        missing = format_items(item for item, rows in uncovered.items() if rows & first)
+        raise ValueError(f"table cannot cover item(s) {missing}")
+    return [tuple(row_parts) for row_parts in parts]
+
+
+def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[Pattern, ...]]:
+    """Cover passes until usages are self-consistent; returns the last pass's covers.
+
+    Each pass sets every usage to the weighted count of covers using it. Once
+    the order after a pass equals the order before it, another pass would
+    repeat its covers. Raises ValueError naming ``trial`` at the pass cap.
+    """
+    order = cover_order(table.patterns)
     for _ in range(_MAX_RECOVER_PASSES):
-        covers = cover_database(transactions, table)
-        tally: dict[int, int] = {}
-        for cover in covers:
-            for part in cover.parts:
-                tally[id(part)] = tally.get(id(part), 0) + 1
-        stable = all(tally.get(id(p), 0) == p.usage for p in table.patterns)
+        covers = cover_rows(db, order)
         for pattern in table.patterns:
-            pattern.usage = tally.get(id(pattern), 0)
-        if stable:
-            break
+            pattern.usage = 0
+        for parts, weight in zip(covers, db.weights):
+            for part in parts:
+                part.usage += weight
+        previous, order = order, cover_order(table.patterns)
+        if order == previous:
+            return covers
+    raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
+
+
+def cover_database(transactions: Sequence[Transaction], table: PatternTable) -> list[Cover]:
+    """Cover every transaction under one fixed canonical order (single pass)."""
+    db = distinct_rows(transactions)
+    covers = cover_rows(db, cover_order(table.patterns))
+    return [Cover(transaction=t, parts=covers[row]) for t, row in zip(transactions, db.index)]
+
+
+def recompute_usages(table: PatternTable, transactions: Sequence[Transaction]) -> PatternTable:
+    """Set every pattern's usage to the number of covers that include it."""
+    _settle(table, distinct_rows(transactions), "the table")
     return table
+
+
+def code_lengths(table: PatternTable) -> dict[int, float]:
+    """-log2(usage / total usage) of every in-use pattern, by id, in table order."""
+    total = table.active_usage_total()
+    return {id(p): -log2(p.usage / total) for p in table.patterns if p.usage > 0}
+
+
+def row_lengths(covers: Sequence[tuple[Pattern, ...]], lengths: dict[int, float]) -> list[float]:
+    """Bits of each cover: its parts' code lengths summed in cover order."""
+    try:
+        return [sum(lengths[id(part)] for part in parts) for parts in covers]
+    except KeyError:
+        unused = next(p for parts in covers for p in parts if id(p) not in lengths)
+        raise ValueError(
+            f"pattern {format_items(unused.items)} has zero usage; it carries no code"
+        ) from None
 
 
 def pattern_code_length(pattern: Pattern, table: PatternTable) -> float:
     """-log2(usage / total usage). Undefined (error) for zero-usage patterns."""
-    if pattern.usage <= 0:
-        raise ValueError(
-            f"pattern {format_items(pattern.items)} has zero usage; it carries no code"
-        )
-    total = table.active_usage_total()
-    if total <= 0:
-        raise ValueError("pattern table has no usage at all")
-    return -log2(pattern.usage / total)
+    return row_lengths([(pattern,)], code_lengths(table))[0]
 
 
-def transaction_code_length(txn: Transaction, table: PatternTable) -> float:
-    """Sum of code lengths over the transaction's cover."""
-    cover = cover_transaction(txn, table)
-    return sum(pattern_code_length(part, table) for part in cover.parts)
-
-
-def database_length(
-    transactions: Sequence[Transaction], table: PatternTable
-) -> float:
-    """Total bits to encode every transaction under the table."""
-    if not transactions:
-        return 0.0
-    covers = cover_database(transactions, table)
-    total_usage = table.active_usage_total()
-    length_of: dict[int, float] = {
-        id(p): -log2(p.usage / total_usage) for p in table.patterns if p.usage > 0
-    }
-    row_length: dict[frozenset[Item], float] = {}
+def _database_bits(db: DistinctRows, covers: Sequence, lengths: dict[int, float]) -> float:
+    # Summed hour by hour, in transaction order, exactly as if each hour were
+    # encoded alone; a weighted sum would round differently.
+    bits = row_lengths(covers, lengths)
     total = 0.0
-    for cover in covers:
-        row = cover.transaction.item_set
-        bits = row_length.get(row)
-        if bits is None:
-            bits = sum(length_of[id(part)] for part in cover.parts)
-            row_length[row] = bits
-        total += bits
+    for row in db.index:
+        total += bits[row]
     return total
 
 
-def table_length(table: PatternTable) -> float:
-    """Bits to encode the table itself.
-
-    First term: code lengths of all in-use patterns. Second term: the fixed
-    singleton-item encoding, sum of -r_i * log2(r_i / c) over raw item counts.
-    """
-    first = sum(
-        pattern_code_length(p, table) for p in table.patterns if p.usage > 0
-    )
+def _table_bits(table: PatternTable, lengths: dict[int, float]) -> float:
+    # Code lengths of all in-use patterns, plus the fixed singleton-item
+    # encoding: the sum of -r_i * log2(r_i / c) over raw item counts.
     c = table.total_singleton_count
     second = 0.0
     for item in sorted(table.singleton_counts):
         r = table.singleton_counts[item]
         second += -r * log2(r / c)
-    return first + second
+    return sum(lengths.values()) + second
 
 
-def total_length(
-    transactions: Sequence[Transaction], table: PatternTable
-) -> float:
+def database_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
+    """Total bits to encode every transaction under the table."""
+    db = distinct_rows(transactions)
+    covers = cover_rows(db, cover_order(table.patterns))
+    return _database_bits(db, covers, code_lengths(table))
+
+
+def table_length(table: PatternTable) -> float:
+    """Bits to encode the table itself."""
+    return _table_bits(table, code_lengths(table))
+
+
+def total_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
     return database_length(transactions, table) + table_length(table)
 
 
 def compress(
-    transactions: Sequence[Transaction],
-    threshold: SupportThreshold,
+    transactions: Sequence[Transaction], candidates: Sequence[Itemset]
 ) -> CompressionResult:
-    """Greedy MDL selection of a pattern table.
+    """Greedy MDL selection of a pattern table from mined candidate itemsets.
 
-    Seeds the singleton table, computes the initial length L0, mines frequent
-    itemsets, then trials each candidate once in canonical order (descending
-    cardinality, descending support, lexicographic): tentatively insert,
-    re-cover, recompute usages, and keep the candidate only if the total
-    length strictly drops. Rejected candidates are removed and the previous
-    usages restored. Multi-item patterns left unused by a later accepted
-    candidate are pruned; singletons always stay.
+    Seeds the singleton table, computes the initial length L0, then trials
+    each candidate once in the given order (``frequent_itemsets`` returns
+    canonical order): tentatively insert, settle usages, and keep the
+    candidate only if the total length strictly drops. Rejected candidates
+    are removed and the previous usages restored. Multi-item patterns left
+    unused by a later accepted candidate are pruned; singletons always stay.
     """
     if not transactions:
         raise ValueError("cannot compress an empty database")
+    db = distinct_rows(transactions)
     table = init_pattern_table(transactions)
-    recompute_usages(table, transactions)
-    initial = total_length(transactions, table)
-    best = initial
 
-    candidates = frequent_itemsets(transactions, threshold)
+    def settled_length(trial: str) -> float:
+        covers = _settle(table, db, trial)
+        lengths = code_lengths(table)
+        return _database_bits(db, covers, lengths) + _table_bits(table, lengths)
+
+    initial = best = settled_length("the singleton table")
     log: list[TrialRecord] = []
     for candidate in candidates:
         snapshot = [(p, p.usage) for p in table.patterns]
         # Provisional usage = support places the newcomer among its
         # same-cardinality peers for the trial's first cover pass.
-        trial_pattern = Pattern(items=candidate.items, usage=candidate.support)
-        table.patterns.append(trial_pattern)
-        recompute_usages(table, transactions)
-        trial = total_length(transactions, table)
+        table.patterns.append(Pattern(items=candidate.items, usage=candidate.support))
+        trial = settled_length(f"candidate {format_items(candidate.items)}")
         if trial < best:
             best = trial
             table.patterns = [
@@ -285,18 +300,8 @@ def compress(
             for pattern, usage in snapshot:
                 pattern.usage = usage
             accepted = False
-        log.append(
-            TrialRecord(
-                items=candidate.items,
-                support=candidate.support,
-                trial_length=trial,
-                accepted=accepted,
-                length_after=best,
-            )
-        )
-    return CompressionResult(
-        table=table, initial_length=initial, final_length=best, log=log
-    )
+        log.append(TrialRecord(candidate.items, candidate.support, trial, accepted, best))
+    return CompressionResult(table=table, initial_length=initial, final_length=best, log=log)
 
 
 # --- pattern table file format -------------------------------------------------
@@ -313,11 +318,8 @@ def write_pattern_table(path: str, table: PatternTable) -> None:
             fh.write(
                 f"# item_count\t{item[0]}:{item[1]}\t{table.singleton_counts[item]}\n"
             )
-        for pattern in _cover_order(table.patterns):
-            if pattern.usage > 0:
-                bits = f"{-log2(pattern.usage / total):.9f}"
-            else:
-                bits = "inf"
+        for pattern in cover_order(table.patterns):
+            bits = f"{-log2(pattern.usage / total):.9f}" if pattern.usage > 0 else "inf"
             fh.write(f"{format_items(pattern.items)}\t{pattern.usage}\t{bits}\n")
 
 

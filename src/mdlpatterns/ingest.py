@@ -24,6 +24,7 @@ import csv
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
+from math import isfinite
 from typing import IO, Iterable, Mapping, Sequence
 
 Item = tuple[str, int]
@@ -195,6 +196,8 @@ def _parse_row(row: Mapping[str, str], schema: ColumnSchema) -> WaitTimeRecord:
         timestamp = datetime.fromisoformat(raw_ts)
     except ValueError:
         raise ValueError(f"bad timestamp {raw_ts!r}")
+    if timestamp.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
     site = (row.get(schema.site) or "").strip()
     if not site:
         raise ValueError("empty site")
@@ -205,6 +208,8 @@ def _parse_row(row: Mapping[str, str], schema: ColumnSchema) -> WaitTimeRecord:
         wait = float(raw_wait)
     except ValueError:
         raise ValueError(f"bad wait minutes {raw_wait!r}")
+    if not isfinite(wait):
+        raise ValueError(f"non-finite wait ({raw_wait})")
     if wait < 0:
         raise ValueError(f"negative wait ({raw_wait})")
     return WaitTimeRecord(timestamp, site, direction, vehicle_class, wait)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterable, Sequence
 
 from .ingest import Item, Transaction
@@ -49,13 +48,27 @@ class SupportThreshold:
         if self.count is not None:
             base = self.count
         else:
-            base = ceil(self.fraction * n_transactions)
+            base = exact_ceil(self.fraction, n_transactions)
         return max(self.minimum, base, 1)
 
     def meets(self, support_count: int, resolved: int) -> bool:
         if self.inclusive:
             return support_count >= resolved
         return support_count > resolved
+
+
+def exact_ceil(fraction: float, n: int) -> int:
+    """ceil(fraction * n) for 0 < fraction <= 1, taken exactly from the decimal
+    the fraction is written as: 0.07 of 100 is 7, where floating point gives 8.
+
+    Integer arithmetic on repr(fraction), which is the shortest decimal that
+    reads back as the same float; ``fractions`` would do the same but loads
+    ``decimal``, which costs the CLI start-up time and memory.
+    """
+    mantissa, _, exponent = repr(fraction).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    scale = len(decimals) - int(exponent or 0)  # fraction == digits / 10**scale
+    return -(-int(whole + decimals) * n // 10**scale)
 
 
 def format_items(items: Iterable[Item]) -> str:

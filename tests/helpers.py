@@ -15,8 +15,8 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from mdlpatterns import SupportThreshold, Transaction, init_pattern_table
-from mdlpatterns import recompute_usages, total_length
-from mdlpatterns.codec import Pattern
+from mdlpatterns import cover_database, database_length, recompute_usages, total_length
+from mdlpatterns.codec import Cover, Pattern, PatternTable
 from mdlpatterns.mining import Itemset
 
 BASE = datetime(2016, 8, 22)
@@ -97,3 +97,31 @@ def exhaustive_best_length(
         if best is None or length < best:
             best = length
     return best
+
+
+def cover_transaction(txn: Transaction, table: PatternTable) -> Cover:
+    """One transaction's cover under the table's current order."""
+    return cover_database([txn], table)[0]
+
+
+def transaction_code_length(txn: Transaction, table: PatternTable) -> float:
+    """One transaction's code length: the sum over its cover."""
+    return database_length([txn], table)
+
+
+def find_pattern(table: PatternTable, items: frozenset) -> Pattern | None:
+    return next((p for p in table.patterns if p.items == items), None)
+
+
+def greedy_cover_oracle(items: frozenset, order: Sequence[Pattern]) -> tuple[Pattern, ...]:
+    """Row-by-row greedy scan: take each pattern, in order, whose items are all
+    still uncovered. The codec covers all distinct rows in one sweep over the
+    patterns instead, and must pick exactly these parts."""
+    uncovered = set(items)
+    parts = []
+    for pattern in order:
+        if pattern.items <= uncovered:
+            parts.append(pattern)
+            uncovered -= pattern.items
+    assert not uncovered, "oracle needs a table with every singleton"
+    return tuple(parts)

@@ -14,8 +14,10 @@ from conftest import PAIR, RB2, SIX_ROW_COMBOS, TRIPLE
 from helpers import (
     brute_force_frequent,
     exhaustive_best_length,
+    find_pattern,
     make_db,
     random_db,
+    transaction_code_length,
 )
 from mdlpatterns import (
     Direction,
@@ -34,7 +36,6 @@ from mdlpatterns import (
     recompute_usages,
     score_all,
     top_fraction,
-    transaction_code_length,
     write_records_csv,
 )
 from mdlpatterns.cli import RunConfig, run_pipeline
@@ -81,7 +82,7 @@ def test_criterion_1_worked_example_usages():
 def test_criterion_2_worked_example_code_lengths():
     rows, table = _worked_table_and_rows()
     lengths = tuple(
-        pattern_code_length(table.find(items), table)
+        pattern_code_length(find_pattern(table, items), table)
         for items in (TRIPLE, PAIR, RB2)
     )
     scores = [transaction_code_length(t, table) for t in rows]
@@ -136,7 +137,7 @@ def test_criterion_4_greedy_versus_exhaustive():
             candidates = frequent_itemsets(db, threshold)
             if len(candidates) <= 10:  # keeps the exhaustive sweep tractable
                 break
-        result = compress(db, threshold)
+        result = compress(db, candidates)
         never_worse_than_start &= result.final_length <= result.initial_length
         best = exhaustive_best_length(db, candidates)
         ratios.append(result.final_length / best)
@@ -144,8 +145,9 @@ def test_criterion_4_greedy_versus_exhaustive():
     exact_on_uniform = True
     for combo in [(1, 2, 1), (2, 1, 3), (3, 3, 3), (1, 1, 1), (2, 3, 2)]:
         db = make_db([combo] * 20)
-        result = compress(db, threshold)
-        best = exhaustive_best_length(db, frequent_itemsets(db, threshold))
+        candidates = frequent_itemsets(db, threshold)
+        result = compress(db, candidates)
+        best = exhaustive_best_length(db, candidates)
         exact_on_uniform &= abs(result.final_length - best) <= 1e-9
 
     elapsed = time.perf_counter() - started
@@ -165,7 +167,7 @@ def test_criterion_5_accepted_lengths_strictly_decrease():
     acceptances = 0
     for _ in range(100):
         db = random_db(rng, max_rows=12, attrs=("A", "B", "C"), max_cat=3)
-        result = compress(db, SupportThreshold(count=2))
+        result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
         lengths = [result.initial_length] + [
             r.trial_length for r in result.log if r.accepted
         ]
@@ -196,7 +198,8 @@ def test_criterion_6_synthetic_recall(tmp_path):
         build = build_transactions(
             hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR
         )
-        result = compress(build.transactions, threshold)
+        candidates = frequent_itemsets(build.transactions, threshold)
+        result = compress(build.transactions, candidates)
         scored = score_all(build.transactions, result.table)
         selected = top_fraction(scored, 0.05)
         top_hours = {s.transaction.timestamp for s in selected}
@@ -225,13 +228,16 @@ def test_criterion_8_score_accounting():
     rows, table = _worked_table_and_rows()
     cases = [("worked", rows, table)]
 
-    result = compress(rows, SupportThreshold(count=2))
+    result = compress(rows, frequent_itemsets(rows, SupportThreshold(count=2)))
     cases.append(("compressed", rows, result.table))
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
     hourly = aggregate_hourly(dataset.records)
     build = build_transactions(hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR)
-    synth_result = compress(build.transactions, SupportThreshold(fraction=0.05, minimum=2))
+    candidates = frequent_itemsets(
+        build.transactions, SupportThreshold(fraction=0.05, minimum=2)
+    )
+    synth_result = compress(build.transactions, candidates)
     cases.append(("synthetic", build.transactions, synth_result.table))
 
     for name, transactions, current in cases:

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import PAIR, RB2, TRIPLE
-from helpers import db_strategy
+from helpers import db_strategy, make_db
 from mdlpatterns import (
     HourHistogram,
     SupportThreshold,
     compress,
     database_length,
+    frequent_itemsets,
     hour_frequency,
+    init_pattern_table,
     read_scores,
     report,
     score_all,
@@ -58,7 +60,7 @@ def test_score_sum_equals_database_length(six_rows, worked_table):
 @given(db=db_strategy(max_rows=10, max_cat=3))
 @settings(max_examples=100, deadline=None)
 def test_score_sum_matches_database_length_everywhere(db):
-    result = compress(db, SupportThreshold(count=2))
+    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
     scored = score_all(db, result.table)
     assert fsum(s.score for s in scored) == pytest.approx(
         database_length(db, result.table), abs=1e-9
@@ -75,6 +77,14 @@ def test_top_fraction_rounds_up(six_rows, worked_table):
     assert len(top_fraction(scored, 0.5)) == 3
     assert len(top_fraction(scored, 1.0)) == 6
     assert top_fraction(scored, 0.5) == scored[:3]
+
+
+def test_top_fraction_ceiling_is_exact():
+    # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
+    db = make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5)
+    scored = score_all(db, init_pattern_table(db))
+    assert len(top_fraction(scored, 0.07)) == 7
+    assert len(top_fraction(scored, 0.05)) == 5
 
 
 def test_top_fraction_validates(six_rows, worked_table):

@@ -245,6 +245,14 @@ def test_exit_code_compress_failure(tmp_path):
     assert code == 30
 
 
+def test_unsettled_cover_order_is_a_compress_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.codec, "_MAX_RECOVER_PASSES", 1)
+    raw = make_raw(tmp_path)
+    code = cli.main(["run", "--input", str(raw), "--output-dir", str(tmp_path / "out")])
+    assert code == 30
+    assert "did not settle in 1 passes" in capsys.readouterr().err
+
+
 def test_exit_code_score_failure(tmp_path):
     raw = make_raw(tmp_path, days=1)
     txns = tmp_path / "transactions.csv"

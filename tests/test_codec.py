@@ -13,24 +13,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, RB2, TRIPLE
-from helpers import db_strategy, make_db, random_db
+from helpers import (
+    cover_transaction,
+    db_strategy,
+    find_pattern,
+    greedy_cover_oracle,
+    make_db,
+    random_db,
+    transaction_code_length,
+)
+from mdlpatterns import codec
 from mdlpatterns import (
+    Itemset,
     SupportThreshold,
     Transaction,
     compress,
     cover_database,
-    cover_transaction,
     database_length,
+    frequent_itemsets,
     init_pattern_table,
     pattern_code_length,
     read_pattern_table,
     recompute_usages,
     table_length,
     total_length,
-    transaction_code_length,
     write_acceptance_log,
     write_pattern_table,
 )
+from mdlpatterns.codec import Pattern, cover_order
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -78,6 +88,23 @@ def test_cover_prefers_larger_patterns(six_rows, worked_table):
     assert [p.items for p in cover.parts] == [PAIR, RB2]
 
 
+@given(db=db_strategy(max_rows=12, max_cat=3), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_cover_matches_row_by_row_greedy_scan(db, seed):
+    # a random half of all itemsets, with scrambled usages, so that
+    # overlapping patterns compete in many different orders
+    rng = random.Random(seed)
+    table = init_pattern_table(db)
+    for itemset in frequent_itemsets(db, SupportThreshold(count=1)):
+        if rng.random() < 0.5:
+            table.patterns.append(Pattern(items=itemset.items))
+    for pattern in table.patterns:
+        pattern.usage = rng.randint(0, 5)
+    order = cover_order(table.patterns)
+    for cover in cover_database(db, table):
+        assert cover.parts == greedy_cover_oracle(cover.transaction.item_set, order)
+
+
 def test_cover_rejects_unknown_item(worked_table):
     stranger = Transaction(
         timestamp=make_db([(1, 2, 1)])[0].timestamp,
@@ -118,7 +145,7 @@ def test_pattern_code_lengths_worked(worked_table):
 
 
 def test_zero_usage_pattern_has_no_code(worked_table):
-    unused = worked_table.find(frozenset({("PB", 1)}))
+    unused = find_pattern(worked_table, frozenset({("PB", 1)}))
     assert unused.usage == 0
     with pytest.raises(ValueError, match="zero usage"):
         pattern_code_length(unused, worked_table)
@@ -152,7 +179,7 @@ def test_total_length_is_sum_of_parts(six_rows, worked_table):
 
 
 def test_compress_worked_example(six_rows):
-    result = compress(six_rows, SupportThreshold(count=2))
+    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     assert result.initial_length == pytest.approx(INITIAL_LENGTH, abs=1e-9)
     assert result.final_length == pytest.approx(FINAL_LENGTH, abs=1e-9)
     assert result.compression_ratio == pytest.approx(
@@ -171,7 +198,7 @@ def test_compress_worked_example(six_rows):
 def test_compress_rejects_exact_ties(six_rows):
     # every pair is interchangeable with existing codes here: the trial
     # length equals the current best exactly, and equality must not count
-    result = compress(six_rows, SupportThreshold(count=2))
+    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     rejected = [r for r in result.log if not r.accepted]
     assert len(rejected) == 5
     assert all(len(r.items) == 2 for r in rejected)
@@ -179,16 +206,26 @@ def test_compress_rejects_exact_ties(six_rows):
         assert record.trial_length == result.final_length
 
 
+def test_unsettled_trial_raises_naming_the_candidate(six_rows, monkeypatch):
+    # The first trial, the triple, takes rows 1-4 in its first pass; the
+    # singletons' usages change order, so a second pass is needed to settle.
+    monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 1)
+    with pytest.raises(ValueError, match=r"candidate LQ:2,PB:1,RB:1 did not settle in 1 passes"):
+        compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+    monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 2)
+    assert compress(six_rows, [Itemset(TRIPLE, 4)]).final_length < INITIAL_LENGTH
+
+
 def test_compress_rejects_empty_database():
     with pytest.raises(ValueError, match="empty"):
-        compress([], SupportThreshold(count=2))
+        compress([], [])
 
 
 def test_accepted_lengths_strictly_decrease():
     rng = random.Random(905)
     for _ in range(25):
         db = random_db(rng, max_rows=12, max_cat=3)
-        result = compress(db, SupportThreshold(count=2))
+        result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
         lengths = [result.initial_length] + [
             r.trial_length for r in result.log if r.accepted
         ]
@@ -200,7 +237,7 @@ def test_accepted_lengths_strictly_decrease():
 @given(db=db_strategy(max_rows=10, max_cat=3))
 @settings(max_examples=100, deadline=None)
 def test_compress_invariants(db):
-    result = compress(db, SupportThreshold(count=2))
+    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
     table = result.table
     assert result.final_length <= result.initial_length + 1e-9
 
@@ -244,8 +281,8 @@ def test_compress_invariants(db):
 def test_compress_ignores_row_order(db, seed):
     shuffled = list(db)
     random.Random(seed).shuffle(shuffled)
-    first = compress(db, SupportThreshold(count=2))
-    second = compress(shuffled, SupportThreshold(count=2))
+    first = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
+    second = compress(shuffled, frequent_itemsets(shuffled, SupportThreshold(count=2)))
     assert second.initial_length == pytest.approx(first.initial_length, abs=1e-9)
     assert second.final_length == pytest.approx(first.final_length, abs=1e-9)
     accepted_first = {r.items for r in first.log if r.accepted}
@@ -273,7 +310,7 @@ def test_doubling_database_doubles_encoded_bits(db):
 
 
 def test_pattern_table_round_trip(tmp_path, six_rows):
-    result = compress(six_rows, SupportThreshold(count=2))
+    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     path = tmp_path / "table.tsv"
     write_pattern_table(str(path), result.table)
     loaded = read_pattern_table(str(path))
@@ -297,7 +334,7 @@ def test_read_pattern_table_rejects_empty(tmp_path):
 
 
 def test_acceptance_log_format(tmp_path, six_rows):
-    result = compress(six_rows, SupportThreshold(count=2))
+    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     path = tmp_path / "log.tsv"
     write_acceptance_log(str(path), result)
     lines = path.read_text().splitlines()

@@ -109,6 +109,32 @@ def test_parse_rejects_negative_wait():
     assert "negative wait" in result.diagnostics[0]
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_parse_rejects_non_finite_wait(raw):
+    # float() accepts these, and a NaN or infinite mean would otherwise
+    # discretize to a false heavy-delay hour
+    result = parse(HEADER + f"\n2016-08-22T10:00,PB,ToCanada,Car,{raw}\n")
+    assert result.rejected_rows == 1
+    assert result.records == []
+    assert result.diagnostics == [f"row 2: non-finite wait ({raw})"]
+
+
+@pytest.mark.parametrize("stamp", ["2017-01-01T01:00+00:00", "2017-01-01T01:00-05:00"])
+def test_parse_rejects_timestamp_with_utc_offset(stamp):
+    result = parse(
+        HEADER + "\n"
+        "2017-01-01T00:00,PB,ToCanada,Car,5\n"
+        f"{stamp},PB,ToCanada,Car,5\n"
+    )
+    assert result.rejected_rows == 1
+    assert result.diagnostics[0].startswith("row 3: timestamp carries a UTC offset")
+    # the naive row alone still builds; mixed with an aware one it could not be sorted
+    build = build_transactions(
+        aggregate_hourly(result.records), ["PB"], Direction.TO_CANADA, VehicleClass.CAR
+    )
+    assert [t.timestamp for t in build.transactions] == [datetime(2017, 1, 1, 0)]
+
+
 def test_parse_duplicate_keeps_last():
     result = parse(
         HEADER + "\n"

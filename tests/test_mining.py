@@ -1,6 +1,8 @@
 """Frequent-itemset mining against a brute-force enumeration oracle."""
 
 import random
+from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from mdlpatterns import (
     support,
     write_itemsets,
 )
+from mdlpatterns.mining import exact_ceil
 
 
 # --- support counting ----------------------------------------------------------
@@ -65,6 +68,21 @@ def test_threshold_resolution():
     assert SupportThreshold(fraction=0.05).resolve(30) == 2
     # the floor wins when the fraction resolves too low
     assert SupportThreshold(fraction=0.01, minimum=2).resolve(10) == 2
+
+
+def test_threshold_ceiling_is_exact():
+    # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
+    assert SupportThreshold(fraction=0.07).resolve(100) == 7
+    assert SupportThreshold(fraction=0.05).resolve(8748) == 438
+    assert SupportThreshold(fraction=0.05).resolve(87600) == 4380
+
+
+@given(
+    fraction=st.floats(min_value=0, max_value=1, exclude_min=True),
+    n=st.integers(0, 10**6),
+)
+def test_exact_ceil_matches_fraction_arithmetic(fraction, n):
+    assert exact_ceil(fraction, n) == ceil(Fraction(repr(fraction)) * n)
 
 
 def test_threshold_inclusive_versus_strict():
