@@ -85,6 +85,8 @@ def report(
     Machine-readable: versioned header line, then tab-separated sections.
     Cover column lists patterns separated by '|', items within a pattern by ','.
     """
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     if k > len(scored):
         raise ValueError(f"k={k} exceeds the number of scored transactions ({len(scored)})")
     lines = [REPORT_VERSION]

@@ -2,9 +2,11 @@
 
 Subcommands mirror the pipeline stages (discretize, mine, compress, score,
 report), plus `run` for the whole chain and `synth` for the seeded test-data
-generator. `run` writes every stage artifact into the output directory along
-with the resolved configuration, so a run can be reproduced exactly:
-identical config and input produce byte-identical artifacts.
+generator. Each stage is one function here, called both by `run` and by its
+staged subcommand, so chaining the stages reproduces `run`. `run` writes every
+stage artifact into the output directory along with the resolved
+configuration, so a run can be reproduced exactly: identical config and input
+produce byte-identical artifacts.
 
 Stage failures exit with a distinct code: ingest 10, mine 20, compress 30,
 score 40, report 50.
@@ -16,20 +18,16 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import anomaly, codec, ingest, mining, synth
 
 log = logging.getLogger("mdlpatterns")
 
-STAGE_EXIT_CODES = {
-    "ingest": 10,
-    "mine": 20,
-    "compress": 30,
-    "score": 40,
-    "report": 50,
-}
+STAGE_EXIT_CODES = {"ingest": 10, "mine": 20, "compress": 30, "score": 40, "report": 50}
 
 
 class StageError(RuntimeError):
@@ -57,6 +55,13 @@ class RunConfig:
     delimiter: str = ","
 
     def validate(self) -> None:
+        # A value must have its default's exact type (so true is no int) or one listed here.
+        numeric = {"threshold": (str, int, float), "top_fraction": (int, float)}
+        for name, default in asdict(RunConfig(input="")).items():
+            kinds, value = numeric.get(name, (type(default),)), getattr(self, name)
+            if type(value) not in kinds:
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         if not self.attributes:
             raise ValueError("attributes must be nonempty")
         if not 0 < self.top_fraction <= 1:
@@ -66,16 +71,14 @@ class RunConfig:
         self.support_threshold()  # raises on a bad threshold string
 
     def support_threshold(self) -> mining.SupportThreshold:
-        return parse_threshold(
-            self.threshold,
-            minimum=self.threshold_minimum,
-            inclusive=self.threshold_inclusive,
-        )
+        return parse_threshold(self.threshold, self.threshold_minimum, self.threshold_inclusive)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or "input" not in data:
+            raise ValueError(f"config {path} must be a JSON object with an 'input' key")
         unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -111,83 +114,98 @@ def run_pipeline(config: RunConfig) -> int:
         json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    direction = ingest.Direction.parse(config.direction)
-    vehicle_class = ingest.VehicleClass.parse(config.vehicle_class)
-
-    # ingest
-    try:
-        with open(config.input, "r", encoding="utf-8") as fh:
-            parsed = ingest.parse_records(fh, delimiter=config.delimiter)
-        for diag in parsed.diagnostics:
-            log.warning("ingest: %s", diag)
-        hourly = ingest.aggregate_hourly(parsed.records)
-        build = ingest.build_transactions(
-            hourly, config.attributes, direction, vehicle_class
-        )
-        if not build.transactions:
-            raise ingest.IngestError(
-                f"no complete hours for the configured attributes "
-                f"({len(build.excluded_hours)} hour(s) excluded)"
-            )
-        if build.excluded_hours:
-            log.warning(
-                "ingest: excluded %d incomplete hour(s)", len(build.excluded_hours)
-            )
-        transactions = build.transactions
-        ingest.write_transactions(
-            str(out / "transactions.csv"), transactions, config.attributes
-        )
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("ingest", exc)
-
-    threshold = config.support_threshold()
-
-    # mine
-    try:
-        itemsets = mining.frequent_itemsets(transactions, threshold)
-        mining.write_itemsets(str(out / "itemsets.tsv"), itemsets)
-    except Exception as exc:
-        raise StageError("mine", exc)
-
-    # compress
-    try:
-        result = codec.compress(transactions, itemsets)
-        codec.write_pattern_table(str(out / "pattern_table.tsv"), result.table)
-        codec.write_acceptance_log(str(out / "acceptance_log.tsv"), result)
-    except Exception as exc:
-        raise StageError("compress", exc)
-
-    # score
-    try:
-        scored = anomaly.score_all(transactions, result.table)
-        anomaly.write_scores(str(out / "scores.tsv"), scored, config.attributes)
-    except Exception as exc:
-        raise StageError("score", exc)
-
-    # report
-    try:
-        selected = anomaly.top_fraction(scored, config.top_fraction)
-        histogram = anomaly.hour_frequency(selected)
-        k = min(config.top_k, len(scored))
-        document = anomaly.report(scored, selected, histogram, k)
-        with open(out / "report.txt", "w", encoding="utf-8", newline="") as fh:
-            fh.write(document)
-    except Exception as exc:
-        raise StageError("report", exc)
+    transactions = _ingest(config, str(out / "transactions.csv"))
+    itemsets = _mine(transactions, config.support_threshold(), str(out / "itemsets.tsv"))
+    result = _compress(
+        transactions, itemsets,
+        str(out / "pattern_table.tsv"), str(out / "acceptance_log.tsv"),
+    )
+    scored = _score(transactions, result.table, config.attributes, str(out / "scores.tsv"))
+    _report(scored, config.top_fraction, config.top_k, str(out / "report.txt"))
 
     top = scored[0]
     print(f"transactions: {len(transactions)}")
     print(f"initial_length_bits: {result.initial_length:.9f}")
     print(f"final_length_bits: {result.final_length:.9f}")
     print(f"compression_ratio: {result.compression_ratio:.9f}")
-    print(
-        "top_anomaly: "
-        f"{top.transaction.timestamp.strftime('%Y-%m-%dT%H:%M')} "
-        f"score_bits={top.score:.9f}"
-    )
+    stamp = top.transaction.timestamp.strftime("%Y-%m-%dT%H:%M")
+    print(f"top_anomaly: {stamp} score_bits={top.score:.9f}")
     return 0
+
+
+# --- stages: one function each, shared by `run` and the staged subcommands ------
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Turn any failure inside into stage `name`'s StageError; also a decorator."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc)
+
+
+@_stage("ingest")
+def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
+    """Raw records -> one categorized transaction per complete hour."""
+    direction = ingest.Direction.parse(config.direction)
+    vehicle_class = ingest.VehicleClass.parse(config.vehicle_class)
+    with open(config.input, "r", encoding="utf-8") as fh:
+        parsed = ingest.parse_records(fh, delimiter=config.delimiter)
+    for diag in parsed.diagnostics:
+        log.warning("ingest: %s", diag)
+    hourly = ingest.aggregate_hourly(parsed.records)
+    build = ingest.build_transactions(hourly, config.attributes, direction, vehicle_class)
+    if not build.transactions:
+        raise ingest.IngestError(
+            f"no complete hours for the configured attributes "
+            f"({len(build.excluded_hours)} hour(s) excluded)"
+        )
+    if build.excluded_hours:
+        log.warning("ingest: excluded %d incomplete hour(s)", len(build.excluded_hours))
+    ingest.write_transactions(output, build.transactions, config.attributes)
+    return build.transactions
+
+
+@_stage("mine")
+def _mine(
+    transactions: list[ingest.Transaction], threshold: mining.SupportThreshold, output: str
+) -> list[mining.Itemset]:
+    itemsets = mining.frequent_itemsets(transactions, threshold)
+    mining.write_itemsets(output, itemsets)
+    return itemsets
+
+
+@_stage("compress")
+def _compress(
+    transactions: list[ingest.Transaction], candidates: list[mining.Itemset],
+    table_out: str, log_out: str,
+) -> codec.CompressionResult:
+    result = codec.compress(transactions, candidates)
+    codec.write_pattern_table(table_out, result.table)
+    codec.write_acceptance_log(log_out, result)
+    return result
+
+
+@_stage("score")
+def _score(
+    transactions: list[ingest.Transaction], table: codec.PatternTable,
+    attributes: list[str], output: str,
+) -> list[anomaly.ScoredTransaction]:
+    scored = anomaly.score_all(transactions, table)
+    anomaly.write_scores(output, scored, attributes)
+    return scored
+
+
+@_stage("report")
+def _report(
+    scored: list[anomaly.ScoredTransaction], fraction: float, top_k: int, output: str
+) -> None:
+    selected = anomaly.top_fraction(scored, fraction)
+    histogram = anomaly.hour_frequency(selected)
+    document = anomaly.report(scored, selected, histogram, min(top_k, len(scored)))
+    with open(output, "w", encoding="utf-8", newline="") as fh:
+        fh.write(document)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -196,82 +214,44 @@ def run_pipeline(config: RunConfig) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.config:
         config = RunConfig.from_file(args.config)
-    else:
-        if not args.input:
-            print("run: --input is required when no --config is given", file=sys.stderr)
-            return 2
+    elif args.input:
         config = RunConfig(input=args.input)
-    overrides = {
-        "input": args.input,
-        "attributes": _split_attrs(args.attributes),
-        "direction": args.direction,
-        "vehicle_class": args.vehicle_class,
-        "threshold": args.threshold,
-        "top_fraction": args.top_fraction,
-        "top_k": args.top_k,
-        "output_dir": args.output_dir,
-        "log_level": args.log_level,
-        "delimiter": args.delimiter,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(config, name, value)
+    else:
+        print("run: --input is required when no --config is given", file=sys.stderr)
+        return 2
+    for name in config.__dataclass_fields__:
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
+    config.validate()
     logging.basicConfig(level=config.log_level.upper(), stream=sys.stderr)
     return run_pipeline(config)
 
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            parsed = ingest.parse_records(fh, delimiter=args.delimiter)
-        for diag in parsed.diagnostics:
-            log.warning("ingest: %s", diag)
-        hourly = ingest.aggregate_hourly(parsed.records)
-        build = ingest.build_transactions(
-            hourly,
-            _split_attrs(args.attributes) or ["PB", "LQ", "RB"],
-            ingest.Direction.parse(args.direction),
-            ingest.VehicleClass.parse(args.vehicle_class),
-        )
-        if build.excluded_hours:
-            log.warning("excluded %d incomplete hour(s)", len(build.excluded_hours))
-        ingest.write_transactions(
-            args.output,
-            build.transactions,
-            _split_attrs(args.attributes) or ["PB", "LQ", "RB"],
-        )
-    except Exception as exc:
-        raise StageError("ingest", exc)
-    print(f"wrote {len(build.transactions)} transaction(s) to {args.output}")
+    config = RunConfig(
+        input=args.input, attributes=args.attributes, direction=args.direction,
+        vehicle_class=args.vehicle_class, delimiter=args.delimiter,
+    )
+    transactions = _ingest(config, args.output)
+    print(f"wrote {len(transactions)} transaction(s) to {args.output}")
     return 0
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    try:
+    with _stage("mine"):
         transactions, _ = ingest.read_transactions(args.transactions)
-        threshold = parse_threshold(
-            args.threshold, minimum=args.threshold_minimum
-        )
-        itemsets = mining.frequent_itemsets(transactions, threshold)
-        mining.write_itemsets(args.output, itemsets)
-    except Exception as exc:
-        raise StageError("mine", exc)
+        threshold = parse_threshold(args.threshold, minimum=args.threshold_minimum)
+    itemsets = _mine(transactions, threshold, args.output)
     print(f"wrote {len(itemsets)} itemset(s) to {args.output}")
     return 0
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    try:
+    with _stage("compress"):
         transactions, _ = ingest.read_transactions(args.transactions)
-        threshold = parse_threshold(
-            args.threshold, minimum=args.threshold_minimum
-        )
+        threshold = parse_threshold(args.threshold, minimum=args.threshold_minimum)
         candidates = mining.frequent_itemsets(transactions, threshold)
-        result = codec.compress(transactions, candidates)
-        codec.write_pattern_table(args.table_out, result.table)
-        codec.write_acceptance_log(args.log_out, result)
-    except Exception as exc:
-        raise StageError("compress", exc)
+    result = _compress(transactions, candidates, args.table_out, args.log_out)
     print(
         f"initial {result.initial_length:.3f} bits, final {result.final_length:.3f} "
         f"bits ({len([r for r in result.log if r.accepted])} pattern(s) accepted)"
@@ -280,28 +260,18 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    try:
+    with _stage("score"):
         transactions, attributes = ingest.read_transactions(args.transactions)
         table = codec.read_pattern_table(args.table)
-        scored = anomaly.score_all(transactions, table)
-        anomaly.write_scores(args.output, scored, attributes)
-    except Exception as exc:
-        raise StageError("score", exc)
+    scored = _score(transactions, table, attributes, args.output)
     print(f"wrote {len(scored)} score(s) to {args.output}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
+    with _stage("report"):
         scored, _ = anomaly.read_scores(args.scores)
-        selected = anomaly.top_fraction(scored, args.top_fraction)
-        histogram = anomaly.hour_frequency(selected)
-        k = min(args.top_k, len(scored))
-        document = anomaly.report(scored, selected, histogram, k)
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(document)
-    except Exception as exc:
-        raise StageError("report", exc)
+    _report(scored, args.top_fraction, args.top_k, args.output)
     print(f"wrote report to {args.output}")
     return 0
 
@@ -325,9 +295,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_attrs(text: str | None) -> list[str] | None:
-    if text is None:
-        return None
+def _split_attrs(text: str) -> list[str]:
     return [a.strip() for a in text.split(",") if a.strip()]
 
 
@@ -341,11 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig(input="")  # what an unset staged option means
 
     run = sub.add_parser("run", help="full pipeline: ingest through report")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--input", help="raw records file")
-    run.add_argument("--attributes", help="comma-separated site order, e.g. PB,LQ,RB")
+    run.add_argument(
+        "--attributes", type=_split_attrs, help="comma-separated site order, e.g. PB,LQ,RB"
+    )
     run.add_argument("--direction", help="ToUS or ToCanada")
     run.add_argument("--vehicle-class", dest="vehicle_class", help="Car or Truck")
     run.add_argument("--threshold", help="absolute count or fraction, e.g. 2 or 0.05")
@@ -359,25 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
     disc = sub.add_parser("discretize", help="raw records -> hourly transaction file")
     disc.add_argument("--input", required=True)
     disc.add_argument("--output", required=True)
-    disc.add_argument("--attributes", help="comma-separated site order")
-    disc.add_argument("--direction", default="ToCanada")
-    disc.add_argument("--vehicle-class", dest="vehicle_class", default="Car")
-    disc.add_argument("--delimiter", default=",")
+    disc.add_argument("--attributes", type=_split_attrs, default=defaults.attributes)
+    disc.add_argument("--direction", default=defaults.direction)
+    disc.add_argument("--vehicle-class", dest="vehicle_class", default=defaults.vehicle_class)
+    disc.add_argument("--delimiter", default=defaults.delimiter)
     disc.set_defaults(handler=_cmd_discretize)
 
     mine = sub.add_parser("mine", help="transaction file -> frequent itemsets")
     mine.add_argument("--transactions", required=True)
     mine.add_argument("--output", required=True)
-    mine.add_argument("--threshold", default="0.05")
-    mine.add_argument("--threshold-minimum", dest="threshold_minimum", type=int, default=2)
+    mine.add_argument("--threshold", default=defaults.threshold)
+    mine.add_argument("--threshold-minimum", type=int, default=defaults.threshold_minimum)
     mine.set_defaults(handler=_cmd_mine)
 
     comp = sub.add_parser("compress", help="transaction file -> pattern table + log")
     comp.add_argument("--transactions", required=True)
     comp.add_argument("--table-out", dest="table_out", required=True)
     comp.add_argument("--log-out", dest="log_out", required=True)
-    comp.add_argument("--threshold", default="0.05")
-    comp.add_argument("--threshold-minimum", dest="threshold_minimum", type=int, default=2)
+    comp.add_argument("--threshold", default=defaults.threshold)
+    comp.add_argument("--threshold-minimum", type=int, default=defaults.threshold_minimum)
     comp.set_defaults(handler=_cmd_compress)
 
     score = sub.add_parser("score", help="transactions + pattern table -> scores")
@@ -389,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="scores -> structured-text report")
     rep.add_argument("--scores", required=True)
     rep.add_argument("--output", required=True)
-    rep.add_argument("--top-k", dest="top_k", type=int, default=3)
-    rep.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.05)
+    rep.add_argument("--top-k", type=int, default=defaults.top_k)
+    rep.add_argument("--top-fraction", type=float, default=defaults.top_fraction)
     rep.set_defaults(handler=_cmd_report)
 
     syn = sub.add_parser("synth", help="seeded synthetic records + injection manifest")
@@ -401,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--dominance", type=float, default=0.95)
     syn.add_argument("--anomalies", type=int, default=20)
     syn.add_argument("--regime", default="daily", choices=sorted(synth.REGIMES))
-    syn.add_argument("--direction", default="ToCanada")
-    syn.add_argument("--vehicle-class", dest="vehicle_class", default="Car")
+    syn.add_argument("--direction", default=defaults.direction)
+    syn.add_argument("--vehicle-class", dest="vehicle_class", default=defaults.vehicle_class)
     syn.set_defaults(handler=_cmd_synth)
 
     return parser
@@ -415,12 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return args.handler(args)
-    except StageError as exc:
+    except (StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

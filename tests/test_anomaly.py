@@ -142,6 +142,8 @@ def test_report_rejects_oversized_k(six_rows, worked_table):
     selected = top_fraction(scored, 0.5)
     with pytest.raises(ValueError, match="exceeds"):
         report(scored, selected, hour_frequency(selected), k=7)
+    with pytest.raises(ValueError, match="negative"):
+        report(scored, selected, hour_frequency(selected), k=-1)
 
 
 # --- scored file round trip -------------------------------------------------------

@@ -85,7 +85,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(str(path))
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="attributes"):
         RunConfig(input="x", attributes=[]).validate()
     with pytest.raises(ValueError, match="top_fraction"):
@@ -94,6 +94,28 @@ def test_config_validation():
         RunConfig(input="x", top_k=-1).validate()
     with pytest.raises(ValueError, match="bad threshold"):
         RunConfig(input="x", threshold="soon").validate()
+    # A value of the wrong JSON type is named, not left to fail deep inside.
+    with pytest.raises(ValueError, match="top_k must be int"):
+        RunConfig(input="x", top_k="3").validate()
+    with pytest.raises(ValueError, match="top_k must be int"):
+        RunConfig(input="x", top_k=True).validate()
+    with pytest.raises(ValueError, match="threshold_inclusive must be bool"):
+        RunConfig(input="x", threshold_inclusive=1).validate()
+    with pytest.raises(ValueError, match="attributes must be list"):
+        RunConfig(input="x", attributes="PB,LQ").validate()
+    RunConfig(input="x", threshold=0.05, top_fraction=1).validate()
+    RunConfig(input="x", threshold=3).validate()
+    # Through `run --config`, both are usage errors (exit 1), not tracebacks.
+    path = tmp_path / "config.json"
+    for data, message in [
+        ({"input": "raw.csv", "top_k": "3"}, "top_k must be int"),
+        ({"input": "raw.csv", "log_level": 10}, "log_level must be str"),
+        (["raw.csv"], "JSON object"),
+        ({"top_k": 3}, "'input' key"),
+    ]:
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 # --- full pipeline ------------------------------------------------------------------
@@ -129,10 +151,39 @@ def test_rerun_is_byte_identical(tmp_path):
     assert before == after
 
 
-def test_staged_subcommands_match_run(tmp_path):
+# Flags of `run` that each staged subcommand also takes, by RunConfig field.
+STAGED_FLAGS = {
+    "discretize": ["attributes"],
+    "mine": ["threshold"],
+    "compress": ["threshold"],
+    "report": ["top_k", "top_fraction"],
+}
+
+
+def flags(options, command=None):
+    """Flags for `options` ({field: value}); only those `command` takes, if given."""
+    names = STAGED_FLAGS[command] if command else options
+    return [
+        arg
+        for name in names
+        if name in options
+        for arg in ("--" + name.replace("_", "-"), options[name])
+    ]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"attributes": "RB,PB,LQ", "threshold": "3", "top_k": "5", "top_fraction": "0.1"},
+    ],
+    ids=["defaults", "reordered-absolute"],
+)
+def test_staged_subcommands_match_run(tmp_path, options):
     raw = make_raw(tmp_path)
     out = tmp_path / "out"
-    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    run_args = ["run", "--input", str(raw), "--output-dir", str(out)]
+    assert cli.main(run_args + flags(options)) == 0
 
     stage = tmp_path / "stage"
     stage.mkdir()
@@ -142,9 +193,13 @@ def test_staged_subcommands_match_run(tmp_path):
     log = stage / "acceptance_log.tsv"
     scores = stage / "scores.tsv"
     rep = stage / "report.txt"
-    assert cli.main(["discretize", "--input", str(raw), "--output", str(txns)]) == 0
+    assert cli.main(
+        ["discretize", "--input", str(raw), "--output", str(txns)]
+        + flags(options, "discretize")
+    ) == 0
     assert cli.main(
         ["mine", "--transactions", str(txns), "--output", str(itemsets)]
+        + flags(options, "mine")
     ) == 0
     assert cli.main(
         [
@@ -156,6 +211,7 @@ def test_staged_subcommands_match_run(tmp_path):
             "--log-out",
             str(log),
         ]
+        + flags(options, "compress")
     ) == 0
     assert cli.main(
         [
@@ -168,7 +224,9 @@ def test_staged_subcommands_match_run(tmp_path):
             str(scores),
         ]
     ) == 0
-    assert cli.main(["report", "--scores", str(scores), "--output", str(rep)]) == 0
+    assert cli.main(
+        ["report", "--scores", str(scores), "--output", str(rep)] + flags(options, "report")
+    ) == 0
 
     for staged, combined in [
         (txns, "transactions.csv"),
@@ -184,7 +242,7 @@ def test_staged_subcommands_match_run(tmp_path):
 def test_run_accepts_config_file_with_overrides(tmp_path, capsys):
     raw = make_raw(tmp_path)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"input": str(raw), "top_k": 1}))
+    config_path.write_text(json.dumps({"input": str(raw), "top_k": 1, "threshold": 0.05}))
     out = tmp_path / "out"
     code = cli.main(
         ["run", "--config", str(config_path), "--output-dir", str(out)]
@@ -210,6 +268,27 @@ def test_exit_code_ingest_failure(tmp_path, capsys):
     )
     assert code == 10
     assert "ingest stage failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", ["ToUS", "Sideways"])
+def test_discretize_fails_where_run_ingest_fails(tmp_path, capsys, direction):
+    """No complete hour (a ToCanada feed read as ToUS) or an unknown direction."""
+    raw = make_raw(tmp_path, days=1)
+    out = tmp_path / "out"
+    run_args = ["run", "--input", str(raw), "--output-dir", str(out)]
+    assert cli.main(run_args + ["--direction", direction]) == 10
+    run_error = capsys.readouterr().err.splitlines()[-1]
+    disc_args = ["discretize", "--input", str(raw), "--output", str(tmp_path / "t.csv")]
+    assert cli.main(disc_args + ["--direction", direction]) == 10
+    assert capsys.readouterr().err.splitlines()[-1] == run_error
+    assert "ingest stage failed" in run_error
+
+
+def test_discretize_rejects_empty_attributes(tmp_path, capsys):
+    raw = make_raw(tmp_path, days=1)
+    args = ["discretize", "--input", str(raw), "--output", str(tmp_path / "t.csv")]
+    assert cli.main(args + ["--attributes", ""]) == 10
+    assert "attribute list must be nonempty" in capsys.readouterr().err
 
 
 def test_exit_code_mine_failure(tmp_path):
@@ -282,6 +361,12 @@ def test_exit_code_report_failure(tmp_path):
         ]
     )
     assert code == 50
+    # A negative top-k is a report failure too, as `run` rejects it.
+    raw = make_raw(tmp_path, days=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    report_args = ["report", "--scores", str(out / "scores.tsv"), "--output", str(tmp_path / "r")]
+    assert cli.main(report_args + ["--top-k", "-1"]) == 50
 
 
 # --- determinism across interpreter processes ------------------------------------------
