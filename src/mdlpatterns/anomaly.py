@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import Item, Transaction
-from .mining import exact_ceil, format_items, parse_items
+from .ingest import Transaction
+from .mining import exact_ceil, format_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 
@@ -23,7 +23,7 @@ REPORT_VERSION = "pattern-anomaly-report v1"
 @dataclass(frozen=True)
 class ScoredTransaction:
     transaction: Transaction
-    cover: tuple[frozenset[Item], ...]
+    cover: str  # patterns '|'-separated, items ',': "LQ:3,RB:2|PB:1"
     score: float
     rank: int
 
@@ -40,13 +40,14 @@ class HourHistogram:
 def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[ScoredTransaction]:
     """Score every transaction and rank descending; ties rank earlier hours first.
 
-    Each distinct row is covered and scored once, under the table as given.
+    Each distinct row is covered, scored and its cover written out as text
+    once, under the table as given.
     """
     db = distinct_rows(transactions)
     covers = cover_rows(db, cover_order(table.patterns))
     bits = row_lengths(covers, code_lengths(table))
-    parts = [tuple(part.items for part in cover) for cover in covers]
-    unranked = [(txn, parts[row], bits[row]) for txn, row in zip(transactions, db.index)]
+    texts = ["|".join(format_items(part.items) for part in cover) for cover in covers]
+    unranked = [(txn, texts[row], bits[row]) for txn, row in zip(transactions, db.index)]
     unranked.sort(key=lambda entry: (-entry[2], entry[0].timestamp))
     return [
         ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank)
@@ -110,10 +111,9 @@ def report(
 
 def _entry_line(entry: ScoredTransaction) -> str:
     categories = ",".join(f"{attr}:{cat}" for attr, cat in entry.transaction.items)
-    cover_text = "|".join(format_items(part) for part in entry.cover)
     return (
         f"{entry.rank}\t{entry.transaction.timestamp.strftime('%Y-%m-%dT%H:%M')}\t"
-        f"{categories}\t{entry.score:.9f}\t{cover_text}"
+        f"{categories}\t{entry.score:.9f}\t{entry.cover}"
     )
 
 
@@ -134,7 +134,7 @@ def write_scores(
             fields.extend(str(cats[attr]) for attr in attributes)
             fields.append(f"{entry.score:.9f}")
             fields.append(str(entry.rank))
-            fields.append("|".join(format_items(part) for part in entry.cover))
+            fields.append(entry.cover)
             fh.write("\t".join(fields) + "\n")
 
 
@@ -153,15 +153,15 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             fields = line.split("\t")
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
-            ts = datetime.fromisoformat(fields[0])
-            cats = [int(f) for f in fields[1 : 1 + len(attributes)]]
-            score = float(fields[-3])
-            rank = int(fields[-2])
-            cover = tuple(
-                parse_items(token) for token in fields[-1].split("|") if token
-            )
+            try:
+                ts = datetime.fromisoformat(fields[0])
+                cats = [int(f) for f in fields[1 : 1 + len(attributes)]]
+                score = float(fields[-3])
+                rank = int(fields[-2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}")
             txn = Transaction(timestamp=ts, items=tuple(zip(attributes, cats)))
             scored.append(
-                ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank)
+                ScoredTransaction(transaction=txn, cover=fields[-1], score=score, rank=rank)
             )
     return scored, attributes

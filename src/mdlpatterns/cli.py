@@ -223,7 +223,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if getattr(args, name, None) is not None:
             setattr(config, name, getattr(args, name))
     config.validate()
-    logging.basicConfig(level=config.log_level.upper(), stream=sys.stderr)
+    log.setLevel(config.log_level.upper())
     return run_pipeline(config)
 
 
@@ -382,8 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # basicConfig does nothing once the root logger has a handler, so levels
+    # go on the package logger: INFO for every command, then `run`'s own.
     if not logging.getLogger().handlers:
-        logging.basicConfig(level=logging.INFO, stream=sys.stderr)
+        logging.basicConfig(stream=sys.stderr)
+    log.setLevel(logging.INFO)
     try:
         return args.handler(args)
     except (StageError, OSError, ValueError) as exc:

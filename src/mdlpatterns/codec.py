@@ -65,14 +65,6 @@ class PatternTable:
 
 
 @dataclass(frozen=True)
-class Cover:
-    """Disjoint exact decomposition of one transaction into table patterns."""
-
-    transaction: Transaction
-    parts: tuple[Pattern, ...]
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     items: frozenset[Item]
     support: int
@@ -187,19 +179,6 @@ def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[Pat
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
-def cover_database(transactions: Sequence[Transaction], table: PatternTable) -> list[Cover]:
-    """Cover every transaction under one fixed canonical order (single pass)."""
-    db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.patterns))
-    return [Cover(transaction=t, parts=covers[row]) for t, row in zip(transactions, db.index)]
-
-
-def recompute_usages(table: PatternTable, transactions: Sequence[Transaction]) -> PatternTable:
-    """Set every pattern's usage to the number of covers that include it."""
-    _settle(table, distinct_rows(transactions), "the table")
-    return table
-
-
 def code_lengths(table: PatternTable) -> dict[int, float]:
     """-log2(usage / total usage) of every in-use pattern, by id, in table order."""
     total = table.active_usage_total()
@@ -215,11 +194,6 @@ def row_lengths(covers: Sequence[tuple[Pattern, ...]], lengths: dict[int, float]
         raise ValueError(
             f"pattern {format_items(unused.items)} has zero usage; it carries no code"
         ) from None
-
-
-def pattern_code_length(pattern: Pattern, table: PatternTable) -> float:
-    """-log2(usage / total usage). Undefined (error) for zero-usage patterns."""
-    return row_lengths([(pattern,)], code_lengths(table))[0]
 
 
 def _database_bits(db: DistinctRows, covers: Sequence, lengths: dict[int, float]) -> float:
@@ -241,22 +215,6 @@ def _table_bits(table: PatternTable, lengths: dict[int, float]) -> float:
         r = table.singleton_counts[item]
         second += -r * log2(r / c)
     return sum(lengths.values()) + second
-
-
-def database_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
-    """Total bits to encode every transaction under the table."""
-    db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.patterns))
-    return _database_bits(db, covers, code_lengths(table))
-
-
-def table_length(table: PatternTable) -> float:
-    """Bits to encode the table itself."""
-    return _table_bits(table, code_lengths(table))
-
-
-def total_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
-    return database_length(transactions, table) + table_length(table)
 
 
 def compress(
@@ -304,6 +262,51 @@ def compress(
     return CompressionResult(table=table, initial_length=initial, final_length=best, log=log)
 
 
+# --- whole-database helpers outside the pipeline ---------------------------------
+# compress and score_all cover through _settle and cover_rows and never call
+# these six; the tests use them as oracles. They stay here, not in
+# tests/helpers.py, because the benchmark's tracer (perfbench/tracer.py) wraps
+# the five functions by name, and tests/test_tracer_targets.py checks that they
+# resolve (Cover is what cover_database returns). They can move once the tracer
+# reads run metrics instead of wrapping functions.
+
+@dataclass(frozen=True)
+class Cover:
+    """Disjoint exact decomposition of one transaction into table patterns."""
+
+    transaction: Transaction
+    parts: tuple[Pattern, ...]
+
+
+def cover_database(transactions: Sequence[Transaction], table: PatternTable) -> list[Cover]:
+    """Cover every transaction under one fixed canonical order (single pass)."""
+    db = distinct_rows(transactions)
+    covers = cover_rows(db, cover_order(table.patterns))
+    return [Cover(transaction=t, parts=covers[row]) for t, row in zip(transactions, db.index)]
+
+
+def recompute_usages(table: PatternTable, transactions: Sequence[Transaction]) -> PatternTable:
+    """Set every pattern's usage to the number of covers that include it."""
+    _settle(table, distinct_rows(transactions), "the table")
+    return table
+
+
+def database_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
+    """Total bits to encode every transaction under the table."""
+    db = distinct_rows(transactions)
+    covers = cover_rows(db, cover_order(table.patterns))
+    return _database_bits(db, covers, code_lengths(table))
+
+
+def table_length(table: PatternTable) -> float:
+    """Bits to encode the table itself."""
+    return _table_bits(table, code_lengths(table))
+
+
+def total_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
+    return database_length(transactions, table) + table_length(table)
+
+
 # --- pattern table file format -------------------------------------------------
 # Pattern lines: "site:cat,...<TAB>usage<TAB>code_length_bits", in canonical
 # cover order. Leading '#' lines carry the fixed singleton statistics so a
@@ -334,20 +337,20 @@ def read_pattern_table(path: str) -> PatternTable:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                fields = line[1:].strip().split("\t")
-                if fields[0] == "total_singleton_count":
-                    total_singleton_count = int(fields[1])
-                elif fields[0] == "item_count":
-                    attr, _, cat = fields[1].rpartition(":")
-                    singleton_counts[(attr, int(cat))] = int(fields[2])
-                continue
             try:
+                if line.startswith("#"):
+                    fields = line[1:].strip().split("\t")
+                    if fields[0] == "total_singleton_count":
+                        total_singleton_count = int(fields[1])
+                    elif fields[0] == "item_count":
+                        attr, _, cat = fields[1].rpartition(":")
+                        singleton_counts[(attr, int(cat))] = int(fields[2])
+                    continue
                 items_text, usage_text, _bits = line.split("\t")
                 patterns.append(
                     Pattern(items=parse_items(items_text), usage=int(usage_text))
                 )
-            except ValueError as exc:
+            except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     if not patterns:
         raise ValueError(f"{path}: no patterns found")

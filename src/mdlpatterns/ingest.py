@@ -29,6 +29,9 @@ from typing import IO, Iterable, Mapping, Sequence
 
 Item = tuple[str, int]
 
+# The header columns every raw input must have, one per record field.
+COLUMNS = ("timestamp", "site", "direction", "vehicle_class", "wait_minutes")
+
 
 class IngestError(RuntimeError):
     """Fatal ingestion problem: unreadable input, bad schema, bad configuration."""
@@ -40,11 +43,7 @@ class Direction(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Direction":
-        key = text.strip().lower()
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ValueError(f"unknown direction {text!r} (expected ToUS or ToCanada)")
+        return _parse_member(cls, text, "direction")
 
 
 class VehicleClass(str, Enum):
@@ -53,11 +52,19 @@ class VehicleClass(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "VehicleClass":
-        key = text.strip().lower()
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ValueError(f"unknown vehicle class {text!r} (expected Car or Truck)")
+        return _parse_member(cls, text, "vehicle class")
+
+
+# Case-insensitive spelling -> member, per enum.
+_MEMBERS = {cls: {m.value.lower(): m for m in cls} for cls in (Direction, VehicleClass)}
+
+
+def _parse_member(cls, text: str, noun: str):
+    member = _MEMBERS[cls].get(text.strip().lower())
+    if member is None:
+        expected = " or ".join(m.value for m in cls)
+        raise ValueError(f"unknown {noun} {text!r} (expected {expected})")
+    return member
 
 
 class Category(IntEnum):
@@ -67,18 +74,6 @@ class Category(IntEnum):
     SLIGHT_DELAY = 2
     DELAY = 3
     HEAVY_DELAY = 4
-
-    @property
-    def label(self) -> str:
-        return _CATEGORY_LABELS[int(self)]
-
-
-_CATEGORY_LABELS = {
-    1: "no waiting",
-    2: "slight delay",
-    3: "delay",
-    4: "heavy delay",
-}
 
 
 @dataclass(frozen=True)
@@ -104,26 +99,6 @@ class Transaction:
         return frozenset(self.items)
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Maps the five record fields to input column names."""
-
-    timestamp: str = "timestamp"
-    site: str = "site"
-    direction: str = "direction"
-    vehicle_class: str = "vehicle_class"
-    wait_minutes: str = "wait_minutes"
-
-    def columns(self) -> tuple[str, ...]:
-        return (
-            self.timestamp,
-            self.site,
-            self.direction,
-            self.vehicle_class,
-            self.wait_minutes,
-        )
-
-
 @dataclass
 class ParseResult:
     records: list[WaitTimeRecord]
@@ -138,12 +113,8 @@ class TransactionBuild:
     excluded_hours: list[datetime] = field(default_factory=list)
 
 
-def parse_records(
-    stream: IO[str],
-    schema: ColumnSchema | None = None,
-    delimiter: str = ",",
-) -> ParseResult:
-    """Parse delimiter-separated records with a header row.
+def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
+    """Parse delimiter-separated records with a header row naming COLUMNS.
 
     Malformed rows are skipped with a per-row diagnostic and counted in
     ``rejected_rows``; they are never silently dropped. Duplicate
@@ -153,11 +124,10 @@ def parse_records(
     Raises IngestError if the stream has no header or a mandatory column
     is missing.
     """
-    schema = schema or ColumnSchema()
     reader = csv.DictReader(stream, delimiter=delimiter)
     if reader.fieldnames is None:
         raise IngestError("input has no header row")
-    missing = [c for c in schema.columns() if c not in reader.fieldnames]
+    missing = [c for c in COLUMNS if c not in reader.fieldnames]
     if missing:
         raise IngestError(f"missing required column(s): {', '.join(missing)}")
 
@@ -165,7 +135,7 @@ def parse_records(
     parsed: list[WaitTimeRecord] = []
     for lineno, row in enumerate(reader, start=2):
         try:
-            parsed.append(_parse_row(row, schema))
+            parsed.append(_parse_row(row))
         except ValueError as exc:
             result.diagnostics.append(f"row {lineno}: {exc}")
             result.rejected_rows += 1
@@ -190,20 +160,20 @@ def parse_records(
     return result
 
 
-def _parse_row(row: Mapping[str, str], schema: ColumnSchema) -> WaitTimeRecord:
-    raw_ts = (row.get(schema.timestamp) or "").strip()
+def _parse_row(row: Mapping[str, str]) -> WaitTimeRecord:
+    raw_ts = (row.get("timestamp") or "").strip()
     try:
         timestamp = datetime.fromisoformat(raw_ts)
     except ValueError:
         raise ValueError(f"bad timestamp {raw_ts!r}")
     if timestamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
-    site = (row.get(schema.site) or "").strip()
+    site = (row.get("site") or "").strip()
     if not site:
         raise ValueError("empty site")
-    direction = Direction.parse(row.get(schema.direction) or "")
-    vehicle_class = VehicleClass.parse(row.get(schema.vehicle_class) or "")
-    raw_wait = (row.get(schema.wait_minutes) or "").strip()
+    direction = Direction.parse(row.get("direction") or "")
+    vehicle_class = VehicleClass.parse(row.get("vehicle_class") or "")
+    raw_wait = (row.get("wait_minutes") or "").strip()
     try:
         wait = float(raw_wait)
     except ValueError:

@@ -91,12 +91,6 @@ def canonical_key(items: frozenset[Item], weight: int) -> tuple:
     return (-len(items), -weight, tuple(sorted(items)))
 
 
-def support(items: frozenset[Item], transactions: Sequence[Transaction]) -> int:
-    """Number of transactions whose item set contains all of ``items``."""
-    items = frozenset(items)
-    return sum(1 for txn in transactions if items <= txn.item_set)
-
-
 def frequent_itemsets(
     transactions: Sequence[Transaction],
     threshold: SupportThreshold,

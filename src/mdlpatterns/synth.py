@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Callable, Sequence
 
-from .ingest import Direction, VehicleClass, WaitTimeRecord
+from .ingest import COLUMNS, Direction, VehicleClass, WaitTimeRecord
 
 # Per-category sampling bands for five-minute values; means of band draws stay
 # inside the category's interval. Category 1 must average exactly zero.
@@ -140,7 +140,7 @@ def _drift_one_site(
 
 def write_records_csv(path: str, records: Sequence[WaitTimeRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,site,direction,vehicle_class,wait_minutes\n")
+        fh.write(",".join(COLUMNS) + "\n")
         for rec in records:
             fh.write(
                 f"{rec.timestamp.strftime('%Y-%m-%dT%H:%M')},{rec.site},"

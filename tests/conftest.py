@@ -8,8 +8,7 @@ table whose best cover mixes a triple, a pair, and a singleton.
 import pytest
 
 from helpers import make_db
-from mdlpatterns import init_pattern_table, recompute_usages
-from mdlpatterns.codec import Pattern
+from mdlpatterns.codec import Pattern, init_pattern_table, recompute_usages
 
 # Verdict lines recorded by the acceptance tests; printed after the run so
 # they survive output capture.

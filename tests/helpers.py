@@ -10,14 +10,24 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta
 from itertools import combinations
+from math import log2
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from mdlpatterns import SupportThreshold, Transaction, init_pattern_table
-from mdlpatterns import cover_database, database_length, recompute_usages, total_length
-from mdlpatterns.codec import Cover, Pattern, PatternTable
-from mdlpatterns.mining import Itemset
+from mdlpatterns import SupportThreshold
+from mdlpatterns.codec import (
+    Cover,
+    Pattern,
+    PatternTable,
+    cover_database,
+    database_length,
+    init_pattern_table,
+    recompute_usages,
+    total_length,
+)
+from mdlpatterns.ingest import Transaction
+from mdlpatterns.mining import Itemset, format_items
 
 BASE = datetime(2016, 8, 22)
 
@@ -56,6 +66,12 @@ def db_strategy(max_rows: int = 12, attrs=("A", "B", "C"), max_cat: int = 4):
     )
 
 
+def support(items: frozenset, transactions: Sequence[Transaction]) -> int:
+    """Number of transactions whose item set contains all of ``items``."""
+    items = frozenset(items)
+    return sum(1 for txn in transactions if items <= txn.item_set)
+
+
 def brute_force_frequent(
     transactions: Sequence[Transaction], threshold: SupportThreshold
 ) -> set[tuple[frozenset, int]]:
@@ -72,7 +88,7 @@ def brute_force_frequent(
     for size in range(2, min(len(universe), longest_row) + 1):
         for combo in combinations(universe, size):
             items = frozenset(combo)
-            sup = sum(1 for txn in transactions if items <= txn.item_set)
+            sup = support(items, transactions)
             if threshold.meets(sup, resolved):
                 found.add((items, sup))
     return found
@@ -102,6 +118,14 @@ def exhaustive_best_length(
 def cover_transaction(txn: Transaction, table: PatternTable) -> Cover:
     """One transaction's cover under the table's current order."""
     return cover_database([txn], table)[0]
+
+
+def pattern_code_length(pattern: Pattern, table: PatternTable) -> float:
+    """-log2(usage / total usage), straight from the definition. A pattern
+    with zero usage carries no code, so asking for its length is an error."""
+    if pattern.usage == 0:
+        raise ValueError(f"pattern {format_items(pattern.items)} has zero usage")
+    return -log2(pattern.usage / table.active_usage_total())
 
 
 def transaction_code_length(txn: Transaction, table: PatternTable) -> float:

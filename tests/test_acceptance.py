@@ -16,30 +16,22 @@ from helpers import (
     exhaustive_best_length,
     find_pattern,
     make_db,
+    pattern_code_length,
     random_db,
     transaction_code_length,
 )
-from mdlpatterns import (
+from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
+from mdlpatterns.cli import RunConfig, run_pipeline
+from mdlpatterns.codec import Pattern, database_length, init_pattern_table, recompute_usages
+from mdlpatterns.ingest import (
     Direction,
-    SupportThreshold,
     VehicleClass,
     aggregate_hourly,
     build_transactions,
-    compress,
-    database_length,
     discretize,
-    frequent_itemsets,
-    generate_synthetic,
-    init_pattern_table,
     parse_records,
-    pattern_code_length,
-    recompute_usages,
-    score_all,
-    top_fraction,
-    write_records_csv,
 )
-from mdlpatterns.cli import RunConfig, run_pipeline
-from mdlpatterns.codec import Pattern
+from mdlpatterns.synth import generate_synthetic, write_records_csv
 
 SITES = ["PB", "LQ", "RB"]
 

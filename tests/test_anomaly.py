@@ -5,23 +5,17 @@ from math import fsum
 import pytest
 from hypothesis import given, settings
 
-from conftest import PAIR, RB2, TRIPLE
 from helpers import db_strategy, make_db
-from mdlpatterns import (
+from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
+from mdlpatterns.anomaly import (
+    REPORT_VERSION,
     HourHistogram,
-    SupportThreshold,
-    compress,
-    database_length,
-    frequent_itemsets,
     hour_frequency,
-    init_pattern_table,
     read_scores,
     report,
-    score_all,
-    top_fraction,
     write_scores,
 )
-from mdlpatterns.anomaly import REPORT_VERSION
+from mdlpatterns.codec import database_length, init_pattern_table
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -45,9 +39,10 @@ def test_rare_rows_outscore_common_rows(six_rows, worked_table):
 
 
 def test_scores_carry_covers(six_rows, worked_table):
+    # cover text as scores.tsv holds it: the pair then RB:2, and the triple
     scored = score_all(six_rows, worked_table)
-    assert scored[0].cover == (PAIR, RB2)
-    assert scored[-1].cover == (TRIPLE,)
+    assert scored[0].cover == "LQ:2,PB:1|RB:2"
+    assert scored[-1].cover == "LQ:2,PB:1,RB:1"
 
 
 def test_score_sum_equals_database_length(six_rows, worked_table):

@@ -110,6 +110,7 @@ def test_config_validation(tmp_path, capsys):
     for data, message in [
         ({"input": "raw.csv", "top_k": "3"}, "top_k must be int"),
         ({"input": "raw.csv", "log_level": 10}, "log_level must be str"),
+        ({"input": "raw.csv", "log_level": "LOUD"}, "Unknown level: 'LOUD'"),
         (["raw.csv"], "JSON object"),
         ({"top_k": 3}, "'input' key"),
     ]:
@@ -367,6 +368,68 @@ def test_exit_code_report_failure(tmp_path):
     assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
     report_args = ["report", "--scores", str(out / "scores.tsv"), "--output", str(tmp_path / "r")]
     assert cli.main(report_args + ["--top-k", "-1"]) == 50
+
+
+def test_score_names_the_bad_table_line(tmp_path, capsys):
+    raw = make_raw(tmp_path, days=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    table = out / "pattern_table.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("# item_count\t")
+    lines[2] = "# item_count\tPB:x\t5\n"
+    table.write_text("".join(lines))
+    capsys.readouterr()
+    args = ["score", "--transactions", str(out / "transactions.csv"), "--table", str(table)]
+    assert cli.main(args + ["--output", str(tmp_path / "scores.tsv")]) == 40
+    err = capsys.readouterr().err
+    assert f"score stage failed: {table}:3: invalid literal for int()" in err
+
+
+def test_report_names_the_bad_scores_line(tmp_path, capsys):
+    raw = make_raw(tmp_path, days=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    scores = out / "scores.tsv"
+    lines = scores.read_text().splitlines(keepends=True)
+    lines[2] = "notadate" + lines[2][lines[2].index("\t"):]
+    scores.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main(["report", "--scores", str(scores), "--output", str(tmp_path / "r")]) == 50
+    err = capsys.readouterr().err
+    assert f"report stage failed: {scores}:3: Invalid isoformat string: 'notadate'" in err
+
+
+# --- logging ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config_level, flags, warned",
+    [
+        (None, [], True),
+        (None, ["--log-level", "ERROR"], False),
+        ("ERROR", [], False),
+        ("ERROR", ["--log-level", "warning"], True),  # the flag overrides the file
+    ],
+    ids=["default", "flag", "config", "flag-over-config"],
+)
+def test_run_log_level_filters_ingest_warnings(tmp_path, config_level, flags, warned):
+    raw = make_raw(tmp_path, days=1)
+    with open(raw, "a", encoding="utf-8") as fh:
+        fh.write("garbage,PB,ToCanada,Car,5\n")
+    config = {"input": str(raw), "output_dir": str(tmp_path / "out")}
+    if config_level is not None:
+        config["log_level"] = config_level
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdlpatterns.cli", "run", "--config", str(tmp_path / "run.json")]
+        + flags,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    warning = "WARNING:mdlpatterns:ingest: row 602: bad timestamp 'garbage'"
+    assert (warning in proc.stderr) is warned, proc.stderr
 
 
 # --- determinism across interpreter processes ------------------------------------------

@@ -19,20 +19,17 @@ from helpers import (
     find_pattern,
     greedy_cover_oracle,
     make_db,
+    pattern_code_length,
     random_db,
     transaction_code_length,
 )
-from mdlpatterns import codec
-from mdlpatterns import (
-    Itemset,
-    SupportThreshold,
-    Transaction,
-    compress,
+from mdlpatterns import SupportThreshold, codec, compress, frequent_itemsets
+from mdlpatterns.codec import (
+    Pattern,
     cover_database,
+    cover_order,
     database_length,
-    frequent_itemsets,
     init_pattern_table,
-    pattern_code_length,
     read_pattern_table,
     recompute_usages,
     table_length,
@@ -40,7 +37,8 @@ from mdlpatterns import (
     write_acceptance_log,
     write_pattern_table,
 )
-from mdlpatterns.codec import Pattern, cover_order
+from mdlpatterns.ingest import Transaction
+from mdlpatterns.mining import Itemset
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -134,11 +132,9 @@ def test_recompute_is_idempotent(six_rows, worked_table):
 
 
 def test_pattern_code_lengths_worked(worked_table):
-    lengths = {
-        p.items: pattern_code_length(p, worked_table)
-        for p in worked_table.patterns
-        if p.usage > 0
-    }
+    by_id = codec.code_lengths(worked_table)
+    lengths = {p.items: by_id[id(p)] for p in worked_table.patterns if p.usage > 0}
+    assert len(by_id) == len(lengths) == 3
     assert lengths[TRIPLE] == pytest.approx(1.0, abs=1e-12)
     assert lengths[PAIR] == pytest.approx(2.0, abs=1e-12)
     assert lengths[RB2] == pytest.approx(2.0, abs=1e-12)
@@ -147,8 +143,9 @@ def test_pattern_code_lengths_worked(worked_table):
 def test_zero_usage_pattern_has_no_code(worked_table):
     unused = find_pattern(worked_table, frozenset({("PB", 1)}))
     assert unused.usage == 0
-    with pytest.raises(ValueError, match="zero usage"):
-        pattern_code_length(unused, worked_table)
+    # an hour holding PB:1 alone can only be covered by the unused singleton
+    with pytest.raises(ValueError, match="pattern PB:1 has zero usage; it carries no code"):
+        database_length(make_db([(1,)], attrs=("PB",)), worked_table)
 
 
 def test_transaction_code_lengths_worked(six_rows, worked_table):

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlpatterns import (
-    Category,
-    ColumnSchema,
+from mdlpatterns import read_transactions
+from mdlpatterns.ingest import (
     Direction,
     IngestError,
     VehicleClass,
+    WaitTimeRecord,
     aggregate_hourly,
     build_transactions,
     discretize,
     parse_records,
-    read_transactions,
     write_transactions,
 )
-from mdlpatterns.ingest import WaitTimeRecord
 
 HEADER = "timestamp,site,direction,vehicle_class,wait_minutes"
 
@@ -68,20 +66,6 @@ def test_parse_empty_input_raises():
 def test_parse_missing_column_raises():
     with pytest.raises(IngestError, match="wait_minutes"):
         parse("timestamp,site,direction,vehicle_class\na,b,c,d\n")
-
-
-def test_parse_custom_schema():
-    text = "when,where,dir,kind,minutes\n2016-08-22T10:00,PB,ToCanada,Car,3\n"
-    schema = ColumnSchema(
-        timestamp="when",
-        site="where",
-        direction="dir",
-        vehicle_class="kind",
-        wait_minutes="minutes",
-    )
-    result = parse_records(io.StringIO(text), schema=schema)
-    assert len(result.records) == 1
-    assert result.records[0].wait_minutes == 3.0
 
 
 def test_parse_bad_rows_skipped_with_diagnostics():
@@ -212,13 +196,6 @@ def test_discretize_boundaries():
 def test_discretize_rejects_negative():
     with pytest.raises(ValueError, match="non-negative"):
         discretize(-0.5)
-
-
-def test_category_labels():
-    assert Category.NO_WAITING.label == "no waiting"
-    assert Category.SLIGHT_DELAY.label == "slight delay"
-    assert Category.DELAY.label == "delay"
-    assert Category.HEAVY_DELAY.label == "heavy delay"
 
 
 @given(wait=st.floats(min_value=0, max_value=1e6, allow_nan=False))

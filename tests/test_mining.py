@@ -9,21 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, TRIPLE
-from helpers import brute_force_frequent, db_strategy, make_db, random_db
-from mdlpatterns import (
-    SupportThreshold,
+from helpers import brute_force_frequent, db_strategy, make_db, random_db, support
+from mdlpatterns import SupportThreshold, frequent_itemsets
+from mdlpatterns.mining import (
     canonical_key,
+    exact_ceil,
     format_items,
-    frequent_itemsets,
     parse_items,
     read_itemsets,
-    support,
     write_itemsets,
 )
-from mdlpatterns.mining import exact_ceil
 
 
-# --- support counting ----------------------------------------------------------
+# --- support counting (the oracle brute_force_frequent counts with) -----------
 
 
 def test_support_counts_containing_rows(six_rows):

@@ -4,13 +4,15 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from mdlpatterns import (
+from mdlpatterns.ingest import (
     Direction,
     VehicleClass,
     aggregate_hourly,
     build_transactions,
-    generate_synthetic,
     parse_records,
+)
+from mdlpatterns.synth import (
+    generate_synthetic,
     read_manifest,
     write_manifest,
     write_records_csv,
