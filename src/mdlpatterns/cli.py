@@ -154,7 +154,7 @@ def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
         parsed = ingest.parse_records(fh, delimiter=config.delimiter)
     for diag in parsed.diagnostics:
         log.warning("ingest: %s", diag)
-    hourly = ingest.aggregate_hourly(parsed.records)
+    hourly = ingest.aggregate_hourly(parsed)
     build = ingest.build_transactions(hourly, config.attributes, direction, vehicle_class)
     if not build.transactions:
         raise ingest.IngestError(

@@ -7,7 +7,9 @@ direction, vehicle class, and wait minutes. Sites report at different rates
 categorization so the sites line up.
 
 Pipeline:
-    parse_records()      -> list of WaitTimeRecord (+ per-row diagnostics)
+    parse_records()      -> in one pass, the last row per (site, direction,
+                            vehicle_class, timestamp), in file order
+                            (+ a diagnostic per rejected or replaced row)
     aggregate_hourly()   -> (site, direction, vehicle_class, hour) -> mean minutes
     discretize()         -> wait category 1..4
     build_transactions() -> one Transaction per hour where every configured
@@ -21,11 +23,12 @@ transactions.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
-from math import isfinite
-from typing import IO, Iterable, Mapping, Sequence
+from math import inf, isfinite
+from typing import IO, Mapping, Sequence
 
 Item = tuple[str, int]
 
@@ -77,17 +80,6 @@ class Category(IntEnum):
 
 
 @dataclass(frozen=True)
-class WaitTimeRecord:
-    """One raw observation before aggregation."""
-
-    timestamp: datetime
-    site: str
-    direction: Direction
-    vehicle_class: VehicleClass
-    wait_minutes: float
-
-
-@dataclass(frozen=True)
 class Transaction:
     """One hourly row: a category per configured site, in configured site order."""
 
@@ -99,9 +91,22 @@ class Transaction:
         return frozenset(self.items)
 
 
+# (site, direction, vehicle_class, timestamp) of one observation
+RecordKey = tuple[str, Direction, VehicleClass, datetime]
+
+
 @dataclass
 class ParseResult:
-    records: list[WaitTimeRecord]
+    """The rows parse_records kept, and what it rejected or replaced.
+
+    ``records`` maps each kept (site, direction, vehicle_class, timestamp)
+    to its row's position in ``waits``; its order is the file order of the
+    kept rows. ``hours`` maps every timestamp to its clock hour.
+    """
+
+    records: dict[RecordKey, int] = field(default_factory=dict)
+    waits: array = field(default_factory=lambda: array("d"))
+    hours: dict[datetime, datetime] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     rejected_rows: int = 0
     duplicate_rows: int = 0
@@ -116,90 +121,143 @@ class TransactionBuild:
 def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     """Parse delimiter-separated records with a header row naming COLUMNS.
 
-    Malformed rows are skipped with a per-row diagnostic and counted in
-    ``rejected_rows``; they are never silently dropped. Duplicate
-    (site, direction, vehicle_class, timestamp) keys keep the last
-    occurrence, with a diagnostic per replaced row.
+    One pass, with no object per row. Malformed rows are skipped with a
+    diagnostic naming their line and counted in ``rejected_rows``; they are
+    never silently dropped. Duplicate (site, direction, vehicle_class,
+    timestamp) keys keep the last occurrence, with a diagnostic per replaced
+    row; these follow the rejections, latest replaced row first.
+
+    As with ``csv.DictReader``, blank lines are skipped, a repeated column
+    name reads its last column and a short row reads its missing fields as
+    empty.
 
     Raises IngestError if the stream has no header or a mandatory column
     is missing.
     """
-    reader = csv.DictReader(stream, delimiter=delimiter)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
         raise IngestError("input has no header row")
-    missing = [c for c in COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise IngestError(f"missing required column(s): {', '.join(missing)}")
+    index = {name: i for i, name in enumerate(header)}
+    i_stamp, i_site, i_direction, i_class, i_wait = (index[c] for c in COLUMNS)
+    width = max(index[c] for c in COLUMNS) + 1
+    padding = [""] * width
 
-    result = ParseResult(records=[])
-    parsed: list[WaitTimeRecord] = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            parsed.append(_parse_row(row))
-        except ValueError as exc:
-            result.diagnostics.append(f"row {lineno}: {exc}")
-            result.rejected_rows += 1
-
-    # Deduplicate on (site, direction, class, timestamp), keeping the last
-    # occurrence; output order is the order of the surviving rows.
-    seen: set[tuple] = set()
-    survivors: list[WaitTimeRecord] = []
-    for rec in reversed(parsed):
-        key = (rec.site, rec.direction, rec.vehicle_class, rec.timestamp)
-        if key in seen:
-            result.diagnostics.append(
-                f"duplicate observation for {rec.site}/{rec.direction.value}/"
-                f"{rec.vehicle_class.value} at {rec.timestamp.isoformat()}; kept last"
-            )
-            result.duplicate_rows += 1
+    result = ParseResult()
+    records, waits, diagnostics = result.records, result.waits, result.diagnostics
+    # Raw field text -> parsed value, or the reason the field is rejected.
+    # Sites share timestamps and a feed has few slices, so each distinct
+    # string is parsed once.
+    stamps: dict[str, datetime | str] = {}
+    slices: dict[tuple[str, str, str], tuple[str, Direction, VehicleClass] | str] = {}
+    replaced: list[tuple[int, RecordKey]] = []  # (position of the replaced row, key)
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            row += padding[len(row):]
+        stamp = stamps.get(row[i_stamp])
+        if stamp is None:
+            stamp = stamps[row[i_stamp]] = _parse_stamp(row[i_stamp], result.hours)
+        if isinstance(stamp, str):
+            diagnostics.append(f"row {reader.line_num}: {stamp}")
             continue
-        seen.add(key)
-        survivors.append(rec)
-    survivors.reverse()
-    result.records = survivors
+        fields = (row[i_site], row[i_direction], row[i_class])
+        slice_ = slices.get(fields)
+        if slice_ is None:
+            slice_ = slices[fields] = _parse_slice(*fields)
+        if isinstance(slice_, str):
+            diagnostics.append(f"row {reader.line_num}: {slice_}")
+            continue
+        raw_wait = row[i_wait].strip()
+        try:
+            wait = float(raw_wait)
+        except ValueError:
+            diagnostics.append(f"row {reader.line_num}: bad wait minutes {raw_wait!r}")
+            continue
+        if not 0 <= wait < inf:
+            reason = "non-finite" if not isfinite(wait) else "negative"
+            diagnostics.append(f"row {reader.line_num}: {reason} wait ({raw_wait})")
+            continue
+        key = (*slice_, stamp)
+        if key in records:
+            replaced.append((records.pop(key), key))
+        records[key] = len(waits)
+        waits.append(wait)
+
+    result.rejected_rows = len(diagnostics)  # only rejections so far
+    result.duplicate_rows = len(replaced)
+    # positions are distinct, so the sort never compares keys
+    for _, (site, direction, vehicle_class, stamp) in sorted(replaced, reverse=True):
+        diagnostics.append(
+            f"duplicate observation for {site}/{direction.value}/"
+            f"{vehicle_class.value} at {stamp.isoformat()}; kept last"
+        )
     return result
 
 
-def _parse_row(row: Mapping[str, str]) -> WaitTimeRecord:
-    raw_ts = (row.get("timestamp") or "").strip()
+def _parse_stamp(raw: str, hours: dict[datetime, datetime]) -> datetime | str:
+    """A naive timestamp, recorded in ``hours`` with its clock hour, or why not."""
+    text = raw.strip()
     try:
-        timestamp = datetime.fromisoformat(raw_ts)
+        stamp = datetime.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"bad timestamp {raw_ts!r}")
-    if timestamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
-    site = (row.get("site") or "").strip()
+        return f"bad timestamp {text!r}"
+    if stamp.tzinfo is not None:
+        return f"timestamp carries a UTC offset ({text!r})"
+    # The constructor is several times faster than replace(minute=0, ...).
+    # An hour is its own clock hour, so its entry holds the one object that
+    # all its stamps share, and aggregate_hourly compares hours by identity.
+    hour = datetime(stamp.year, stamp.month, stamp.day, stamp.hour)
+    hours[stamp] = hours.setdefault(hour, hour)
+    return stamp
+
+
+def _parse_slice(
+    site: str, direction: str, vehicle_class: str
+) -> tuple[str, Direction, VehicleClass] | str:
+    """(site, Direction, VehicleClass), or the reason the first bad field fails."""
+    site = site.strip()
     if not site:
-        raise ValueError("empty site")
-    direction = Direction.parse(row.get("direction") or "")
-    vehicle_class = VehicleClass.parse(row.get("vehicle_class") or "")
-    raw_wait = (row.get("wait_minutes") or "").strip()
+        return "empty site"
     try:
-        wait = float(raw_wait)
-    except ValueError:
-        raise ValueError(f"bad wait minutes {raw_wait!r}")
-    if not isfinite(wait):
-        raise ValueError(f"non-finite wait ({raw_wait})")
-    if wait < 0:
-        raise ValueError(f"negative wait ({raw_wait})")
-    return WaitTimeRecord(timestamp, site, direction, vehicle_class, wait)
+        return (site, Direction.parse(direction), VehicleClass.parse(vehicle_class))
+    except ValueError as exc:
+        return str(exc)
 
 
 def aggregate_hourly(
-    records: Iterable[WaitTimeRecord],
+    parsed: ParseResult,
 ) -> dict[tuple[str, Direction, VehicleClass, datetime], float]:
     """Arithmetic mean of wait minutes per (site, direction, class, clock hour).
 
     A record at timestamp t contributes to the hour floor(t); hours with no
     records are simply absent. For an hourly feed the single value is the mean.
+    Each hour's sum adds its waits in file order with plain ``+``: a mean on
+    a category bound can move by one bit under another order or under a
+    compensated sum (``sum`` is one from Python 3.12).
     """
+    hours, waits = parsed.hours, parsed.waits
     sums: dict[tuple, float] = {}
     counts: dict[tuple, int] = {}
-    for rec in records:
-        hour = rec.timestamp.replace(minute=0, second=0, microsecond=0)
-        key = (rec.site, rec.direction, rec.vehicle_class, hour)
-        sums[key] = sums.get(key, 0.0) + rec.wait_minutes
-        counts[key] = counts.get(key, 0) + 1
+    # Rows of one hour and slice mostly sit together, so sum each run in
+    # locals and store it when the key changes; a key seen again resumes
+    # its stored sum, which keeps the additions in file order.
+    current, total, count = None, 0.0, 0
+    for (site, direction, vehicle_class, stamp), position in parsed.records.items():
+        key = (site, direction, vehicle_class, hours[stamp])
+        if key != current:
+            if current is not None:
+                sums[current], counts[current] = total, count
+            current = key
+            total, count = sums.get(key, 0.0), counts.get(key, 0)
+        total += waits[position]
+        count += 1
+    if current is not None:
+        sums[current], counts[current] = total, count
     return {key: sums[key] / counts[key] for key in sums}
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Callable, Sequence
 
-from .ingest import COLUMNS, Direction, VehicleClass, WaitTimeRecord
+from .ingest import COLUMNS, Direction, VehicleClass
 
 # Per-category sampling bands for five-minute values; means of band draws stay
 # inside the category's interval. Category 1 must average exactly zero.
@@ -56,6 +56,17 @@ REGIMES: dict[str, RegimeFn] = {
     "constant": _constant_regime,
     "daily": _daily_regime,
 }
+
+
+@dataclass(frozen=True)
+class WaitTimeRecord:
+    """One raw observation, as a row of the raw feed."""
+
+    timestamp: datetime
+    site: str
+    direction: Direction
+    vehicle_class: VehicleClass
+    wait_minutes: float
 
 
 @dataclass

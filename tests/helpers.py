@@ -7,11 +7,13 @@ something honest to be checked against.
 
 from __future__ import annotations
 
+import csv
 import random
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import combinations
-from math import log2
-from typing import Sequence
+from math import isfinite, log2
+from typing import IO, Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
@@ -26,8 +28,17 @@ from mdlpatterns.codec import (
     recompute_usages,
     total_length,
 )
-from mdlpatterns.ingest import Transaction
+from mdlpatterns.ingest import (
+    COLUMNS,
+    Direction,
+    IngestError,
+    ParseResult,
+    Transaction,
+    VehicleClass,
+    parse_records,
+)
 from mdlpatterns.mining import Itemset, format_items
+from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
 
@@ -149,3 +160,101 @@ def greedy_cover_oracle(items: frozenset, order: Sequence[Pattern]) -> tuple[Pat
             uncovered -= pattern.items
     assert not uncovered, "oracle needs a table with every singleton"
     return tuple(parts)
+
+
+def parse_synthetic(dataset: SyntheticDataset, tmp_path) -> ParseResult:
+    """Write a synthetic dataset as a raw feed and parse it back, as ``run`` does."""
+    path = tmp_path / "raw.csv"
+    write_records_csv(str(path), dataset.records)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_records(fh)
+
+
+# --- ingest oracle: a record per row, deduplicated and averaged in later passes --
+
+
+@dataclass
+class OracleParse:
+    records: list[WaitTimeRecord]
+    diagnostics: list[str]
+    rejected_rows: int
+    duplicate_rows: int
+
+
+def parse_records_oracle(stream: IO[str], delimiter: str = ",") -> OracleParse:
+    """The record-list ingest that the one-pass parse_records replaced.
+
+    ``csv.DictReader`` gives every row a dict, every valid row becomes a
+    WaitTimeRecord, and a second pass over the list, from the end, keeps the
+    last row per (site, direction, vehicle_class, timestamp). Rows are named
+    by their physical line.
+    """
+    reader = csv.DictReader(stream, delimiter=delimiter)
+    if reader.fieldnames is None:
+        raise IngestError("input has no header row")
+    missing = [c for c in COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise IngestError(f"missing required column(s): {', '.join(missing)}")
+
+    result = OracleParse(records=[], diagnostics=[], rejected_rows=0, duplicate_rows=0)
+    parsed: list[WaitTimeRecord] = []
+    for row in reader:
+        try:
+            parsed.append(_oracle_row(row))
+        except ValueError as exc:
+            result.diagnostics.append(f"row {reader.line_num}: {exc}")
+            result.rejected_rows += 1
+
+    seen: set[tuple] = set()
+    for rec in reversed(parsed):
+        key = (rec.site, rec.direction, rec.vehicle_class, rec.timestamp)
+        if key in seen:
+            result.diagnostics.append(
+                f"duplicate observation for {rec.site}/{rec.direction.value}/"
+                f"{rec.vehicle_class.value} at {rec.timestamp.isoformat()}; kept last"
+            )
+            result.duplicate_rows += 1
+            continue
+        seen.add(key)
+        result.records.append(rec)
+    result.records.reverse()
+    return result
+
+
+def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
+    raw_ts = (row.get("timestamp") or "").strip()
+    try:
+        timestamp = datetime.fromisoformat(raw_ts)
+    except ValueError:
+        raise ValueError(f"bad timestamp {raw_ts!r}")
+    if timestamp.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
+    site = (row.get("site") or "").strip()
+    if not site:
+        raise ValueError("empty site")
+    direction = Direction.parse(row.get("direction") or "")
+    vehicle_class = VehicleClass.parse(row.get("vehicle_class") or "")
+    raw_wait = (row.get("wait_minutes") or "").strip()
+    try:
+        wait = float(raw_wait)
+    except ValueError:
+        raise ValueError(f"bad wait minutes {raw_wait!r}")
+    if not isfinite(wait):
+        raise ValueError(f"non-finite wait ({raw_wait})")
+    if wait < 0:
+        raise ValueError(f"negative wait ({raw_wait})")
+    return WaitTimeRecord(timestamp, site, direction, vehicle_class, wait)
+
+
+def aggregate_hourly_oracle(
+    records: Iterable[WaitTimeRecord],
+) -> dict[tuple[str, Direction, VehicleClass, datetime], float]:
+    """Mean wait per (site, direction, class, clock hour), one dict update per record."""
+    sums: dict[tuple, float] = {}
+    counts: dict[tuple, int] = {}
+    for rec in records:
+        hour = rec.timestamp.replace(minute=0, second=0, microsecond=0)
+        key = (rec.site, rec.direction, rec.vehicle_class, hour)
+        sums[key] = sums.get(key, 0.0) + rec.wait_minutes
+        counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}

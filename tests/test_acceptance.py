@@ -16,6 +16,7 @@ from helpers import (
     exhaustive_best_length,
     find_pattern,
     make_db,
+    parse_synthetic,
     pattern_code_length,
     random_db,
     transaction_code_length,
@@ -29,7 +30,6 @@ from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,
     discretize,
-    parse_records,
 )
 from mdlpatterns.synth import generate_synthetic, write_records_csv
 
@@ -182,11 +182,7 @@ def test_criterion_6_synthetic_recall(tmp_path):
         dataset = generate_synthetic(
             seed=seed, days=30, dominance=0.95, anomalies=20
         )
-        raw = tmp_path / f"raw_{seed}.csv"
-        write_records_csv(str(raw), dataset.records)
-        with open(raw, "r", encoding="utf-8") as fh:
-            parsed = parse_records(fh)
-        hourly = aggregate_hourly(parsed.records)
+        hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
         build = build_transactions(
             hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR
         )
@@ -214,7 +210,7 @@ def test_criterion_7_discretization_mapping():
     assert _verdict(7, ok, detail), detail
 
 
-def test_criterion_8_score_accounting():
+def test_criterion_8_score_accounting(tmp_path):
     tol = 1e-9
     checks = []
     rows, table = _worked_table_and_rows()
@@ -224,7 +220,7 @@ def test_criterion_8_score_accounting():
     cases.append(("compressed", rows, result.table))
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
-    hourly = aggregate_hourly(dataset.records)
+    hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
     build = build_transactions(hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR)
     candidates = frequent_itemsets(
         build.transactions, SupportThreshold(fraction=0.05, minimum=2)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import aggregate_hourly_oracle, parse_records_oracle
 from mdlpatterns import read_transactions
 from mdlpatterns.ingest import (
+    COLUMNS,
     Direction,
     IngestError,
     VehicleClass,
-    WaitTimeRecord,
     aggregate_hourly,
     build_transactions,
     discretize,
@@ -27,14 +28,17 @@ def parse(text: str):
     return parse_records(io.StringIO(text))
 
 
-def record(ts: str, site: str = "PB", wait: float = 5.0) -> WaitTimeRecord:
-    return WaitTimeRecord(
-        timestamp=datetime.fromisoformat(ts),
-        site=site,
-        direction=Direction.TO_CANADA,
-        vehicle_class=VehicleClass.CAR,
-        wait_minutes=wait,
-    )
+def feed(*rows: str) -> str:
+    return HEADER + "\n" + "".join(row + "\n" for row in rows)
+
+
+def kept(result) -> list[tuple]:
+    """Kept rows in file order: (site, direction, class, timestamp, wait)."""
+    return [(*key, result.waits[position]) for key, position in result.records.items()]
+
+
+def hourly_of(*rows: str):
+    return aggregate_hourly(parse(feed(*rows)))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -48,14 +52,13 @@ def test_parse_happy_path():
     )
     assert result.rejected_rows == 0
     assert result.diagnostics == []
-    first, second = result.records
-    assert first.timestamp == datetime(2016, 8, 22, 10, 0)
-    assert first.site == "PB"
-    assert first.direction is Direction.TO_CANADA
-    assert first.vehicle_class is VehicleClass.CAR
-    assert first.wait_minutes == 12.5
-    assert second.direction is Direction.TO_US
-    assert second.vehicle_class is VehicleClass.TRUCK
+    first, second = kept(result)
+    assert first == ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10, 0), 12.5)
+    assert first[1] is Direction.TO_CANADA
+    assert first[2] is VehicleClass.CAR
+    assert second[1] is Direction.TO_US
+    assert second[2] is VehicleClass.TRUCK
+    assert result.hours[datetime(2016, 8, 22, 10, 5)] == datetime(2016, 8, 22, 10)
 
 
 def test_parse_empty_input_raises():
@@ -87,6 +90,13 @@ def test_parse_bad_rows_skipped_with_diagnostics():
     ]
 
 
+def test_parse_names_the_physical_line_after_a_blank_line():
+    # blank lines are skipped, but they still count as lines of the file
+    result = parse(feed("2016-08-22T10:00,PB,ToCanada,Car,5", "", "not-a-date,PB,ToCanada,Car,5"))
+    assert result.diagnostics == ["row 4: bad timestamp 'not-a-date'"]
+    assert len(result.records) == 1
+
+
 def test_parse_rejects_negative_wait():
     result = parse(HEADER + "\n2016-08-22T10:00,PB,ToCanada,Car,-3\n")
     assert result.rejected_rows == 1
@@ -99,7 +109,7 @@ def test_parse_rejects_non_finite_wait(raw):
     # discretize to a false heavy-delay hour
     result = parse(HEADER + f"\n2016-08-22T10:00,PB,ToCanada,Car,{raw}\n")
     assert result.rejected_rows == 1
-    assert result.records == []
+    assert result.records == {}
     assert result.diagnostics == [f"row 2: non-finite wait ({raw})"]
 
 
@@ -114,7 +124,7 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
     assert result.diagnostics[0].startswith("row 3: timestamp carries a UTC offset")
     # the naive row alone still builds; mixed with an aware one it could not be sorted
     build = build_transactions(
-        aggregate_hourly(result.records), ["PB"], Direction.TO_CANADA, VehicleClass.CAR
+        aggregate_hourly(result), ["PB"], Direction.TO_CANADA, VehicleClass.CAR
     )
     assert [t.timestamp for t in build.transactions] == [datetime(2017, 1, 1, 0)]
 
@@ -128,9 +138,25 @@ def test_parse_duplicate_keeps_last():
     )
     assert result.duplicate_rows == 1
     assert len(result.records) == 2
-    waits = {rec.site: rec.wait_minutes for rec in result.records}
+    waits = {site: wait for site, _, _, _, wait in kept(result)}
     assert waits == {"PB": 9.0, "LQ": 7.0}
     assert any("kept last" in d for d in result.diagnostics)
+
+
+def test_duplicate_diagnostics_name_the_latest_replaced_row_first():
+    # A on data rows 1 and 3, B on rows 2 and 4: A is replaced first, but
+    # B's replaced row (2) comes after A's (1) in the file, so B is named first
+    result = parse(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,1",
+        "2016-08-22T10:05,PB,ToCanada,Car,2",
+        "2016-08-22T10:00,PB,ToCanada,Car,3",
+        "2016-08-22T10:05,PB,ToCanada,Car,4",
+    ))
+    assert result.diagnostics == [
+        "duplicate observation for PB/ToCanada/Car at 2016-08-22T10:05:00; kept last",
+        "duplicate observation for PB/ToCanada/Car at 2016-08-22T10:00:00; kept last",
+    ]
+    assert [(stamp.minute, wait) for _, _, _, stamp, wait in kept(result)] == [(0, 3.0), (5, 4.0)]
 
 
 def test_direction_and_class_parse_case_insensitive():
@@ -147,27 +173,25 @@ def test_direction_and_class_parse_case_insensitive():
 
 
 def test_aggregate_hourly_means_five_minute_feed():
-    records = [
-        record(f"2016-08-22T10:{5 * i:02d}", wait=float(i)) for i in range(12)
-    ]
-    hourly = aggregate_hourly(records)
+    hourly = hourly_of(
+        *(f"2016-08-22T10:{5 * i:02d},PB,ToCanada,Car,{float(i)}" for i in range(12))
+    )
     key = ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10))
     assert hourly == {key: 5.5}
 
 
 def test_aggregate_hourly_single_value_is_its_own_mean():
-    hourly = aggregate_hourly([record("2016-08-22T10:00", site="RB", wait=22.0)])
+    hourly = hourly_of("2016-08-22T10:00,RB,ToCanada,Car,22.0")
     key = ("RB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10))
     assert hourly[key] == 22.0
 
 
 def test_aggregate_hourly_separates_hours_and_sites():
-    records = [
-        record("2016-08-22T10:59", wait=10.0),
-        record("2016-08-22T11:00", wait=20.0),
-        record("2016-08-22T10:00", site="LQ", wait=30.0),
-    ]
-    hourly = aggregate_hourly(records)
+    hourly = hourly_of(
+        "2016-08-22T10:59,PB,ToCanada,Car,10.0",
+        "2016-08-22T11:00,PB,ToCanada,Car,20.0",
+        "2016-08-22T10:00,LQ,ToCanada,Car,30.0",
+    )
     assert len(hourly) == 3
 
 
@@ -178,11 +202,118 @@ def test_aggregate_hourly_separates_hours_and_sites():
 )
 @settings(max_examples=100)
 def test_aggregate_mean_bounded_by_extremes(waits):
-    records = [
-        record(f"2016-08-22T10:{i % 60:02d}", wait=w) for i, w in enumerate(waits)
-    ]
-    (mean,) = aggregate_hourly(records).values()
+    (mean,) = hourly_of(
+        *(f"2016-08-22T10:{i % 60:02d},PB,ToCanada,Car,{w!r}" for i, w in enumerate(waits))
+    ).values()
     assert min(waits) - 1e-9 <= mean <= max(waits) + 1e-9
+
+
+# --- the one pass against the record-list oracle -------------------------------
+
+FIVE_MINUTE_STAMPS = [f"2016-08-22T{h}:{m:02d}" for h in (10, 11) for m in range(0, 60, 5)]
+# other spellings of instants above: each is a duplicate key of its twin
+FIVE_MINUTE_STAMPS += ["2016-08-22 10:00", "2016-08-22T10:05:00", " 2016-08-22T11:55 "]
+HOURLY_STAMPS = ["2016-08-22T10:00", "2016-08-22T11:00"]
+# waits whose hour means sit on or next to the 15 and 30 bounds, where the
+# order of the additions can move a mean by one bit across a bound
+WAITS = [
+    "0", "-0", "0.1", "0.2", "0.3", "0.7", "14.9", "15", "15.1",
+    "14.999999999999998", "15.000000000000002", "29.7", "29.9", "30", "30.1", "44.35",
+]
+DIRECTIONS = ["ToCanada", "ToCanada", "ToCanada", "tous", "ToUS"]
+CLASSES = ["Car", "Car", "Car", "TRUCK"]
+# per column of COLUMNS: field values the parser must reject
+BAD_FIELDS = (
+    ["", "not-a-date", "2016-02-30T10:00", "2016-08-22T10:00+00:00"],
+    ["", "  "],
+    ["Sideways", ""],
+    ["Bike", ""],
+    ["", "soon", "-3", "nan", "-inf", "1e400"],
+)
+
+
+def _rows(stamps, sites):
+    return st.tuples(
+        st.sampled_from(stamps), st.sampled_from(sites), st.sampled_from(DIRECTIONS),
+        st.sampled_from(CLASSES), st.sampled_from(WAITS),
+    ).map(list)
+
+
+five_minute_rows = _rows(FIVE_MINUTE_STAMPS, ["PB", "LQ", " PB "])
+hourly_rows = _rows(HOURLY_STAMPS, ["RB"])
+
+
+@st.composite
+def malformed_rows(draw):
+    fields = draw(five_minute_rows)
+    kind = draw(st.sampled_from(["field", "short", "long", "blank"]))
+    if kind == "field":
+        column = draw(st.integers(0, len(COLUMNS) - 1))
+        fields[column] = draw(st.sampled_from(BAD_FIELDS[column]))
+    elif kind == "short":  # missing fields read as empty
+        fields = fields[: draw(st.integers(1, len(COLUMNS) - 1))]
+    elif kind == "long":  # extra fields are ignored
+        fields.append("extra")
+    else:
+        fields = []
+    return fields
+
+
+@st.composite
+def five_minute_runs(draw):
+    """Consecutive five-minute readings of one site, direction and class in one hour."""
+    hour = draw(st.sampled_from(["10", "11"]))
+    site, direction, vehicle_class = draw(five_minute_rows)[1:4]
+    first = draw(st.integers(0, 11))
+    return [
+        [f"2016-08-22T{hour}:{5 * slot:02d}", site, direction, vehicle_class,
+         draw(st.sampled_from(WAITS))]
+        for slot in range(first, draw(st.integers(first + 1, 12)))
+    ]
+
+
+@st.composite
+def feeds(draw):
+    """Raw feed text: columns in any order, maybe a repeated column that an
+    earlier decoy shadows, and rows of every kind. Some rows are re-sent
+    later with a new wait, and the rows may be shuffled."""
+    order = draw(st.permutations(range(len(COLUMNS))))
+    header = [COLUMNS[i] for i in order]
+    decoy = draw(st.sampled_from([None, *COLUMNS]))
+    single = st.one_of(five_minute_rows, hourly_rows, malformed_rows()).map(lambda row: [row])
+    blocks = draw(st.lists(st.one_of(single, five_minute_runs()), max_size=12))
+    rows = [row for block in blocks for row in block]
+    for origin, offset, wait in draw(st.lists(
+        st.tuples(st.integers(0, 99), st.integers(1, 99), st.sampled_from(WAITS)), max_size=6
+    )):
+        if rows:
+            origin %= len(rows)
+            rows.insert(origin + 1 + offset % (len(rows) - origin), rows[origin][:4] + [wait])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    lines = [([decoy] if decoy else []) + header]
+    for fields in rows:
+        by_column = [fields[i] for i in order if i < len(fields)] + fields[len(COLUMNS):]
+        lines.append(["decoy"] + by_column if decoy and fields else by_column)
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@given(text=feeds())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_matches_the_record_list_oracle(text):
+    result = parse(text)
+    oracle = parse_records_oracle(io.StringIO(text))
+    assert kept(result) == [
+        (r.site, r.direction, r.vehicle_class, r.timestamp, r.wait_minutes)
+        for r in oracle.records
+    ]
+    assert result.diagnostics == oracle.diagnostics
+    assert result.rejected_rows == oracle.rejected_rows
+    assert result.duplicate_rows == oracle.duplicate_rows
+    hourly = aggregate_hourly(result)
+    expected = aggregate_hourly_oracle(oracle.records)
+    assert list(hourly) == list(expected)
+    assert [mean.hex() for mean in hourly.values()] == [mean.hex() for mean in expected.values()]
 
 
 # --- categorization ----------------------------------------------------------

@@ -4,18 +4,17 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from helpers import parse_synthetic
 from mdlpatterns.ingest import (
     Direction,
     VehicleClass,
     aggregate_hourly,
     build_transactions,
-    parse_records,
 )
 from mdlpatterns.synth import (
     generate_synthetic,
     read_manifest,
     write_manifest,
-    write_records_csv,
 )
 
 SITES = ["PB", "LQ", "RB"]
@@ -66,11 +65,11 @@ def test_normal_hours_never_reach_heavy_delay():
     assert all(rec.wait_minutes <= 28.0 for rec in dataset.records)
 
 
-def test_constant_regime_without_noise_is_uniform():
+def test_constant_regime_without_noise_is_uniform(tmp_path):
     dataset = generate_synthetic(
         seed=3, days=2, anomalies=0, dominance=1.0, regime="constant"
     )
-    hourly = aggregate_hourly(dataset.records)
+    hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
     build = build_transactions(
         hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR
     )
@@ -95,15 +94,15 @@ def test_generator_validates_arguments():
 
 def test_records_csv_feeds_the_parser(tmp_path):
     dataset = generate_synthetic(seed=11, days=1, anomalies=2)
-    path = tmp_path / "raw.csv"
-    write_records_csv(str(path), dataset.records)
-    with open(path, "r", encoding="utf-8") as fh:
-        result = parse_records(fh)
+    result = parse_synthetic(dataset, tmp_path)
     assert result.rejected_rows == 0
     assert result.duplicate_rows == 0
     assert len(result.records) == len(dataset.records)
-    assert result.records[0].timestamp == dataset.records[0].timestamp
-    assert result.records[0].wait_minutes == dataset.records[0].wait_minutes
+    # every record comes back, in the order written
+    assert [(*key, result.waits[position]) for key, position in result.records.items()] == [
+        (rec.site, rec.direction, rec.vehicle_class, rec.timestamp, rec.wait_minutes)
+        for rec in dataset.records
+    ]
 
 
 def test_manifest_round_trip(tmp_path):
