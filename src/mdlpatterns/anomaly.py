@@ -9,12 +9,11 @@ hour-of-day histogram built over the extracted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Sequence
 
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import Transaction
+from .ingest import HOUR_FORMAT, Transaction, parse_hour_row
 from .mining import exact_ceil, format_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -26,15 +25,6 @@ class ScoredTransaction:
     cover: str  # patterns '|'-separated, items ',': "LQ:3,RB:2|PB:1"
     score: float
     rank: int
-
-
-@dataclass(frozen=True)
-class HourHistogram:
-    bins: tuple[int, ...]  # 24 counts, index = hour of day
-
-    def __post_init__(self) -> None:
-        if len(self.bins) != 24:
-            raise ValueError(f"expected 24 bins, got {len(self.bins)}")
 
 
 def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[ScoredTransaction]:
@@ -67,18 +57,18 @@ def top_fraction(
     return list(scored[:k])
 
 
-def hour_frequency(selected: Sequence[ScoredTransaction]) -> HourHistogram:
-    """Count the selected transactions by hour of day (0-23)."""
+def hour_frequency(selected: Sequence[ScoredTransaction]) -> tuple[int, ...]:
+    """Count the selected transactions by hour of day: 24 counts, index = hour."""
     bins = [0] * 24
     for entry in selected:
         bins[entry.transaction.timestamp.hour] += 1
-    return HourHistogram(bins=tuple(bins))
+    return tuple(bins)
 
 
 def report(
     scored: Sequence[ScoredTransaction],
     selected: Sequence[ScoredTransaction],
-    histogram: HourHistogram,
+    histogram: Sequence[int],
     k: int,
 ) -> str:
     """Structured-text report: top-k table, top-fraction listing, hour histogram.
@@ -104,7 +94,7 @@ def report(
         lines.append(_entry_line(entry))
     lines.append("[hour-histogram]")
     lines.append("hour\tcount")
-    for hour, count in enumerate(histogram.bins):
+    for hour, count in enumerate(histogram):
         lines.append(f"{hour}\t{count}")
     return "\n".join(lines) + "\n"
 
@@ -112,7 +102,7 @@ def report(
 def _entry_line(entry: ScoredTransaction) -> str:
     categories = ",".join(f"{attr}:{cat}" for attr, cat in entry.transaction.items)
     return (
-        f"{entry.rank}\t{entry.transaction.timestamp.strftime('%Y-%m-%dT%H:%M')}\t"
+        f"{entry.rank}\t{entry.transaction.timestamp.strftime(HOUR_FORMAT)}\t"
         f"{categories}\t{entry.score:.9f}\t{entry.cover}"
     )
 
@@ -130,7 +120,7 @@ def write_scores(
         fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
         for entry in scored:
             cats = dict(entry.transaction.items)
-            fields = [entry.transaction.timestamp.strftime("%Y-%m-%dT%H:%M")]
+            fields = [entry.transaction.timestamp.strftime(HOUR_FORMAT)]
             fields.extend(str(cats[attr]) for attr in attributes)
             fields.append(f"{entry.score:.9f}")
             fields.append(str(entry.rank))
@@ -154,14 +144,10 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                ts = datetime.fromisoformat(fields[0])
-                cats = [int(f) for f in fields[1 : 1 + len(attributes)]]
-                score = float(fields[-3])
-                rank = int(fields[-2])
+                scored.append(ScoredTransaction(
+                    transaction=parse_hour_row(fields, attributes), cover=fields[-1],
+                    score=float(fields[-3]), rank=int(fields[-2]),
+                ))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
-            txn = Transaction(timestamp=ts, items=tuple(zip(attributes, cats)))
-            scored.append(
-                ScoredTransaction(transaction=txn, cover=fields[-1], score=score, rank=rank)
-            )
     return scored, attributes

@@ -128,7 +128,7 @@ def run_pipeline(config: RunConfig) -> int:
     print(f"initial_length_bits: {result.initial_length:.9f}")
     print(f"final_length_bits: {result.final_length:.9f}")
     print(f"compression_ratio: {result.compression_ratio:.9f}")
-    stamp = top.transaction.timestamp.strftime("%Y-%m-%dT%H:%M")
+    stamp = top.transaction.timestamp.strftime(ingest.HOUR_FORMAT)
     print(f"top_anomaly: {stamp} score_bits={top.score:.9f}")
     return 0
 
@@ -148,8 +148,8 @@ def _stage(name: str) -> Iterator[None]:
 @_stage("ingest")
 def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
     """Raw records -> one categorized transaction per complete hour."""
-    direction = ingest.Direction.parse(config.direction)
-    vehicle_class = ingest.VehicleClass.parse(config.vehicle_class)
+    direction = ingest.canonical(config.direction, ingest.DIRECTIONS, "direction")
+    vehicle_class = ingest.canonical(config.vehicle_class, ingest.VEHICLE_CLASSES, "vehicle class")
     with open(config.input, "r", encoding="utf-8") as fh:
         parsed = ingest.parse_records(fh, delimiter=config.delimiter)
     for diag in parsed.diagnostics:
@@ -283,8 +283,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         dominance=args.dominance,
         anomalies=args.anomalies,
         regime=args.regime,
-        direction=ingest.Direction.parse(args.direction),
-        vehicle_class=ingest.VehicleClass.parse(args.vehicle_class),
+        direction=args.direction,
+        vehicle_class=args.vehicle_class,
     )
     synth.write_records_csv(args.output, dataset.records)
     synth.write_manifest(args.manifest, dataset.injected_hours)

@@ -2,9 +2,11 @@
 
 Input is delimiter-separated text with a header row. Each data row is one
 observation: timestamp (ISO-8601, minute resolution), site identifier,
-direction, vehicle class, and wait minutes. Sites report at different rates
-(five-minute or hourly feeds); everything is averaged per clock hour before
-categorization so the sites line up.
+direction, vehicle class, and wait minutes. The direction and vehicle class
+match one of DIRECTIONS and VEHICLE_CLASSES ignoring case and surrounding
+spaces, and are kept in that canonical spelling. Sites report at different
+rates (five-minute or hourly feeds); everything is averaged per clock hour
+before categorization so the sites line up.
 
 Pipeline:
     parse_records()      -> in one pass, the last row per (site, direction,
@@ -26,7 +28,6 @@ import csv
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
-from enum import Enum, IntEnum
 from math import inf, isfinite
 from typing import IO, Mapping, Sequence
 
@@ -35,48 +36,24 @@ Item = tuple[str, int]
 # The header columns every raw input must have, one per record field.
 COLUMNS = ("timestamp", "site", "direction", "vehicle_class", "wait_minutes")
 
+# The canonical spellings of the two fields that slice a feed.
+DIRECTIONS = ("ToUS", "ToCanada")
+VEHICLE_CLASSES = ("Car", "Truck")
+
+# How every artifact writes an hour.
+HOUR_FORMAT = "%Y-%m-%dT%H:%M"
+
 
 class IngestError(RuntimeError):
     """Fatal ingestion problem: unreadable input, bad schema, bad configuration."""
 
 
-class Direction(str, Enum):
-    TO_US = "ToUS"
-    TO_CANADA = "ToCanada"
-
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        return _parse_member(cls, text, "direction")
-
-
-class VehicleClass(str, Enum):
-    CAR = "Car"
-    TRUCK = "Truck"
-
-    @classmethod
-    def parse(cls, text: str) -> "VehicleClass":
-        return _parse_member(cls, text, "vehicle class")
-
-
-# Case-insensitive spelling -> member, per enum.
-_MEMBERS = {cls: {m.value.lower(): m for m in cls} for cls in (Direction, VehicleClass)}
-
-
-def _parse_member(cls, text: str, noun: str):
-    member = _MEMBERS[cls].get(text.strip().lower())
-    if member is None:
-        expected = " or ".join(m.value for m in cls)
-        raise ValueError(f"unknown {noun} {text!r} (expected {expected})")
-    return member
-
-
-class Category(IntEnum):
-    """Wait-time category. Index/name pairing is fixed; see discretize() for bounds."""
-
-    NO_WAITING = 1
-    SLIGHT_DELAY = 2
-    DELAY = 3
-    HEAVY_DELAY = 4
+def canonical(text: str, names: Sequence[str], noun: str) -> str:
+    """The one of ``names`` that ``text`` spells, ignoring case and surrounding spaces."""
+    for name in names:
+        if name.lower() == text.strip().lower():
+            return name
+    raise ValueError(f"unknown {noun} {text!r} (expected {' or '.join(names)})")
 
 
 @dataclass(frozen=True)
@@ -92,7 +69,7 @@ class Transaction:
 
 
 # (site, direction, vehicle_class, timestamp) of one observation
-RecordKey = tuple[str, Direction, VehicleClass, datetime]
+RecordKey = tuple[str, str, str, datetime]
 
 
 @dataclass
@@ -152,7 +129,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     # Sites share timestamps and a feed has few slices, so each distinct
     # string is parsed once.
     stamps: dict[str, datetime | str] = {}
-    slices: dict[tuple[str, str, str], tuple[str, Direction, VehicleClass] | str] = {}
+    slices: dict[tuple[str, str, str], tuple[str, str, str] | str] = {}
     replaced: list[tuple[int, RecordKey]] = []  # (position of the replaced row, key)
     for row in reader:
         if len(row) < width:
@@ -193,8 +170,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     # positions are distinct, so the sort never compares keys
     for _, (site, direction, vehicle_class, stamp) in sorted(replaced, reverse=True):
         diagnostics.append(
-            f"duplicate observation for {site}/{direction.value}/"
-            f"{vehicle_class.value} at {stamp.isoformat()}; kept last"
+            f"duplicate observation for {site}/{direction}/{vehicle_class} "
+            f"at {stamp.isoformat()}; kept last"
         )
     return result
 
@@ -216,22 +193,19 @@ def _parse_stamp(raw: str, hours: dict[datetime, datetime]) -> datetime | str:
     return stamp
 
 
-def _parse_slice(
-    site: str, direction: str, vehicle_class: str
-) -> tuple[str, Direction, VehicleClass] | str:
-    """(site, Direction, VehicleClass), or the reason the first bad field fails."""
+def _parse_slice(site: str, direction: str, vehicle_class: str) -> tuple[str, str, str] | str:
+    """(site, direction, vehicle_class), canonical, or why the first bad field fails."""
     site = site.strip()
     if not site:
         return "empty site"
     try:
-        return (site, Direction.parse(direction), VehicleClass.parse(vehicle_class))
+        direction = canonical(direction, DIRECTIONS, "direction")
+        return site, direction, canonical(vehicle_class, VEHICLE_CLASSES, "vehicle class")
     except ValueError as exc:
         return str(exc)
 
 
-def aggregate_hourly(
-    parsed: ParseResult,
-) -> dict[tuple[str, Direction, VehicleClass, datetime], float]:
+def aggregate_hourly(parsed: ParseResult) -> dict[RecordKey, float]:
     """Arithmetic mean of wait minutes per (site, direction, class, clock hour).
 
     A record at timestamp t contributes to the hour floor(t); hours with no
@@ -261,8 +235,8 @@ def aggregate_hourly(
     return {key: sums[key] / counts[key] for key in sums}
 
 
-def discretize(mean_wait: float) -> Category:
-    """Map mean wait minutes to a category.
+def discretize(mean_wait: float) -> int:
+    """Map mean wait minutes to a wait category, 1..4.
 
     Exactly 0 -> 1 (no waiting); (0, 15] -> 2 (slight delay);
     (15, 30] -> 3 (delay); above 30 -> 4 (heavy delay).
@@ -270,19 +244,19 @@ def discretize(mean_wait: float) -> Category:
     if mean_wait < 0:
         raise ValueError(f"wait minutes must be non-negative, got {mean_wait}")
     if mean_wait == 0:
-        return Category.NO_WAITING
+        return 1
     if mean_wait <= 15:
-        return Category.SLIGHT_DELAY
+        return 2
     if mean_wait <= 30:
-        return Category.DELAY
-    return Category.HEAVY_DELAY
+        return 3
+    return 4
 
 
 def build_transactions(
-    hourly: Mapping[tuple[str, Direction, VehicleClass, datetime], float],
+    hourly: Mapping[RecordKey, float],
     attributes: Sequence[str],
-    direction: Direction,
-    vehicle_class: VehicleClass,
+    direction: str,
+    vehicle_class: str,
 ) -> TransactionBuild:
     """Assemble one transaction per hour in which every configured site has a value.
 
@@ -309,7 +283,7 @@ def build_transactions(
         if any(site not in values for site in attributes):
             build.excluded_hours.append(hour)
             continue
-        items = tuple((site, int(discretize(values[site]))) for site in attributes)
+        items = tuple((site, discretize(values[site])) for site in attributes)
         build.transactions.append(Transaction(timestamp=hour, items=items))
     return build
 
@@ -327,7 +301,7 @@ def write_transactions(
         fh.write("timestamp," + ",".join(attributes) + "\n")
         for txn in transactions:
             cats = dict(txn.items)
-            fields = [txn.timestamp.strftime("%Y-%m-%dT%H:%M")]
+            fields = [txn.timestamp.strftime(HOUR_FORMAT)]
             fields.extend(str(cats[attr]) for attr in attributes)
             fh.write(",".join(fields) + "\n")
 
@@ -351,10 +325,22 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
             if len(parts) != len(columns):
                 raise IngestError(f"{path}:{lineno}: expected {len(columns)} fields")
             try:
-                ts = datetime.fromisoformat(parts[0])
-                cats = [int(p) for p in parts[1:]]
+                transactions.append(parse_hour_row(parts, attributes))
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {exc}")
-            items = tuple(zip(attributes, cats))
-            transactions.append(Transaction(timestamp=ts, items=items))
     return transactions, attributes
+
+
+def parse_hour_row(fields: Sequence[str], attributes: Sequence[str]) -> Transaction:
+    """The hour that starts an artifact row: a stamp, then a category per attribute.
+
+    Raises ValueError on a bad field, or on a UTC offset or seconds, which
+    HOUR_FORMAT would not write back.
+    """
+    stamp = datetime.fromisoformat(fields[0])
+    if stamp.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
+    if stamp.second or stamp.microsecond:
+        raise ValueError(f"timestamp has seconds ({fields[0]!r})")
+    categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
+    return Transaction(timestamp=stamp, items=tuple(zip(attributes, categories)))

@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from typing import Callable, Sequence
 
-from .ingest import COLUMNS, Direction, VehicleClass
+from .ingest import COLUMNS, DIRECTIONS, HOUR_FORMAT, VEHICLE_CLASSES, canonical
+
+# The sites a regime gives categories for, in order, and those reporting hourly.
+_SITES = ("PB", "LQ", "RB")
+_HOURLY_SITES = ("RB",)
+_FIRST_HOUR = datetime(2016, 8, 22)
 
 # Per-category sampling bands for five-minute values; means of band draws stay
 # inside the category's interval. Category 1 must average exactly zero.
@@ -64,8 +69,8 @@ class WaitTimeRecord:
 
     timestamp: datetime
     site: str
-    direction: Direction
-    vehicle_class: VehicleClass
+    direction: str
+    vehicle_class: str
     wait_minutes: float
 
 
@@ -79,22 +84,19 @@ def generate_synthetic(
     seed: int,
     days: int,
     *,
-    sites: Sequence[str] = ("PB", "LQ", "RB"),
-    hourly_sites: Sequence[str] = ("RB",),
-    direction: Direction = Direction.TO_CANADA,
-    vehicle_class: VehicleClass = VehicleClass.CAR,
+    direction: str = "ToCanada",
+    vehicle_class: str = "Car",
     dominance: float = 0.95,
     anomalies: int = 20,
     regime: str = "daily",
-    start: date = date(2016, 8, 22),
 ) -> SyntheticDataset:
     """Generate deterministic raw records plus the injected-hour manifest."""
+    direction = canonical(direction, DIRECTIONS, "direction")
+    vehicle_class = canonical(vehicle_class, VEHICLE_CLASSES, "vehicle class")
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
     if not 0 <= dominance <= 1:
         raise ValueError(f"dominance must be in [0, 1], got {dominance}")
-    if len(sites) != 3:
-        raise ValueError("regime presets are defined for exactly 3 sites")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r} (have: {', '.join(sorted(REGIMES))})")
     total_hours = days * 24
@@ -103,23 +105,22 @@ def generate_synthetic(
 
     rng = random.Random(seed)
     regime_fn = REGIMES[regime]
-    first_hour = datetime(start.year, start.month, start.day)
 
     injected_offsets = sorted(rng.sample(range(total_hours), anomalies))
     injected = set(injected_offsets)
 
     records: list[WaitTimeRecord] = []
     for offset in range(total_hours):
-        hour_start = first_hour + timedelta(hours=offset)
+        hour_start = _FIRST_HOUR + timedelta(hours=offset)
         if offset in injected:
-            combo = tuple([_ANOMALY_CATEGORY] * len(sites))
+            combo = (_ANOMALY_CATEGORY,) * len(_SITES)
         else:
             combo = regime_fn(hour_start.hour)
             if rng.random() >= dominance:
                 combo = _drift_one_site(combo, rng)
-        for site, category in zip(sites, combo):
+        for site, category in zip(_SITES, combo):
             lo, hi = _CATEGORY_BANDS[category]
-            if site in hourly_sites:
+            if site in _HOURLY_SITES:
                 stamps = [hour_start]
             else:
                 stamps = [hour_start + timedelta(minutes=5 * i) for i in range(12)]
@@ -134,7 +135,7 @@ def generate_synthetic(
                         wait_minutes=round(value, 2),
                     )
                 )
-    manifest = [first_hour + timedelta(hours=off) for off in injected_offsets]
+    manifest = [_FIRST_HOUR + timedelta(hours=off) for off in injected_offsets]
     return SyntheticDataset(records=records, injected_hours=manifest)
 
 
@@ -154,15 +155,15 @@ def write_records_csv(path: str, records: Sequence[WaitTimeRecord]) -> None:
         fh.write(",".join(COLUMNS) + "\n")
         for rec in records:
             fh.write(
-                f"{rec.timestamp.strftime('%Y-%m-%dT%H:%M')},{rec.site},"
-                f"{rec.direction.value},{rec.vehicle_class.value},{rec.wait_minutes}\n"
+                f"{rec.timestamp.strftime(HOUR_FORMAT)},{rec.site},"
+                f"{rec.direction},{rec.vehicle_class},{rec.wait_minutes}\n"
             )
 
 
 def write_manifest(path: str, injected_hours: Sequence[datetime]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for hour in injected_hours:
-            fh.write(hour.strftime("%Y-%m-%dT%H:%M") + "\n")
+            fh.write(hour.strftime(HOUR_FORMAT) + "\n")
 
 
 def read_manifest(path: str) -> list[datetime]:

@@ -30,11 +30,12 @@ from mdlpatterns.codec import (
 )
 from mdlpatterns.ingest import (
     COLUMNS,
-    Direction,
+    DIRECTIONS,
+    VEHICLE_CLASSES,
     IngestError,
     ParseResult,
     Transaction,
-    VehicleClass,
+    canonical,
     parse_records,
 )
 from mdlpatterns.mining import Itemset, format_items
@@ -210,8 +211,8 @@ def parse_records_oracle(stream: IO[str], delimiter: str = ",") -> OracleParse:
         key = (rec.site, rec.direction, rec.vehicle_class, rec.timestamp)
         if key in seen:
             result.diagnostics.append(
-                f"duplicate observation for {rec.site}/{rec.direction.value}/"
-                f"{rec.vehicle_class.value} at {rec.timestamp.isoformat()}; kept last"
+                f"duplicate observation for {rec.site}/{rec.direction}/"
+                f"{rec.vehicle_class} at {rec.timestamp.isoformat()}; kept last"
             )
             result.duplicate_rows += 1
             continue
@@ -232,8 +233,8 @@ def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
     site = (row.get("site") or "").strip()
     if not site:
         raise ValueError("empty site")
-    direction = Direction.parse(row.get("direction") or "")
-    vehicle_class = VehicleClass.parse(row.get("vehicle_class") or "")
+    direction = canonical(row.get("direction") or "", DIRECTIONS, "direction")
+    vehicle_class = canonical(row.get("vehicle_class") or "", VEHICLE_CLASSES, "vehicle class")
     raw_wait = (row.get("wait_minutes") or "").strip()
     try:
         wait = float(raw_wait)
@@ -248,7 +249,7 @@ def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
 
 def aggregate_hourly_oracle(
     records: Iterable[WaitTimeRecord],
-) -> dict[tuple[str, Direction, VehicleClass, datetime], float]:
+) -> dict[tuple[str, str, str, datetime], float]:
     """Mean wait per (site, direction, class, clock hour), one dict update per record."""
     sums: dict[tuple, float] = {}
     counts: dict[tuple, int] = {}

@@ -25,8 +25,6 @@ from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all
 from mdlpatterns.cli import RunConfig, run_pipeline
 from mdlpatterns.codec import Pattern, database_length, init_pattern_table, recompute_usages
 from mdlpatterns.ingest import (
-    Direction,
-    VehicleClass,
     aggregate_hourly,
     build_transactions,
     discretize,
@@ -183,9 +181,7 @@ def test_criterion_6_synthetic_recall(tmp_path):
             seed=seed, days=30, dominance=0.95, anomalies=20
         )
         hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-        build = build_transactions(
-            hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR
-        )
+        build = build_transactions(hourly, SITES, "ToCanada", "Car")
         candidates = frequent_itemsets(build.transactions, threshold)
         result = compress(build.transactions, candidates)
         scored = score_all(build.transactions, result.table)
@@ -221,7 +217,7 @@ def test_criterion_8_score_accounting(tmp_path):
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
     hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-    build = build_transactions(hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR)
+    build = build_transactions(hourly, SITES, "ToCanada", "Car")
     candidates = frequent_itemsets(
         build.transactions, SupportThreshold(fraction=0.05, minimum=2)
     )

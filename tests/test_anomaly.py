@@ -1,5 +1,6 @@
 """Scoring, ranking, top-fraction extraction, histogram, and the report."""
 
+import re
 from math import fsum
 
 import pytest
@@ -9,7 +10,6 @@ from helpers import db_strategy, make_db
 from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
 from mdlpatterns.anomaly import (
     REPORT_VERSION,
-    HourHistogram,
     hour_frequency,
     read_scores,
     report,
@@ -98,15 +98,10 @@ def test_top_fraction_validates(six_rows, worked_table):
 def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
     scored = score_all(six_rows, worked_table)
     histogram = hour_frequency(scored[:2])
-    assert len(histogram.bins) == 24
-    assert histogram.bins[4] == 1
-    assert histogram.bins[5] == 1
-    assert sum(histogram.bins) == 2
-
-
-def test_hour_histogram_requires_24_bins():
-    with pytest.raises(ValueError, match="24"):
-        HourHistogram(bins=(0,) * 23)
+    assert len(histogram) == 24
+    assert histogram[4] == 1
+    assert histogram[5] == 1
+    assert sum(histogram) == 2
 
 
 # --- report ----------------------------------------------------------------------
@@ -162,4 +157,20 @@ def test_read_scores_rejects_bad_header(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("nope\n")
     with pytest.raises(ValueError, match="bad scores header"):
+        read_scores(str(path))
+
+
+@pytest.mark.parametrize("stamp, reason", [
+    ("2016-08-22T11:00+02:00", "timestamp carries a UTC offset"),
+    ("2016-08-22T12:30:45", "timestamp has seconds"),
+])
+def test_read_scores_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason):
+    # an offset could not be compared with the naive hours; seconds would be dropped
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1\n"
+        f"{stamp}\t1\t1.000000000\t2\tPB:1\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
         read_scores(str(path))

@@ -400,6 +400,23 @@ def test_report_names_the_bad_scores_line(tmp_path, capsys):
     assert f"report stage failed: {scores}:3: Invalid isoformat string: 'notadate'" in err
 
 
+def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
+    # such a row used to pass compress, then fail score with a TypeError naming no line
+    raw = make_raw(tmp_path, days=1)
+    txns = tmp_path / "transactions.csv"
+    assert cli.main(["discretize", "--input", str(raw), "--output", str(txns)]) == 0
+    lines = txns.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace(",", "+02:00,", 1)
+    txns.write_text("".join(lines))
+    capsys.readouterr()
+    table, log = str(tmp_path / "table.tsv"), str(tmp_path / "log.tsv")
+    assert cli.main(
+        ["compress", "--transactions", str(txns), "--table-out", table, "--log-out", log]
+    ) == 30
+    err = capsys.readouterr().err
+    assert f"compress stage failed: {txns}:4: timestamp carries a UTC offset" in err
+
+
 # --- logging ---------------------------------------------------------------------------
 
 

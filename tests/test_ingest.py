@@ -1,6 +1,8 @@
 """Ingestion: parsing, deduplication, hourly means, categorization, assembly."""
 
+import gc
 import io
+import re
 from datetime import datetime
 
 import pytest
@@ -11,11 +13,12 @@ from helpers import aggregate_hourly_oracle, parse_records_oracle
 from mdlpatterns import read_transactions
 from mdlpatterns.ingest import (
     COLUMNS,
-    Direction,
+    DIRECTIONS,
+    VEHICLE_CLASSES,
     IngestError,
-    VehicleClass,
     aggregate_hourly,
     build_transactions,
+    canonical,
     discretize,
     parse_records,
     write_transactions,
@@ -53,11 +56,8 @@ def test_parse_happy_path():
     assert result.rejected_rows == 0
     assert result.diagnostics == []
     first, second = kept(result)
-    assert first == ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10, 0), 12.5)
-    assert first[1] is Direction.TO_CANADA
-    assert first[2] is VehicleClass.CAR
-    assert second[1] is Direction.TO_US
-    assert second[2] is VehicleClass.TRUCK
+    assert first == ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10, 0), 12.5)
+    assert second == ("LQ", "ToUS", "Truck", datetime(2016, 8, 22, 10, 5), 0.0)
     assert result.hours[datetime(2016, 8, 22, 10, 5)] == datetime(2016, 8, 22, 10)
 
 
@@ -123,9 +123,7 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
     assert result.rejected_rows == 1
     assert result.diagnostics[0].startswith("row 3: timestamp carries a UTC offset")
     # the naive row alone still builds; mixed with an aware one it could not be sorted
-    build = build_transactions(
-        aggregate_hourly(result), ["PB"], Direction.TO_CANADA, VehicleClass.CAR
-    )
+    build = build_transactions(aggregate_hourly(result), ["PB"], "ToCanada", "Car")
     assert [t.timestamp for t in build.transactions] == [datetime(2017, 1, 1, 0)]
 
 
@@ -160,13 +158,23 @@ def test_duplicate_diagnostics_name_the_latest_replaced_row_first():
 
 
 def test_direction_and_class_parse_case_insensitive():
-    assert Direction.parse("tocanada") is Direction.TO_CANADA
-    assert Direction.parse(" ToUS ") is Direction.TO_US
-    assert VehicleClass.parse("TRUCK") is VehicleClass.TRUCK
-    with pytest.raises(ValueError, match="unknown direction"):
-        Direction.parse("north")
-    with pytest.raises(ValueError, match="unknown vehicle class"):
-        VehicleClass.parse("bike")
+    assert canonical("tocanada", DIRECTIONS, "direction") == "ToCanada"
+    assert canonical(" ToUS ", DIRECTIONS, "direction") == "ToUS"
+    assert canonical("TRUCK", VEHICLE_CLASSES, "vehicle class") == "Truck"
+    with pytest.raises(ValueError) as direction:
+        canonical("north", DIRECTIONS, "direction")
+    assert str(direction.value) == "unknown direction 'north' (expected ToUS or ToCanada)"
+    with pytest.raises(ValueError) as vehicle_class:
+        canonical("bike", VEHICLE_CLASSES, "vehicle class")
+    assert str(vehicle_class.value) == "unknown vehicle class 'bike' (expected Car or Truck)"
+
+
+def test_record_keys_are_not_tracked_by_the_cyclic_collector():
+    # keys of strings and datetimes hold nothing the collector must walk, so a
+    # full collection untracks them and later collections skip them
+    result = parse(feed("2016-08-22T10:00,PB,ToCanada,Car,5", "2016-08-22T10:05,LQ,tous,truck,7"))
+    gc.collect()
+    assert [gc.is_tracked(key) for key in result.records] == [False, False]
 
 
 # --- hourly aggregation ------------------------------------------------------
@@ -176,13 +184,13 @@ def test_aggregate_hourly_means_five_minute_feed():
     hourly = hourly_of(
         *(f"2016-08-22T10:{5 * i:02d},PB,ToCanada,Car,{float(i)}" for i in range(12))
     )
-    key = ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10))
+    key = ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10))
     assert hourly == {key: 5.5}
 
 
 def test_aggregate_hourly_single_value_is_its_own_mean():
     hourly = hourly_of("2016-08-22T10:00,RB,ToCanada,Car,22.0")
-    key = ("RB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10))
+    key = ("RB", "ToCanada", "Car", datetime(2016, 8, 22, 10))
     assert hourly[key] == 22.0
 
 
@@ -220,8 +228,8 @@ WAITS = [
     "0", "-0", "0.1", "0.2", "0.3", "0.7", "14.9", "15", "15.1",
     "14.999999999999998", "15.000000000000002", "29.7", "29.9", "30", "30.1", "44.35",
 ]
-DIRECTIONS = ["ToCanada", "ToCanada", "ToCanada", "tous", "ToUS"]
-CLASSES = ["Car", "Car", "Car", "TRUCK"]
+DIRECTION_SPELLINGS = ["ToCanada", "ToCanada", "ToCanada", "tous", "ToUS"]
+CLASS_SPELLINGS = ["Car", "Car", "Car", "TRUCK"]
 # per column of COLUMNS: field values the parser must reject
 BAD_FIELDS = (
     ["", "not-a-date", "2016-02-30T10:00", "2016-08-22T10:00+00:00"],
@@ -234,8 +242,8 @@ BAD_FIELDS = (
 
 def _rows(stamps, sites):
     return st.tuples(
-        st.sampled_from(stamps), st.sampled_from(sites), st.sampled_from(DIRECTIONS),
-        st.sampled_from(CLASSES), st.sampled_from(WAITS),
+        st.sampled_from(stamps), st.sampled_from(sites), st.sampled_from(DIRECTION_SPELLINGS),
+        st.sampled_from(CLASS_SPELLINGS), st.sampled_from(WAITS),
     ).map(list)
 
 
@@ -321,7 +329,7 @@ def test_one_pass_matches_the_record_list_oracle(text):
 
 def test_discretize_boundaries():
     expected = {0: 1, 0.1: 2, 15: 2, 15.01: 3, 30: 3, 30.01: 4, 45: 4}
-    assert {wait: int(discretize(wait)) for wait in expected} == expected
+    assert {wait: discretize(wait) for wait in expected} == expected
 
 
 def test_discretize_rejects_negative():
@@ -333,7 +341,7 @@ def test_discretize_rejects_negative():
 @settings(max_examples=100)
 def test_discretize_total_and_ordered(wait):
     cat = discretize(wait)
-    assert 1 <= int(cat) <= 4
+    assert 1 <= cat <= 4
     assert discretize(wait + 10.0) >= cat
 
 
@@ -342,60 +350,54 @@ def test_discretize_total_and_ordered(wait):
 
 def hourly_fixture():
     hours = {
-        ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10)): 0.0,
-        ("LQ", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10)): 8.0,
-        ("RB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10)): 40.0,
+        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 0.0,
+        ("LQ", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 8.0,
+        ("RB", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 40.0,
         # hour 11 misses RB and must be dropped
-        ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 11)): 0.0,
-        ("LQ", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 11)): 8.0,
+        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 11)): 0.0,
+        ("LQ", "ToCanada", "Car", datetime(2016, 8, 22, 11)): 8.0,
         # other direction, other class, other site: all ignored
-        ("PB", Direction.TO_US, VehicleClass.CAR, datetime(2016, 8, 22, 10)): 99.0,
-        ("PB", Direction.TO_CANADA, VehicleClass.TRUCK, datetime(2016, 8, 22, 10)): 99.0,
-        ("XX", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 10)): 99.0,
+        ("PB", "ToUS", "Car", datetime(2016, 8, 22, 10)): 99.0,
+        ("PB", "ToCanada", "Truck", datetime(2016, 8, 22, 10)): 99.0,
+        ("XX", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 99.0,
     }
     return hours
 
 
 def test_build_transactions_assembles_complete_hours_only():
-    build = build_transactions(
-        hourly_fixture(), ["PB", "LQ", "RB"], Direction.TO_CANADA, VehicleClass.CAR
-    )
+    build = build_transactions(hourly_fixture(), ["PB", "LQ", "RB"], "ToCanada", "Car")
     assert [t.timestamp for t in build.transactions] == [datetime(2016, 8, 22, 10)]
     assert build.transactions[0].items == (("PB", 1), ("LQ", 2), ("RB", 4))
     assert build.excluded_hours == [datetime(2016, 8, 22, 11)]
 
 
 def test_build_transactions_respects_attribute_order():
-    build = build_transactions(
-        hourly_fixture(), ["RB", "PB", "LQ"], Direction.TO_CANADA, VehicleClass.CAR
-    )
+    build = build_transactions(hourly_fixture(), ["RB", "PB", "LQ"], "ToCanada", "Car")
     assert build.transactions[0].items == (("RB", 4), ("PB", 1), ("LQ", 2))
 
 
 def test_build_transactions_sorts_by_timestamp():
     hours = {
-        ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 23, 5)): 1.0,
-        ("PB", Direction.TO_CANADA, VehicleClass.CAR, datetime(2016, 8, 22, 9)): 1.0,
+        ("PB", "ToCanada", "Car", datetime(2016, 8, 23, 5)): 1.0,
+        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 9)): 1.0,
     }
-    build = build_transactions(hours, ["PB"], Direction.TO_CANADA, VehicleClass.CAR)
+    build = build_transactions(hours, ["PB"], "ToCanada", "Car")
     stamps = [t.timestamp for t in build.transactions]
     assert stamps == sorted(stamps)
 
 
 def test_build_transactions_validates_attributes():
     with pytest.raises(IngestError, match="nonempty"):
-        build_transactions({}, [], Direction.TO_CANADA, VehicleClass.CAR)
+        build_transactions({}, [], "ToCanada", "Car")
     with pytest.raises(IngestError, match="distinct"):
-        build_transactions({}, ["PB", "PB"], Direction.TO_CANADA, VehicleClass.CAR)
+        build_transactions({}, ["PB", "PB"], "ToCanada", "Car")
 
 
 # --- transaction file round trip ----------------------------------------------
 
 
 def test_transactions_round_trip(tmp_path):
-    build = build_transactions(
-        hourly_fixture(), ["PB", "LQ", "RB"], Direction.TO_CANADA, VehicleClass.CAR
-    )
+    build = build_transactions(hourly_fixture(), ["PB", "LQ", "RB"], "ToCanada", "Car")
     path = tmp_path / "transactions.csv"
     write_transactions(str(path), build.transactions, ["PB", "LQ", "RB"])
     loaded, attributes = read_transactions(str(path))
@@ -410,4 +412,16 @@ def test_read_transactions_rejects_garbage(tmp_path):
         read_transactions(str(path))
     path.write_text("nope\n")
     with pytest.raises(IngestError, match="bad transaction header"):
+        read_transactions(str(path))
+
+
+@pytest.mark.parametrize("stamp, reason", [
+    ("2016-08-22T11:00+02:00", "timestamp carries a UTC offset"),
+    ("2016-08-22T12:30:45", "timestamp has seconds"),
+])
+def test_read_transactions_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason):
+    # an offset could not be compared with the naive hours; seconds would be dropped
+    path = tmp_path / "transactions.csv"
+    path.write_text(f"timestamp,PB\n2016-08-22T10:00,1\n{stamp},2\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
         read_transactions(str(path))

@@ -6,8 +6,6 @@ import pytest
 
 from helpers import parse_synthetic
 from mdlpatterns.ingest import (
-    Direction,
-    VehicleClass,
     aggregate_hourly,
     build_transactions,
 )
@@ -70,9 +68,7 @@ def test_constant_regime_without_noise_is_uniform(tmp_path):
         seed=3, days=2, anomalies=0, dominance=1.0, regime="constant"
     )
     hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-    build = build_transactions(
-        hourly, SITES, Direction.TO_CANADA, VehicleClass.CAR
-    )
+    build = build_transactions(hourly, SITES, "ToCanada", "Car")
     assert len(build.transactions) == 48
     assert build.excluded_hours == []
     categories = {tuple(cat for _, cat in t.items) for t in build.transactions}
@@ -88,8 +84,13 @@ def test_generator_validates_arguments():
         generate_synthetic(seed=0, days=1, anomalies=25)
     with pytest.raises(ValueError, match="regime"):
         generate_synthetic(seed=0, days=1, regime="lunar")
-    with pytest.raises(ValueError, match="3 sites"):
-        generate_synthetic(seed=0, days=1, sites=("A", "B"))
+
+
+def test_generator_stores_the_canonical_slice_spelling():
+    records = generate_synthetic(seed=0, days=1, direction=" tous", vehicle_class="TRUCK").records
+    assert {(rec.direction, rec.vehicle_class) for rec in records} == {("ToUS", "Truck")}
+    with pytest.raises(ValueError, match="unknown direction 'Sideways'"):
+        generate_synthetic(seed=0, days=1, direction="Sideways")
 
 
 def test_records_csv_feeds_the_parser(tmp_path):
