@@ -34,9 +34,9 @@ def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[
     once, under the table as given.
     """
     db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.patterns))
+    covers = cover_rows(db, cover_order(table.usages))
     bits = row_lengths(covers, code_lengths(table))
-    texts = ["|".join(format_items(part.items) for part in cover) for cover in covers]
+    texts = ["|".join(format_items(part) for part in cover) for cover in covers]
     unranked = [(txn, texts[row], bits[row]) for txn, row in zip(transactions, db.index)]
     unranked.sort(key=lambda entry: (-entry[2], entry[0].timestamp))
     return [

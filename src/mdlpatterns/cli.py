@@ -170,7 +170,7 @@ def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
 @_stage("mine")
 def _mine(
     transactions: list[ingest.Transaction], threshold: mining.SupportThreshold, output: str
-) -> list[mining.Itemset]:
+) -> dict[frozenset[ingest.Item], int]:
     itemsets = mining.frequent_itemsets(transactions, threshold)
     mining.write_itemsets(output, itemsets)
     return itemsets
@@ -178,7 +178,7 @@ def _mine(
 
 @_stage("compress")
 def _compress(
-    transactions: list[ingest.Transaction], candidates: list[mining.Itemset],
+    transactions: list[ingest.Transaction], candidates: dict[frozenset[ingest.Item], int],
     table_out: str, log_out: str,
 ) -> codec.CompressionResult:
     result = codec.compress(transactions, candidates)

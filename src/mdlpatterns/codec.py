@@ -12,20 +12,22 @@ code length is -log2 of its share of all usages, so frequent patterns get
 short codes; a transaction's code length (the anomaly score downstream) is
 the sum over its cover.
 
-Covers, usages and code lengths depend only on which distinct row a
-transaction is, so the database is collapsed once into distinct rows with
-multiplicities (usage over a multiset, as in Krimp). Cover passes repeat
-until the cover order is stable, and the last pass's covers give the length.
+A pattern is a frozenset of items, and the table maps each pattern to its
+usage, as Krimp's code table holds itemsets with usages. Covers, usages and
+code lengths depend only on which distinct row a transaction is, so the
+database is collapsed once into distinct rows with multiplicities (usage
+over a multiset, as in Krimp). Cover passes repeat until the cover order is
+stable, and the last pass's covers give the length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import log2
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from math import inf, log2
+from typing import Mapping, Sequence
 
 from .ingest import Item, Transaction
-from .mining import Itemset, canonical_key, format_items, parse_items
+from .mining import canonical_key, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -35,33 +37,20 @@ from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps 
 _MAX_RECOVER_PASSES = 25
 
 
-@dataclass(eq=False)
-class Pattern:
-    """A set of (site, category) items plus its current usage count."""
-
-    items: frozenset[Item]
-    usage: int = 0
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.items) == 1
-
-
 @dataclass
 class PatternTable:
-    """The code dictionary: patterns plus fixed singleton-item statistics.
+    """The code dictionary: pattern -> usage, plus fixed singleton-item statistics.
 
+    ``usages`` is in table order (sorted singletons, then accepted candidates
+    in acceptance order), the order in which code lengths are summed.
     ``singleton_counts`` holds the raw occurrence count of each item over the
     whole database; ``total_singleton_count`` is their sum. Both are fixed at
     initialization and independent of the evolving covers.
     """
 
-    patterns: list[Pattern]
+    usages: dict[frozenset[Item], int]
     singleton_counts: dict[Item, int]
     total_singleton_count: int
-
-    def active_usage_total(self) -> int:
-        return sum(p.usage for p in self.patterns)
 
 
 @dataclass(frozen=True)
@@ -115,21 +104,18 @@ def init_pattern_table(transactions: Sequence[Transaction]) -> PatternTable:
     for txn in transactions:
         for item in txn.items:
             counts[item] = counts.get(item, 0) + 1
-    patterns = [
-        Pattern(items=frozenset([item]), usage=counts[item]) for item in sorted(counts)
-    ]
     return PatternTable(
-        patterns=patterns,
+        usages={frozenset([item]): counts[item] for item in sorted(counts)},
         singleton_counts=dict(sorted(counts.items())),
         total_singleton_count=sum(counts.values()),
     )
 
 
-def cover_order(patterns: Iterable[Pattern]) -> list[Pattern]:
-    return sorted(patterns, key=lambda p: canonical_key(p.items, p.usage))
+def cover_order(usages: Mapping[frozenset[Item], int]) -> list[frozenset[Item]]:
+    return sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
 
 
-def cover_rows(db: DistinctRows, order: Sequence[Pattern]) -> list[tuple[Pattern, ...]]:
+def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[frozenset, ...]]:
     """Greedy cover of every distinct row under one cover order.
 
     Visits each pattern once, in order, and puts it into the cover of every
@@ -137,13 +123,13 @@ def cover_rows(db: DistinctRows, order: Sequence[Pattern]) -> list[tuple[Pattern
     the parts, in the same order, that a scan of that row alone would pick.
     """
     uncovered = dict(db.holding)  # row bitmasks, as in DistinctRows.holding
-    parts: list[list[Pattern]] = [[] for _ in db.weights]
+    parts: list[list[frozenset]] = [[] for _ in db.weights]
     for pattern in order:
         taken = -1
-        for item in pattern.items:
+        for item in pattern:
             taken &= uncovered.get(item, 0)
         if taken:
-            for item in pattern.items:
+            for item in pattern:
                 uncovered[item] &= ~taken
             while taken:
                 parts[(taken & -taken).bit_length() - 1].append(pattern)
@@ -158,45 +144,44 @@ def cover_rows(db: DistinctRows, order: Sequence[Pattern]) -> list[tuple[Pattern
     return [tuple(row_parts) for row_parts in parts]
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[Pattern, ...]]:
+def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[frozenset, ...]]:
     """Cover passes until usages are self-consistent; returns the last pass's covers.
 
     Each pass sets every usage to the weighted count of covers using it. Once
     the order after a pass equals the order before it, another pass would
     repeat its covers. Raises ValueError naming ``trial`` at the pass cap.
     """
-    order = cover_order(table.patterns)
+    order = cover_order(table.usages)
     for _ in range(_MAX_RECOVER_PASSES):
         covers = cover_rows(db, order)
-        for pattern in table.patterns:
-            pattern.usage = 0
+        usages = table.usages = dict.fromkeys(table.usages, 0)
         for parts, weight in zip(covers, db.weights):
             for part in parts:
-                part.usage += weight
-        previous, order = order, cover_order(table.patterns)
+                usages[part] += weight
+        previous, order = order, cover_order(usages)
         if order == previous:
             return covers
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
-def code_lengths(table: PatternTable) -> dict[int, float]:
-    """-log2(usage / total usage) of every in-use pattern, by id, in table order."""
-    total = table.active_usage_total()
-    return {id(p): -log2(p.usage / total) for p in table.patterns if p.usage > 0}
+def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
+    """-log2(usage / total usage) of every in-use pattern, in table order."""
+    total = sum(table.usages.values())
+    return {p: -log2(usage / total) for p, usage in table.usages.items() if usage > 0}
 
 
-def row_lengths(covers: Sequence[tuple[Pattern, ...]], lengths: dict[int, float]) -> list[float]:
+def row_lengths(covers: Sequence[tuple[frozenset, ...]], lengths: Mapping) -> list[float]:
     """Bits of each cover: its parts' code lengths summed in cover order."""
     try:
-        return [sum(lengths[id(part)] for part in parts) for parts in covers]
+        return [sum(lengths[part] for part in parts) for parts in covers]
     except KeyError:
-        unused = next(p for parts in covers for p in parts if id(p) not in lengths)
+        unused = next(p for parts in covers for p in parts if p not in lengths)
         raise ValueError(
-            f"pattern {format_items(unused.items)} has zero usage; it carries no code"
+            f"pattern {format_items(unused)} has zero usage; it carries no code"
         ) from None
 
 
-def _database_bits(db: DistinctRows, covers: Sequence, lengths: dict[int, float]) -> float:
+def _database_bits(db: DistinctRows, covers: Sequence, lengths: Mapping) -> float:
     # Summed hour by hour, in transaction order, exactly as if each hour were
     # encoded alone; a weighted sum would round differently.
     bits = row_lengths(covers, lengths)
@@ -206,7 +191,7 @@ def _database_bits(db: DistinctRows, covers: Sequence, lengths: dict[int, float]
     return total
 
 
-def _table_bits(table: PatternTable, lengths: dict[int, float]) -> float:
+def _table_bits(table: PatternTable, lengths: Mapping) -> float:
     # Code lengths of all in-use patterns, plus the fixed singleton-item
     # encoding: the sum of -r_i * log2(r_i / c) over raw item counts.
     c = table.total_singleton_count
@@ -218,47 +203,42 @@ def _table_bits(table: PatternTable, lengths: dict[int, float]) -> float:
 
 
 def compress(
-    transactions: Sequence[Transaction], candidates: Sequence[Itemset]
+    transactions: Sequence[Transaction], candidates: Mapping[frozenset[Item], int]
 ) -> CompressionResult:
     """Greedy MDL selection of a pattern table from mined candidate itemsets.
 
     Seeds the singleton table, computes the initial length L0, then trials
-    each candidate once in the given order (``frequent_itemsets`` returns
-    canonical order): tentatively insert, settle usages, and keep the
-    candidate only if the total length strictly drops. Rejected candidates
-    are removed and the previous usages restored. Multi-item patterns left
-    unused by a later accepted candidate are pruned; singletons always stay.
+    each candidate (itemset -> support, in the given order; ``frequent_itemsets``
+    returns canonical order) once, on a copy of the table: insert, settle
+    usages, and keep the copy only if the total length strictly drops.
+    Multi-item patterns left unused by a later accepted candidate are pruned;
+    singletons always stay. A candidate already in the table is a ValueError.
     """
     if not transactions:
         raise ValueError("cannot compress an empty database")
     db = distinct_rows(transactions)
     table = init_pattern_table(transactions)
 
-    def settled_length(trial: str) -> float:
-        covers = _settle(table, db, trial)
-        lengths = code_lengths(table)
-        return _database_bits(db, covers, lengths) + _table_bits(table, lengths)
+    def settled_length(model: PatternTable, trial: str) -> float:
+        covers = _settle(model, db, trial)
+        lengths = code_lengths(model)
+        return _database_bits(db, covers, lengths) + _table_bits(model, lengths)
 
-    initial = best = settled_length("the singleton table")
+    initial = best = settled_length(table, "the singleton table")
     log: list[TrialRecord] = []
-    for candidate in candidates:
-        snapshot = [(p, p.usage) for p in table.patterns]
+    for items, support in candidates.items():
+        if items in table.usages:
+            raise ValueError(f"candidate {format_items(items)} is already in the table")
         # Provisional usage = support places the newcomer among its
         # same-cardinality peers for the trial's first cover pass.
-        table.patterns.append(Pattern(items=candidate.items, usage=candidate.support))
-        trial = settled_length(f"candidate {format_items(candidate.items)}")
-        if trial < best:
-            best = trial
-            table.patterns = [
-                p for p in table.patterns if p.is_singleton or p.usage > 0
-            ]
-            accepted = True
-        else:
-            table.patterns.pop()
-            for pattern, usage in snapshot:
-                pattern.usage = usage
-            accepted = False
-        log.append(TrialRecord(candidate.items, candidate.support, trial, accepted, best))
+        trial = replace(table, usages={**table.usages, items: support})
+        length = settled_length(trial, f"candidate {format_items(items)}")
+        accepted = length < best
+        if accepted:
+            best = length
+            trial.usages = {p: u for p, u in trial.usages.items() if u > 0 or len(p) == 1}
+            table = trial
+        log.append(TrialRecord(items, support, length, accepted, best))
     return CompressionResult(table=table, initial_length=initial, final_length=best, log=log)
 
 
@@ -275,13 +255,13 @@ class Cover:
     """Disjoint exact decomposition of one transaction into table patterns."""
 
     transaction: Transaction
-    parts: tuple[Pattern, ...]
+    parts: tuple[frozenset[Item], ...]
 
 
 def cover_database(transactions: Sequence[Transaction], table: PatternTable) -> list[Cover]:
     """Cover every transaction under one fixed canonical order (single pass)."""
     db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.patterns))
+    covers = cover_rows(db, cover_order(table.usages))
     return [Cover(transaction=t, parts=covers[row]) for t, row in zip(transactions, db.index)]
 
 
@@ -294,7 +274,7 @@ def recompute_usages(table: PatternTable, transactions: Sequence[Transaction]) -
 def database_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
     """Total bits to encode every transaction under the table."""
     db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.patterns))
+    covers = cover_rows(db, cover_order(table.usages))
     return _database_bits(db, covers, code_lengths(table))
 
 
@@ -313,23 +293,21 @@ def total_length(transactions: Sequence[Transaction], table: PatternTable) -> fl
 # reloaded table supports every length computation without the database.
 
 def write_pattern_table(path: str, table: PatternTable) -> None:
-    total = table.active_usage_total()
+    lengths = code_lengths(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# pattern-table v1\n")
         fh.write(f"# total_singleton_count\t{table.total_singleton_count}\n")
         for item in sorted(table.singleton_counts):
-            fh.write(
-                f"# item_count\t{item[0]}:{item[1]}\t{table.singleton_counts[item]}\n"
-            )
-        for pattern in cover_order(table.patterns):
-            bits = f"{-log2(pattern.usage / total):.9f}" if pattern.usage > 0 else "inf"
-            fh.write(f"{format_items(pattern.items)}\t{pattern.usage}\t{bits}\n")
+            fh.write(f"# item_count\t{format_items([item])}\t{table.singleton_counts[item]}\n")
+        for pattern in cover_order(table.usages):
+            bits = lengths.get(pattern, inf)  # formats as "inf"
+            fh.write(f"{format_items(pattern)}\t{table.usages[pattern]}\t{bits:.9f}\n")
 
 
 def read_pattern_table(path: str) -> PatternTable:
     """Reload a written table. Code lengths are derived from usages, so the
     stored bits column is informational only."""
-    patterns: list[Pattern] = []
+    usages: dict[frozenset[Item], int] = {}
     singleton_counts: dict[Item, int] = {}
     total_singleton_count = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -347,15 +325,18 @@ def read_pattern_table(path: str) -> PatternTable:
                         singleton_counts[(attr, int(cat))] = int(fields[2])
                     continue
                 items_text, usage_text, _bits = line.split("\t")
-                patterns.append(
-                    Pattern(items=parse_items(items_text), usage=int(usage_text))
-                )
+                pattern, usage = parse_items(items_text), int(usage_text)
+                if usage < 0:
+                    raise ValueError(f"negative usage {usage} for {items_text}")
+                if pattern in usages:
+                    raise ValueError(f"repeated pattern {items_text}")
+                usages[pattern] = usage
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
-    if not patterns:
+    if not usages:
         raise ValueError(f"{path}: no patterns found")
     return PatternTable(
-        patterns=patterns,
+        usages=usages,
         singleton_counts=singleton_counts,
         total_singleton_count=total_singleton_count,
     )

@@ -334,8 +334,8 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
 def parse_hour_row(fields: Sequence[str], attributes: Sequence[str]) -> Transaction:
     """The hour that starts an artifact row: a stamp, then a category per attribute.
 
-    Raises ValueError on a bad field, or on a UTC offset or seconds, which
-    HOUR_FORMAT would not write back.
+    Raises ValueError on a bad field, on a category outside 1..4, or on a
+    UTC offset or seconds, which HOUR_FORMAT would not write back.
     """
     stamp = datetime.fromisoformat(fields[0])
     if stamp.tzinfo is not None:
@@ -343,4 +343,7 @@ def parse_hour_row(fields: Sequence[str], attributes: Sequence[str]) -> Transact
     if stamp.second or stamp.microsecond:
         raise ValueError(f"timestamp has seconds ({fields[0]!r})")
     categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
+    if not {1, 2, 3, 4}.issuperset(categories):
+        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
+        raise ValueError(f"category outside 1..4 ({bad})")
     return Transaction(timestamp=stamp, items=tuple(zip(attributes, categories)))

@@ -2,23 +2,17 @@
 
 An item is a (site, category) pair: the same category at two different sites
 is two different items, and no valid itemset holds two categories for one
-site. Mining returns itemsets of size >= 2 only; singletons are seeded into
-the pattern table directly by the codec.
+site. Mining returns itemsets of size >= 2 only, as itemset -> support;
+singletons are seeded into the pattern table directly by the codec.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ingest import Item, Transaction
-
-
-@dataclass(frozen=True)
-class Itemset:
-    items: frozenset[Item]
-    support: int
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,8 @@ def canonical_key(items: frozenset[Item], weight: int) -> tuple:
 def frequent_itemsets(
     transactions: Sequence[Transaction],
     threshold: SupportThreshold,
-) -> list[Itemset]:
-    """All itemsets of size >= 2 meeting the support threshold.
+) -> dict[frozenset[Item], int]:
+    """All itemsets of size >= 2 meeting the support threshold, mapped to support.
 
     Classic level-wise search: candidates of size k are joins of frequent
     (k-1)-sets, pruned by downward closure and by attribute validity (at most
@@ -119,7 +113,7 @@ def frequent_itemsets(
         item for item, cnt in item_counts.items() if threshold.meets(cnt, resolved)
     )
 
-    found: list[Itemset] = []
+    found: dict[frozenset[Item], int] = {}
     level: list[frozenset[Item]] = [frozenset([item]) for item in frequent_singles]
     size = 2
     while level:
@@ -129,13 +123,12 @@ def frequent_itemsets(
         for cand in candidates:
             sup = count_support(cand)
             if threshold.meets(sup, resolved):
-                found.append(Itemset(items=cand, support=sup))
+                found[cand] = sup
                 next_level.append(cand)
         level = next_level
         size += 1
 
-    found.sort(key=lambda s: canonical_key(s.items, s.support))
-    return found
+    return dict(sorted(found.items(), key=lambda entry: canonical_key(*entry)))
 
 
 def _generate_candidates(
@@ -168,14 +161,14 @@ def _all_subsets_frequent(
 # --- itemset file format -----------------------------------------------------
 # One itemset per line: "site:cat,site:cat<TAB>support", in canonical order.
 
-def write_itemsets(path: str, itemsets: Sequence[Itemset]) -> None:
+def write_itemsets(path: str, itemsets: Mapping[frozenset[Item], int]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for itemset in itemsets:
-            fh.write(f"{format_items(itemset.items)}\t{itemset.support}\n")
+        for items, support in itemsets.items():
+            fh.write(f"{format_items(items)}\t{support}\n")
 
 
-def read_itemsets(path: str) -> list[Itemset]:
-    itemsets = []
+def read_itemsets(path: str) -> dict[frozenset[Item], int]:
+    itemsets: dict[frozenset[Item], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -183,9 +176,10 @@ def read_itemsets(path: str) -> list[Itemset]:
                 continue
             try:
                 items_text, support_text = line.split("\t")
-                itemsets.append(
-                    Itemset(items=parse_items(items_text), support=int(support_text))
-                )
+                items = parse_items(items_text)
+                if items in itemsets:
+                    raise ValueError(f"repeated itemset {items_text}")
+                itemsets[items] = int(support_text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     return itemsets

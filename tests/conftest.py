@@ -8,7 +8,7 @@ table whose best cover mixes a triple, a pair, and a singleton.
 import pytest
 
 from helpers import make_db
-from mdlpatterns.codec import Pattern, init_pattern_table, recompute_usages
+from mdlpatterns.codec import init_pattern_table, recompute_usages
 
 # Verdict lines recorded by the acceptance tests; printed after the run so
 # they survive output capture.
@@ -42,7 +42,6 @@ def worked_table(six_rows):
     plain singleton ends up unused.
     """
     table = init_pattern_table(six_rows)
-    table.patterns.append(Pattern(items=TRIPLE, usage=4))
-    table.patterns.append(Pattern(items=PAIR, usage=6))
+    table.usages.update({TRIPLE: 4, PAIR: 6})
     recompute_usages(table, six_rows)
     return table

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from mdlpatterns import SupportThreshold
 from mdlpatterns.codec import (
     Cover,
-    Pattern,
     PatternTable,
     cover_database,
     database_length,
@@ -38,7 +37,7 @@ from mdlpatterns.ingest import (
     canonical,
     parse_records,
 )
-from mdlpatterns.mining import Itemset, format_items
+from mdlpatterns.mining import format_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
@@ -107,7 +106,7 @@ def brute_force_frequent(
 
 
 def exhaustive_best_length(
-    transactions: Sequence[Transaction], candidates: Sequence[Itemset]
+    transactions: Sequence[Transaction], candidates: Mapping[frozenset, int]
 ) -> float:
     """Minimum total length over every subset of the candidate patterns.
 
@@ -117,9 +116,9 @@ def exhaustive_best_length(
     best = None
     for mask in range(2 ** len(candidates)):
         table = init_pattern_table(transactions)
-        for bit, cand in enumerate(candidates):
+        for bit, (items, sup) in enumerate(candidates.items()):
             if mask >> bit & 1:
-                table.patterns.append(Pattern(items=cand.items, usage=cand.support))
+                table.usages[items] = sup
         recompute_usages(table, transactions)
         length = total_length(transactions, table)
         if best is None or length < best:
@@ -132,12 +131,13 @@ def cover_transaction(txn: Transaction, table: PatternTable) -> Cover:
     return cover_database([txn], table)[0]
 
 
-def pattern_code_length(pattern: Pattern, table: PatternTable) -> float:
+def pattern_code_length(pattern: frozenset, table: PatternTable) -> float:
     """-log2(usage / total usage), straight from the definition. A pattern
     with zero usage carries no code, so asking for its length is an error."""
-    if pattern.usage == 0:
-        raise ValueError(f"pattern {format_items(pattern.items)} has zero usage")
-    return -log2(pattern.usage / table.active_usage_total())
+    usage = table.usages[pattern]
+    if usage == 0:
+        raise ValueError(f"pattern {format_items(pattern)} has zero usage")
+    return -log2(usage / sum(table.usages.values()))
 
 
 def transaction_code_length(txn: Transaction, table: PatternTable) -> float:
@@ -145,20 +145,16 @@ def transaction_code_length(txn: Transaction, table: PatternTable) -> float:
     return database_length([txn], table)
 
 
-def find_pattern(table: PatternTable, items: frozenset) -> Pattern | None:
-    return next((p for p in table.patterns if p.items == items), None)
-
-
-def greedy_cover_oracle(items: frozenset, order: Sequence[Pattern]) -> tuple[Pattern, ...]:
+def greedy_cover_oracle(items: frozenset, order: Sequence[frozenset]) -> tuple[frozenset, ...]:
     """Row-by-row greedy scan: take each pattern, in order, whose items are all
     still uncovered. The codec covers all distinct rows in one sweep over the
     patterns instead, and must pick exactly these parts."""
     uncovered = set(items)
     parts = []
     for pattern in order:
-        if pattern.items <= uncovered:
+        if pattern <= uncovered:
             parts.append(pattern)
-            uncovered -= pattern.items
+            uncovered -= pattern
     assert not uncovered, "oracle needs a table with every singleton"
     return tuple(parts)
 

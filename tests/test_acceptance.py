@@ -14,7 +14,6 @@ from conftest import PAIR, RB2, SIX_ROW_COMBOS, TRIPLE
 from helpers import (
     brute_force_frequent,
     exhaustive_best_length,
-    find_pattern,
     make_db,
     parse_synthetic,
     pattern_code_length,
@@ -23,7 +22,7 @@ from helpers import (
 )
 from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
 from mdlpatterns.cli import RunConfig, run_pipeline
-from mdlpatterns.codec import Pattern, database_length, init_pattern_table, recompute_usages
+from mdlpatterns.codec import database_length, init_pattern_table, recompute_usages
 from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,
@@ -44,8 +43,7 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 def _worked_table_and_rows():
     rows = make_db(SIX_ROW_COMBOS)
     table = init_pattern_table(rows)
-    table.patterns.append(Pattern(items=TRIPLE, usage=4))
-    table.patterns.append(Pattern(items=PAIR, usage=6))
+    table.usages.update({TRIPLE: 4, PAIR: 6})
     recompute_usages(table, rows)
     return rows, table
 
@@ -54,8 +52,7 @@ def test_criterion_1_worked_example_usages():
     started = time.perf_counter()
     rows, table = _worked_table_and_rows()
     elapsed = time.perf_counter() - started
-    usages = {p.items: p.usage for p in table.patterns}
-    got = (usages[TRIPLE], usages[PAIR], usages[RB2])
+    got = (table.usages[TRIPLE], table.usages[PAIR], table.usages[RB2])
     ok = (
         got == (4, 2, 2)
         and table.total_singleton_count == 18
@@ -72,8 +69,7 @@ def test_criterion_1_worked_example_usages():
 def test_criterion_2_worked_example_code_lengths():
     rows, table = _worked_table_and_rows()
     lengths = tuple(
-        pattern_code_length(find_pattern(table, items), table)
-        for items in (TRIPLE, PAIR, RB2)
+        pattern_code_length(items, table) for items in (TRIPLE, PAIR, RB2)
     )
     scores = [transaction_code_length(t, table) for t in rows]
     db_bits = database_length(rows, table)
@@ -101,7 +97,7 @@ def test_criterion_3_mining_matches_brute_force():
             threshold = SupportThreshold(count=rng.randint(1, 4))
         else:
             threshold = SupportThreshold(fraction=rng.choice((0.2, 0.34, 0.5)))
-        mined = {(s.items, s.support) for s in frequent_itemsets(db, threshold)}
+        mined = set(frequent_itemsets(db, threshold).items())
         oracle = brute_force_frequent(db, threshold)
         compared += len(oracle)
         if mined != oracle:
@@ -231,8 +227,8 @@ def test_criterion_8_score_accounting(tmp_path):
         )
         code_share = fsum(
             2 ** -pattern_code_length(p, current)
-            for p in current.patterns
-            if p.usage > 0
+            for p, usage in current.usages.items()
+            if usage > 0
         )
         share_gap = abs(code_share - 1.0)
         checks.append((name, score_gap, share_gap))

@@ -174,3 +174,16 @@ def test_read_scores_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason
     )
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
         read_scores(str(path))
+
+
+@pytest.mark.parametrize("category", ["0", "9"])
+def test_read_scores_rejects_a_category_outside_1_to_4(tmp_path, category):
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1\n"
+        f"2016-08-22T11:00\t{category}\t1.000000000\t2\tPB:{category}\n"
+    )
+    reason = f"{path}:3: category outside 1..4 (PB:{category})"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))

@@ -6,6 +6,8 @@ precision where the formula mixes irrational logs.
 """
 
 import random
+import re
+from collections import Counter
 from math import fsum, log2
 
 import pytest
@@ -16,7 +18,6 @@ from conftest import PAIR, RB2, TRIPLE
 from helpers import (
     cover_transaction,
     db_strategy,
-    find_pattern,
     greedy_cover_oracle,
     make_db,
     pattern_code_length,
@@ -25,7 +26,6 @@ from helpers import (
 )
 from mdlpatterns import SupportThreshold, codec, compress, frequent_itemsets
 from mdlpatterns.codec import (
-    Pattern,
     cover_database,
     cover_order,
     database_length,
@@ -38,7 +38,6 @@ from mdlpatterns.codec import (
     write_pattern_table,
 )
 from mdlpatterns.ingest import Transaction
-from mdlpatterns.mining import Itemset
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -56,11 +55,12 @@ SINGLETON_TERM = 34.03910001730775
 
 def test_init_table_uses_raw_item_counts(six_rows):
     table = init_pattern_table(six_rows)
-    usages = {next(iter(p.items)): p.usage for p in table.patterns}
+    usages = {next(iter(p)): usage for p, usage in table.usages.items()}
     assert usages == {("PB", 1): 6, ("LQ", 2): 6, ("RB", 1): 4, ("RB", 2): 2}
     assert table.total_singleton_count == 18
     assert table.singleton_counts[("PB", 1)] == 6
-    assert all(p.is_singleton for p in table.patterns)
+    # singletons only, in sorted item order: the table order lengths are summed in
+    assert list(table.usages) == [frozenset([item]) for item in sorted(usages)]
 
 
 def test_init_table_rejects_empty_database():
@@ -74,16 +74,14 @@ def test_init_table_rejects_empty_database():
 def test_cover_is_exact_and_disjoint(six_rows, worked_table):
     for txn in six_rows:
         cover = cover_transaction(txn, worked_table)
-        covered = [item for part in cover.parts for item in part.items]
+        covered = [item for part in cover.parts for item in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == txn.item_set
 
 
 def test_cover_prefers_larger_patterns(six_rows, worked_table):
-    cover = cover_transaction(six_rows[0], worked_table)
-    assert [p.items for p in cover.parts] == [TRIPLE]
-    cover = cover_transaction(six_rows[4], worked_table)
-    assert [p.items for p in cover.parts] == [PAIR, RB2]
+    assert cover_transaction(six_rows[0], worked_table).parts == (TRIPLE,)
+    assert cover_transaction(six_rows[4], worked_table).parts == (PAIR, RB2)
 
 
 @given(db=db_strategy(max_rows=12, max_cat=3), seed=st.integers(0, 2**16))
@@ -95,10 +93,9 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     table = init_pattern_table(db)
     for itemset in frequent_itemsets(db, SupportThreshold(count=1)):
         if rng.random() < 0.5:
-            table.patterns.append(Pattern(items=itemset.items))
-    for pattern in table.patterns:
-        pattern.usage = rng.randint(0, 5)
-    order = cover_order(table.patterns)
+            table.usages[itemset] = 0
+    table.usages = {pattern: rng.randint(0, 5) for pattern in table.usages}
+    order = cover_order(table.usages)
     for cover in cover_database(db, table):
         assert cover.parts == greedy_cover_oracle(cover.transaction.item_set, order)
 
@@ -113,36 +110,36 @@ def test_cover_rejects_unknown_item(worked_table):
 
 
 def test_recompute_settles_worked_usages(worked_table):
-    by_items = {p.items: p.usage for p in worked_table.patterns}
-    assert by_items[TRIPLE] == 4
-    assert by_items[PAIR] == 2
-    assert by_items[RB2] == 2
-    assert by_items[frozenset({("PB", 1)})] == 0
-    assert by_items[frozenset({("LQ", 2)})] == 0
-    assert by_items[frozenset({("RB", 1)})] == 0
+    assert worked_table.usages == {
+        TRIPLE: 4,
+        PAIR: 2,
+        RB2: 2,
+        frozenset({("PB", 1)}): 0,
+        frozenset({("LQ", 2)}): 0,
+        frozenset({("RB", 1)}): 0,
+    }
 
 
 def test_recompute_is_idempotent(six_rows, worked_table):
-    before = [p.usage for p in worked_table.patterns]
+    before = list(worked_table.usages.items())
     recompute_usages(worked_table, six_rows)
-    assert [p.usage for p in worked_table.patterns] == before
+    assert list(worked_table.usages.items()) == before
 
 
 # --- code lengths ---------------------------------------------------------------
 
 
 def test_pattern_code_lengths_worked(worked_table):
-    by_id = codec.code_lengths(worked_table)
-    lengths = {p.items: by_id[id(p)] for p in worked_table.patterns if p.usage > 0}
-    assert len(by_id) == len(lengths) == 3
+    lengths = codec.code_lengths(worked_table)
+    # in-use patterns only, keyed by the pattern, in table order
+    assert list(lengths) == [RB2, TRIPLE, PAIR]
     assert lengths[TRIPLE] == pytest.approx(1.0, abs=1e-12)
     assert lengths[PAIR] == pytest.approx(2.0, abs=1e-12)
     assert lengths[RB2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zero_usage_pattern_has_no_code(worked_table):
-    unused = find_pattern(worked_table, frozenset({("PB", 1)}))
-    assert unused.usage == 0
+    assert worked_table.usages[frozenset({("PB", 1)})] == 0
     # an hour holding PB:1 alone can only be covered by the unused singleton
     with pytest.raises(ValueError, match="pattern PB:1 has zero usage; it carries no code"):
         database_length(make_db([(1,)], attrs=("PB",)), worked_table)
@@ -184,12 +181,12 @@ def test_compress_worked_example(six_rows):
     )
     accepted = [r.items for r in result.log if r.accepted]
     assert accepted == [TRIPLE, TRIPLE_B]
-    by_items = {p.items: p.usage for p in result.table.patterns}
-    assert by_items[TRIPLE] == 4
-    assert by_items[TRIPLE_B] == 2
-    singletons = [p for p in result.table.patterns if p.is_singleton]
+    # four unused singletons in item order, then the accepted triples in acceptance order
+    singletons = [frozenset([item]) for item in sorted(result.table.singleton_counts)]
     assert len(singletons) == 4
-    assert all(p.usage == 0 for p in singletons)
+    assert list(result.table.usages.items()) == [(p, 0) for p in singletons] + [
+        (TRIPLE, 4), (TRIPLE_B, 2),
+    ]
 
 
 def test_compress_rejects_exact_ties(six_rows):
@@ -210,7 +207,13 @@ def test_unsettled_trial_raises_naming_the_candidate(six_rows, monkeypatch):
     with pytest.raises(ValueError, match=r"candidate LQ:2,PB:1,RB:1 did not settle in 1 passes"):
         compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 2)
-    assert compress(six_rows, [Itemset(TRIPLE, 4)]).final_length < INITIAL_LENGTH
+    assert compress(six_rows, {TRIPLE: 4}).final_length < INITIAL_LENGTH
+
+
+def test_compress_rejects_a_candidate_already_in_the_table(six_rows):
+    # every item is already a singleton pattern; a second entry would overwrite its usage
+    with pytest.raises(ValueError, match=r"^candidate PB:1 is already in the table$"):
+        compress(six_rows, {TRIPLE: 4, frozenset({("PB", 1)}): 6})
 
 
 def test_compress_rejects_empty_database():
@@ -240,35 +243,28 @@ def test_compress_invariants(db):
 
     # the final table still owns a singleton for every item in the database
     db_items = {item for txn in db for item in txn.items}
-    singleton_items = {
-        next(iter(p.items)) for p in table.patterns if p.is_singleton
-    }
+    singleton_items = {next(iter(p)) for p in table.usages if len(p) == 1}
     assert singleton_items == db_items
 
     # no dead weight: every multi-item pattern earns its keep
-    assert all(p.usage > 0 for p in table.patterns if not p.is_singleton)
+    assert all(usage > 0 for p, usage in table.usages.items() if len(p) > 1)
 
     covers = cover_database(db, table)
     for cover in covers:
-        covered = [item for part in cover.parts for item in part.items]
+        covered = [item for part in cover.parts for item in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == cover.transaction.item_set
 
     # usages are exactly the cover participation counts
-    tally: dict[int, int] = {}
-    for cover in covers:
-        for part in cover.parts:
-            tally[id(part)] = tally.get(id(part), 0) + 1
-    assert all(tally.get(id(p), 0) == p.usage for p in table.patterns)
-    assert sum(p.usage for p in table.patterns) == sum(
-        len(c.parts) for c in covers
-    )
+    tally = Counter(part for cover in covers for part in cover.parts)
+    assert dict(tally) == {p: usage for p, usage in table.usages.items() if usage > 0}
+    assert sum(table.usages.values()) == sum(len(c.parts) for c in covers)
 
     # code lengths of in-use patterns form a complete prefix-code budget
     share = fsum(
         2 ** -pattern_code_length(p, table)
-        for p in table.patterns
-        if p.usage > 0
+        for p, usage in table.usages.items()
+        if usage > 0
     )
     assert share == pytest.approx(1.0, abs=1e-9)
 
@@ -311,9 +307,7 @@ def test_pattern_table_round_trip(tmp_path, six_rows):
     path = tmp_path / "table.tsv"
     write_pattern_table(str(path), result.table)
     loaded = read_pattern_table(str(path))
-    assert {(p.items, p.usage) for p in loaded.patterns} == {
-        (p.items, p.usage) for p in result.table.patterns
-    }
+    assert loaded.usages == result.table.usages
     assert loaded.singleton_counts == result.table.singleton_counts
     assert loaded.total_singleton_count == result.table.total_singleton_count
     for txn in six_rows:
@@ -327,6 +321,19 @@ def test_read_pattern_table_rejects_empty(tmp_path):
     path = tmp_path / "table.tsv"
     path.write_text("# pattern-table v1\n")
     with pytest.raises(ValueError, match="no patterns"):
+        read_pattern_table(str(path))
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("LQ:2,PB:1,RB:1\t-5\t1.000000000\n", "3: negative usage -5 for LQ:2,PB:1,RB:1"),
+    # a mapping would keep only the second usage
+    ("LQ:2,PB:1,RB:1\t4\t1.000000000\nPB:1,RB:1,LQ:2\t2\t2.000000000\n",
+     "4: repeated pattern PB:1,RB:1,LQ:2"),
+], ids=["negative-usage", "repeated-pattern"])
+def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
+    path = tmp_path / "table.tsv"
+    path.write_text("# pattern-table v1\n# total_singleton_count\t18\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{reason}")):
         read_pattern_table(str(path))
 
 

@@ -413,6 +413,12 @@ def test_read_transactions_rejects_garbage(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(IngestError, match="bad transaction header"):
         read_transactions(str(path))
+    # discretize only writes categories 1..4; anything else would be mined as an item
+    for row, bad in [("9,1,1", "PB:9"), ("1,0,5", "LQ:0,RB:5")]:
+        path.write_text(f"timestamp,PB,LQ,RB\n2016-08-22T00:00,1,1,1\n2016-08-22T01:00,{row}\n")
+        reason = f"{path}:3: category outside 1..4 ({bad})"
+        with pytest.raises(IngestError, match=re.escape(reason)):
+            read_transactions(str(path))
 
 
 @pytest.mark.parametrize("stamp, reason", [
