@@ -9,11 +9,12 @@ hour-of-day histogram built over the extracted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 from typing import Sequence
 
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import HOUR_FORMAT, Transaction, parse_hour_row
+from .ingest import Item, Transaction, hour_text, parse_categories, parse_hour
 from .mining import exact_ceil, format_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -102,7 +103,7 @@ def report(
 def _entry_line(entry: ScoredTransaction) -> str:
     categories = ",".join(f"{attr}:{cat}" for attr, cat in entry.transaction.items)
     return (
-        f"{entry.rank}\t{entry.transaction.timestamp.strftime(HOUR_FORMAT)}\t"
+        f"{entry.rank}\t{hour_text(entry.transaction.timestamp)}\t"
         f"{categories}\t{entry.score:.9f}\t{entry.cover}"
     )
 
@@ -116,38 +117,59 @@ def write_scores(
     scored: Sequence[ScoredTransaction],
     attributes: Sequence[str],
 ) -> None:
+    # The text around the rank is formatted once per (items, score, cover);
+    # copysign keeps apart 0.0 and -0.0, which are equal but format apart.
+    around: dict[tuple, tuple[str, str]] = {}
+    lines = []
+    for entry in scored:
+        txn, score = entry.transaction, entry.score
+        key = (txn.items, score, copysign(1.0, score), entry.cover)
+        parts = around.get(key)
+        if parts is None:
+            cats = dict(txn.items)
+            categories = "".join(f"\t{cats[attr]}" for attr in attributes)
+            parts = around[key] = (f"{categories}\t{score:.9f}\t", f"\t{entry.cover}\n")
+        lines.append(f"{hour_text(txn.timestamp)}{parts[0]}{entry.rank}{parts[1]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
-        for entry in scored:
-            cats = dict(entry.transaction.items)
-            fields = [entry.transaction.timestamp.strftime(HOUR_FORMAT)]
-            fields.extend(str(cats[attr]) for attr in attributes)
-            fields.append(f"{entry.score:.9f}")
-            fields.append(str(entry.rank))
-            fields.append(entry.cover)
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines(lines)
 
 
 def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
-    """Reload a scored file; returns (scored transactions, attribute names)."""
+    """Reload a scored file; returns (scored transactions, attribute names).
+
+    Every row is checked, and no two rows may hold one hour. Rows with equal
+    categories, score and cover share one parse, items tuple and cover string."""
     scored = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) < 4 or header[0] != "timestamp":
             raise ValueError(f"{path}: bad scores header")
         attributes = header[1:-3]
+        rows: dict[tuple[str, str], tuple[tuple[Item, ...], float, str]] = {}
+        seen = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
-            if len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                scored.append(ScoredTransaction(
-                    transaction=parse_hour_row(fields, attributes), cover=fields[-1],
-                    score=float(fields[-3]), rank=int(fields[-2]),
-                ))
+                if line.count("\t") != len(header) - 1:
+                    raise ValueError(f"expected {len(header)} fields")
+                text, _, rest = line.partition("\t")
+                stamp = parse_hour(text)
+                if stamp in seen:
+                    raise ValueError(f"repeated hour {hour_text(stamp)}")
+                constant, rank, cover = rest.rsplit("\t", 2)  # constant: categories, score
+                row = rows.get((constant, cover))
+                if row is None:
+                    *categories, score = constant.split("\t")
+                    items = parse_categories(categories, attributes)
+                    row = rows[constant, cover] = (items, float(score), cover)
+                rank = int(rank)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
+            seen.add(stamp)
+            items, score, cover = row
+            txn = Transaction(timestamp=stamp, items=items)
+            scored.append(ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank))
     return scored, attributes

@@ -128,7 +128,7 @@ def run_pipeline(config: RunConfig) -> int:
     print(f"initial_length_bits: {result.initial_length:.9f}")
     print(f"final_length_bits: {result.final_length:.9f}")
     print(f"compression_ratio: {result.compression_ratio:.9f}")
-    stamp = top.transaction.timestamp.strftime(ingest.HOUR_FORMAT)
+    stamp = ingest.hour_text(top.transaction.timestamp)
     print(f"top_anomaly: {stamp} score_bits={top.score:.9f}")
     return 0
 

@@ -321,8 +321,8 @@ def read_pattern_table(path: str) -> PatternTable:
                     if fields[0] == "total_singleton_count":
                         total_singleton_count = int(fields[1])
                     elif fields[0] == "item_count":
-                        attr, _, cat = fields[1].rpartition(":")
-                        singleton_counts[(attr, int(cat))] = int(fields[2])
+                        (item,) = parse_items(fields[1])  # one item, or ValueError
+                        singleton_counts[item] = int(fields[2])
                     continue
                 items_text, usage_text, _bits = line.split("\t")
                 pattern, usage = parse_items(items_text), int(usage_text)

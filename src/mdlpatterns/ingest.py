@@ -40,10 +40,6 @@ COLUMNS = ("timestamp", "site", "direction", "vehicle_class", "wait_minutes")
 DIRECTIONS = ("ToUS", "ToCanada")
 VEHICLE_CLASSES = ("Car", "Truck")
 
-# How every artifact writes an hour.
-HOUR_FORMAT = "%Y-%m-%dT%H:%M"
-
-
 class IngestError(RuntimeError):
     """Fatal ingestion problem: unreadable input, bad schema, bad configuration."""
 
@@ -292,6 +288,31 @@ def build_transactions(
 # One row per hour: ISO-8601 hour, then one category index per attribute,
 # comma-separated. Header names the attributes.
 
+def hour_text(stamp: datetime) -> str:
+    """How every artifact writes an hour: ``2016-08-22T10:00``, the year in four digits."""
+    return stamp.isoformat(timespec="minutes")
+
+
+def parse_hour(text: str) -> datetime:
+    """The stamp that starts an artifact row. Raises ValueError on a bad stamp,
+    or on a UTC offset or seconds, which hour_text would not write back."""
+    stamp = datetime.fromisoformat(text)
+    if stamp.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset ({text!r})")
+    if stamp.second or stamp.microsecond:
+        raise ValueError(f"timestamp has seconds ({text!r})")
+    return stamp
+
+
+def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[Item, ...]:
+    """A category per attribute; raises ValueError on a bad field or one outside 1..4."""
+    categories = [int(text) for text in texts]
+    if not {1, 2, 3, 4}.issuperset(categories):
+        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
+        raise ValueError(f"category outside 1..4 ({bad})")
+    return tuple(zip(attributes, categories))
+
+
 def write_transactions(
     path: str,
     transactions: Sequence[Transaction],
@@ -301,13 +322,14 @@ def write_transactions(
         fh.write("timestamp," + ",".join(attributes) + "\n")
         for txn in transactions:
             cats = dict(txn.items)
-            fields = [txn.timestamp.strftime(HOUR_FORMAT)]
-            fields.extend(str(cats[attr]) for attr in attributes)
-            fh.write(",".join(fields) + "\n")
+            fh.write(hour_text(txn.timestamp) + "".join(f",{cats[a]}" for a in attributes) + "\n")
 
 
 def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
-    """Read a transaction file back; returns (transactions, attribute names)."""
+    """Read a transaction file back; returns (transactions, attribute names).
+
+    Every row is checked, and no two rows may hold one hour. Each distinct
+    category text is parsed once, so its rows share one items tuple."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -317,33 +339,24 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
             raise IngestError(f"{path}: bad transaction header {header!r}")
         attributes = columns[1:]
         transactions = []
+        rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
+        seen: set[datetime] = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise IngestError(f"{path}:{lineno}: expected {len(columns)} fields")
             try:
-                transactions.append(parse_hour_row(parts, attributes))
+                if line.count(",") != len(attributes):
+                    raise ValueError(f"expected {len(columns)} fields")
+                text, _, categories = line.partition(",")
+                stamp = parse_hour(text)
+                if stamp in seen:
+                    raise ValueError(f"repeated hour {hour_text(stamp)}")
+                items = rows.get(categories)
+                if items is None:
+                    items = rows[categories] = parse_categories(categories.split(","), attributes)
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {exc}")
+            seen.add(stamp)
+            transactions.append(Transaction(timestamp=stamp, items=items))
     return transactions, attributes
-
-
-def parse_hour_row(fields: Sequence[str], attributes: Sequence[str]) -> Transaction:
-    """The hour that starts an artifact row: a stamp, then a category per attribute.
-
-    Raises ValueError on a bad field, on a category outside 1..4, or on a
-    UTC offset or seconds, which HOUR_FORMAT would not write back.
-    """
-    stamp = datetime.fromisoformat(fields[0])
-    if stamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
-    if stamp.second or stamp.microsecond:
-        raise ValueError(f"timestamp has seconds ({fields[0]!r})")
-    categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
-    if not {1, 2, 3, 4}.issuperset(categories):
-        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
-        raise ValueError(f"category outside 1..4 ({bad})")
-    return Transaction(timestamp=stamp, items=tuple(zip(attributes, categories)))

@@ -71,13 +71,18 @@ def format_items(items: Iterable[Item]) -> str:
 
 
 def parse_items(text: str) -> frozenset[Item]:
-    items = []
+    """Items of "site:category,...", which an hour can hold: one category in 1..4 per site."""
+    items: dict[str, int] = {}
     for token in text.split(","):
         attr, _, cat = token.rpartition(":")
         if not attr:
             raise ValueError(f"bad item {token!r} (expected site:category)")
-        items.append((attr, int(cat)))
-    return frozenset(items)
+        if attr in items:
+            raise ValueError(f"two categories for site {attr} ({text})")
+        items[attr] = int(cat)
+        if not 1 <= items[attr] <= 4:
+            raise ValueError(f"category outside 1..4 ({token})")
+    return frozenset(items.items())
 
 
 def canonical_key(items: frozenset[Item], weight: int) -> tuple:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Sequence
 
-from .ingest import COLUMNS, DIRECTIONS, HOUR_FORMAT, VEHICLE_CLASSES, canonical
+from .ingest import COLUMNS, DIRECTIONS, VEHICLE_CLASSES, canonical, hour_text
 
 # The sites a regime gives categories for, in order, and those reporting hourly.
 _SITES = ("PB", "LQ", "RB")
@@ -155,7 +155,7 @@ def write_records_csv(path: str, records: Sequence[WaitTimeRecord]) -> None:
         fh.write(",".join(COLUMNS) + "\n")
         for rec in records:
             fh.write(
-                f"{rec.timestamp.strftime(HOUR_FORMAT)},{rec.site},"
+                f"{hour_text(rec.timestamp)},{rec.site},"
                 f"{rec.direction},{rec.vehicle_class},{rec.wait_minutes}\n"
             )
 
@@ -163,7 +163,7 @@ def write_records_csv(path: str, records: Sequence[WaitTimeRecord]) -> None:
 def write_manifest(path: str, injected_hours: Sequence[datetime]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for hour in injected_hours:
-            fh.write(hour.strftime(HOUR_FORMAT) + "\n")
+            fh.write(hour_text(hour) + "\n")
 
 
 def read_manifest(path: str) -> list[datetime]:

@@ -18,6 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from hypothesis import strategies as st
 
 from mdlpatterns import SupportThreshold
+from mdlpatterns.anomaly import ScoredTransaction
 from mdlpatterns.codec import (
     Cover,
     PatternTable,
@@ -255,3 +256,152 @@ def aggregate_hourly_oracle(
         sums[key] = sums.get(key, 0.0) + rec.wait_minutes
         counts[key] = counts.get(key, 0) + 1
     return {key: sums[key] / counts[key] for key in sums}
+
+
+# --- artifact I/O oracles: every row split, parsed and formatted in full ---------
+
+
+def read_transactions_oracle(path: str) -> tuple[list[Transaction], list[str]]:
+    """The per-row transaction reader that read_transactions replaced."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header:
+            raise IngestError(f"{path}: empty transaction file")
+        columns = header.split(",")
+        if columns[0] != "timestamp" or len(columns) < 2:
+            raise IngestError(f"{path}: bad transaction header {header!r}")
+        attributes = columns[1:]
+        transactions = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise IngestError(f"{path}:{lineno}: expected {len(columns)} fields")
+            try:
+                transactions.append(_oracle_hour_row(parts, attributes, transactions))
+            except ValueError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc}")
+    return transactions, attributes
+
+
+def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
+    """The per-row scores reader that read_scores replaced."""
+    scored = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if len(header) < 4 or header[0] != "timestamp":
+            raise ValueError(f"{path}: bad scores header")
+        attributes = header[1:-3]
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                earlier = [entry.transaction for entry in scored]
+                transaction = _oracle_hour_row(fields, attributes, earlier)
+                scored.append(ScoredTransaction(
+                    transaction=transaction, cover=fields[-1],
+                    score=float(fields[-3]), rank=int(fields[-2]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}")
+    return scored, attributes
+
+
+def _oracle_hour_row(
+    fields: Sequence[str], attributes: Sequence[str], earlier: Sequence[Transaction]
+) -> Transaction:
+    """The stamp and categories that start an artifact row; ValueError on a bad
+    one, on an offset or seconds, or on an hour that an earlier row holds."""
+    stamp = datetime.fromisoformat(fields[0])
+    if stamp.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
+    if stamp.second or stamp.microsecond:
+        raise ValueError(f"timestamp has seconds ({fields[0]!r})")
+    if any(txn.timestamp == stamp for txn in earlier):
+        raise ValueError(f"repeated hour {stamp.isoformat(timespec='minutes')}")
+    categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
+    if not {1, 2, 3, 4}.issuperset(categories):
+        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
+        raise ValueError(f"category outside 1..4 ({bad})")
+    return Transaction(timestamp=stamp, items=tuple(zip(attributes, categories)))
+
+
+def write_scores_oracle(
+    path: str, scored: Sequence[ScoredTransaction], attributes: Sequence[str]
+) -> None:
+    """The per-row scores writer that write_scores replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
+        for entry in scored:
+            cats = dict(entry.transaction.items)
+            fields = [entry.transaction.timestamp.isoformat(timespec="minutes")]
+            fields.extend(str(cats[attr]) for attr in attributes)
+            fields.append(f"{entry.score:.9f}")
+            fields.append(str(entry.rank))
+            fields.append(entry.cover)
+            fh.write("\t".join(fields) + "\n")
+
+
+# Stamps that no staged reader accepts: unparseable, with a UTC offset, with seconds.
+BAD_STAMPS = [
+    "notadate", "", "2016-08-22T11:00+02:00", "2016-08-22T12:30:45", "2016-08-22T12:00:00.5",
+]
+
+
+@st.composite
+def artifact_rows(draw, constants, ranked: bool = False):
+    """Rows of a staged artifact file as field lists ([] is a blank line).
+
+    Each row is a stamp, then one of up to four field lists drawn once from
+    ``constants``, so equal texts repeat and one that is bad may first appear
+    anywhere. With ``ranked``, a rank goes before the last field. A row may
+    instead carry a bad stamp, an earlier row's hour (as written or with a
+    space for the T), one field too few or too many, or its stamp alone.
+    """
+    pool = draw(st.lists(constants, min_size=1, max_size=4))
+    start = draw(st.sampled_from([datetime(2016, 8, 22), datetime(999, 12, 31, 21)]))
+    kinds = ["good"] * 20 + ["bad stamp", "repeat", "short", "long", "stamp alone", "blank"]
+    rows, stamps = [], []
+    for i in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            rows.append([])
+            continue
+        stamp = (start + timedelta(hours=i)).isoformat(timespec="minutes")
+        if kind == "bad stamp":
+            stamp = draw(st.sampled_from(BAD_STAMPS))
+        elif kind == "repeat" and stamps:
+            stamp = draw(st.sampled_from(stamps)).replace("T", draw(st.sampled_from("T ")))
+        stamps.append(stamp)
+        fields = list(draw(st.sampled_from(pool)))
+        if ranked:
+            rank = draw(st.sampled_from([str(i + 1)] * 20 + [" 7", "x", "1.5", ""]))
+            fields.insert(len(fields) - 1, rank)
+        if kind == "short":
+            fields.pop(draw(st.integers(0, len(fields) - 1)))
+        elif kind == "long":
+            fields.append("1")
+        elif kind == "stamp alone":
+            fields = []
+        rows.append([stamp, *fields])
+    return rows
+
+
+def category_fields(width: int):
+    """``width`` category fields, mostly valid; 0, 9, x or an empty field are not."""
+    field = st.sampled_from(["1", "2", "3", "4"] * 6 + [" 2", "0", "9", "x", ""])
+    return st.lists(field, min_size=width, max_size=width)
+
+
+def outcome(read, path: str):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except (IngestError, ValueError) as exc:
+        return type(exc), str(exc)

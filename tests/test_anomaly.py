@@ -1,21 +1,33 @@
 """Scoring, ranking, top-fraction extraction, histogram, and the report."""
 
 import re
+from datetime import datetime, timedelta
 from math import fsum
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import db_strategy, make_db
+from helpers import (
+    artifact_rows,
+    category_fields,
+    db_strategy,
+    make_db,
+    outcome,
+    read_scores_oracle,
+    write_scores_oracle,
+)
 from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
 from mdlpatterns.anomaly import (
     REPORT_VERSION,
+    ScoredTransaction,
     hour_frequency,
     read_scores,
     report,
     write_scores,
 )
 from mdlpatterns.codec import database_length, init_pattern_table
+from mdlpatterns.ingest import Transaction
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -187,3 +199,113 @@ def test_read_scores_rejects_a_category_outside_1_to_4(tmp_path, category):
     reason = f"{path}:3: category outside 1..4 (PB:{category})"
     with pytest.raises(ValueError, match=re.escape(reason)):
         read_scores(str(path))
+
+
+def test_read_scores_rejects_a_repeated_hour(tmp_path):
+    # the report's hour-of-day histogram would count the hour twice
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1\n"
+        "2016-08-22T11:00\t1\t1.000000000\t2\tPB:1\n"
+        "2016-08-22T10:00\t2\t3.000000000\t3\tPB:2\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated hour 2016-08-22T10:00")):
+        read_scores(str(path))
+
+
+def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows, worked_table):
+    path = tmp_path / "scores.tsv"
+    write_scores(str(path), score_all(six_rows, worked_table), ["PB", "LQ", "RB"])
+    loaded, _ = read_scores(str(path))
+    first, last = loaded[2], loaded[-1]  # two hours of the dominant row
+    assert first.transaction.items is last.transaction.items
+    assert first.cover is last.cover
+
+
+def test_scores_file_round_trips_a_year_before_1000(tmp_path):
+    entry = ScoredTransaction(
+        transaction=Transaction(timestamp=datetime(999, 1, 1), items=(("PB", 1),)),
+        cover="PB:1", score=1.0, rank=1,
+    )
+    path = tmp_path / "scores.tsv"
+    write_scores(str(path), [entry], ["PB"])
+    assert path.read_text().splitlines()[1] == "0999-01-01T00:00\t1\t1.000000000\t1\tPB:1"
+    assert read_scores(str(path)) == ([entry], ["PB"])
+
+
+SCORE_TEXTS = ["1.000000000", "25.668123457", "7", "inf", "nan", "-0.000000000", "x", ""]
+COVER_TEXTS = ["PB:1", "LQ:2,PB:1|RB:2", "", "not a cover"]
+
+
+@st.composite
+def score_files(draw):
+    attributes = draw(st.sampled_from([["PB"], ["PB", "LQ", "RB"]]))
+    constants = st.tuples(
+        category_fields(len(attributes)),
+        st.sampled_from(SCORE_TEXTS),
+        st.sampled_from(COVER_TEXTS),
+    ).map(lambda fields: [*fields[0], *fields[1:]])
+    rows = draw(artifact_rows(constants, ranked=True))
+    lines = [["timestamp", *attributes, "score_bits", "rank", "cover"], *rows]
+    return "".join("\t".join(line) + "\n" for line in lines)
+
+
+def comparable(result):
+    """A reader's outcome with scores as repr, so that nan compares equal."""
+    if not isinstance(result[0], list):
+        return result
+    scored, attributes = result
+    return [(s.transaction, s.cover, repr(s.score), s.rank) for s in scored], attributes
+
+
+@given(text=score_files())
+@settings(max_examples=300, deadline=None)
+def test_read_scores_matches_the_per_row_oracle(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("scores") / "scores.tsv"
+    path.write_text(text)
+    expected = comparable(outcome(read_scores_oracle, str(path)))
+    assert comparable(outcome(read_scores, str(path))) == expected
+
+
+ITEMS = [(("PB", 1), ("LQ", 2)), (("PB", 3), ("LQ", 2)), (("LQ", 2), ("PB", 1))]
+
+
+@st.composite
+def scored_lists(draw):
+    """Scored hours in any order, drawn from a few items, scores and covers, so
+    that some hours share all three and some share only part."""
+    start = draw(st.sampled_from([datetime(2016, 8, 22), datetime(999, 12, 31, 21)]))
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(ITEMS),
+        st.sampled_from([1.0, 25.668123456789, 0.0, -0.0, float("inf"), float("nan"), 1e-12]),
+        st.sampled_from(COVER_TEXTS),
+        st.integers(-3, 10**6),
+    ), max_size=12))
+    return [
+        ScoredTransaction(
+            transaction=Transaction(timestamp=start + timedelta(hours=i), items=items),
+            cover=cover, score=score, rank=rank,
+        )
+        for i, (items, score, cover, rank) in enumerate(entries)
+    ]
+
+
+@given(scored=scored_lists())
+@settings(max_examples=200, deadline=None)
+def test_write_scores_writes_the_per_row_oracles_bytes(scored, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("written")
+    write_scores(str(folder / "scores.tsv"), scored, ["LQ", "PB"])
+    write_scores_oracle(str(folder / "oracle.tsv"), scored, ["LQ", "PB"])
+    assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()
+
+
+@given(db=db_strategy(max_rows=10, max_cat=3))
+@settings(max_examples=50, deadline=None)
+def test_write_scores_of_scored_hours_writes_the_per_row_oracles_bytes(db, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("written")
+    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
+    scored = score_all(db, result.table)
+    write_scores(str(folder / "scores.tsv"), scored, ["C", "A", "B"])
+    write_scores_oracle(str(folder / "oracle.tsv"), scored, ["C", "A", "B"])
+    assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()

@@ -417,6 +417,31 @@ def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
     assert f"compress stage failed: {txns}:4: timestamp carries a UTC offset" in err
 
 
+def test_staged_subcommands_read_what_run_writes_for_a_year_before_1000(tmp_path):
+    # strftime("%Y") wrote the year as 999, and fromisoformat rejected it
+    waits = {"PB": [0, 0, 20, 0, 0, 45], "LQ": [10, 10, 20, 10, 10, 45], "RB": [0] * 6}
+    rows = [
+        f"0999-01-01T{hour:02d}:10,{site},ToCanada,Car,{minutes[hour]}\n"
+        for hour in range(6) for site, minutes in waits.items()
+    ]
+    raw = tmp_path / "raw.csv"
+    raw.write_text("timestamp,site,direction,vehicle_class,wait_minutes\n" + "".join(rows))
+    out, staged = tmp_path / "out", tmp_path / "staged"
+    run = ["run", "--input", str(raw), "--output-dir", str(out)]
+    assert cli.main(run + ["--threshold", "2"]) == 0
+    txns, table = str(out / "transactions.csv"), str(out / "pattern_table.tsv")
+    assert (out / "transactions.csv").read_text().splitlines()[1] == "0999-01-01T00:00,1,2,1"
+    staged.mkdir()
+    mine = ["mine", "--transactions", txns, "--output", str(staged / "itemsets.tsv")]
+    assert cli.main(mine + ["--threshold", "2"]) == 0
+    score = ["score", "--transactions", txns, "--table", table]
+    assert cli.main(score + ["--output", str(staged / "scores.tsv")]) == 0
+    report = ["report", "--scores", str(staged / "scores.tsv")]
+    assert cli.main(report + ["--output", str(staged / "report.txt")]) == 0
+    for name in ("itemsets.tsv", "scores.tsv", "report.txt"):
+        assert (staged / name).read_bytes() == (out / name).read_bytes()
+
+
 # --- logging ---------------------------------------------------------------------------
 
 

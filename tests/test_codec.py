@@ -337,6 +337,20 @@ def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
         read_pattern_table(str(path))
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("PB:1,PB:2\t5000\t1.000000000", "two categories for site PB (PB:1,PB:2)"),
+    ("LQ:2,PB:9\t4\t1.000000000", "category outside 1..4 (PB:9)"),
+    ("# item_count\tPB:0\t3", "category outside 1..4 (PB:0)"),
+    ("# item_count\tLQ:2,PB:1\t3", "too many values to unpack"),
+], ids=["two-categories", "pattern-category", "item-count-category", "item-count-pair"])
+def test_read_pattern_table_rejects_what_no_hour_can_hold(tmp_path, line, reason):
+    # its usage or count would enter the totals and shift every code length
+    path = tmp_path / "table.tsv"
+    path.write_text(f"# pattern-table v1\n# item_count\tPB:1\t4\nPB:1\t4\t0.000000000\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {reason}")):
+        read_pattern_table(str(path))
+
+
 def test_acceptance_log_format(tmp_path, six_rows):
     result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
     path = tmp_path / "log.tsv"

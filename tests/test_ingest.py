@@ -9,13 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import aggregate_hourly_oracle, parse_records_oracle
+from helpers import (
+    aggregate_hourly_oracle,
+    artifact_rows,
+    category_fields,
+    outcome,
+    parse_records_oracle,
+    read_transactions_oracle,
+)
 from mdlpatterns import read_transactions
 from mdlpatterns.ingest import (
     COLUMNS,
     DIRECTIONS,
     VEHICLE_CLASSES,
     IngestError,
+    Transaction,
     aggregate_hourly,
     build_transactions,
     canonical,
@@ -431,3 +439,48 @@ def test_read_transactions_rejects_stamps_it_cannot_write_back(tmp_path, stamp, 
     path.write_text(f"timestamp,PB\n2016-08-22T10:00,1\n{stamp},2\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
         read_transactions(str(path))
+
+
+def test_read_transactions_rejects_a_repeated_hour(tmp_path):
+    # both rows would be mined and scored, and the hour counted twice in the report
+    path = tmp_path / "transactions.csv"
+    path.write_text(
+        "timestamp,PB,LQ,RB\n2016-08-22T00:00,1,1,1\n2016-08-22T01:00,1,1,1\n"
+        "2016-08-22 00:00,4,4,4\n"
+    )
+    with pytest.raises(IngestError, match=re.escape(f"{path}:4: repeated hour 2016-08-22T00:00")):
+        read_transactions(str(path))
+
+
+def test_read_transactions_shares_one_items_tuple_per_category_text(tmp_path):
+    path = tmp_path / "transactions.csv"
+    path.write_text("timestamp,PB,LQ\n2016-08-22T00:00,1,2\n2016-08-22T01:00,3,1\n"
+                    "2016-08-22T02:00,1,2\n")
+    loaded, _ = read_transactions(str(path))
+    assert loaded[0].items == (("PB", 1), ("LQ", 2))
+    assert loaded[2].items is loaded[0].items
+
+
+def test_transactions_round_trip_a_year_before_1000(tmp_path):
+    # strftime("%Y") writes 999, which fromisoformat cannot read back
+    txn = Transaction(timestamp=datetime(999, 12, 31, 23), items=(("PB", 2),))
+    path = tmp_path / "transactions.csv"
+    write_transactions(str(path), [txn], ["PB"])
+    assert path.read_text() == "timestamp,PB\n0999-12-31T23:00,2\n"
+    assert read_transactions(str(path)) == ([txn], ["PB"])
+
+
+@st.composite
+def transaction_files(draw):
+    attributes = draw(st.sampled_from([["PB"], ["PB", "LQ", "RB"]]))
+    rows = draw(artifact_rows(category_fields(len(attributes))))
+    lines = [["timestamp", *attributes], *rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@given(text=transaction_files())
+@settings(max_examples=300, deadline=None)
+def test_read_transactions_matches_the_per_row_oracle(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("transactions") / "transactions.csv"
+    path.write_text(text)
+    assert outcome(read_transactions, str(path)) == outcome(read_transactions_oracle, str(path))

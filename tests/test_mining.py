@@ -188,6 +188,18 @@ def test_parse_items_rejects_bad_tokens():
         parse_items("PB:notanumber")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("PB:1,PB:2", "two categories for site PB (PB:1,PB:2)"),
+    ("LQ:2,PB:1,PB:1", "two categories for site PB (LQ:2,PB:1,PB:1)"),
+    ("LQ:2,PB:9", "category outside 1..4 (PB:9)"),
+    ("PB:0", "category outside 1..4 (PB:0)"),
+])
+def test_parse_items_rejects_items_no_hour_can_hold(text, reason):
+    # an hour holds one category in 1..4 per site
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        parse_items(text)
+
+
 def test_itemsets_file_round_trip(tmp_path, six_rows):
     found = frequent_itemsets(six_rows, SupportThreshold(count=2))
     path = tmp_path / "itemsets.tsv"
