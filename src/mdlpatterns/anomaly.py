@@ -138,14 +138,19 @@ def write_scores(
 def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
     """Reload a scored file; returns (scored transactions, attribute names).
 
-    Every row is checked, and no two rows may hold one hour. Rows with equal
-    categories, score and cover share one parse, items tuple and cover string."""
+    Every row is checked: no two rows may hold one hour, and each row's rank
+    is its place among the data rows, as write_scores writes them, so the
+    report's top rows are the highest ranked. The header may not name a site
+    twice. Rows with equal categories, score and cover share one parse, items
+    tuple and cover string."""
     scored = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) < 4 or header[0] != "timestamp":
             raise ValueError(f"{path}: bad scores header")
         attributes = header[1:-3]
+        if len(set(attributes)) != len(attributes):
+            raise ValueError(f"{path}: scores header names a site twice")
         rows: dict[tuple[str, str], tuple[tuple[Item, ...], float, str]] = {}
         seen = set()
         for lineno, line in enumerate(fh, start=2):
@@ -166,6 +171,8 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
                     items = parse_categories(categories, attributes)
                     row = rows[constant, cover] = (items, float(score), cover)
                 rank = int(rank)
+                if rank != len(scored) + 1:
+                    raise ValueError(f"rank {rank} out of place (expected {len(scored) + 1})")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
             seen.add(stamp)

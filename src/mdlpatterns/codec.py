@@ -17,13 +17,15 @@ usage, as Krimp's code table holds itemsets with usages. Covers, usages and
 code lengths depend only on which distinct row a transaction is, so the
 database is collapsed once into distinct rows with multiplicities (usage
 over a multiset, as in Krimp). Cover passes repeat until the cover order is
-stable, and the last pass's covers give the length.
+stable, and the last pass's covers give the length: one correctly rounded
+sum of each distinct row's bits times its multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, log2
+from math import fsum, inf, log2
+from operator import mul
 from typing import Mapping, Sequence
 
 from .ingest import Item, Transaction
@@ -182,24 +184,14 @@ def row_lengths(covers: Sequence[tuple[frozenset, ...]], lengths: Mapping) -> li
 
 
 def _database_bits(db: DistinctRows, covers: Sequence, lengths: Mapping) -> float:
-    # Summed hour by hour, in transaction order, exactly as if each hour were
-    # encoded alone; a weighted sum would round differently.
-    bits = row_lengths(covers, lengths)
-    total = 0.0
-    for row in db.index:
-        total += bits[row]
-    return total
+    return fsum(map(mul, row_lengths(covers, lengths), db.weights))
 
 
 def _table_bits(table: PatternTable, lengths: Mapping) -> float:
     # Code lengths of all in-use patterns, plus the fixed singleton-item
     # encoding: the sum of -r_i * log2(r_i / c) over raw item counts.
     c = table.total_singleton_count
-    second = 0.0
-    for item in sorted(table.singleton_counts):
-        r = table.singleton_counts[item]
-        second += -r * log2(r / c)
-    return sum(lengths.values()) + second
+    return fsum([*lengths.values(), *(-r * log2(r / c) for r in table.singleton_counts.values())])
 
 
 def compress(

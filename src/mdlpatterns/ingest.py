@@ -294,13 +294,16 @@ def hour_text(stamp: datetime) -> str:
 
 
 def parse_hour(text: str) -> datetime:
-    """The stamp that starts an artifact row. Raises ValueError on a bad stamp,
-    or on a UTC offset or seconds, which hour_text would not write back."""
+    """The hour that starts an artifact row. Raises ValueError on a bad stamp,
+    on a UTC offset or seconds, which hour_text would not write back, or on
+    a stamp off the hour, which would give its hour a second row."""
     stamp = datetime.fromisoformat(text)
     if stamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({text!r})")
     if stamp.second or stamp.microsecond:
         raise ValueError(f"timestamp has seconds ({text!r})")
+    if stamp.minute:
+        raise ValueError(f"timestamp is not on the hour ({text!r})")
     return stamp
 
 
@@ -328,8 +331,9 @@ def write_transactions(
 def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
     """Read a transaction file back; returns (transactions, attribute names).
 
-    Every row is checked, and no two rows may hold one hour. Each distinct
-    category text is parsed once, so its rows share one items tuple."""
+    Every row is checked, no two rows may hold one hour, and the header may
+    not name a site twice. Each distinct category text is parsed once, so its
+    rows share one items tuple."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -338,6 +342,8 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
         if columns[0] != "timestamp" or len(columns) < 2:
             raise IngestError(f"{path}: bad transaction header {header!r}")
         attributes = columns[1:]
+        if len(set(attributes)) != len(attributes):
+            raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
         transactions = []
         rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
         seen: set[datetime] = set()

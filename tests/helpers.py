@@ -271,6 +271,8 @@ def read_transactions_oracle(path: str) -> tuple[list[Transaction], list[str]]:
         if columns[0] != "timestamp" or len(columns) < 2:
             raise IngestError(f"{path}: bad transaction header {header!r}")
         attributes = columns[1:]
+        if len(set(attributes)) != len(attributes):
+            raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
         transactions = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -294,6 +296,8 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
         if len(header) < 4 or header[0] != "timestamp":
             raise ValueError(f"{path}: bad scores header")
         attributes = header[1:-3]
+        if len(set(attributes)) != len(attributes):
+            raise ValueError(f"{path}: scores header names a site twice")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -304,10 +308,13 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             try:
                 earlier = [entry.transaction for entry in scored]
                 transaction = _oracle_hour_row(fields, attributes, earlier)
-                scored.append(ScoredTransaction(
+                entry = ScoredTransaction(
                     transaction=transaction, cover=fields[-1],
                     score=float(fields[-3]), rank=int(fields[-2]),
-                ))
+                )
+                if entry.rank != len(scored) + 1:
+                    raise ValueError(f"rank {entry.rank} out of place (expected {len(scored) + 1})")
+                scored.append(entry)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     return scored, attributes
@@ -317,12 +324,14 @@ def _oracle_hour_row(
     fields: Sequence[str], attributes: Sequence[str], earlier: Sequence[Transaction]
 ) -> Transaction:
     """The stamp and categories that start an artifact row; ValueError on a bad
-    one, on an offset or seconds, or on an hour that an earlier row holds."""
+    one, on an offset, seconds or minutes, or on an hour that an earlier row holds."""
     stamp = datetime.fromisoformat(fields[0])
     if stamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
     if stamp.second or stamp.microsecond:
         raise ValueError(f"timestamp has seconds ({fields[0]!r})")
+    if stamp.minute:
+        raise ValueError(f"timestamp is not on the hour ({fields[0]!r})")
     if any(txn.timestamp == stamp for txn in earlier):
         raise ValueError(f"repeated hour {stamp.isoformat(timespec='minutes')}")
     categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
@@ -348,9 +357,11 @@ def write_scores_oracle(
             fh.write("\t".join(fields) + "\n")
 
 
-# Stamps that no staged reader accepts: unparseable, with a UTC offset, with seconds.
+# Stamps that no staged reader accepts: unparseable, with a UTC offset, with
+# seconds, off the hour.
 BAD_STAMPS = [
     "notadate", "", "2016-08-22T11:00+02:00", "2016-08-22T12:30:45", "2016-08-22T12:00:00.5",
+    "2016-08-22T12:30",
 ]
 
 
@@ -360,7 +371,8 @@ def artifact_rows(draw, constants, ranked: bool = False):
 
     Each row is a stamp, then one of up to four field lists drawn once from
     ``constants``, so equal texts repeat and one that is bad may first appear
-    anywhere. With ``ranked``, a rank goes before the last field. A row may
+    anywhere. With ``ranked``, a rank goes before the last field, mostly the
+    row's place among the data rows, as write_scores writes it. A row may
     instead carry a bad stamp, an earlier row's hour (as written or with a
     space for the T), one field too few or too many, or its stamp alone.
     """
@@ -381,7 +393,7 @@ def artifact_rows(draw, constants, ranked: bool = False):
         stamps.append(stamp)
         fields = list(draw(st.sampled_from(pool)))
         if ranked:
-            rank = draw(st.sampled_from([str(i + 1)] * 20 + [" 7", "x", "1.5", ""]))
+            rank = draw(st.sampled_from([str(len(stamps))] * 20 + [" 7", "x", "1.5", ""]))
             fields.insert(len(fields) - 1, rank)
         if kind == "short":
             fields.pop(draw(st.integers(0, len(fields) - 1)))

@@ -175,9 +175,12 @@ def test_read_scores_rejects_bad_header(tmp_path):
 @pytest.mark.parametrize("stamp, reason", [
     ("2016-08-22T11:00+02:00", "timestamp carries a UTC offset"),
     ("2016-08-22T12:30:45", "timestamp has seconds"),
+    ("2016-08-22T10:30", "timestamp is not on the hour"),
 ])
 def test_read_scores_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason):
-    # an offset could not be compared with the naive hours; seconds would be dropped
+    # an offset could not be compared with the naive hours; seconds would be
+    # dropped; a minute would give the 10:00 row's hour a second row, which
+    # the report's hour-of-day histogram would count twice
     path = tmp_path / "scores.tsv"
     path.write_text(
         "timestamp\tPB\tscore_bits\trank\tcover\n"
@@ -212,6 +215,31 @@ def test_read_scores_rejects_a_repeated_hour(tmp_path):
     )
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated hour 2016-08-22T10:00")):
         read_scores(str(path))
+
+
+def test_read_scores_rejects_a_header_naming_a_site_twice(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t2\t1.000000000\t1\tPB:1|PB:2\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: scores header names a site twice")):
+        read_scores(str(path))
+
+
+def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
+    # top_fraction and the top-k take the first rows, so they must be the top ranks
+    path = tmp_path / "scores.tsv"
+    header = "timestamp\tPB\tscore_bits\trank\tcover\n"
+    first = "2016-08-22T10:00\t1\t1.000000000\t2\tPB:1\n"
+    second = "2016-08-22T11:00\t2\t4.000000000\t1\tPB:2\n"
+    path.write_text(header + first + second)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: rank 2 out of place (expected 1)")):
+        read_scores(str(path))
+    # blank lines hold no place
+    path.write_text(header + "\n" + second + "\n" + first)
+    loaded, _ = read_scores(str(path))
+    assert [(s.rank, s.score) for s in loaded] == [(1, 4.0), (2, 1.0)]
 
 
 def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows, worked_table):

@@ -400,6 +400,20 @@ def test_report_names_the_bad_scores_line(tmp_path, capsys):
     assert f"report stage failed: {scores}:3: Invalid isoformat string: 'notadate'" in err
 
 
+def test_report_rejects_scores_sorted_by_time(tmp_path, capsys):
+    # the report would list the first rows as its top-k, whatever their rank
+    raw = make_raw(tmp_path, days=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    scores = out / "scores.tsv"
+    header, *rows = scores.read_text().splitlines(keepends=True)
+    assert sorted(rows) != rows
+    scores.write_text(header + "".join(sorted(rows)))
+    capsys.readouterr()
+    assert cli.main(["report", "--scores", str(scores), "--output", str(tmp_path / "r")]) == 50
+    assert f"report stage failed: {scores}:2: rank " in capsys.readouterr().err
+
+
 def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
     # such a row used to pass compress, then fail score with a TypeError naming no line
     raw = make_raw(tmp_path, days=1)

@@ -432,9 +432,12 @@ def test_read_transactions_rejects_garbage(tmp_path):
 @pytest.mark.parametrize("stamp, reason", [
     ("2016-08-22T11:00+02:00", "timestamp carries a UTC offset"),
     ("2016-08-22T12:30:45", "timestamp has seconds"),
+    ("2016-08-22T10:30", "timestamp is not on the hour"),
 ])
 def test_read_transactions_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason):
-    # an offset could not be compared with the naive hours; seconds would be dropped
+    # an offset could not be compared with the naive hours; seconds would be
+    # dropped; a minute would give the 10:00 row's hour a second row, which
+    # the report's hour-of-day histogram would count twice
     path = tmp_path / "transactions.csv"
     path.write_text(f"timestamp,PB\n2016-08-22T10:00,1\n{stamp},2\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
@@ -449,6 +452,16 @@ def test_read_transactions_rejects_a_repeated_hour(tmp_path):
         "2016-08-22 00:00,4,4,4\n"
     )
     with pytest.raises(IngestError, match=re.escape(f"{path}:4: repeated hour 2016-08-22T00:00")):
+        read_transactions(str(path))
+
+
+def test_read_transactions_rejects_a_header_naming_a_site_twice(tmp_path):
+    # every row would hold two categories for PB, which no hour can hold; run
+    # refuses such an attribute list
+    path = tmp_path / "transactions.csv"
+    path.write_text("timestamp,PB,PB\n2016-08-22T10:00,1,2\n")
+    reason = f"{path}: transaction header names a site twice ('timestamp,PB,PB')"
+    with pytest.raises(IngestError, match=re.escape(reason)):
         read_transactions(str(path))
 
 
