@@ -9,23 +9,25 @@ hour-of-day histogram built over the extracted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign
+from datetime import datetime
+from math import copysign, inf, isfinite
 from typing import Sequence
 
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .ingest import Item, Transaction, hour_text, parse_categories, parse_hour
-from .mining import exact_ceil, format_items
+from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 
 
 @dataclass(frozen=True)
 class ScoredTransaction:
+    """One scored hour; its rank is its 1-based place in the ranked list."""
+
     transaction: Transaction
     cover: str  # patterns '|'-separated, items ',': "LQ:3,RB:2|PB:1"
     score: float
-    rank: int
 
 
 def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[ScoredTransaction]:
@@ -38,12 +40,11 @@ def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[
     covers = cover_rows(db, cover_order(table.usages))
     bits = row_lengths(covers, code_lengths(table))
     texts = ["|".join(format_items(part) for part in cover) for cover in covers]
-    unranked = [(txn, texts[row], bits[row]) for txn, row in zip(transactions, db.index)]
-    unranked.sort(key=lambda entry: (-entry[2], entry[0].timestamp))
-    return [
-        ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank)
-        for rank, (txn, cover, score) in enumerate(unranked, start=1)
+    scored = [
+        ScoredTransaction(txn, texts[row], bits[row]) for txn, row in zip(transactions, db.index)
     ]
+    scored.sort(key=lambda entry: (-entry.score, entry.transaction.timestamp))
+    return scored
 
 
 def top_fraction(
@@ -66,51 +67,40 @@ def hour_frequency(selected: Sequence[ScoredTransaction]) -> tuple[int, ...]:
     return tuple(bins)
 
 
-def report(
-    scored: Sequence[ScoredTransaction],
-    selected: Sequence[ScoredTransaction],
-    histogram: Sequence[int],
-    k: int,
-) -> str:
+def report(scored: Sequence[ScoredTransaction], fraction: float, k: int) -> str:
     """Structured-text report: top-k table, top-fraction listing, hour histogram.
 
     Machine-readable: versioned header line, then tab-separated sections.
-    Cover column lists patterns separated by '|', items within a pattern by ','.
+    Rows are ranked by their place in ``scored``. Cover column lists patterns
+    separated by '|', items within a pattern by ','.
     """
+    selected = top_fraction(scored, fraction)
     if k < 0:
         raise ValueError(f"k={k} is negative")
     if k > len(scored):
         raise ValueError(f"k={k} exceeds the number of scored transactions ({len(scored)})")
-    lines = [REPORT_VERSION]
-    lines.append(
-        f"[summary]\tn={len(scored)}\tselected={len(selected)}\ttop_k={k}"
-    )
-    lines.append("[top-k]")
-    lines.append("rank\ttimestamp\tcategories\tscore_bits\tcover")
-    for entry in scored[:k]:
-        lines.append(_entry_line(entry))
-    lines.append("[top-fraction]")
-    lines.append("rank\ttimestamp\tcategories\tscore_bits\tcover")
-    for entry in selected:
-        lines.append(_entry_line(entry))
-    lines.append("[hour-histogram]")
-    lines.append("hour\tcount")
-    for hour, count in enumerate(histogram):
-        lines.append(f"{hour}\t{count}")
+    lines = [REPORT_VERSION, f"[summary]\tn={len(scored)}\tselected={len(selected)}\ttop_k={k}"]
+    for section, entries in (("[top-k]", scored[:k]), ("[top-fraction]", selected)):
+        lines += [section, "rank\ttimestamp\tcategories\tscore_bits\tcover"]
+        lines += (_entry_line(rank, entry) for rank, entry in enumerate(entries, start=1))
+    lines += ["[hour-histogram]", "hour\tcount"]
+    lines += (f"{hour}\t{count}" for hour, count in enumerate(hour_frequency(selected)))
     return "\n".join(lines) + "\n"
 
 
-def _entry_line(entry: ScoredTransaction) -> str:
+def _entry_line(rank: int, entry: ScoredTransaction) -> str:
     categories = ",".join(f"{attr}:{cat}" for attr, cat in entry.transaction.items)
     return (
-        f"{entry.rank}\t{hour_text(entry.transaction.timestamp)}\t"
+        f"{rank}\t{hour_text(entry.transaction.timestamp)}\t"
         f"{categories}\t{entry.score:.9f}\t{entry.cover}"
     )
 
 
 # --- scored file format ------------------------------------------------------
 # Ranked order; columns: timestamp, one category per attribute, score bits,
-# rank, cover (patterns '|'-separated).
+# rank (the row's place), cover (patterns '|'-separated).
+SCORES_TAIL = ("score_bits", "rank", "cover")
+
 
 def write_scores(
     path: str,
@@ -121,7 +111,7 @@ def write_scores(
     # copysign keeps apart 0.0 and -0.0, which are equal but format apart.
     around: dict[tuple, tuple[str, str]] = {}
     lines = []
-    for entry in scored:
+    for rank, entry in enumerate(scored, start=1):
         txn, score = entry.transaction, entry.score
         key = (txn.items, score, copysign(1.0, score), entry.cover)
         parts = around.get(key)
@@ -129,30 +119,33 @@ def write_scores(
             cats = dict(txn.items)
             categories = "".join(f"\t{cats[attr]}" for attr in attributes)
             parts = around[key] = (f"{categories}\t{score:.9f}\t", f"\t{entry.cover}\n")
-        lines.append(f"{hour_text(txn.timestamp)}{parts[0]}{entry.rank}{parts[1]}")
+        lines.append(f"{hour_text(txn.timestamp)}{parts[0]}{rank}{parts[1]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
+        fh.write("\t".join(["timestamp", *attributes, *SCORES_TAIL]) + "\n")
         fh.writelines(lines)
 
 
 def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
     """Reload a scored file; returns (scored transactions, attribute names).
 
-    Every row is checked: no two rows may hold one hour, and each row's rank
-    is its place among the data rows, as write_scores writes them, so the
-    report's top rows are the highest ranked. The header may not name a site
-    twice. Rows with equal categories, score and cover share one parse, items
-    tuple and cover string."""
+    The ranking must be as write_scores writes it: each rank is the row's place
+    among the data rows, no score is above the row before it, and the hours of
+    one distinct row (equal categories, score and cover) ascend. No two rows
+    may hold one hour. The header names each site once, then score_bits, rank
+    and cover. A distinct row is parsed and checked once: a finite score, and a
+    cover whose patterns are disjoint and together hold exactly its items."""
     scored = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if len(header) < 4 or header[0] != "timestamp":
-            raise ValueError(f"{path}: bad scores header")
         attributes = header[1:-3]
+        if header[0] != "timestamp" or tuple(header[-3:]) != SCORES_TAIL or not attributes:
+            raise ValueError(f"{path}: bad scores header")
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
         rows: dict[tuple[str, str], tuple[tuple[Item, ...], float, str]] = {}
+        last_hour: dict[tuple[str, str], datetime] = {}  # per distinct row
         seen = set()
+        previous = inf
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -165,18 +158,30 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
                 if stamp in seen:
                     raise ValueError(f"repeated hour {hour_text(stamp)}")
                 constant, rank, cover = rest.rsplit("\t", 2)  # constant: categories, score
-                row = rows.get((constant, cover))
+                key = (constant, cover)
+                row = rows.get(key)
                 if row is None:
-                    *categories, score = constant.split("\t")
-                    items = parse_categories(categories, attributes)
-                    row = rows[constant, cover] = (items, float(score), cover)
+                    *categories, score_text = constant.split("\t")
+                    items, score = parse_categories(categories, attributes), float(score_text)
+                    if not isfinite(score):
+                        raise ValueError(f"non-finite score {score_text}")
+                    parts = [parse_items(part) for part in cover.split("|")]
+                    covered = set().union(*parts)
+                    if sum(map(len, parts)) != len(covered) or covered != set(items):
+                        raise ValueError(f"cover {cover} does not split the row's items")
+                    row = rows[key] = (items, score, cover)
                 rank = int(rank)
                 if rank != len(scored) + 1:
                     raise ValueError(f"rank {rank} out of place (expected {len(scored) + 1})")
+                if row[1] > previous:
+                    raise ValueError(f"score {row[1]!r} above the row before it ({previous!r})")
+                earlier = last_hour.get(key, stamp)
+                if earlier > stamp:
+                    raise ValueError(f"one row's hours out of order ({hour_text(earlier)} first)")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
             seen.add(stamp)
-            items, score, cover = row
-            txn = Transaction(timestamp=stamp, items=items)
-            scored.append(ScoredTransaction(transaction=txn, cover=cover, score=score, rank=rank))
+            last_hour[key] = stamp
+            items, previous, cover = row
+            scored.append(ScoredTransaction(Transaction(stamp, items), cover, previous))
     return scored, attributes

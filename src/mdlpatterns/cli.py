@@ -201,9 +201,7 @@ def _score(
 def _report(
     scored: list[anomaly.ScoredTransaction], fraction: float, top_k: int, output: str
 ) -> None:
-    selected = anomaly.top_fraction(scored, fraction)
-    histogram = anomaly.hour_frequency(selected)
-    document = anomaly.report(scored, selected, histogram, min(top_k, len(scored)))
+    document = anomaly.report(scored, fraction, min(top_k, len(scored)))
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(document)
 

@@ -46,13 +46,12 @@ class PatternTable:
     ``usages`` is in table order (sorted singletons, then accepted candidates
     in acceptance order), the order in which code lengths are summed.
     ``singleton_counts`` holds the raw occurrence count of each item over the
-    whole database; ``total_singleton_count`` is their sum. Both are fixed at
-    initialization and independent of the evolving covers.
+    whole database, fixed at initialization and independent of the evolving
+    covers.
     """
 
     usages: dict[frozenset[Item], int]
     singleton_counts: dict[Item, int]
-    total_singleton_count: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ def init_pattern_table(transactions: Sequence[Transaction]) -> PatternTable:
     return PatternTable(
         usages={frozenset([item]): counts[item] for item in sorted(counts)},
         singleton_counts=dict(sorted(counts.items())),
-        total_singleton_count=sum(counts.values()),
     )
 
 
@@ -190,7 +188,7 @@ def _database_bits(db: DistinctRows, covers: Sequence, lengths: Mapping) -> floa
 def _table_bits(table: PatternTable, lengths: Mapping) -> float:
     # Code lengths of all in-use patterns, plus the fixed singleton-item
     # encoding: the sum of -r_i * log2(r_i / c) over raw item counts.
-    c = table.total_singleton_count
+    c = sum(table.singleton_counts.values())
     return fsum([*lengths.values(), *(-r * log2(r / c) for r in table.singleton_counts.values())])
 
 
@@ -288,7 +286,7 @@ def write_pattern_table(path: str, table: PatternTable) -> None:
     lengths = code_lengths(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# pattern-table v1\n")
-        fh.write(f"# total_singleton_count\t{table.total_singleton_count}\n")
+        fh.write(f"# total_singleton_count\t{sum(table.singleton_counts.values())}\n")
         for item in sorted(table.singleton_counts):
             fh.write(f"# item_count\t{format_items([item])}\t{table.singleton_counts[item]}\n")
         for pattern in cover_order(table.usages):
@@ -298,10 +296,11 @@ def write_pattern_table(path: str, table: PatternTable) -> None:
 
 def read_pattern_table(path: str) -> PatternTable:
     """Reload a written table. Code lengths are derived from usages, so the
-    stored bits column is informational only."""
+    stored bits column is informational only; a stated total singleton count
+    must be the sum of the item counts."""
     usages: dict[frozenset[Item], int] = {}
     singleton_counts: dict[Item, int] = {}
-    total_singleton_count = 0
+    totals: list[tuple[int, int]] = []  # (line number, stated total)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -311,7 +310,7 @@ def read_pattern_table(path: str) -> PatternTable:
                 if line.startswith("#"):
                     fields = line[1:].strip().split("\t")
                     if fields[0] == "total_singleton_count":
-                        total_singleton_count = int(fields[1])
+                        totals.append((lineno, int(fields[1])))
                     elif fields[0] == "item_count":
                         (item,) = parse_items(fields[1])  # one item, or ValueError
                         singleton_counts[item] = int(fields[2])
@@ -327,11 +326,13 @@ def read_pattern_table(path: str) -> PatternTable:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     if not usages:
         raise ValueError(f"{path}: no patterns found")
-    return PatternTable(
-        usages=usages,
-        singleton_counts=singleton_counts,
-        total_singleton_count=total_singleton_count,
-    )
+    count = sum(singleton_counts.values())
+    for lineno, total in totals:
+        if total != count:
+            raise ValueError(
+                f"{path}:{lineno}: total_singleton_count {total}, item counts sum to {count}"
+            )
+    return PatternTable(usages=usages, singleton_counts=singleton_counts)
 
 
 # --- acceptance log file format --------------------------------------------

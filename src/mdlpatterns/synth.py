@@ -164,13 +164,3 @@ def write_manifest(path: str, injected_hours: Sequence[datetime]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for hour in injected_hours:
             fh.write(hour_text(hour) + "\n")
-
-
-def read_manifest(path: str) -> list[datetime]:
-    hours = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                hours.append(datetime.fromisoformat(line))
-    return hours

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from hypothesis import strategies as st
 
 from mdlpatterns import SupportThreshold
-from mdlpatterns.anomaly import ScoredTransaction
+from mdlpatterns.anomaly import SCORES_TAIL, ScoredTransaction
 from mdlpatterns.codec import (
     Cover,
     PatternTable,
@@ -38,7 +38,7 @@ from mdlpatterns.ingest import (
     canonical,
     parse_records,
 )
-from mdlpatterns.mining import format_items
+from mdlpatterns.mining import format_items, parse_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
@@ -289,13 +289,14 @@ def read_transactions_oracle(path: str) -> tuple[list[Transaction], list[str]]:
 
 
 def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
-    """The per-row scores reader that read_scores replaced."""
-    scored = []
+    """The per-row scores reader that read_scores replaced, with its checks:
+    every row compared with all the rows before it."""
+    scored, texts = [], []  # texts: each row's categories, score and cover
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if len(header) < 4 or header[0] != "timestamp":
-            raise ValueError(f"{path}: bad scores header")
         attributes = header[1:-3]
+        if not attributes or [header[0], *header[-3:]] != ["timestamp", *SCORES_TAIL]:
+            raise ValueError(f"{path}: bad scores header")
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
         for lineno, line in enumerate(fh, start=2):
@@ -308,13 +309,26 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             try:
                 earlier = [entry.transaction for entry in scored]
                 transaction = _oracle_hour_row(fields, attributes, earlier)
-                entry = ScoredTransaction(
-                    transaction=transaction, cover=fields[-1],
-                    score=float(fields[-3]), rank=int(fields[-2]),
-                )
-                if entry.rank != len(scored) + 1:
-                    raise ValueError(f"rank {entry.rank} out of place (expected {len(scored) + 1})")
-                scored.append(entry)
+                score = float(fields[-3])
+                if not isfinite(score):
+                    raise ValueError(f"non-finite score {fields[-3]}")
+                covered = [item for part in fields[-1].split("|") for item in parse_items(part)]
+                if sorted(covered) != sorted(transaction.items):
+                    raise ValueError(f"cover {fields[-1]} does not split the row's items")
+                rank = int(fields[-2])
+                if rank != len(scored) + 1:
+                    raise ValueError(f"rank {rank} out of place (expected {len(scored) + 1})")
+                if scored and score > scored[-1].score:
+                    raise ValueError(
+                        f"score {score!r} above the row before it ({scored[-1].score!r})"
+                    )
+                text = (*fields[1:-2], fields[-1])
+                same = [txn.timestamp for txn, other in zip(earlier, texts) if other == text]
+                if same and max(same) > transaction.timestamp:
+                    latest = max(same).isoformat(timespec="minutes")
+                    raise ValueError(f"one row's hours out of order ({latest} first)")
+                scored.append(ScoredTransaction(transaction, fields[-1], score))
+                texts.append(text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     return scored, attributes
@@ -347,12 +361,12 @@ def write_scores_oracle(
     """The per-row scores writer that write_scores replaced."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
-        for entry in scored:
+        for rank, entry in enumerate(scored, start=1):
             cats = dict(entry.transaction.items)
             fields = [entry.transaction.timestamp.isoformat(timespec="minutes")]
             fields.extend(str(cats[attr]) for attr in attributes)
             fields.append(f"{entry.score:.9f}")
-            fields.append(str(entry.rank))
+            fields.append(str(rank))
             fields.append(entry.cover)
             fh.write("\t".join(fields) + "\n")
 
@@ -366,35 +380,48 @@ BAD_STAMPS = [
 
 
 @st.composite
-def artifact_rows(draw, constants, ranked: bool = False):
+def artifact_rows(draw, pools, ranked: bool = False):
     """Rows of a staged artifact file as field lists ([] is a blank line).
 
-    Each row is a stamp, then one of up to four field lists drawn once from
-    ``constants``, so equal texts repeat and one that is bad may first appear
-    anywhere. With ``ranked``, a rank goes before the last field, mostly the
-    row's place among the data rows, as write_scores writes it. A row may
-    instead carry a bad stamp, an earlier row's hour (as written or with a
-    space for the T), one field too few or too many, or its stamp alone.
+    Each row is a stamp, then one of a few field lists drawn once from
+    ``pools``, so equal texts repeat and one that is bad may first appear
+    anywhere. A row may instead carry a bad stamp, an earlier row's hour (as
+    written or with a space for the T), one field too few or too many, or its
+    stamp alone.
+
+    With ``ranked``, rows are mostly as write_scores writes them: they take
+    the field lists in the pool's order (the caller's ranking), so one list's
+    hours ascend, and a rank goes before the last field, the row's place among
+    the data rows. A row may instead carry a bad rank, go back to the first
+    field list (a higher score, or an equal one), or take an hour before every
+    other row's.
     """
-    pool = draw(st.lists(constants, min_size=1, max_size=4))
+    pool = draw(pools)
     start = draw(st.sampled_from([datetime(2016, 8, 22), datetime(999, 12, 31, 21)]))
     kinds = ["good"] * 20 + ["bad stamp", "repeat", "short", "long", "stamp alone", "blank"]
-    rows, stamps = [], []
+    if ranked:
+        kinds = ["good"] * 100 + kinds[20:] + ["bad rank", "climb", "early"]
+    rows, stamps, at = [], [], 0
     for i in range(draw(st.integers(1, 16))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             rows.append([])
             continue
-        stamp = (start + timedelta(hours=i)).isoformat(timespec="minutes")
+        hour = start + timedelta(hours=-1 - i if kind == "early" else i)
+        stamp = hour.isoformat(timespec="minutes")
         if kind == "bad stamp":
             stamp = draw(st.sampled_from(BAD_STAMPS))
         elif kind == "repeat" and stamps:
             stamp = draw(st.sampled_from(stamps)).replace("T", draw(st.sampled_from("T ")))
         stamps.append(stamp)
-        fields = list(draw(st.sampled_from(pool)))
-        if ranked:
-            rank = draw(st.sampled_from([str(len(stamps))] * 20 + [" 7", "x", "1.5", ""]))
-            fields.insert(len(fields) - 1, rank)
+        if not ranked:
+            fields = list(draw(st.sampled_from(pool)))
+        else:
+            at = 0 if kind == "climb" else min(at + draw(st.sampled_from([0, 0, 1])), len(pool) - 1)
+            rank = str(len(stamps))
+            if kind == "bad rank":
+                rank = draw(st.sampled_from([" 7", "x", "1.5", "", "0"]))
+            fields = [*pool[at][:-1], rank, pool[at][-1]]
         if kind == "short":
             fields.pop(draw(st.integers(0, len(fields) - 1)))
         elif kind == "long":
@@ -409,6 +436,17 @@ def category_fields(width: int):
     """``width`` category fields, mostly valid; 0, 9, x or an empty field are not."""
     field = st.sampled_from(["1", "2", "3", "4"] * 6 + [" 2", "0", "9", "x", ""])
     return st.lists(field, min_size=width, max_size=width)
+
+
+def read_manifest(path: str) -> list[datetime]:
+    """The injected hours that synth.write_manifest wrote, one per line."""
+    hours = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                hours.append(datetime.fromisoformat(line))
+    return hours
 
 
 def outcome(read, path: str):

@@ -55,12 +55,12 @@ def test_criterion_1_worked_example_usages():
     got = (table.usages[TRIPLE], table.usages[PAIR], table.usages[RB2])
     ok = (
         got == (4, 2, 2)
-        and table.total_singleton_count == 18
+        and sum(table.singleton_counts.values()) == 18
         and table.singleton_counts[("PB", 1)] == 6
         and elapsed < 1.0
     )
     detail = (
-        f"usages {got[0]}/{got[1]}/{got[2]}, c={table.total_singleton_count}, "
+        f"usages {got[0]}/{got[1]}/{got[2]}, c={sum(table.singleton_counts.values())}, "
         f"r(PB:1)={table.singleton_counts[('PB', 1)]}, {elapsed:.3f}s"
     )
     assert _verdict(1, ok, detail), detail

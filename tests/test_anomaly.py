@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     artifact_rows,
-    category_fields,
     db_strategy,
     make_db,
     outcome,
@@ -20,6 +19,7 @@ from helpers import (
 from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
 from mdlpatterns.anomaly import (
     REPORT_VERSION,
+    SCORES_TAIL,
     ScoredTransaction,
     hour_frequency,
     read_scores,
@@ -32,7 +32,8 @@ from mdlpatterns.ingest import Transaction
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
     scored = score_all(six_rows, worked_table)
-    assert [s.rank for s in scored] == [1, 2, 3, 4, 5, 6]
+    keys = [(-s.score, s.transaction.timestamp) for s in scored]
+    assert keys == sorted(keys)
     assert [s.score for s in scored] == pytest.approx(
         [4.0, 4.0, 1.0, 1.0, 1.0, 1.0], abs=1e-12
     )
@@ -121,8 +122,7 @@ def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
 
 def test_report_structure(six_rows, worked_table):
     scored = score_all(six_rows, worked_table)
-    selected = top_fraction(scored, 0.5)
-    document = report(scored, selected, hour_frequency(selected), k=2)
+    document = report(scored, 0.5, k=2)
     lines = document.splitlines()
     assert lines[0] == REPORT_VERSION
     assert lines[1] == "[summary]\tn=6\tselected=3\ttop_k=2"
@@ -137,15 +137,20 @@ def test_report_structure(six_rows, worked_table):
     assert first_entry[2] == "PB:1,LQ:2,RB:2"
     assert first_entry[3] == "4.000000000"
     assert first_entry[4] == "LQ:2,PB:1|RB:2"
+    # rows are numbered by place in each section; the histogram counts the selection
+    assert [line.split("\t")[0] for line in lines[top_fraction_at + 2 : histogram_at]] == [
+        "1", "2", "3"
+    ]
+    counts = [int(line.split("\t")[1]) for line in lines[histogram_at + 2 :]]
+    assert tuple(counts) == hour_frequency(top_fraction(scored, 0.5))
 
 
 def test_report_rejects_oversized_k(six_rows, worked_table):
     scored = score_all(six_rows, worked_table)
-    selected = top_fraction(scored, 0.5)
     with pytest.raises(ValueError, match="exceeds"):
-        report(scored, selected, hour_frequency(selected), k=7)
+        report(scored, 0.5, k=7)
     with pytest.raises(ValueError, match="negative"):
-        report(scored, selected, hour_frequency(selected), k=-1)
+        report(scored, 0.5, k=-1)
 
 
 # --- scored file round trip -------------------------------------------------------
@@ -157,7 +162,10 @@ def test_scores_file_round_trip(tmp_path, six_rows, worked_table):
     write_scores(str(path), scored, ["PB", "LQ", "RB"])
     loaded, attributes = read_scores(str(path))
     assert attributes == ["PB", "LQ", "RB"]
-    assert [s.rank for s in loaded] == [s.rank for s in scored]
+    # the rank column is each row's place
+    assert [line.split("\t")[-2] for line in path.read_text().splitlines()[1:]] == [
+        "1", "2", "3", "4", "5", "6"
+    ]
     assert [s.transaction for s in loaded] == [s.transaction for s in scored]
     assert [s.cover for s in loaded] == [s.cover for s in scored]
     for got, expected in zip(loaded, scored):
@@ -239,7 +247,90 @@ def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     # blank lines hold no place
     path.write_text(header + "\n" + second + "\n" + first)
     loaded, _ = read_scores(str(path))
-    assert [(s.rank, s.score) for s in loaded] == [(1, 4.0), (2, 1.0)]
+    assert [(s.transaction.timestamp.hour, s.score) for s in loaded] == [(11, 4.0), (10, 1.0)]
+
+
+@pytest.mark.parametrize("header, row", [
+    # a wrong tail: its last three columns would be read as score, rank and cover
+    ("timestamp\tPB\tfoo\tbar\tbaz", "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1"),
+    # no site: the report would list each hour with empty categories
+    ("timestamp\tscore_bits\trank\tcover", "2016-08-22T10:00\t1.000000000\t1\t"),
+], ids=["tail", "no-site"])
+def test_read_scores_rejects_a_header_without_sites_or_its_tail(tmp_path, header, row):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad scores header")):
+        read_scores(str(path))
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_read_scores_rejects_a_non_finite_score(tmp_path, score):
+    # write_scores never writes one, and nan would pass every order check
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t2\t4.000000000\t1\tPB:2\n"
+        f"2016-08-22T11:00\t1\t{score}\t2\tPB:1\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite score {score}")):
+        read_scores(str(path))
+
+
+def test_read_scores_rejects_a_score_above_the_row_before_it(tmp_path):
+    # sorted by time with its ranks renumbered, the report's top hour would be the 1-bit one
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1\n"
+        "2016-08-22T11:00\t2\t4.000000000\t2\tPB:2\n"
+    )
+    reason = f"{path}:3: score 4.0 above the row before it (1.0)"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))
+
+
+def test_read_scores_rejects_one_rows_hours_out_of_time_order(tmp_path):
+    # hours of one distinct row have one exact score, which score_all ranks by time
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T11:00\t1\t1.000000000\t1\tPB:1\n"
+        "2016-08-22T12:00\t2\t1.000000000\t2\tPB:2\n"
+        "2016-08-22T10:00\t1\t1.000000000\t3\tPB:1\n"
+    )
+    reason = f"{path}:4: one row's hours out of order (2016-08-22T11:00 first)"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))
+
+
+def test_read_scores_takes_equal_scores_of_different_rows_in_any_time_order(tmp_path):
+    # scores that differ below the ninth decimal print alike; score_all ranks
+    # them by the exact score, so their hours need not ascend
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T11:00\t1\t1.000000000\t1\tPB:1\n"
+        "2016-08-22T10:00\t2\t1.000000000\t2\tPB:2\n"
+    )
+    loaded, _ = read_scores(str(path))
+    assert [s.transaction.timestamp.hour for s in loaded] == [11, 10]
+
+
+@pytest.mark.parametrize("cover", [
+    "PB:1",  # another hour's cover
+    "PB:2",  # an item left out
+    "PB:2|PB:2,LQ:1",  # an item covered twice
+    "LQ:1,PB:2|RB:1",  # an item the row does not hold
+])
+def test_read_scores_rejects_a_cover_that_does_not_split_its_row(tmp_path, cover):
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "timestamp\tPB\tLQ\tscore_bits\trank\tcover\n"
+        f"2016-08-22T10:00\t2\t1\t3.000000000\t1\t{cover}\n"
+    )
+    reason = f"{path}:2: cover {cover} does not split the row's items"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))
 
 
 def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows, worked_table):
@@ -254,7 +345,7 @@ def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows,
 def test_scores_file_round_trips_a_year_before_1000(tmp_path):
     entry = ScoredTransaction(
         transaction=Transaction(timestamp=datetime(999, 1, 1), items=(("PB", 1),)),
-        cover="PB:1", score=1.0, rank=1,
+        cover="PB:1", score=1.0,
     )
     path = tmp_path / "scores.tsv"
     write_scores(str(path), [entry], ["PB"])
@@ -262,29 +353,57 @@ def test_scores_file_round_trips_a_year_before_1000(tmp_path):
     assert read_scores(str(path)) == ([entry], ["PB"])
 
 
-SCORE_TEXTS = ["1.000000000", "25.668123457", "7", "inf", "nan", "-0.000000000", "x", ""]
+SCORE_TEXTS = ["25.668123457", "7", "1.000000000", "0.000000000", "-0.000000000"]
 COVER_TEXTS = ["PB:1", "LQ:2,PB:1|RB:2", "", "not a cover"]
 
 
 @st.composite
 def score_files(draw):
+    """Scores files, mostly as write_scores writes them: a pool of distinct
+    rows in descending score order, some scores equal, each cover a split of
+    its row's items in any order. At most one of the header or a row of the
+    pool is bad, and artifact_rows may make one row of the file bad."""
     attributes = draw(st.sampled_from([["PB"], ["PB", "LQ", "RB"]]))
-    constants = st.tuples(
-        category_fields(len(attributes)),
-        st.sampled_from(SCORE_TEXTS),
-        st.sampled_from(COVER_TEXTS),
-    ).map(lambda fields: [*fields[0], *fields[1:]])
-    rows = draw(artifact_rows(constants, ranked=True))
-    lines = [["timestamp", *attributes, "score_bits", "rank", "cover"], *rows]
-    return "".join("\t".join(line) + "\n" for line in lines)
+    width = len(attributes)
+    scores = draw(st.lists(st.sampled_from(SCORE_TEXTS), min_size=1, max_size=4))
+    pool = []
+    for score in sorted(scores, key=float, reverse=True):
+        categories = draw(st.lists(st.sampled_from("1234"), min_size=width, max_size=width))
+        items = [f"{attr}:{cat}" for attr, cat in zip(attributes, categories)]
+        parts = draw(st.lists(st.integers(0, width - 1), min_size=width, max_size=width))
+        cover = "|".join(
+            ",".join(item for item, part in zip(items, parts) if part == at)
+            for at in dict.fromkeys(parts)
+        )
+        pool.append([*categories, score, cover])
+    header = ["timestamp", *attributes, *SCORES_TAIL]
+    fault = draw(st.sampled_from([None] * 20 + ["category", "score", "cover", "header", "no site"]))
+    row = pool[draw(st.integers(0, len(pool) - 1))]
+    items = [f"{attr}:{cat}" for attr, cat in zip(attributes, row)]
+    if fault == "category":
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from([" 2", "0", "9", "x", ""]))
+    elif fault == "score":
+        row[-2] = draw(st.sampled_from(["inf", "-inf", "nan", "x", ""]))
+    elif fault == "cover":  # an item left out, one covered twice, a wrong category
+        other = f"{attributes[0]}:{int(row[0]) % 4 + 1}"
+        row[-1] = draw(st.sampled_from([
+            ",".join(items[1:]), f"{row[-1]}|{items[0]}", ",".join([other, *items[1:]]),
+            *COVER_TEXTS,
+        ]))
+    elif fault == "header":
+        header[draw(st.integers(-3, -1))] = "foo"
+    elif fault == "no site":
+        del header[1 : 1 + width]
+    rows = draw(artifact_rows(st.just(pool), ranked=True))
+    return "".join("\t".join(line) + "\n" for line in [header, *rows])
 
 
 def comparable(result):
-    """A reader's outcome with scores as repr, so that nan compares equal."""
+    """A reader's outcome with scores as repr, so that -0.0 and 0.0 differ."""
     if not isinstance(result[0], list):
         return result
     scored, attributes = result
-    return [(s.transaction, s.cover, repr(s.score), s.rank) for s in scored], attributes
+    return [(s.transaction, s.cover, repr(s.score)) for s in scored], attributes
 
 
 @given(text=score_files())
@@ -308,14 +427,13 @@ def scored_lists(draw):
         st.sampled_from(ITEMS),
         st.sampled_from([1.0, 25.668123456789, 0.0, -0.0, float("inf"), float("nan"), 1e-12]),
         st.sampled_from(COVER_TEXTS),
-        st.integers(-3, 10**6),
     ), max_size=12))
     return [
         ScoredTransaction(
             transaction=Transaction(timestamp=start + timedelta(hours=i), items=items),
-            cover=cover, score=score, rank=rank,
+            cover=cover, score=score,
         )
-        for i, (items, score, cover, rank) in enumerate(entries)
+        for i, (items, score, cover) in enumerate(entries)
     ]
 
 

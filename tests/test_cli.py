@@ -414,6 +414,19 @@ def test_report_rejects_scores_sorted_by_time(tmp_path, capsys):
     assert f"report stage failed: {scores}:2: rank " in capsys.readouterr().err
 
 
+def test_report_rejects_scores_sorted_by_time_with_ranks_renumbered(tmp_path, capsys):
+    # ranks in place, but the report would name the 1-bit hour as the top anomaly
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(
+        "timestamp\tPB\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t1.000000000\t1\tPB:1\n"
+        "2016-08-22T11:00\t2\t4.000000000\t2\tPB:2\n"
+    )
+    report_args = ["report", "--scores", str(scores), "--output", str(tmp_path / "r")]
+    assert cli.main(report_args + ["--top-k", "1"]) == 50
+    assert f"report stage failed: {scores}:3: score 4.0 above" in capsys.readouterr().err
+
+
 def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
     # such a row used to pass compress, then fail score with a TypeError naming no line
     raw = make_raw(tmp_path, days=1)

@@ -57,7 +57,7 @@ def test_init_table_uses_raw_item_counts(six_rows):
     table = init_pattern_table(six_rows)
     usages = {next(iter(p)): usage for p, usage in table.usages.items()}
     assert usages == {("PB", 1): 6, ("LQ", 2): 6, ("RB", 1): 4, ("RB", 2): 2}
-    assert table.total_singleton_count == 18
+    assert sum(table.singleton_counts.values()) == 18
     assert table.singleton_counts[("PB", 1)] == 6
     # singletons only, in sorted item order: the table order lengths are summed in
     assert list(table.usages) == [frozenset([item]) for item in sorted(usages)]
@@ -328,7 +328,6 @@ def test_pattern_table_round_trip(tmp_path, six_rows):
     loaded = read_pattern_table(str(path))
     assert loaded.usages == result.table.usages
     assert loaded.singleton_counts == result.table.singleton_counts
-    assert loaded.total_singleton_count == result.table.total_singleton_count
     for txn in six_rows:
         assert transaction_code_length(txn, loaded) == transaction_code_length(
             txn, result.table
@@ -354,6 +353,21 @@ def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
     path.write_text("# pattern-table v1\n# total_singleton_count\t18\n" + body)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{reason}")):
         read_pattern_table(str(path))
+
+
+def test_read_pattern_table_rejects_a_total_other_than_the_item_counts_sum(tmp_path):
+    # kept, a wrong total would make table_length 37.518 bits instead of 5.660
+    path = tmp_path / "table.tsv"
+    path.write_text(
+        "# pattern-table v1\n# total_singleton_count\t999\n"
+        "# item_count\tPB:1\t3\n# item_count\tPB:2\t1\n"
+        "PB:1\t3\t0.415037499\nPB:2\t1\t2.000000000\n"
+    )
+    reason = f"{path}:2: total_singleton_count 999, item counts sum to 4"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_pattern_table(str(path))
+    path.write_text(path.read_text().replace("999", "4"))
+    assert table_length(read_pattern_table(str(path))) == pytest.approx(5.660, abs=5e-4)
 
 
 @pytest.mark.parametrize("line, reason", [

@@ -486,7 +486,7 @@ def test_transactions_round_trip_a_year_before_1000(tmp_path):
 @st.composite
 def transaction_files(draw):
     attributes = draw(st.sampled_from([["PB"], ["PB", "LQ", "RB"]]))
-    rows = draw(artifact_rows(category_fields(len(attributes))))
+    rows = draw(artifact_rows(st.lists(category_fields(len(attributes)), min_size=1, max_size=4)))
     lines = [["timestamp", *attributes], *rows]
     return "".join(",".join(line) + "\n" for line in lines)
 

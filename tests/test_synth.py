@@ -4,14 +4,13 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from helpers import parse_synthetic
+from helpers import parse_synthetic, read_manifest
 from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,
 )
 from mdlpatterns.synth import (
     generate_synthetic,
-    read_manifest,
     write_manifest,
 )
 
