@@ -13,10 +13,10 @@ from datetime import datetime
 from math import copysign, inf, isfinite
 from typing import Sequence
 
-from .codec import PatternTable, code_lengths, cover_order, cover_rows, distinct_rows, row_lengths
+from .codec import PatternTable, code_lengths, cover_order, cover_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .ingest import Item, Transaction, hour_text, parse_categories, parse_hour
-from .mining import exact_ceil, format_items, parse_items
+from .mining import distinct_rows, exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 

@@ -14,9 +14,11 @@ the sum over its cover.
 
 A pattern is a frozenset of items, and the table maps each pattern to its
 usage, as Krimp's code table holds itemsets with usages. Covers, usages and
-code lengths depend only on which distinct row a transaction is, so the
-database is collapsed once into distinct rows with multiplicities (usage
-over a multiset, as in Krimp). Cover passes repeat until the cover order is
+code lengths depend only on which distinct row a transaction is, so
+compress collapses the hours once into distinct rows with multiplicities
+(``mining.distinct_rows``; usage over a multiset, as in Krimp), and a
+singleton's raw count is the weight of its item's row bitmask, counted as
+mining counts support. Cover passes repeat until the cover order is
 stable, and the last pass's covers give the length: one correctly rounded
 sum of each distinct row's bits times its multiplicity, whatever the row order.
 """
@@ -29,7 +31,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .ingest import Item, Transaction
-from .mining import canonical_key, format_items, parse_items
+from .mining import DistinctRows, canonical_key, distinct_rows, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -75,39 +77,14 @@ class CompressionResult:
         return self.final_length / self.initial_length
 
 
-@dataclass(frozen=True)
-class DistinctRows:
-    """A database collapsed to its distinct rows, each with its multiplicity."""
-
-    weights: list[int]  # per distinct row, in order of first appearance
-    index: list[int]  # distinct-row index of every transaction, in order
-    holding: dict[Item, int]  # bit r set: distinct row r holds the item
-
-
-def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
-    position: dict[frozenset[Item], int] = {}
-    index = [position.setdefault(txn.item_set, len(position)) for txn in transactions]
-    weights = [0] * len(position)
-    for row in index:
-        weights[row] += 1
-    holding: dict[Item, int] = {}
-    for row, items in enumerate(position):
-        for item in items:
-            holding[item] = holding.get(item, 0) | 1 << row
-    return DistinctRows(weights=weights, index=index, holding=holding)
-
-
-def init_pattern_table(transactions: Sequence[Transaction]) -> PatternTable:
+def init_pattern_table(db: DistinctRows) -> PatternTable:
     """Singleton-only table: one pattern per distinct item, usage = raw count."""
-    if not transactions:
+    if not db.weights:
         raise ValueError("cannot build a pattern table from an empty database")
-    counts: dict[Item, int] = {}
-    for txn in transactions:
-        for item in txn.items:
-            counts[item] = counts.get(item, 0) + 1
+    counts = {item: db.weight(rows) for item, rows in sorted(db.holding.items())}
     return PatternTable(
-        usages={frozenset([item]): counts[item] for item in sorted(counts)},
-        singleton_counts=dict(sorted(counts.items())),
+        usages={frozenset([item]): count for item, count in counts.items()},
+        singleton_counts=counts,
     )
 
 
@@ -204,10 +181,8 @@ def compress(
     Multi-item patterns left unused by a later accepted candidate are pruned;
     singletons always stay. A candidate already in the table is a ValueError.
     """
-    if not transactions:
-        raise ValueError("cannot compress an empty database")
     db = distinct_rows(transactions)
-    table = init_pattern_table(transactions)
+    table = init_pattern_table(db)
 
     def settled_length(model: PatternTable, trial: str) -> float:
         covers = _settle(model, db, trial)
@@ -296,8 +271,8 @@ def write_pattern_table(path: str, table: PatternTable) -> None:
 
 def read_pattern_table(path: str) -> PatternTable:
     """Reload a written table. Code lengths are derived from usages, so the
-    stored bits column is informational only; a stated total singleton count
-    must be the sum of the item counts."""
+    stored bits column is informational only. Each item count is stated once
+    and is at least 1, and a stated total singleton count must be their sum."""
     usages: dict[frozenset[Item], int] = {}
     singleton_counts: dict[Item, int] = {}
     totals: list[tuple[int, int]] = []  # (line number, stated total)
@@ -313,7 +288,11 @@ def read_pattern_table(path: str) -> PatternTable:
                         totals.append((lineno, int(fields[1])))
                     elif fields[0] == "item_count":
                         (item,) = parse_items(fields[1])  # one item, or ValueError
+                        if item in singleton_counts:
+                            raise ValueError(f"repeated item count {fields[1]}")
                         singleton_counts[item] = int(fields[2])
+                        if singleton_counts[item] < 1:
+                            raise ValueError(f"item count {fields[2]} for {fields[1]} is below 1")
                     continue
                 items_text, usage_text, _bits = line.split("\t")
                 pattern, usage = parse_items(items_text), int(usage_text)

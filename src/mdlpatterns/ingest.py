@@ -59,10 +59,6 @@ class Transaction:
     timestamp: datetime
     items: tuple[Item, ...]
 
-    @property
-    def item_set(self) -> frozenset[Item]:
-        return frozenset(self.items)
-
 
 # (site, direction, vehicle_class, timestamp) of one observation
 RecordKey = tuple[str, str, str, datetime]

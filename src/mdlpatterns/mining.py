@@ -1,14 +1,16 @@
-"""Level-wise (Apriori) frequent-itemset mining over attribute-qualified items.
+"""Frequent-itemset mining over attribute-qualified items, on distinct rows.
 
 An item is a (site, category) pair: the same category at two different sites
 is two different items, and no valid itemset holds two categories for one
-site. Mining returns itemsets of size >= 2 only, as itemset -> support;
-singletons are seeded into the pattern table directly by the codec.
+site. ``distinct_rows`` collapses the hours into distinct rows with
+multiplicities; mining, the codec and the scorer each start from it. Each
+item's rows form one bitmask, and the support of a set of items is the
+weight of the AND of their masks. Mining returns itemsets of size >= 2 only,
+as itemset -> support; the codec seeds the singletons from the same weights.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +45,7 @@ class SupportThreshold:
             base = self.count
         else:
             base = exact_ceil(self.fraction, n_transactions)
-        return max(self.minimum, base, 1)
+        return max(self.minimum, base)
 
     def meets(self, support_count: int, resolved: int) -> bool:
         if self.inclusive:
@@ -90,77 +92,66 @@ def canonical_key(items: frozenset[Item], weight: int) -> tuple:
     return (-len(items), -weight, tuple(sorted(items)))
 
 
+@dataclass(frozen=True)
+class DistinctRows:
+    """A database collapsed to its distinct rows, each with its multiplicity."""
+
+    weights: list[int]  # per distinct row, in order of first appearance
+    index: list[int]  # distinct-row index of every transaction, in order
+    holding: dict[Item, int]  # bit r set: distinct row r holds the item
+
+    def weight(self, rows: int) -> int:
+        """Summed multiplicity of the distinct rows whose bits are set in ``rows``."""
+        total = 0
+        while rows:
+            total += self.weights[(rows & -rows).bit_length() - 1]
+            rows &= rows - 1  # clear the lowest set bit
+        return total
+
+
+def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
+    position: dict[frozenset[Item], int] = {}
+    index = [position.setdefault(frozenset(txn.items), len(position)) for txn in transactions]
+    weights = [0] * len(position)
+    for row in index:
+        weights[row] += 1
+    holding: dict[Item, int] = {}
+    for row, items in enumerate(position):
+        for item in items:
+            holding[item] = holding.get(item, 0) | 1 << row
+    return DistinctRows(weights=weights, index=index, holding=holding)
+
+
 def frequent_itemsets(
-    transactions: Sequence[Transaction],
-    threshold: SupportThreshold,
+    transactions: Sequence[Transaction], threshold: SupportThreshold
 ) -> dict[frozenset[Item], int]:
     """All itemsets of size >= 2 meeting the support threshold, mapped to support.
 
-    Classic level-wise search: candidates of size k are joins of frequent
-    (k-1)-sets, pruned by downward closure and by attribute validity (at most
-    one item per site). Output is sorted by descending cardinality, then
-    descending support, then lexicographic items; this order drives both the
-    `mine` artifact and the compression trial loop.
+    Depth-first search over the frequent items' row bitmasks, as in Eclat: a
+    frequent set is extended by every later frequent item, in item order, and
+    the extension's support is the weight of the rows both masks hold. Two
+    categories of one site share no row, so together they have support 0.
+    Output is sorted by descending cardinality, then descending support, then
+    lexicographic items; this order drives both the `mine` artifact and the
+    compression trial loop.
     """
-    n = len(transactions)
-    resolved = threshold.resolve(n)
-
-    rows = Counter(txn.item_set for txn in transactions)
-
-    def count_support(candidate: frozenset[Item]) -> int:
-        return sum(mult for row, mult in rows.items() if candidate <= row)
-
-    item_counts: Counter = Counter()
-    for row, mult in rows.items():
-        for item in row:
-            item_counts[item] += mult
-    frequent_singles = sorted(
-        item for item, cnt in item_counts.items() if threshold.meets(cnt, resolved)
-    )
-
+    db = distinct_rows(transactions)
+    resolved = threshold.resolve(len(transactions))
+    frequent = [(item, rows) for item, rows in sorted(db.holding.items())
+                if threshold.meets(db.weight(rows), resolved)]
     found: dict[frozenset[Item], int] = {}
-    level: list[frozenset[Item]] = [frozenset([item]) for item in frequent_singles]
-    size = 2
-    while level:
-        level_set = set(level)
-        candidates = _generate_candidates(level, size, level_set)
-        next_level = []
-        for cand in candidates:
-            sup = count_support(cand)
-            if threshold.meets(sup, resolved):
-                found[cand] = sup
-                next_level.append(cand)
-        level = next_level
-        size += 1
 
+    def extend(items: frozenset[Item], rows: int, start: int) -> None:
+        for position in range(start, len(frequent)):
+            item, holding = frequent[position]
+            support = db.weight(rows & holding)
+            if threshold.meets(support, resolved):
+                if items:  # the empty set's extensions are the singletons
+                    found[items | {item}] = support
+                extend(items | {item}, rows & holding, position + 1)
+
+    extend(frozenset(), -1, 0)
     return dict(sorted(found.items(), key=lambda entry: canonical_key(*entry)))
-
-
-def _generate_candidates(
-    level: list[frozenset[Item]],
-    size: int,
-    level_set: set[frozenset[Item]],
-) -> list[frozenset[Item]]:
-    """Join (k-1)-sets sharing a (k-2)-prefix; prune by closure and attributes."""
-    sorted_level = sorted(tuple(sorted(s)) for s in level)
-    candidates = []
-    for i, left in enumerate(sorted_level):
-        for right in sorted_level[i + 1 :]:
-            if left[:-1] != right[:-1]:
-                break  # prefixes are grouped by the sort
-            last_a, last_b = left[-1], right[-1]
-            if last_a[0] == last_b[0]:
-                continue  # two categories for one site can never occur
-            union = frozenset(left) | {last_b}
-            if _all_subsets_frequent(union, level_set):
-                candidates.append(union)
-    return candidates
-
-
-def _all_subsets_frequent(
-    candidate: frozenset[Item], level_set: set[frozenset[Item]]
-) -> bool:
-    return all(candidate - {item} in level_set for item in candidate)
 
 
 # --- itemset file format -----------------------------------------------------

@@ -38,7 +38,7 @@ from mdlpatterns.ingest import (
     canonical,
     parse_records,
 )
-from mdlpatterns.mining import format_items, parse_items
+from mdlpatterns.mining import distinct_rows, format_items, parse_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
@@ -81,7 +81,7 @@ def db_strategy(max_rows: int = 12, attrs=("A", "B", "C"), max_cat: int = 4):
 def support(items: frozenset, transactions: Sequence[Transaction]) -> int:
     """Number of transactions whose item set contains all of ``items``."""
     items = frozenset(items)
-    return sum(1 for txn in transactions if items <= txn.item_set)
+    return sum(1 for txn in transactions if items <= frozenset(txn.items))
 
 
 def brute_force_frequent(
@@ -116,7 +116,7 @@ def exhaustive_best_length(
     """
     best = None
     for mask in range(2 ** len(candidates)):
-        table = init_pattern_table(transactions)
+        table = init_pattern_table(distinct_rows(transactions))
         for bit, (items, sup) in enumerate(candidates.items()):
             if mask >> bit & 1:
                 table.usages[items] = sup

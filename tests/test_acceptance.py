@@ -28,6 +28,7 @@ from mdlpatterns.ingest import (
     build_transactions,
     discretize,
 )
+from mdlpatterns.mining import distinct_rows
 from mdlpatterns.synth import generate_synthetic, write_records_csv
 
 SITES = ["PB", "LQ", "RB"]
@@ -42,7 +43,7 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 
 def _worked_table_and_rows():
     rows = make_db(SIX_ROW_COMBOS)
-    table = init_pattern_table(rows)
+    table = init_pattern_table(distinct_rows(rows))
     table.usages.update({TRIPLE: 4, PAIR: 6})
     recompute_usages(table, rows)
     return rows, table

@@ -28,6 +28,7 @@ from mdlpatterns.anomaly import (
 )
 from mdlpatterns.codec import database_length, init_pattern_table
 from mdlpatterns.ingest import Transaction
+from mdlpatterns.mining import distinct_rows
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -90,7 +91,7 @@ def test_top_fraction_rounds_up(six_rows, worked_table):
 def test_top_fraction_ceiling_is_exact():
     # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
     db = make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5)
-    scored = score_all(db, init_pattern_table(db))
+    scored = score_all(db, init_pattern_table(distinct_rows(db)))
     assert len(top_fraction(scored, 0.07)) == 7
     assert len(top_fraction(scored, 0.05)) == 5
 

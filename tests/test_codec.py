@@ -38,6 +38,7 @@ from mdlpatterns.codec import (
     write_pattern_table,
 )
 from mdlpatterns.ingest import Transaction
+from mdlpatterns.mining import distinct_rows
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -54,7 +55,7 @@ SINGLETON_TERM = 34.03910001730775
 
 
 def test_init_table_uses_raw_item_counts(six_rows):
-    table = init_pattern_table(six_rows)
+    table = init_pattern_table(distinct_rows(six_rows))
     usages = {next(iter(p)): usage for p, usage in table.usages.items()}
     assert usages == {("PB", 1): 6, ("LQ", 2): 6, ("RB", 1): 4, ("RB", 2): 2}
     assert sum(table.singleton_counts.values()) == 18
@@ -65,7 +66,7 @@ def test_init_table_uses_raw_item_counts(six_rows):
 
 def test_init_table_rejects_empty_database():
     with pytest.raises(ValueError, match="empty"):
-        init_pattern_table([])
+        init_pattern_table(distinct_rows([]))
 
 
 # --- covering -----------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_cover_is_exact_and_disjoint(six_rows, worked_table):
         cover = cover_transaction(txn, worked_table)
         covered = [item for part in cover.parts for item in part]
         assert len(covered) == len(set(covered))
-        assert set(covered) == txn.item_set
+        assert set(covered) == frozenset(txn.items)
 
 
 def test_cover_prefers_larger_patterns(six_rows, worked_table):
@@ -90,14 +91,14 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     # a random half of all itemsets, with scrambled usages, so that
     # overlapping patterns compete in many different orders
     rng = random.Random(seed)
-    table = init_pattern_table(db)
+    table = init_pattern_table(distinct_rows(db))
     for itemset in frequent_itemsets(db, SupportThreshold(count=1)):
         if rng.random() < 0.5:
             table.usages[itemset] = 0
     table.usages = {pattern: rng.randint(0, 5) for pattern in table.usages}
     order = cover_order(table.usages)
     for cover in cover_database(db, table):
-        assert cover.parts == greedy_cover_oracle(cover.transaction.item_set, order)
+        assert cover.parts == greedy_cover_oracle(frozenset(cover.transaction.items), order)
 
 
 def test_cover_rejects_unknown_item(worked_table):
@@ -253,7 +254,7 @@ def test_compress_invariants(db):
     for cover in covers:
         covered = [item for part in cover.parts for item in part]
         assert len(covered) == len(set(covered))
-        assert set(covered) == cover.transaction.item_set
+        assert set(covered) == frozenset(cover.transaction.items)
 
     # usages are exactly the cover participation counts
     tally = Counter(part for cover in covers for part in cover.parts)
@@ -306,8 +307,8 @@ def test_compress_ignores_row_order_where_only_rounding_differs():
 @settings(max_examples=100)
 def test_doubling_database_doubles_encoded_bits(db):
     doubled = db + db
-    table = init_pattern_table(db)
-    table_doubled = init_pattern_table(doubled)
+    table = init_pattern_table(distinct_rows(db))
+    table_doubled = init_pattern_table(distinct_rows(doubled))
     # usage shares are unchanged, so every row costs exactly the same bits
     for txn in db:
         assert transaction_code_length(txn, table_doubled) == pytest.approx(
@@ -347,7 +348,14 @@ def test_read_pattern_table_rejects_empty(tmp_path):
     # a mapping would keep only the second usage
     ("LQ:2,PB:1,RB:1\t4\t1.000000000\nPB:1,RB:1,LQ:2\t2\t2.000000000\n",
      "4: repeated pattern PB:1,RB:1,LQ:2"),
-], ids=["negative-usage", "repeated-pattern"])
+    # a mapping would keep only the second count
+    ("# item_count\tPB:1\t3\n# item_count\tPB:1\t1\nPB:1\t3\t0.000000000\n",
+     "4: repeated item count PB:1"),
+    # kept, a count of 0 makes table_length fail with a bare math domain error
+    ("# item_count\tPB:1\t0\nPB:1\t3\t0.000000000\n", "3: item count 0 for PB:1 is below 1"),
+    ("# item_count\tPB:1\t-3\nPB:1\t3\t0.000000000\n", "3: item count -3 for PB:1 is below 1"),
+], ids=["negative-usage", "repeated-pattern", "repeated-item-count", "zero-item-count",
+        "negative-item-count"])
 def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
     path = tmp_path / "table.tsv"
     path.write_text("# pattern-table v1\n# total_singleton_count\t18\n" + body)

@@ -135,7 +135,11 @@ def test_output_in_canonical_order(six_rows):
     assert keys == sorted(keys)
 
 
-@given(db=db_strategy(), count=st.integers(1, 4), inclusive=st.booleans())
+# three sites with categories 1..4, or six with 1..2, so itemsets up to six items deep
+DATABASES = st.one_of(db_strategy(), db_strategy(attrs=tuple("ABCDEF"), max_cat=2))
+
+
+@given(db=DATABASES, count=st.integers(1, 4), inclusive=st.booleans())
 @settings(max_examples=100)
 def test_matches_brute_force(db, count, inclusive):
     threshold = SupportThreshold(count=count, inclusive=inclusive)
@@ -143,7 +147,7 @@ def test_matches_brute_force(db, count, inclusive):
     assert mined == brute_force_frequent(db, threshold)
 
 
-@given(db=db_strategy(), fraction=st.sampled_from([0.2, 0.34, 0.5, 1.0]))
+@given(db=DATABASES, fraction=st.sampled_from([0.2, 0.34, 0.5, 1.0]))
 @settings(max_examples=100)
 def test_matches_brute_force_fractional(db, fraction):
     threshold = SupportThreshold(fraction=fraction)

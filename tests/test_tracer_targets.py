@@ -3,23 +3,51 @@
 ``perfbench/tracer.py`` wraps each name in ``TARGETS`` when a run is traced.
 Some are bindings the pipeline itself no longer calls, such as
 ``codec.frequent_itemsets``; deleting one as unused would break
-``perfbench/run.py --trace 1``, so each must still resolve.
+``perfbench/run.py --trace 1``, so each must still resolve. Its count hooks
+read fields of what the wrapped functions return, so one traced ``run``
+checks that those fields still hold the counts.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from mdlpatterns import cli
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_tracer_target_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    tracer = _load_tracer()
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in tracer.TARGETS
         if not callable(getattr(importlib.import_module(f"mdlpatterns.{module}"), attr, None))
     ]
     assert tracer.TARGETS and not missing
+
+
+def test_traced_run_counts_each_stage(tmp_path, monkeypatch):
+    raw, manifest = tmp_path / "raw.csv", tmp_path / "manifest.tsv"
+    synth_args = ["--seed", "7", "--days", "3", "--output", str(raw), "--manifest", str(manifest)]
+    assert cli.main(["synth", *synth_args]) == 0
+    tracer = _load_tracer()
+    for module, attr, _ in tracer.TARGETS:
+        # re-setting the current value makes monkeypatch restore it after the test
+        target = importlib.import_module(f"mdlpatterns.{module}")
+        monkeypatch.setattr(target, attr, getattr(target, attr))
+    traced = tracer.install()
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = traced.metrics()
+    assert metrics["ingest.records"] > 0
+    assert metrics["ingest.hours"] == 72
+    assert metrics["mining.calls"] == 1
+    assert metrics["mining.itemsets"] > 0
+    assert metrics["codec.trials"] == metrics["mining.itemsets"]
