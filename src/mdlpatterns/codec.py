@@ -16,11 +16,13 @@ A pattern is a frozenset of items, and the table maps each pattern to its
 usage, as Krimp's code table holds itemsets with usages. Covers, usages and
 code lengths depend only on which distinct row a transaction is, so
 compress collapses the hours once into distinct rows with multiplicities
-(``mining.distinct_rows``; usage over a multiset, as in Krimp), and a
-singleton's raw count is the weight of its item's row bitmask, counted as
-mining counts support. Cover passes repeat until the cover order is
-stable, and the last pass's covers give the length: one correctly rounded
-sum of each distinct row's bits times its multiplicity, whatever the row order.
+(``mining.distinct_rows``; usage over a multiset, as in Krimp). A cover
+pass sweeps the patterns once over all rows' bitmasks; a pattern's usage,
+like a singleton's raw count, is the weight of the rows it takes, counted
+as mining counts support. Passes repeat until the cover order is stable,
+and only the settled pass is spread into per-row covers. They give the
+length: one correctly rounded sum of each distinct row's bits times its
+multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
@@ -92,15 +94,15 @@ def cover_order(usages: Mapping[frozenset[Item], int]) -> list[frozenset[Item]]:
     return sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
 
 
-def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[frozenset, ...]]:
-    """Greedy cover of every distinct row under one cover order.
+def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
+    """Greedy cover of every distinct row under one cover order: each pattern's taken rows.
 
-    Visits each pattern once, in order, and puts it into the cover of every
-    row in which all its items are still uncovered: for each row, exactly
-    the parts, in the same order, that a scan of that row alone would pick.
+    Visits each pattern once, in order, and takes it for every row in which
+    all its items are still uncovered: for each row, exactly the parts, in
+    the same order, that a scan of that row alone would pick.
     """
     uncovered = dict(db.holding)  # row bitmasks, as in DistinctRows.holding
-    parts: list[list[frozenset]] = [[] for _ in db.weights]
+    taken_rows = []
     for pattern in order:
         taken = -1
         for item in pattern:
@@ -108,9 +110,7 @@ def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[froze
         if taken:
             for item in pattern:
                 uncovered[item] &= ~taken
-            while taken:
-                parts[(taken & -taken).bit_length() - 1].append(pattern)
-                taken &= taken - 1  # clear the lowest set bit
+        taken_rows.append(taken)
     stranded = 0
     for rows in uncovered.values():
         stranded |= rows
@@ -118,26 +118,40 @@ def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[froze
         first = stranded & -stranded  # the first transaction's row that failed
         missing = format_items(item for item, rows in uncovered.items() if rows & first)
         raise ValueError(f"table cannot cover item(s) {missing}")
+    return taken_rows
+
+
+def _expand(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int]):
+    """Each distinct row's cover, its parts in cover order, from a sweep's taken rows."""
+    parts: list[list[frozenset]] = [[] for _ in db.weights]
+    for pattern, taken in zip(order, taken_rows):
+        while taken:
+            parts[(taken & -taken).bit_length() - 1].append(pattern)
+            taken &= taken - 1  # clear the lowest set bit
     return [tuple(row_parts) for row_parts in parts]
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[frozenset, ...]]:
-    """Cover passes until usages are self-consistent; returns the last pass's covers.
+def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[frozenset, ...]]:
+    """Greedy cover of every distinct row under one cover order, as parts per row."""
+    return _expand(db, order, _sweep(db, order))
 
-    Each pass sets every usage to the weighted count of covers using it. Once
-    the order after a pass equals the order before it, another pass would
-    repeat its covers. Raises ValueError naming ``trial`` at the pass cap.
+
+def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[frozenset, ...]]:
+    """Cover passes until usages are self-consistent; returns the settled covers.
+
+    Each pass sets every usage to the weight of the rows whose covers take it.
+    Once the order after a pass equals the order before it, another pass would
+    repeat its covers, and only then are they expanded into parts per row.
+    Raises ValueError naming ``trial`` at the pass cap.
     """
     order = cover_order(table.usages)
     for _ in range(_MAX_RECOVER_PASSES):
-        covers = cover_rows(db, order)
-        usages = table.usages = dict.fromkeys(table.usages, 0)
-        for parts, weight in zip(covers, db.weights):
-            for part in parts:
-                usages[part] += weight
-        previous, order = order, cover_order(usages)
+        taken_rows = _sweep(db, order)
+        usages = dict(zip(order, map(db.weight, taken_rows)))
+        table.usages = {pattern: usages[pattern] for pattern in table.usages}  # table order
+        previous, order = order, cover_order(table.usages)
         if order == previous:
-            return covers
+            return _expand(db, order, taken_rows)
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
@@ -150,7 +164,7 @@ def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
 def row_lengths(covers: Sequence[tuple[frozenset, ...]], lengths: Mapping) -> list[float]:
     """Bits of each cover: its parts' code lengths summed in cover order."""
     try:
-        return [sum(lengths[part] for part in parts) for parts in covers]
+        return [sum(map(lengths.__getitem__, parts)) for parts in covers]
     except KeyError:
         unused = next(p for parts in covers for p in parts if p not in lengths)
         raise ValueError(
@@ -208,12 +222,12 @@ def compress(
 
 
 # --- whole-database helpers outside the pipeline ---------------------------------
-# compress and score_all cover through _settle and cover_rows and never call
-# these six; the tests use them as oracles. They stay here, not in
-# tests/helpers.py, because the benchmark's tracer (perfbench/tracer.py) wraps
-# the five functions by name, and tests/test_tracer_targets.py checks that they
-# resolve (Cover is what cover_database returns). They can move once the tracer
-# reads run metrics instead of wrapping functions.
+# compress settles through _settle and score_all covers through cover_rows;
+# neither calls these six, which the tests use as oracles. They stay here, not
+# in tests/helpers.py, because the benchmark's tracer (perfbench/tracer.py)
+# wraps the five functions by name, and tests/test_tracer_targets.py checks that
+# they resolve (Cover is what cover_database returns). They can move once the
+# tracer reads run metrics instead of wrapping functions.
 
 @dataclass(frozen=True)
 class Cover:

@@ -5,8 +5,9 @@ is two different items, and no valid itemset holds two categories for one
 site. ``distinct_rows`` collapses the hours into distinct rows with
 multiplicities; mining, the codec and the scorer each start from it. Each
 item's rows form one bitmask, and the support of a set of items is the
-weight of the AND of their masks. Mining returns itemsets of size >= 2 only,
-as itemset -> support; the codec seeds the singletons from the same weights.
+weight of the AND of their masks: one popcount per bit plane of the
+multiplicities. Mining returns itemsets of size >= 2 only, as itemset ->
+support; the codec counts singletons and usages with the same weights.
 """
 
 from __future__ import annotations
@@ -99,13 +100,14 @@ class DistinctRows:
     weights: list[int]  # per distinct row, in order of first appearance
     index: list[int]  # distinct-row index of every transaction, in order
     holding: dict[Item, int]  # bit r set: distinct row r holds the item
+    planes: list[int]  # bit r of plane k set: bit k of row r's multiplicity is set
 
     def weight(self, rows: int) -> int:
-        """Summed multiplicity of the distinct rows whose bits are set in ``rows``."""
+        """Summed multiplicity of the distinct rows whose bits are set in ``rows``:
+        one popcount per multiplicity bit plane, whatever the number of rows."""
         total = 0
-        while rows:
-            total += self.weights[(rows & -rows).bit_length() - 1]
-            rows &= rows - 1  # clear the lowest set bit
+        for plane in reversed(self.planes):  # the highest bit first
+            total = 2 * total + (rows & plane).bit_count()
         return total
 
 
@@ -119,7 +121,9 @@ def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
     for row, items in enumerate(position):
         for item in items:
             holding[item] = holding.get(item, 0) | 1 << row
-    return DistinctRows(weights=weights, index=index, holding=holding)
+    planes = [int("".join(str(w >> k & 1) for w in reversed(weights)), 2)
+              for k in range(max(weights, default=0).bit_length())]
+    return DistinctRows(weights=weights, index=index, holding=holding, planes=planes)
 
 
 def frequent_itemsets(

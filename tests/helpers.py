@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from itertools import combinations
-from math import isfinite, log2
+from math import fsum, isfinite, log2
 from typing import IO, Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 from mdlpatterns import SupportThreshold
 from mdlpatterns.anomaly import SCORES_TAIL, ScoredTransaction
 from mdlpatterns.codec import (
+    _MAX_RECOVER_PASSES,
     Cover,
     PatternTable,
     cover_database,
+    cover_order,
     database_length,
     init_pattern_table,
     recompute_usages,
@@ -76,6 +79,10 @@ def db_strategy(max_rows: int = 12, attrs=("A", "B", "C"), max_cat: int = 4):
     return st.lists(row, min_size=1, max_size=max_rows).map(
         lambda combos: make_db(combos, attrs=attrs)
     )
+
+
+# three sites with categories 1..4, or six with 1..2, so itemsets up to six items deep
+DATABASES = st.one_of(db_strategy(), db_strategy(attrs=tuple("ABCDEF"), max_cat=2))
 
 
 def support(items: frozenset, transactions: Sequence[Transaction]) -> int:
@@ -158,6 +165,61 @@ def greedy_cover_oracle(items: frozenset, order: Sequence[frozenset]) -> tuple[f
             uncovered -= pattern
     assert not uncovered, "oracle needs a table with every singleton"
     return tuple(parts)
+
+
+def settle_oracle(table: PatternTable, transactions: Sequence[Transaction]) -> dict:
+    """Cover passes until the cover order is stable, usages added up row by row.
+
+    Each pass covers each distinct row alone with the greedy scan, then adds
+    the row's multiplicity to the usage of every part of its cover. The codec
+    counts a pattern's usage on the rows it takes, all rows at once, and must
+    reach exactly these usages. Returns each distinct row's settled cover,
+    keyed by the row's items in order of first appearance.
+    """
+    multiplicity = Counter(frozenset(txn.items) for txn in transactions)
+    order = cover_order(table.usages)
+    for _ in range(_MAX_RECOVER_PASSES):
+        covers = {items: greedy_cover_oracle(items, order) for items in multiplicity}
+        usages = table.usages = dict.fromkeys(table.usages, 0)
+        for items, parts in covers.items():
+            for part in parts:
+                usages[part] += multiplicity[items]
+        previous, order = order, cover_order(usages)
+        if order == previous:
+            return covers
+    raise ValueError(f"cover order did not settle in {_MAX_RECOVER_PASSES} passes")
+
+
+def settled_length_oracle(table: PatternTable, transactions: Sequence[Transaction]) -> float:
+    """Settle the table with settle_oracle, then its total length in bits: each
+    distinct row's code lengths added in cover order, times its multiplicity,
+    plus the table's codes and singleton-item terms, each side one fsum."""
+    covers = settle_oracle(table, transactions)
+    total = sum(table.usages.values())
+    lengths = {p: -log2(usage / total) for p, usage in table.usages.items() if usage > 0}
+    multiplicity = Counter(frozenset(txn.items) for txn in transactions)
+    rows = fsum(sum(lengths[p] for p in parts) * multiplicity[r] for r, parts in covers.items())
+    c = sum(table.singleton_counts.values())
+    items = [-r * log2(r / c) for r in table.singleton_counts.values()]
+    return rows + fsum([*lengths.values(), *items])
+
+
+def compress_oracle(
+    transactions: Sequence[Transaction], candidates: Mapping[frozenset, int]
+) -> tuple[float, list[float], PatternTable]:
+    """The greedy search with every trial settled and measured by the oracles
+    above: (initial length, each candidate's trial length, final table)."""
+    table = init_pattern_table(distinct_rows(transactions))
+    initial = best = settled_length_oracle(table, transactions)
+    trials = []
+    for items, support in candidates.items():
+        trial = replace(table, usages={**table.usages, items: support})
+        trials.append(settled_length_oracle(trial, transactions))
+        if trials[-1] < best:
+            best = trials[-1]
+            trial.usages = {p: u for p, u in trial.usages.items() if u > 0 or len(p) == 1}
+            table = trial
+    return initial, trials, table
 
 
 def parse_synthetic(dataset: SyntheticDataset, tmp_path) -> ParseResult:

@@ -8,6 +8,7 @@ precision where the formula mixes irrational logs.
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from math import fsum, log2
 
 import pytest
@@ -16,12 +17,15 @@ from hypothesis import strategies as st
 
 from conftest import PAIR, RB2, TRIPLE
 from helpers import (
+    DATABASES,
+    compress_oracle,
     cover_transaction,
     db_strategy,
     greedy_cover_oracle,
     make_db,
     pattern_code_length,
     random_db,
+    settle_oracle,
     transaction_code_length,
 )
 from mdlpatterns import SupportThreshold, codec, compress, frequent_itemsets
@@ -99,6 +103,38 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     order = cover_order(table.usages)
     for cover in cover_database(db, table):
         assert cover.parts == greedy_cover_oracle(frozenset(cover.transaction.items), order)
+
+
+@st.composite
+def candidate_tables(draw):
+    """A database and a random part of its itemsets, each with a drawn support."""
+    db = draw(DATABASES)
+    itemsets = list(frequent_itemsets(db, SupportThreshold(count=1)))
+    chosen = draw(st.lists(st.sampled_from(itemsets), unique=True)) if itemsets else []
+    return db, {items: draw(st.integers(0, len(db))) for items in chosen}
+
+
+@given(drawn=candidate_tables())
+@settings(max_examples=100, deadline=None)
+def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
+    db, candidates = drawn
+    table = init_pattern_table(distinct_rows(db))
+    table.usages.update(candidates)
+    expected = replace(table, usages=dict(table.usages))
+    try:
+        covers = settle_oracle(expected, db)
+    except ValueError:
+        with pytest.raises(ValueError, match="did not settle"):
+            codec._settle(table, distinct_rows(db), "the drawn table")
+        return
+    assert codec._settle(table, distinct_rows(db), "the drawn table") == list(covers.values())
+    assert list(table.usages.items()) == list(expected.usages.items())
+
+    initial, trials, final = compress_oracle(db, candidates)
+    result = compress(db, candidates)
+    assert result.initial_length == initial
+    assert [record.trial_length for record in result.log] == trials
+    assert list(result.table.usages.items()) == list(final.usages.items())
 
 
 def test_cover_rejects_unknown_item(worked_table):

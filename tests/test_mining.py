@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import ceil
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, TRIPLE
-from helpers import brute_force_frequent, db_strategy, make_db, random_db, support
+from helpers import DATABASES, brute_force_frequent, make_db, random_db, support
 from mdlpatterns import SupportThreshold, frequent_itemsets
 from mdlpatterns.mining import (
+    DistinctRows,
     canonical_key,
+    distinct_rows,
     exact_ceil,
     format_items,
     parse_items,
@@ -37,6 +40,58 @@ def test_support_of_empty_set_is_database_size(six_rows):
 
 def test_support_of_absent_item_is_zero(six_rows):
     assert support(frozenset({("PB", 9)}), six_rows) == 0
+
+
+# --- distinct rows and their multiplicity bit planes ------------------------------
+
+
+def bit_planes(weights):
+    """Plane k holds bit r when bit k of row r's multiplicity is set, built bit by bit."""
+    planes = [0] * max(weights, default=0).bit_length()
+    for row, weight in enumerate(weights):
+        for k in range(len(planes)):
+            if weight >> k & 1:
+                planes[k] |= 1 << row
+    return planes
+
+
+@st.composite
+def weighted_masks(draw):
+    weights = draw(st.lists(st.integers(1, 2**20), max_size=300))
+    everything = (1 << len(weights)) - 1
+    mask = draw(st.sampled_from([0, everything]) | st.integers(0, everything))
+    return weights, mask
+
+
+@given(drawn=weighted_masks())
+@settings(max_examples=200)
+def test_weight_is_the_summed_multiplicity_of_the_mask_rows(drawn):
+    weights, mask = drawn
+    db = DistinctRows(weights=weights, index=[], holding={}, planes=bit_planes(weights))
+    assert db.weight(mask) == sum(w for row, w in enumerate(weights) if mask >> row & 1)
+
+
+@given(db=DATABASES)
+@settings(max_examples=100)
+def test_distinct_rows_build_the_multiplicity_bit_planes(db):
+    rows = distinct_rows(db)
+    assert rows.weights == list(Counter(frozenset(txn.items) for txn in db).values())
+    assert rows.planes == bit_planes(rows.weights)
+
+
+def test_an_empty_database_has_no_planes():
+    rows = distinct_rows([])
+    assert rows.planes == [] and rows.weight(0) == 0
+
+
+def test_matches_brute_force_where_a_row_repeats_past_the_sixteenth_plane():
+    # 65,537 copies set the multiplicity's bit 16, a plane smaller draws never reach
+    db = make_db([(1, 2, 1)] * 65_537 + [(1, 2, 2), (1, 3, 2), (1, 3, 2)])
+    assert distinct_rows(db).weights == [65_537, 1, 2]
+    threshold = SupportThreshold(count=2)
+    mined = frequent_itemsets(db, threshold)
+    assert set(mined.items()) == brute_force_frequent(db, threshold)
+    assert mined[frozenset({("PB", 1), ("LQ", 2), ("RB", 1)})] == 65_537
 
 
 # --- threshold semantics --------------------------------------------------------
@@ -133,10 +188,6 @@ def test_output_in_canonical_order(six_rows):
     found = frequent_itemsets(six_rows, SupportThreshold(count=2))
     keys = [canonical_key(items, sup) for items, sup in found.items()]
     assert keys == sorted(keys)
-
-
-# three sites with categories 1..4, or six with 1..2, so itemsets up to six items deep
-DATABASES = st.one_of(db_strategy(), db_strategy(attrs=tuple("ABCDEF"), max_cat=2))
 
 
 @given(db=DATABASES, count=st.integers(1, 4), inclusive=st.booleans())
