@@ -11,25 +11,31 @@ anomalies.
 (``mdlpatterns.ingest``, ``.mining``, ``.codec``, ``.anomaly``, ``.synth``,
 ``.cli``). Typical use::
 
-    from mdlpatterns import compress, frequent_itemsets, read_transactions, score_all, top_fraction
+    from mdlpatterns import (
+        compress, distinct_rows, frequent_itemsets, least_support, read_transactions,
+        score_all, top_fraction,
+    )
 
     transactions, _ = read_transactions("transactions.csv")
-    result = compress(transactions, frequent_itemsets(transactions, threshold))
-    scored = score_all(transactions, result.table)
+    db = distinct_rows(transactions)  # collapsed once, handed to every stage
+    least = least_support("0.05", len(transactions), minimum=2)
+    result = compress(db, frequent_itemsets(db, least))
+    scored = score_all(db, result.table)
     worst = top_fraction(scored, 0.05)
 """
 
 from .anomaly import score_all, top_fraction
 from .codec import compress
 from .ingest import read_transactions
-from .mining import SupportThreshold, frequent_itemsets
+from .mining import distinct_rows, frequent_itemsets, least_support
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SupportThreshold",
     "compress",
+    "distinct_rows",
     "frequent_itemsets",
+    "least_support",
     "read_transactions",
     "score_all",
     "top_fraction",

@@ -16,7 +16,7 @@ from typing import Sequence
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .ingest import Item, Transaction, hour_text, parse_categories, parse_hour
-from .mining import distinct_rows, exact_ceil, format_items, parse_items
+from .mining import DistinctRows, exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 
@@ -30,18 +30,17 @@ class ScoredTransaction:
     score: float
 
 
-def score_all(transactions: Sequence[Transaction], table: PatternTable) -> list[ScoredTransaction]:
+def score_all(db: DistinctRows, table: PatternTable) -> list[ScoredTransaction]:
     """Score every transaction and rank descending; ties rank earlier hours first.
 
     Each distinct row is covered, scored and its cover written out as text
     once, under the table as given.
     """
-    db = distinct_rows(transactions)
     covers = cover_rows(db, cover_order(table.usages))
     bits = row_lengths(covers, code_lengths(table))
     texts = ["|".join(format_items(part) for part in cover) for cover in covers]
     scored = [
-        ScoredTransaction(txn, texts[row], bits[row]) for txn, row in zip(transactions, db.index)
+        ScoredTransaction(txn, texts[row], bits[row]) for txn, row in zip(db.transactions, db.index)
     ]
     scored.sort(key=lambda entry: (-entry.score, entry.transaction.timestamp))
     return scored

@@ -68,10 +68,8 @@ class RunConfig:
             raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
-        self.support_threshold()  # raises on a bad threshold string
-
-    def support_threshold(self) -> mining.SupportThreshold:
-        return parse_threshold(self.threshold, self.threshold_minimum, self.threshold_inclusive)
+        # raises on a bad threshold, whatever the number of hours
+        mining.least_support(self.threshold, 0, self.threshold_minimum, self.threshold_inclusive)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -83,23 +81,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         return cls(**data)
-
-
-def parse_threshold(
-    text: str, minimum: int = 1, inclusive: bool = True
-) -> mining.SupportThreshold:
-    """"12" is an absolute count; "0.05" is a fraction of the database size."""
-    text = str(text).strip()
-    try:
-        if "." in text or "e" in text.lower():
-            return mining.SupportThreshold(
-                fraction=float(text), minimum=minimum, inclusive=inclusive
-            )
-        return mining.SupportThreshold(
-            count=int(text), minimum=minimum, inclusive=inclusive
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad threshold {text!r}: {exc}")
 
 
 def run_pipeline(config: RunConfig) -> int:
@@ -115,12 +96,15 @@ def run_pipeline(config: RunConfig) -> int:
         fh.write("\n")
 
     transactions = _ingest(config, str(out / "transactions.csv"))
-    itemsets = _mine(transactions, config.support_threshold(), str(out / "itemsets.tsv"))
-    result = _compress(
-        transactions, itemsets,
-        str(out / "pattern_table.tsv"), str(out / "acceptance_log.tsv"),
+    db = mining.distinct_rows(transactions)
+    least = mining.least_support(
+        config.threshold, len(transactions), config.threshold_minimum, config.threshold_inclusive
     )
-    scored = _score(transactions, result.table, config.attributes, str(out / "scores.tsv"))
+    itemsets = _mine(db, least, str(out / "itemsets.tsv"))
+    result = _compress(
+        db, itemsets, str(out / "pattern_table.tsv"), str(out / "acceptance_log.tsv")
+    )
+    scored = _score(db, result.table, config.attributes, str(out / "scores.tsv"))
     _report(scored, config.top_fraction, config.top_k, str(out / "report.txt"))
 
     top = scored[0]
@@ -168,20 +152,18 @@ def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
 
 
 @_stage("mine")
-def _mine(
-    transactions: list[ingest.Transaction], threshold: mining.SupportThreshold, output: str
-) -> dict[frozenset[ingest.Item], int]:
-    itemsets = mining.frequent_itemsets(transactions, threshold)
+def _mine(db: mining.DistinctRows, least: int, output: str) -> dict[frozenset[ingest.Item], int]:
+    itemsets = mining.frequent_itemsets(db, least)
     mining.write_itemsets(output, itemsets)
     return itemsets
 
 
 @_stage("compress")
 def _compress(
-    transactions: list[ingest.Transaction], candidates: dict[frozenset[ingest.Item], int],
+    db: mining.DistinctRows, candidates: dict[frozenset[ingest.Item], int],
     table_out: str, log_out: str,
 ) -> codec.CompressionResult:
-    result = codec.compress(transactions, candidates)
+    result = codec.compress(db, candidates)
     codec.write_pattern_table(table_out, result.table)
     codec.write_acceptance_log(log_out, result)
     return result
@@ -189,10 +171,9 @@ def _compress(
 
 @_stage("score")
 def _score(
-    transactions: list[ingest.Transaction], table: codec.PatternTable,
-    attributes: list[str], output: str,
+    db: mining.DistinctRows, table: codec.PatternTable, attributes: list[str], output: str
 ) -> list[anomaly.ScoredTransaction]:
-    scored = anomaly.score_all(transactions, table)
+    scored = anomaly.score_all(db, table)
     anomaly.write_scores(output, scored, attributes)
     return scored
 
@@ -237,19 +218,19 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     with _stage("mine"):
-        transactions, _ = ingest.read_transactions(args.transactions)
-        threshold = parse_threshold(args.threshold, minimum=args.threshold_minimum)
-    itemsets = _mine(transactions, threshold, args.output)
+        db = mining.distinct_rows(ingest.read_transactions(args.transactions)[0])
+        least = mining.least_support(args.threshold, len(db.transactions), args.threshold_minimum)
+    itemsets = _mine(db, least, args.output)
     print(f"wrote {len(itemsets)} itemset(s) to {args.output}")
     return 0
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     with _stage("compress"):
-        transactions, _ = ingest.read_transactions(args.transactions)
-        threshold = parse_threshold(args.threshold, minimum=args.threshold_minimum)
-        candidates = mining.frequent_itemsets(transactions, threshold)
-    result = _compress(transactions, candidates, args.table_out, args.log_out)
+        db = mining.distinct_rows(ingest.read_transactions(args.transactions)[0])
+        least = mining.least_support(args.threshold, len(db.transactions), args.threshold_minimum)
+        candidates = mining.frequent_itemsets(db, least)
+    result = _compress(db, candidates, args.table_out, args.log_out)
     print(
         f"initial {result.initial_length:.3f} bits, final {result.final_length:.3f} "
         f"bits ({len([r for r in result.log if r.accepted])} pattern(s) accepted)"
@@ -261,7 +242,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     with _stage("score"):
         transactions, attributes = ingest.read_transactions(args.transactions)
         table = codec.read_pattern_table(args.table)
-    scored = _score(transactions, table, attributes, args.output)
+        db = mining.distinct_rows(transactions)
+    scored = _score(db, table, attributes, args.output)
     print(f"wrote {len(scored)} score(s) to {args.output}")
     return 0
 

@@ -15,14 +15,14 @@ the sum over its cover.
 A pattern is a frozenset of items, and the table maps each pattern to its
 usage, as Krimp's code table holds itemsets with usages. Covers, usages and
 code lengths depend only on which distinct row a transaction is, so
-compress collapses the hours once into distinct rows with multiplicities
-(``mining.distinct_rows``; usage over a multiset, as in Krimp). A cover
-pass sweeps the patterns once over all rows' bitmasks; a pattern's usage,
-like a singleton's raw count, is the weight of the rows it takes, counted
-as mining counts support. Passes repeat until the cover order is stable,
-and only the settled pass is spread into per-row covers. They give the
-length: one correctly rounded sum of each distinct row's bits times its
-multiplicity, whatever the row order.
+compress is handed the collapsed database that mining and scoring are
+handed too: distinct rows with multiplicities (``mining.distinct_rows``;
+usage over a multiset, as in Krimp). A cover pass sweeps the patterns once
+over all rows' bitmasks; a pattern's usage, like a singleton's raw count, is
+the weight of the rows it takes, counted as mining counts support. Passes
+repeat until the cover order is stable, and only the settled pass is spread
+into per-row covers. They give the length: one correctly rounded sum of each
+distinct row's bits times its multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ _MAX_RECOVER_PASSES = 25
 class PatternTable:
     """The code dictionary: pattern -> usage, plus fixed singleton-item statistics.
 
-    ``usages`` is in table order (sorted singletons, then accepted candidates
-    in acceptance order), the order in which code lengths are summed.
+    ``usages`` is in table order: sorted singletons, then accepted candidates
+    in acceptance order. Every length is one correctly rounded sum, so no
+    number depends on that order.
     ``singleton_counts`` holds the raw occurrence count of each item over the
     whole database, fixed at initialization and independent of the evolving
     covers.
@@ -156,7 +157,7 @@ def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[fro
 
 
 def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
-    """-log2(usage / total usage) of every in-use pattern, in table order."""
+    """-log2(usage / total usage) of every in-use pattern."""
     total = sum(table.usages.values())
     return {p: -log2(usage / total) for p, usage in table.usages.items() if usage > 0}
 
@@ -183,9 +184,7 @@ def _table_bits(table: PatternTable, lengths: Mapping) -> float:
     return fsum([*lengths.values(), *(-r * log2(r / c) for r in table.singleton_counts.values())])
 
 
-def compress(
-    transactions: Sequence[Transaction], candidates: Mapping[frozenset[Item], int]
-) -> CompressionResult:
+def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> CompressionResult:
     """Greedy MDL selection of a pattern table from mined candidate itemsets.
 
     Seeds the singleton table, computes the initial length L0, then trials
@@ -195,7 +194,6 @@ def compress(
     Multi-item patterns left unused by a later accepted candidate are pruned;
     singletons always stay. A candidate already in the table is a ValueError.
     """
-    db = distinct_rows(transactions)
     table = init_pattern_table(db)
 
     def settled_length(model: PatternTable, trial: str) -> float:

@@ -2,12 +2,13 @@
 
 An item is a (site, category) pair: the same category at two different sites
 is two different items, and no valid itemset holds two categories for one
-site. ``distinct_rows`` collapses the hours into distinct rows with
-multiplicities; mining, the codec and the scorer each start from it. Each
-item's rows form one bitmask, and the support of a set of items is the
-weight of the AND of their masks: one popcount per bit plane of the
-multiplicities. Mining returns itemsets of size >= 2 only, as itemset ->
-support; the codec counts singletons and usages with the same weights.
+site. ``distinct_rows`` collapses the hours once into distinct rows with
+multiplicities; mining, the codec and the scorer are each handed that one
+collapsed database. Each item's rows form one bitmask, and the support of a
+set of items is the weight of the AND of their masks: one popcount per bit
+plane of the multiplicities. Mining returns itemsets of size >= 2 only, as
+itemset -> support; the codec counts singletons and usages with the same
+weights.
 """
 
 from __future__ import annotations
@@ -16,42 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import Item, Transaction
-
-
-@dataclass(frozen=True)
-class SupportThreshold:
-    """Minimum support, either an absolute count or a fraction of |database|.
-
-    ``inclusive`` selects support >= threshold (default) versus a strict
-    support > threshold. ``minimum`` floors the resolved count.
-    """
-
-    count: int | None = None
-    fraction: float | None = None
-    minimum: int = 1
-    inclusive: bool = True
-
-    def __post_init__(self) -> None:
-        if (self.count is None) == (self.fraction is None):
-            raise ValueError("set exactly one of count or fraction")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"absolute threshold must be >= 1, got {self.count}")
-        if self.fraction is not None and not (0 < self.fraction <= 1):
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.minimum < 1:
-            raise ValueError(f"minimum must be >= 1, got {self.minimum}")
-
-    def resolve(self, n_transactions: int) -> int:
-        if self.count is not None:
-            base = self.count
-        else:
-            base = exact_ceil(self.fraction, n_transactions)
-        return max(self.minimum, base)
-
-    def meets(self, support_count: int, resolved: int) -> bool:
-        if self.inclusive:
-            return support_count >= resolved
-        return support_count > resolved
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -66,6 +31,33 @@ def exact_ceil(fraction: float, n: int) -> int:
     whole, _, decimals = mantissa.partition(".")
     scale = len(decimals) - int(exponent or 0)  # fraction == digits / 10**scale
     return -(-int(whole + decimals) * n // 10**scale)
+
+
+def least_support(threshold: str | float, n: int, minimum: int = 1, inclusive: bool = True) -> int:
+    """The least support that counts as frequent among ``n`` transactions.
+
+    Integer text ("12") is an absolute count; any other text ("0.05", "1e-2")
+    is a fraction of ``n``, rounded up exactly (see exact_ceil). The result is
+    floored at ``minimum``. A strict threshold (support > threshold rather
+    than >=) adds one.
+    """
+    text = str(threshold).strip()
+    try:
+        try:
+            least = int(text)
+        except ValueError:
+            fraction = float(text)
+            if not 0 < fraction <= 1:
+                raise ValueError(f"fraction must be in (0, 1], got {fraction}") from None
+            least = exact_ceil(fraction, n)
+        else:
+            if least < 1:
+                raise ValueError(f"absolute threshold must be >= 1, got {least}")
+        if minimum < 1:
+            raise ValueError(f"minimum must be >= 1, got {minimum}")
+    except ValueError as exc:
+        raise ValueError(f"bad threshold {text!r}: {exc}") from None
+    return max(minimum, least) + (not inclusive)
 
 
 def format_items(items: Iterable[Item]) -> str:
@@ -95,8 +87,9 @@ def canonical_key(items: frozenset[Item], weight: int) -> tuple:
 
 @dataclass(frozen=True)
 class DistinctRows:
-    """A database collapsed to its distinct rows, each with its multiplicity."""
+    """A database: its hours, collapsed to distinct rows with multiplicities."""
 
+    transactions: Sequence[Transaction]  # the hours, in order
     weights: list[int]  # per distinct row, in order of first appearance
     index: list[int]  # distinct-row index of every transaction, in order
     holding: dict[Item, int]  # bit r set: distinct row r holds the item
@@ -112,6 +105,7 @@ class DistinctRows:
 
 
 def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
+    """Collapse the hours once; mining, the codec and the scorer are handed the result."""
     position: dict[frozenset[Item], int] = {}
     index = [position.setdefault(frozenset(txn.items), len(position)) for txn in transactions]
     weights = [0] * len(position)
@@ -123,13 +117,11 @@ def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
             holding[item] = holding.get(item, 0) | 1 << row
     planes = [int("".join(str(w >> k & 1) for w in reversed(weights)), 2)
               for k in range(max(weights, default=0).bit_length())]
-    return DistinctRows(weights=weights, index=index, holding=holding, planes=planes)
+    return DistinctRows(transactions, weights, index, holding, planes)
 
 
-def frequent_itemsets(
-    transactions: Sequence[Transaction], threshold: SupportThreshold
-) -> dict[frozenset[Item], int]:
-    """All itemsets of size >= 2 meeting the support threshold, mapped to support.
+def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int]:
+    """All itemsets of size >= 2 with support at least ``least``, mapped to support.
 
     Depth-first search over the frequent items' row bitmasks, as in Eclat: a
     frequent set is extended by every later frequent item, in item order, and
@@ -137,19 +129,20 @@ def frequent_itemsets(
     categories of one site share no row, so together they have support 0.
     Output is sorted by descending cardinality, then descending support, then
     lexicographic items; this order drives both the `mine` artifact and the
-    compression trial loop.
+    compression trial loop. A ``least`` below 1 is a ValueError: it would count
+    pairs no hour holds, such as two categories of one site, as frequent.
     """
-    db = distinct_rows(transactions)
-    resolved = threshold.resolve(len(transactions))
+    if least < 1:
+        raise ValueError(f"least support must be >= 1, got {least}")
     frequent = [(item, rows) for item, rows in sorted(db.holding.items())
-                if threshold.meets(db.weight(rows), resolved)]
+                if db.weight(rows) >= least]
     found: dict[frozenset[Item], int] = {}
 
     def extend(items: frozenset[Item], rows: int, start: int) -> None:
         for position in range(start, len(frequent)):
             item, holding = frequent[position]
             support = db.weight(rows & holding)
-            if threshold.meets(support, resolved):
+            if support >= least:
                 if items:  # the empty set's extensions are the singletons
                     found[items | {item}] = support
                 extend(items | {item}, rows & holding, position + 1)

@@ -18,12 +18,13 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
-from mdlpatterns import SupportThreshold
 from mdlpatterns.anomaly import SCORES_TAIL, ScoredTransaction
 from mdlpatterns.codec import (
     _MAX_RECOVER_PASSES,
+    CompressionResult,
     Cover,
     PatternTable,
+    compress,
     cover_database,
     cover_order,
     database_length,
@@ -41,7 +42,7 @@ from mdlpatterns.ingest import (
     canonical,
     parse_records,
 )
-from mdlpatterns.mining import distinct_rows, format_items, parse_items
+from mdlpatterns.mining import distinct_rows, format_items, frequent_itemsets, parse_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
@@ -92,15 +93,14 @@ def support(items: frozenset, transactions: Sequence[Transaction]) -> int:
 
 
 def brute_force_frequent(
-    transactions: Sequence[Transaction], threshold: SupportThreshold
+    transactions: Sequence[Transaction], least: int
 ) -> set[tuple[frozenset, int]]:
-    """Every itemset of size >= 2 meeting the threshold, by direct enumeration.
+    """Every itemset of size >= 2 with support at least ``least``, by direct enumeration.
 
     Tries each combination of observed items up to the longest row size (a
     larger set cannot be contained in any row) and counts supersets one row
     at a time.
     """
-    resolved = threshold.resolve(len(transactions))
     universe = sorted({item for txn in transactions for item in txn.items})
     longest_row = max(len(txn.items) for txn in transactions)
     found = set()
@@ -108,9 +108,15 @@ def brute_force_frequent(
         for combo in combinations(universe, size):
             items = frozenset(combo)
             sup = support(items, transactions)
-            if threshold.meets(sup, resolved):
+            if sup >= least:
                 found.add((items, sup))
     return found
+
+
+def mine_and_compress(transactions: Sequence[Transaction], least: int = 2) -> CompressionResult:
+    """Mine at ``least`` and compress on one collapse of the hours, as ``run`` does."""
+    db = distinct_rows(transactions)
+    return compress(db, frequent_itemsets(db, least))
 
 
 def exhaustive_best_length(

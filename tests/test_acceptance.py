@@ -15,12 +15,13 @@ from helpers import (
     brute_force_frequent,
     exhaustive_best_length,
     make_db,
+    mine_and_compress,
     parse_synthetic,
     pattern_code_length,
     random_db,
     transaction_code_length,
 )
-from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
+from mdlpatterns import compress, frequent_itemsets, least_support, score_all, top_fraction
 from mdlpatterns.cli import RunConfig, run_pipeline
 from mdlpatterns.codec import database_length, init_pattern_table, recompute_usages
 from mdlpatterns.ingest import (
@@ -95,11 +96,11 @@ def test_criterion_3_mining_matches_brute_force():
     for _ in range(200):
         db = random_db(rng, max_rows=12, attrs=("A", "B", "C"), max_cat=4)
         if rng.random() < 0.5:
-            threshold = SupportThreshold(count=rng.randint(1, 4))
+            least = least_support(rng.randint(1, 4), len(db))
         else:
-            threshold = SupportThreshold(fraction=rng.choice((0.2, 0.34, 0.5)))
-        mined = set(frequent_itemsets(db, threshold).items())
-        oracle = brute_force_frequent(db, threshold)
+            least = least_support(rng.choice((0.2, 0.34, 0.5)), len(db))
+        mined = set(frequent_itemsets(distinct_rows(db), least).items())
+        oracle = brute_force_frequent(db, least)
         compared += len(oracle)
         if mined != oracle:
             mismatches += 1
@@ -115,16 +116,15 @@ def test_criterion_3_mining_matches_brute_force():
 def test_criterion_4_greedy_versus_exhaustive():
     started = time.perf_counter()
     rng = random.Random(48109)
-    threshold = SupportThreshold(count=2)
     ratios = []
     never_worse_than_start = True
     for _ in range(50):
         while True:
             db = random_db(rng, max_rows=10, min_rows=3, attrs=("A", "B", "C"), max_cat=3)
-            candidates = frequent_itemsets(db, threshold)
+            candidates = frequent_itemsets(distinct_rows(db), 2)
             if len(candidates) <= 10:  # keeps the exhaustive sweep tractable
                 break
-        result = compress(db, candidates)
+        result = compress(distinct_rows(db), candidates)
         never_worse_than_start &= result.final_length <= result.initial_length
         best = exhaustive_best_length(db, candidates)
         ratios.append(result.final_length / best)
@@ -132,8 +132,8 @@ def test_criterion_4_greedy_versus_exhaustive():
     exact_on_uniform = True
     for combo in [(1, 2, 1), (2, 1, 3), (3, 3, 3), (1, 1, 1), (2, 3, 2)]:
         db = make_db([combo] * 20)
-        candidates = frequent_itemsets(db, threshold)
-        result = compress(db, candidates)
+        candidates = frequent_itemsets(distinct_rows(db), 2)
+        result = compress(distinct_rows(db), candidates)
         best = exhaustive_best_length(db, candidates)
         exact_on_uniform &= abs(result.final_length - best) <= 1e-9
 
@@ -154,7 +154,7 @@ def test_criterion_5_accepted_lengths_strictly_decrease():
     acceptances = 0
     for _ in range(100):
         db = random_db(rng, max_rows=12, attrs=("A", "B", "C"), max_cat=3)
-        result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
+        result = mine_and_compress(db)
         lengths = [result.initial_length] + [
             r.trial_length for r in result.log if r.accepted
         ]
@@ -171,7 +171,6 @@ def test_criterion_5_accepted_lengths_strictly_decrease():
 
 def test_criterion_6_synthetic_recall(tmp_path):
     started = time.perf_counter()
-    threshold = SupportThreshold(fraction=0.05, minimum=2)
     hits = []
     for seed in range(10):
         dataset = generate_synthetic(
@@ -179,9 +178,10 @@ def test_criterion_6_synthetic_recall(tmp_path):
         )
         hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
         build = build_transactions(hourly, SITES, "ToCanada", "Car")
-        candidates = frequent_itemsets(build.transactions, threshold)
-        result = compress(build.transactions, candidates)
-        scored = score_all(build.transactions, result.table)
+        db = distinct_rows(build.transactions)
+        candidates = frequent_itemsets(db, least_support("0.05", len(build.transactions), 2))
+        result = compress(db, candidates)
+        scored = score_all(db, result.table)
         selected = top_fraction(scored, 0.05)
         top_hours = {s.transaction.timestamp for s in selected}
         hits.append(sum(1 for h in dataset.injected_hours if h in top_hours))
@@ -209,20 +209,19 @@ def test_criterion_8_score_accounting(tmp_path):
     rows, table = _worked_table_and_rows()
     cases = [("worked", rows, table)]
 
-    result = compress(rows, frequent_itemsets(rows, SupportThreshold(count=2)))
+    result = mine_and_compress(rows)
     cases.append(("compressed", rows, result.table))
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
     hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
     build = build_transactions(hourly, SITES, "ToCanada", "Car")
-    candidates = frequent_itemsets(
-        build.transactions, SupportThreshold(fraction=0.05, minimum=2)
-    )
-    synth_result = compress(build.transactions, candidates)
+    db = distinct_rows(build.transactions)
+    candidates = frequent_itemsets(db, least_support("0.05", len(build.transactions), 2))
+    synth_result = compress(db, candidates)
     cases.append(("synthetic", build.transactions, synth_result.table))
 
     for name, transactions, current in cases:
-        scored = score_all(transactions, current)
+        scored = score_all(distinct_rows(transactions), current)
         score_gap = abs(
             fsum(s.score for s in scored) - database_length(transactions, current)
         )

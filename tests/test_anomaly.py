@@ -12,11 +12,12 @@ from helpers import (
     artifact_rows,
     db_strategy,
     make_db,
+    mine_and_compress,
     outcome,
     read_scores_oracle,
     write_scores_oracle,
 )
-from mdlpatterns import SupportThreshold, compress, frequent_itemsets, score_all, top_fraction
+from mdlpatterns import score_all, top_fraction
 from mdlpatterns.anomaly import (
     REPORT_VERSION,
     SCORES_TAIL,
@@ -32,7 +33,7 @@ from mdlpatterns.mining import distinct_rows
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     keys = [(-s.score, s.transaction.timestamp) for s in scored]
     assert keys == sorted(keys)
     assert [s.score for s in scored] == pytest.approx(
@@ -46,7 +47,7 @@ def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
 
 
 def test_rare_rows_outscore_common_rows(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     rare = {s.score for s in scored if s.transaction.items[2] == ("RB", 2)}
     common = {s.score for s in scored if s.transaction.items[2] == ("RB", 1)}
     assert min(rare) > max(common)
@@ -54,13 +55,13 @@ def test_rare_rows_outscore_common_rows(six_rows, worked_table):
 
 def test_scores_carry_covers(six_rows, worked_table):
     # cover text as scores.tsv holds it: the pair then RB:2, and the triple
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     assert scored[0].cover == "LQ:2,PB:1|RB:2"
     assert scored[-1].cover == "LQ:2,PB:1,RB:1"
 
 
 def test_score_sum_equals_database_length(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     assert fsum(s.score for s in scored) == pytest.approx(
         database_length(six_rows, worked_table), abs=1e-9
     )
@@ -69,8 +70,8 @@ def test_score_sum_equals_database_length(six_rows, worked_table):
 @given(db=db_strategy(max_rows=10, max_cat=3))
 @settings(max_examples=100, deadline=None)
 def test_score_sum_matches_database_length_everywhere(db):
-    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
-    scored = score_all(db, result.table)
+    result = mine_and_compress(db)
+    scored = score_all(distinct_rows(db), result.table)
     assert fsum(s.score for s in scored) == pytest.approx(
         database_length(db, result.table), abs=1e-9
     )
@@ -80,7 +81,7 @@ def test_score_sum_matches_database_length_everywhere(db):
 
 
 def test_top_fraction_rounds_up(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     assert len(top_fraction(scored, 0.05)) == 1
     assert len(top_fraction(scored, 0.3)) == 2
     assert len(top_fraction(scored, 0.5)) == 3
@@ -91,13 +92,13 @@ def test_top_fraction_rounds_up(six_rows, worked_table):
 def test_top_fraction_ceiling_is_exact():
     # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
     db = make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5)
-    scored = score_all(db, init_pattern_table(distinct_rows(db)))
+    scored = score_all(distinct_rows(db), init_pattern_table(distinct_rows(db)))
     assert len(top_fraction(scored, 0.07)) == 7
     assert len(top_fraction(scored, 0.05)) == 5
 
 
 def test_top_fraction_validates(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     with pytest.raises(ValueError, match="fraction"):
         top_fraction(scored, 0.0)
     with pytest.raises(ValueError, match="fraction"):
@@ -110,7 +111,7 @@ def test_top_fraction_validates(six_rows, worked_table):
 
 
 def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     histogram = hour_frequency(scored[:2])
     assert len(histogram) == 24
     assert histogram[4] == 1
@@ -122,7 +123,7 @@ def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
 
 
 def test_report_structure(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     document = report(scored, 0.5, k=2)
     lines = document.splitlines()
     assert lines[0] == REPORT_VERSION
@@ -147,7 +148,7 @@ def test_report_structure(six_rows, worked_table):
 
 
 def test_report_rejects_oversized_k(six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     with pytest.raises(ValueError, match="exceeds"):
         report(scored, 0.5, k=7)
     with pytest.raises(ValueError, match="negative"):
@@ -158,7 +159,7 @@ def test_report_rejects_oversized_k(six_rows, worked_table):
 
 
 def test_scores_file_round_trip(tmp_path, six_rows, worked_table):
-    scored = score_all(six_rows, worked_table)
+    scored = score_all(distinct_rows(six_rows), worked_table)
     path = tmp_path / "scores.tsv"
     write_scores(str(path), scored, ["PB", "LQ", "RB"])
     loaded, attributes = read_scores(str(path))
@@ -336,7 +337,7 @@ def test_read_scores_rejects_a_cover_that_does_not_split_its_row(tmp_path, cover
 
 def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows, worked_table):
     path = tmp_path / "scores.tsv"
-    write_scores(str(path), score_all(six_rows, worked_table), ["PB", "LQ", "RB"])
+    write_scores(str(path), score_all(distinct_rows(six_rows), worked_table), ["PB", "LQ", "RB"])
     loaded, _ = read_scores(str(path))
     first, last = loaded[2], loaded[-1]  # two hours of the dominant row
     assert first.transaction.items is last.transaction.items
@@ -451,8 +452,8 @@ def test_write_scores_writes_the_per_row_oracles_bytes(scored, tmp_path_factory)
 @settings(max_examples=50, deadline=None)
 def test_write_scores_of_scored_hours_writes_the_per_row_oracles_bytes(db, tmp_path_factory):
     folder = tmp_path_factory.mktemp("written")
-    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
-    scored = score_all(db, result.table)
+    result = mine_and_compress(db)
+    scored = score_all(distinct_rows(db), result.table)
     write_scores(str(folder / "scores.tsv"), scored, ["C", "A", "B"])
     write_scores_oracle(str(folder / "oracle.tsv"), scored, ["C", "A", "B"])
     assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()

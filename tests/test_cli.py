@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from mdlpatterns import cli
-from mdlpatterns.cli import RunConfig, parse_threshold, run_pipeline
+from mdlpatterns import anomaly, cli, codec, mining
+from mdlpatterns.cli import RunConfig, run_pipeline
 
 ARTIFACTS = [
     "config.json",
@@ -44,26 +44,38 @@ def make_raw(tmp_path, seed=11, days=3):
 # --- threshold parsing ----------------------------------------------------------
 
 
+def mine_least(argv, n):
+    """The least support the `mine` subcommand resolves from its arguments for n hours."""
+    args = cli.build_parser().parse_args(["mine", "--transactions", "t", "--output", "o", *argv])
+    return mining.least_support(args.threshold, n, args.threshold_minimum)
+
+
 def test_parse_threshold_absolute():
-    threshold = parse_threshold("12")
-    assert threshold.count == 12
-    assert threshold.fraction is None
+    # integer text is a count, whatever the number of hours
+    assert mine_least(["--threshold", "12"], 1000) == 12
+    assert mine_least(["--threshold", "12"], 50) == 12
 
 
 def test_parse_threshold_fractional():
-    assert parse_threshold("0.05").fraction == 0.05
-    assert parse_threshold("1e-2").fraction == 0.01
+    assert mine_least(["--threshold", "0.05"], 100) == 5
+    assert mine_least(["--threshold", "1e-2"], 1000) == 10
 
 
 def test_parse_threshold_carries_options():
-    threshold = parse_threshold("3", minimum=2, inclusive=False)
-    assert threshold.minimum == 2
-    assert not threshold.inclusive
+    assert mine_least(["--threshold", "3", "--threshold-minimum", "4"], 100) == 4
+    config = RunConfig(input="x", threshold="3", threshold_minimum=2, threshold_inclusive=False)
+    config.validate()
+    least = mining.least_support(
+        config.threshold, 100, config.threshold_minimum, config.threshold_inclusive
+    )
+    assert least == 4
 
 
 def test_parse_threshold_rejects_garbage():
-    with pytest.raises(ValueError, match="bad threshold"):
-        parse_threshold("five")
+    with pytest.raises(ValueError, match="bad threshold 'five'"):
+        RunConfig(input="x", threshold="five").validate()
+    with pytest.raises(ValueError, match="bad threshold 'five'"):
+        mine_least(["--threshold", "five"], 100)
 
 
 # --- config ----------------------------------------------------------------------
@@ -442,6 +454,34 @@ def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
     ) == 30
     err = capsys.readouterr().err
     assert f"compress stage failed: {txns}:4: timestamp carries a UTC offset" in err
+
+
+def test_each_database_is_collapsed_once(tmp_path, monkeypatch):
+    # mine, compress and score are handed one collapsed database, not the hours
+    collapses = []
+    for module in (anomaly, codec, mining):
+        if hasattr(module, "distinct_rows"):
+            def counted(transactions, collapse=module.distinct_rows):
+                collapses.append(len(transactions))
+                return collapse(transactions)
+
+            monkeypatch.setattr(module, "distinct_rows", counted)
+    raw, out = make_raw(tmp_path), tmp_path / "out"
+    txns = str(out / "transactions.csv")
+    commands = {
+        "run": ["run", "--input", str(raw), "--output-dir", str(out)],
+        "mine": ["mine", "--transactions", txns, "--output", str(tmp_path / "itemsets.tsv")],
+        "compress": ["compress", "--transactions", txns, "--table-out", str(tmp_path / "table"),
+                     "--log-out", str(tmp_path / "log.tsv")],
+        "score": ["score", "--transactions", txns, "--table", str(out / "pattern_table.tsv"),
+                  "--output", str(tmp_path / "scores.tsv")],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        collapses.clear()
+        assert cli.main(argv) == 0
+        counts[name] = len(collapses)
+    assert counts == dict.fromkeys(commands, 1)
 
 
 def test_staged_subcommands_read_what_run_writes_for_a_year_before_1000(tmp_path):

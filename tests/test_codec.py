@@ -23,12 +23,13 @@ from helpers import (
     db_strategy,
     greedy_cover_oracle,
     make_db,
+    mine_and_compress,
     pattern_code_length,
     random_db,
     settle_oracle,
     transaction_code_length,
 )
-from mdlpatterns import SupportThreshold, codec, compress, frequent_itemsets
+from mdlpatterns import codec, compress, frequent_itemsets
 from mdlpatterns.codec import (
     cover_database,
     cover_order,
@@ -96,7 +97,7 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     # overlapping patterns compete in many different orders
     rng = random.Random(seed)
     table = init_pattern_table(distinct_rows(db))
-    for itemset in frequent_itemsets(db, SupportThreshold(count=1)):
+    for itemset in frequent_itemsets(distinct_rows(db), 1):
         if rng.random() < 0.5:
             table.usages[itemset] = 0
     table.usages = {pattern: rng.randint(0, 5) for pattern in table.usages}
@@ -109,7 +110,7 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
 def candidate_tables(draw):
     """A database and a random part of its itemsets, each with a drawn support."""
     db = draw(DATABASES)
-    itemsets = list(frequent_itemsets(db, SupportThreshold(count=1)))
+    itemsets = list(frequent_itemsets(distinct_rows(db), 1))
     chosen = draw(st.lists(st.sampled_from(itemsets), unique=True)) if itemsets else []
     return db, {items: draw(st.integers(0, len(db))) for items in chosen}
 
@@ -131,7 +132,7 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
     assert list(table.usages.items()) == list(expected.usages.items())
 
     initial, trials, final = compress_oracle(db, candidates)
-    result = compress(db, candidates)
+    result = compress(distinct_rows(db), candidates)
     assert result.initial_length == initial
     assert [record.trial_length for record in result.log] == trials
     assert list(result.table.usages.items()) == list(final.usages.items())
@@ -210,7 +211,7 @@ def test_total_length_is_sum_of_parts(six_rows, worked_table):
 
 
 def test_compress_worked_example(six_rows):
-    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+    result = mine_and_compress(six_rows)
     assert result.initial_length == pytest.approx(INITIAL_LENGTH, abs=1e-9)
     assert result.final_length == pytest.approx(FINAL_LENGTH, abs=1e-9)
     assert result.compression_ratio == pytest.approx(
@@ -229,7 +230,7 @@ def test_compress_worked_example(six_rows):
 def test_compress_rejects_exact_ties(six_rows):
     # every pair is interchangeable with existing codes here: the trial
     # length equals the current best exactly, and equality must not count
-    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+    result = mine_and_compress(six_rows)
     rejected = [r for r in result.log if not r.accepted]
     assert len(rejected) == 5
     assert all(len(r.items) == 2 for r in rejected)
@@ -242,27 +243,27 @@ def test_unsettled_trial_raises_naming_the_candidate(six_rows, monkeypatch):
     # singletons' usages change order, so a second pass is needed to settle.
     monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 1)
     with pytest.raises(ValueError, match=r"candidate LQ:2,PB:1,RB:1 did not settle in 1 passes"):
-        compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+        mine_and_compress(six_rows)
     monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 2)
-    assert compress(six_rows, {TRIPLE: 4}).final_length < INITIAL_LENGTH
+    assert compress(distinct_rows(six_rows), {TRIPLE: 4}).final_length < INITIAL_LENGTH
 
 
 def test_compress_rejects_a_candidate_already_in_the_table(six_rows):
     # every item is already a singleton pattern; a second entry would overwrite its usage
     with pytest.raises(ValueError, match=r"^candidate PB:1 is already in the table$"):
-        compress(six_rows, {TRIPLE: 4, frozenset({("PB", 1)}): 6})
+        compress(distinct_rows(six_rows), {TRIPLE: 4, frozenset({("PB", 1)}): 6})
 
 
 def test_compress_rejects_empty_database():
     with pytest.raises(ValueError, match="empty"):
-        compress([], [])
+        compress(distinct_rows([]), {})
 
 
 def test_accepted_lengths_strictly_decrease():
     rng = random.Random(905)
     for _ in range(25):
         db = random_db(rng, max_rows=12, max_cat=3)
-        result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
+        result = mine_and_compress(db)
         lengths = [result.initial_length] + [
             r.trial_length for r in result.log if r.accepted
         ]
@@ -274,7 +275,7 @@ def test_accepted_lengths_strictly_decrease():
 @given(db=db_strategy(max_rows=10, max_cat=3))
 @settings(max_examples=100, deadline=None)
 def test_compress_invariants(db):
-    result = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
+    result = mine_and_compress(db)
     table = result.table
     assert result.final_length <= result.initial_length + 1e-9
 
@@ -311,8 +312,8 @@ def test_compress_invariants(db):
 def test_compress_ignores_row_order(db, seed):
     shuffled = list(db)
     random.Random(seed).shuffle(shuffled)
-    first = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
-    second = compress(shuffled, frequent_itemsets(shuffled, SupportThreshold(count=2)))
+    first = mine_and_compress(db)
+    second = mine_and_compress(shuffled)
     assert second.initial_length == pytest.approx(first.initial_length, abs=1e-9)
     assert second.final_length == pytest.approx(first.final_length, abs=1e-9)
     accepted_first = {r.items for r in first.log if r.accepted}
@@ -330,8 +331,8 @@ def test_compress_ignores_row_order_where_only_rounding_differs():
     )
     shuffled = list(db)
     random.Random(0).shuffle(shuffled)
-    first = compress(db, frequent_itemsets(db, SupportThreshold(count=2)))
-    second = compress(shuffled, frequent_itemsets(shuffled, SupportThreshold(count=2)))
+    first = mine_and_compress(db)
+    second = mine_and_compress(shuffled)
     assert second.initial_length == first.initial_length
     assert second.final_length == first.final_length
     accepted_first = {r.items for r in first.log if r.accepted}
@@ -359,7 +360,7 @@ def test_doubling_database_doubles_encoded_bits(db):
 
 
 def test_pattern_table_round_trip(tmp_path, six_rows):
-    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+    result = mine_and_compress(six_rows)
     path = tmp_path / "table.tsv"
     write_pattern_table(str(path), result.table)
     loaded = read_pattern_table(str(path))
@@ -429,7 +430,7 @@ def test_read_pattern_table_rejects_what_no_hour_can_hold(tmp_path, line, reason
 
 
 def test_acceptance_log_format(tmp_path, six_rows):
-    result = compress(six_rows, frequent_itemsets(six_rows, SupportThreshold(count=2)))
+    result = mine_and_compress(six_rows)
     path = tmp_path / "log.tsv"
     write_acceptance_log(str(path), result)
     lines = path.read_text().splitlines()

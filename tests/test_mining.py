@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import PAIR, TRIPLE
 from helpers import DATABASES, brute_force_frequent, make_db, random_db, support
-from mdlpatterns import SupportThreshold, frequent_itemsets
+from mdlpatterns import frequent_itemsets, least_support
 from mdlpatterns.mining import (
     DistinctRows,
     canonical_key,
@@ -67,7 +67,9 @@ def weighted_masks(draw):
 @settings(max_examples=200)
 def test_weight_is_the_summed_multiplicity_of_the_mask_rows(drawn):
     weights, mask = drawn
-    db = DistinctRows(weights=weights, index=[], holding={}, planes=bit_planes(weights))
+    db = DistinctRows(
+        transactions=[], weights=weights, index=[], holding={}, planes=bit_planes(weights)
+    )
     assert db.weight(mask) == sum(w for row, w in enumerate(weights) if mask >> row & 1)
 
 
@@ -88,9 +90,8 @@ def test_matches_brute_force_where_a_row_repeats_past_the_sixteenth_plane():
     # 65,537 copies set the multiplicity's bit 16, a plane smaller draws never reach
     db = make_db([(1, 2, 1)] * 65_537 + [(1, 2, 2), (1, 3, 2), (1, 3, 2)])
     assert distinct_rows(db).weights == [65_537, 1, 2]
-    threshold = SupportThreshold(count=2)
-    mined = frequent_itemsets(db, threshold)
-    assert set(mined.items()) == brute_force_frequent(db, threshold)
+    mined = frequent_itemsets(distinct_rows(db), 2)
+    assert set(mined.items()) == brute_force_frequent(db, 2)
     assert mined[frozenset({("PB", 1), ("LQ", 2), ("RB", 1)})] == 65_537
 
 
@@ -98,37 +99,41 @@ def test_matches_brute_force_where_a_row_repeats_past_the_sixteenth_plane():
 
 
 def test_threshold_requires_exactly_one_form():
-    with pytest.raises(ValueError, match="exactly one"):
-        SupportThreshold()
-    with pytest.raises(ValueError, match="exactly one"):
-        SupportThreshold(count=2, fraction=0.1)
+    # integer text is only ever a count, any other text only a fraction
+    assert least_support("1", 100) == 1
+    assert least_support("1.0", 100) == 100
+    with pytest.raises(ValueError, match=re.escape("bad threshold '12.0': fraction")):
+        least_support("12.0", 100)
 
 
 def test_threshold_validates_ranges():
-    with pytest.raises(ValueError, match=">= 1"):
-        SupportThreshold(count=0)
-    with pytest.raises(ValueError, match="fraction"):
-        SupportThreshold(fraction=0.0)
-    with pytest.raises(ValueError, match="fraction"):
-        SupportThreshold(fraction=1.5)
-    with pytest.raises(ValueError, match="minimum"):
-        SupportThreshold(count=2, minimum=0)
+    for text, minimum, reason in [
+        ("0", 1, "absolute threshold must be >= 1, got 0"),
+        ("0.0", 1, "fraction must be in (0, 1], got 0.0"),
+        ("1.5", 1, "fraction must be in (0, 1], got 1.5"),
+        ("2", 0, "minimum must be >= 1, got 0"),
+        ("five", 1, "could not convert string to float: 'five'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"bad threshold {text!r}: {reason}")):
+            least_support(text, 100, minimum)
 
 
 def test_threshold_resolution():
-    assert SupportThreshold(count=3).resolve(100) == 3
-    assert SupportThreshold(fraction=0.05).resolve(720) == 36
+    assert least_support("3", 100) == 3
+    assert least_support("12", 100) == 12
+    assert least_support("0.05", 720) == 36
+    assert least_support("1e-2", 1000) == 10
     # ceil, not round: 5% of 30 rows is 1.5 -> 2
-    assert SupportThreshold(fraction=0.05).resolve(30) == 2
+    assert least_support("0.05", 30) == 2
     # the floor wins when the fraction resolves too low
-    assert SupportThreshold(fraction=0.01, minimum=2).resolve(10) == 2
+    assert least_support("0.01", 10, minimum=2) == 2
 
 
 def test_threshold_ceiling_is_exact():
     # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
-    assert SupportThreshold(fraction=0.07).resolve(100) == 7
-    assert SupportThreshold(fraction=0.05).resolve(8748) == 438
-    assert SupportThreshold(fraction=0.05).resolve(87600) == 4380
+    assert least_support("0.07", 100) == 7
+    assert least_support("0.05", 8748) == 438
+    assert least_support("0.05", 87600) == 4380
 
 
 @given(
@@ -140,16 +145,15 @@ def test_exact_ceil_matches_fraction_arithmetic(fraction, n):
 
 
 def test_threshold_inclusive_versus_strict():
-    inclusive = SupportThreshold(count=3)
-    strict = SupportThreshold(count=3, inclusive=False)
-    assert inclusive.meets(3, 3)
-    assert not strict.meets(3, 3)
-    assert strict.meets(4, 3)
+    # a strict threshold of 3 asks for support > 3, so 4 is the least that counts
+    assert least_support("3", 100) == 3
+    assert least_support("3", 100, inclusive=False) == 4
+    assert least_support("3", 100, minimum=5, inclusive=False) == 6
 
 
 def test_strict_threshold_excludes_boundary_supports(six_rows):
-    at_least_4 = frequent_itemsets(six_rows, SupportThreshold(count=4))
-    above_4 = frequent_itemsets(six_rows, SupportThreshold(count=4, inclusive=False))
+    at_least_4 = frequent_itemsets(distinct_rows(six_rows), least_support("4", 6))
+    above_4 = frequent_itemsets(distinct_rows(six_rows), least_support("4", 6, inclusive=False))
     assert at_least_4.keys() >= above_4.keys()
     assert all(sup > 4 for sup in above_4.values())
     assert 4 in at_least_4.values()
@@ -159,7 +163,7 @@ def test_strict_threshold_excludes_boundary_supports(six_rows):
 
 
 def test_worked_example_itemsets(six_rows):
-    found = frequent_itemsets(six_rows, SupportThreshold(count=2))
+    found = frequent_itemsets(distinct_rows(six_rows), 2)
     listed = [(format_items(items), sup) for items, sup in found.items()]
     assert listed == [
         ("LQ:2,PB:1,RB:1", 4),
@@ -173,19 +177,19 @@ def test_worked_example_itemsets(six_rows):
 
 
 def test_no_singletons_in_output(six_rows):
-    found = frequent_itemsets(six_rows, SupportThreshold(count=1))
+    found = frequent_itemsets(distinct_rows(six_rows), 1)
     assert all(len(items) >= 2 for items in found)
 
 
 def test_repeated_rows_count_once_each():
     db = make_db([(1, 1, 1)] * 5, attrs=("A", "B", "C"))
-    found = frequent_itemsets(db, SupportThreshold(count=5))
+    found = frequent_itemsets(distinct_rows(db), 5)
     assert set(found.values()) == {5}
     assert len(found) == 4  # three pairs and the triple
 
 
 def test_output_in_canonical_order(six_rows):
-    found = frequent_itemsets(six_rows, SupportThreshold(count=2))
+    found = frequent_itemsets(distinct_rows(six_rows), 2)
     keys = [canonical_key(items, sup) for items, sup in found.items()]
     assert keys == sorted(keys)
 
@@ -193,24 +197,31 @@ def test_output_in_canonical_order(six_rows):
 @given(db=DATABASES, count=st.integers(1, 4), inclusive=st.booleans())
 @settings(max_examples=100)
 def test_matches_brute_force(db, count, inclusive):
-    threshold = SupportThreshold(count=count, inclusive=inclusive)
-    mined = set(frequent_itemsets(db, threshold).items())
-    assert mined == brute_force_frequent(db, threshold)
+    least = least_support(count, len(db), inclusive=inclusive)
+    mined = set(frequent_itemsets(distinct_rows(db), least).items())
+    assert mined == brute_force_frequent(db, least)
 
 
 @given(db=DATABASES, fraction=st.sampled_from([0.2, 0.34, 0.5, 1.0]))
 @settings(max_examples=100)
 def test_matches_brute_force_fractional(db, fraction):
-    threshold = SupportThreshold(fraction=fraction)
-    mined = set(frequent_itemsets(db, threshold).items())
-    assert mined == brute_force_frequent(db, threshold)
+    least = least_support(fraction, len(db))
+    mined = set(frequent_itemsets(distinct_rows(db), least).items())
+    assert mined == brute_force_frequent(db, least)
+
+
+def test_a_least_support_below_one_is_rejected():
+    # at 0, two categories of one site (PB:1,PB:2, support 0) would count as frequent
+    db = distinct_rows(make_db([(1, 1, 1), (2, 1, 1)]))
+    with pytest.raises(ValueError, match="least support must be >= 1, got 0"):
+        frequent_itemsets(db, 0)
 
 
 def test_every_sub_itemset_is_also_frequent():
     rng = random.Random(2101)
     for _ in range(40):
         db = random_db(rng)
-        found = frequent_itemsets(db, SupportThreshold(count=2))
+        found = frequent_itemsets(distinct_rows(db), 2)
         for itemset in found:
             for item in itemset:
                 smaller = itemset - {item}
@@ -222,7 +233,7 @@ def test_no_itemset_mixes_categories_for_one_attribute():
     rng = random.Random(2102)
     for _ in range(40):
         db = random_db(rng)
-        for itemset in frequent_itemsets(db, SupportThreshold(count=1)):
+        for itemset in frequent_itemsets(distinct_rows(db), 1):
             attrs = [attr for attr, _ in itemset]
             assert len(attrs) == len(set(attrs))
 
@@ -256,7 +267,7 @@ def test_parse_items_rejects_items_no_hour_can_hold(text, reason):
 
 
 def test_itemsets_file_round_trip(tmp_path, six_rows):
-    found = frequent_itemsets(six_rows, SupportThreshold(count=2))
+    found = frequent_itemsets(distinct_rows(six_rows), 2)
     path = tmp_path / "itemsets.tsv"
     write_itemsets(str(path), found)
     assert list(read_itemsets(str(path)).items()) == list(found.items())
