@@ -33,7 +33,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .ingest import Item, Transaction
-from .mining import DistinctRows, canonical_key, distinct_rows, format_items, parse_items
+from .mining import DistinctRows, distinct_rows, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -91,8 +91,10 @@ def init_pattern_table(db: DistinctRows) -> PatternTable:
     )
 
 
-def cover_order(usages: Mapping[frozenset[Item], int]) -> list[frozenset[Item]]:
-    return sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
+def cover_order(usages: Mapping[frozenset, int], names: Mapping | None = None) -> list[frozenset]:
+    """The patterns in ``mining.canonical_key`` order; ``names``: each one's sorted items."""
+    names = names or {pattern: tuple(sorted(pattern)) for pattern in usages}
+    return sorted(usages, key=lambda pattern: (-len(pattern), -usages[pattern], names[pattern]))
 
 
 def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
@@ -137,20 +139,20 @@ def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[froze
     return _expand(db, order, _sweep(db, order))
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str) -> list[tuple[frozenset, ...]]:
+def _settle(table: PatternTable, db: DistinctRows, trial: str, names=None) -> list[tuple]:
     """Cover passes until usages are self-consistent; returns the settled covers.
 
     Each pass sets every usage to the weight of the rows whose covers take it.
     Once the order after a pass equals the order before it, another pass would
     repeat its covers, and only then are they expanded into parts per row.
-    Raises ValueError naming ``trial`` at the pass cap.
+    Raises ValueError naming ``trial`` at the pass cap; ``names`` is cover_order's.
     """
-    order = cover_order(table.usages)
+    order = cover_order(table.usages, names)
     for _ in range(_MAX_RECOVER_PASSES):
         taken_rows = _sweep(db, order)
         usages = dict(zip(order, map(db.weight, taken_rows)))
         table.usages = {pattern: usages[pattern] for pattern in table.usages}  # table order
-        previous, order = order, cover_order(table.usages)
+        previous, order = order, cover_order(table.usages, names)
         if order == previous:
             return _expand(db, order, taken_rows)
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
@@ -195,9 +197,10 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
     singletons always stay. A candidate already in the table is a ValueError.
     """
     table = init_pattern_table(db)
+    names = {pattern: tuple(sorted(pattern)) for pattern in (*table.usages, *candidates)}
 
     def settled_length(model: PatternTable, trial: str) -> float:
-        covers = _settle(model, db, trial)
+        covers = _settle(model, db, trial, names)
         lengths = code_lengths(model)
         return _database_bits(db, covers, lengths) + _table_bits(model, lengths)
 

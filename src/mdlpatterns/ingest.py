@@ -10,7 +10,8 @@ before categorization so the sites line up.
 
 Pipeline:
     parse_records()      -> in one pass, the last row per (site, direction,
-                            vehicle_class, timestamp), in file order
+                            vehicle_class, timestamp), in file order, as one
+                            table per slice: stamp id -> the row's wait
                             (+ a diagnostic per rejected or replaced row)
     aggregate_hourly()   -> (site, direction, vehicle_class, hour) -> mean minutes
     discretize()         -> wait category 1..4
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from math import inf, isfinite
 from typing import IO, Mapping, Sequence
 
@@ -68,17 +70,40 @@ RecordKey = tuple[str, str, str, datetime]
 class ParseResult:
     """The rows parse_records kept, and what it rejected or replaced.
 
-    ``records`` maps each kept (site, direction, vehicle_class, timestamp)
-    to its row's position in ``waits``; its order is the file order of the
-    kept rows. ``hours`` maps every timestamp to its clock hour.
+    ``stamps`` numbers the distinct timestamps from 0, their stamp ids. Each
+    (site, direction, vehicle_class) slice has one table of ints: stamp id ->
+    its kept row's position in ``waits``, in the file order of those rows.
     """
 
-    records: dict[RecordKey, int] = field(default_factory=dict)
+    slices: dict[tuple[str, str, str], dict[int, int]] = field(default_factory=dict)
     waits: array = field(default_factory=lambda: array("d"))
-    hours: dict[datetime, datetime] = field(default_factory=dict)
+    stamps: dict[datetime, int] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     rejected_rows: int = 0
     duplicate_rows: int = 0
+
+    records = property(lambda self: Records(self))
+
+
+class Records(Mapping):
+    """Every kept (site, direction, vehicle_class, timestamp) -> its position in
+    ``waits``, in file order: a read-only view merging the slice tables' runs."""
+
+    def __init__(self, parsed: ParseResult) -> None:
+        self._parsed = parsed
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parsed.slices.values()))
+
+    def __getitem__(self, key: RecordKey) -> int:
+        return self._parsed.slices[key[:3]][self._parsed.stamps[key[3]]]
+
+    def __iter__(self):
+        stamps = list(self._parsed.stamps)
+        rows = sorted((position, (*slice_, stamps[stamp]))
+                      for slice_, table in self._parsed.slices.items()
+                      for stamp, position in table.items())
+        return (key for _, key in rows)
 
 
 @dataclass
@@ -116,31 +141,32 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     padding = [""] * width
 
     result = ParseResult()
-    records, waits, diagnostics = result.records, result.waits, result.diagnostics
-    # Raw field text -> parsed value, or the reason the field is rejected.
-    # Sites share timestamps and a feed has few slices, so each distinct
-    # string is parsed once.
-    stamps: dict[str, datetime | str] = {}
-    slices: dict[tuple[str, str, str], tuple[str, str, str] | str] = {}
-    replaced: list[tuple[int, RecordKey]] = []  # (position of the replaced row, key)
+    waits, diagnostics = result.waits, result.diagnostics
+    # Sites share timestamps and a feed has few slices, so each distinct valid
+    # text is parsed once: a stamp to its id, a slice's fields to its table.
+    stamp_ids: dict[str, int] = {}
+    tables: dict[tuple[str, str, str], dict[int, int]] = {}
+    replaced: list[tuple[int, tuple[str, str, str], int]] = []  # (position, fields, stamp id)
     for row in reader:
         if len(row) < width:
             if not row:
                 continue
             row += padding[len(row):]
-        stamp = stamps.get(row[i_stamp])
+        stamp = stamp_ids.get(row[i_stamp])
         if stamp is None:
-            stamp = stamps[row[i_stamp]] = _parse_stamp(row[i_stamp], result.hours)
-        if isinstance(stamp, str):
-            diagnostics.append(f"row {reader.line_num}: {stamp}")
-            continue
+            stamp = _stamp_id(row[i_stamp], result)
+            if isinstance(stamp, str):
+                diagnostics.append(f"row {reader.line_num}: {stamp}")
+                continue
+            stamp_ids[row[i_stamp]] = stamp
         fields = (row[i_site], row[i_direction], row[i_class])
-        slice_ = slices.get(fields)
-        if slice_ is None:
-            slice_ = slices[fields] = _parse_slice(*fields)
-        if isinstance(slice_, str):
-            diagnostics.append(f"row {reader.line_num}: {slice_}")
-            continue
+        table = tables.get(fields)
+        if table is None:
+            slice_ = _parse_slice(*fields)
+            if isinstance(slice_, str):
+                diagnostics.append(f"row {reader.line_num}: {slice_}")
+                continue
+            table = tables[fields] = result.slices.setdefault(slice_, {})
         raw_wait = row[i_wait].strip()
         try:
             wait = float(raw_wait)
@@ -151,38 +177,38 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             reason = "non-finite" if not isfinite(wait) else "negative"
             diagnostics.append(f"row {reader.line_num}: {reason} wait ({raw_wait})")
             continue
-        key = (*slice_, stamp)
-        if key in records:
-            replaced.append((records.pop(key), key))
-        records[key] = len(waits)
+        if stamp in table:  # keep the last: the row moves to the end of its slice
+            replaced.append((table.pop(stamp), fields, stamp))
+        table[stamp] = len(waits)
         waits.append(wait)
 
     result.rejected_rows = len(diagnostics)  # only rejections so far
     result.duplicate_rows = len(replaced)
-    # positions are distinct, so the sort never compares keys
-    for _, (site, direction, vehicle_class, stamp) in sorted(replaced, reverse=True):
+    stamps = list(result.stamps)
+    # positions are distinct, so the sort never compares further
+    for _, fields, stamp in sorted(replaced, reverse=True):
+        site, direction, vehicle_class = _parse_slice(*fields)
         diagnostics.append(
             f"duplicate observation for {site}/{direction}/{vehicle_class} "
-            f"at {stamp.isoformat()}; kept last"
+            f"at {stamps[stamp].isoformat()}; kept last"
         )
     return result
 
 
-def _parse_stamp(raw: str, hours: dict[datetime, datetime]) -> datetime | str:
-    """A naive timestamp, recorded in ``hours`` with its clock hour, or why not."""
+def _stamp_id(raw: str, parsed: ParseResult) -> int | str:
+    """A naive timestamp's stamp id, the next one if it is new, or why it is rejected."""
     text = raw.strip()
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
         return f"bad timestamp {text!r}"
+    if len(text) <= 10:  # no longer than a date: a date alone reads as midnight
+        with suppress(ValueError):
+            date.fromisoformat(text)
+            return f"bad timestamp {text!r}"
     if stamp.tzinfo is not None:
         return f"timestamp carries a UTC offset ({text!r})"
-    # The constructor is several times faster than replace(minute=0, ...).
-    # An hour is its own clock hour, so its entry holds the one object that
-    # all its stamps share, and aggregate_hourly compares hours by identity.
-    hour = datetime(stamp.year, stamp.month, stamp.day, stamp.hour)
-    hours[stamp] = hours.setdefault(hour, hour)
-    return stamp
+    return parsed.stamps.setdefault(stamp, len(parsed.stamps))
 
 
 def _parse_slice(site: str, direction: str, vehicle_class: str) -> tuple[str, str, str] | str:
@@ -206,25 +232,21 @@ def aggregate_hourly(parsed: ParseResult) -> dict[RecordKey, float]:
     a category bound can move by one bit under another order or under a
     compensated sum (``sum`` is one from Python 3.12).
     """
-    hours, waits = parsed.hours, parsed.waits
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    # Rows of one hour and slice mostly sit together, so sum each run in
-    # locals and store it when the key changes; a key seen again resumes
-    # its stored sum, which keeps the additions in file order.
-    current, total, count = None, 0.0, 0
-    for (site, direction, vehicle_class, stamp), position in parsed.records.items():
-        key = (site, direction, vehicle_class, hours[stamp])
-        if key != current:
-            if current is not None:
-                sums[current], counts[current] = total, count
-            current = key
-            total, count = sums.get(key, 0.0), counts.get(key, 0)
-        total += waits[position]
-        count += 1
-    if current is not None:
-        sums[current], counts[current] = total, count
-    return {key: sums[key] / counts[key] for key in sums}
+    ids: dict[tuple, int] = {}  # (year, month, day, hour) -> hour id
+    hour_ids = [ids.setdefault((s.year, s.month, s.day, s.hour), len(ids)) for s in parsed.stamps]
+    hours, waits = [datetime(*hour) for hour in ids], parsed.waits  # hour id -> clock hour
+    groups = []  # [first kept position, slice, hour id, sum, count] per slice and hour
+    for slice_, table in parsed.slices.items():
+        by_hour: dict[int, list] = {}  # hour id -> its group; the table is in file order
+        for stamp, position in table.items():
+            group = by_hour.get(hour_ids[stamp])
+            if group is None:
+                group = by_hour[hour_ids[stamp]] = [position, slice_, hour_ids[stamp], 0.0, 0]
+            group[3] += waits[position]
+            group[4] += 1
+        groups += by_hour.values()
+    groups.sort()  # first positions are distinct, so keys come in file order
+    return {(*slice_, hours[hour]): total / count for _, slice_, hour, total, count in groups}
 
 
 def discretize(mean_wait: float) -> int:

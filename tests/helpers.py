@@ -11,7 +11,7 @@ import csv
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from itertools import combinations
 from math import fsum, isfinite, log2
 from typing import IO, Iterable, Mapping, Sequence
@@ -292,6 +292,12 @@ def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
     try:
         timestamp = datetime.fromisoformat(raw_ts)
     except ValueError:
+        raise ValueError(f"bad timestamp {raw_ts!r}")
+    try:
+        date.fromisoformat(raw_ts)
+    except ValueError:
+        pass
+    else:  # a date alone reads as midnight, but it has no time of day
         raise ValueError(f"bad timestamp {raw_ts!r}")
     if timestamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")

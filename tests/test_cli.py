@@ -164,6 +164,39 @@ def test_rerun_is_byte_identical(tmp_path):
     assert before == after
 
 
+def test_run_on_interleaved_slices_matches_a_run_on_each_slices_own_feed(
+    tmp_path, capsys, caplog
+):
+    # Four feeds, one per direction and vehicle class, mixed line by line
+    # under one header: each slice keeps its own rows, so a run of one slice
+    # on the mixed feed writes, prints and warns exactly what a run on that
+    # slice's own feed does.
+    slices = [(d, c) for d in ("ToUS", "ToCanada") for c in ("Car", "Truck")]
+    feeds = []
+    for direction, vehicle_class in slices:
+        raw = tmp_path / f"{direction}-{vehicle_class}.csv"
+        assert cli.main(["synth", "--seed", "7", "--days", "3", "--direction", direction,
+                         "--vehicle-class", vehicle_class, "--output", str(raw),
+                         "--manifest", str(tmp_path / "manifest.txt")]) == 0
+        feeds.append(raw.read_text().splitlines(keepends=True))
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(feeds[0][0] + "".join(
+        line for lines in zip(*(lines[1:] for lines in feeds)) for line in lines
+    ))
+    capsys.readouterr()
+    for direction, vehicle_class in slices:
+        runs = []
+        for raw in (tmp_path / f"{direction}-{vehicle_class}.csv", mixed):
+            out = tmp_path / "out" / f"{raw.stem}-{direction}-{vehicle_class}"
+            assert cli.main(["run", "--input", str(raw), "--output-dir", str(out),
+                             "--direction", direction, "--vehicle-class", vehicle_class]) == 0
+            # config.json names the input, so it is the one artifact that differs
+            runs.append(({name: (out / name).read_bytes() for name in ARTIFACTS[1:]},
+                         capsys.readouterr(), caplog.messages))
+            caplog.clear()
+        assert runs[0] == runs[1], (direction, vehicle_class)
+
+
 # Flags of `run` that each staged subcommand also takes, by RunConfig field.
 STAGED_FLAGS = {
     "discretize": ["attributes"],

@@ -43,7 +43,7 @@ from mdlpatterns.codec import (
     write_pattern_table,
 )
 from mdlpatterns.ingest import Transaction
-from mdlpatterns.mining import distinct_rows
+from mdlpatterns.mining import canonical_key, distinct_rows
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -104,6 +104,18 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     order = cover_order(table.usages)
     for cover in cover_database(db, table):
         assert cover.parts == greedy_cover_oracle(frozenset(cover.transaction.items), order)
+
+
+@given(db=DATABASES, seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_cover_order_sorts_by_the_canonical_key_with_or_without_names(db, seed):
+    # compress hands cover_order each pattern's sorted items, built once; the
+    # order must be the one canonical_key gives, ties in usage included
+    rng = random.Random(seed)
+    usages = {p: rng.randint(0, 3) for p in frequent_itemsets(distinct_rows(db), 1)}
+    expected = sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
+    assert cover_order(usages) == expected
+    assert cover_order(usages, {p: tuple(sorted(p)) for p in usages}) == expected
 
 
 @st.composite

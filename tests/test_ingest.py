@@ -66,7 +66,9 @@ def test_parse_happy_path():
     first, second = kept(result)
     assert first == ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10, 0), 12.5)
     assert second == ("LQ", "ToUS", "Truck", datetime(2016, 8, 22, 10, 5), 0.0)
-    assert result.hours[datetime(2016, 8, 22, 10, 5)] == datetime(2016, 8, 22, 10)
+    # stamp ids count the distinct timestamps up from 0, and both fall in hour 10
+    assert result.stamps == {datetime(2016, 8, 22, 10, 0): 0, datetime(2016, 8, 22, 10, 5): 1}
+    assert [key[3] for key in aggregate_hourly(result)] == [datetime(2016, 8, 22, 10)] * 2
 
 
 def test_parse_empty_input_raises():
@@ -135,6 +137,15 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
     assert [t.timestamp for t in build.transactions] == [datetime(2017, 1, 1, 0)]
 
 
+@pytest.mark.parametrize("stamp", ["2016-08-22", " 2016-08-22 ", "20160822", "2016-W34-1"])
+def test_parse_rejects_a_stamp_with_no_time_of_day(stamp):
+    # fromisoformat reads a date alone as midnight, so the row would land in hour 0
+    result = parse(feed("2016-08-22T00:05,PB,ToCanada,Car,5", f"{stamp},PB,ToCanada,Car,40"))
+    hourly = aggregate_hourly(result)
+    assert result.diagnostics == [f"row 3: bad timestamp {stamp.strip()!r}"]
+    assert hourly == {("PB", "ToCanada", "Car", datetime(2016, 8, 22, 0)): 5.0}
+
+
 def test_parse_duplicate_keeps_last():
     result = parse(
         HEADER + "\n"
@@ -177,12 +188,14 @@ def test_direction_and_class_parse_case_insensitive():
     assert str(vehicle_class.value) == "unknown vehicle class 'bike' (expected Car or Truck)"
 
 
-def test_record_keys_are_not_tracked_by_the_cyclic_collector():
-    # keys of strings and datetimes hold nothing the collector must walk, so a
-    # full collection untracks them and later collections skip them
-    result = parse(feed("2016-08-22T10:00,PB,ToCanada,Car,5", "2016-08-22T10:05,LQ,tous,truck,7"))
+def test_slice_tables_are_not_tracked_by_the_cyclic_collector():
+    # a slice's table maps ints to ints, so it holds nothing the collector
+    # must walk and no collection ever visits it, however many rows it keeps
+    result = parse(feed("2016-08-22T10:00,PB,ToCanada,Car,5", "2016-08-22T10:05,LQ,tous,truck,7",
+                        "2016-08-22T10:00,PB,ToCanada,Car,6"))
     gc.collect()
-    assert [gc.is_tracked(key) for key in result.records] == [False, False]
+    assert list(result.slices) == [("PB", "ToCanada", "Car"), ("LQ", "ToUS", "Truck")]
+    assert [gc.is_tracked(table) for table in result.slices.values()] == [False, False]
 
 
 # --- hourly aggregation ------------------------------------------------------
@@ -240,7 +253,7 @@ DIRECTION_SPELLINGS = ["ToCanada", "ToCanada", "ToCanada", "tous", "ToUS"]
 CLASS_SPELLINGS = ["Car", "Car", "Car", "TRUCK"]
 # per column of COLUMNS: field values the parser must reject
 BAD_FIELDS = (
-    ["", "not-a-date", "2016-02-30T10:00", "2016-08-22T10:00+00:00"],
+    ["", "not-a-date", "2016-02-30T10:00", "2016-08-22T10:00+00:00", "2016-08-22"],
     ["", "  "],
     ["Sideways", ""],
     ["Bike", ""],

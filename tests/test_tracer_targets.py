@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from helpers import parse_records_oracle
 from mdlpatterns import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -46,7 +47,11 @@ def test_traced_run_counts_each_stage(tmp_path, monkeypatch):
     traced = tracer.install()
     assert cli.main(["run", "--input", str(raw), "--output-dir", str(tmp_path / "out")]) == 0
     metrics = traced.metrics()
-    assert metrics["ingest.records"] > 0
+    with open(raw, encoding="utf-8") as fh:
+        oracle = parse_records_oracle(fh)
+    assert metrics["ingest.records"] == len(oracle.records)
+    assert metrics["ingest.rows_rejected"] == oracle.rejected_rows
+    assert metrics["ingest.hours_excluded"] == 0
     assert metrics["ingest.hours"] == 72
     assert metrics["mining.calls"] == 1
     assert metrics["mining.itemsets"] > 0
