@@ -12,28 +12,25 @@ anomalies.
 ``.cli``). Typical use::
 
     from mdlpatterns import (
-        compress, distinct_rows, frequent_itemsets, least_support, read_transactions,
-        score_all, top_fraction,
+        compress, frequent_itemsets, least_support, read_transactions, score_all, top_fraction,
     )
 
-    transactions, _ = read_transactions("transactions.csv")
-    db = distinct_rows(transactions)  # collapsed once, handed to every stage
-    least = least_support("0.05", len(transactions), minimum=2)
+    db, _ = read_transactions("transactions.csv")  # the hours, collapsed once
+    least = least_support("0.05", len(db), minimum=2)
     result = compress(db, frequent_itemsets(db, least))
-    scored = score_all(db, result.table)
-    worst = top_fraction(scored, 0.05)
+    ranking = score_all(db, result.table)
+    worst = top_fraction(ranking, 0.05)
 """
 
 from .anomaly import score_all, top_fraction
 from .codec import compress
 from .ingest import read_transactions
-from .mining import distinct_rows, frequent_itemsets, least_support
+from .mining import frequent_itemsets, least_support
 
 __version__ = "0.1.0"
 
 __all__ = [
     "compress",
-    "distinct_rows",
     "frequent_itemsets",
     "least_support",
     "read_transactions",

@@ -1,98 +1,115 @@
-"""Anomaly scoring and reporting: rank transactions by code length.
+"""Anomaly scoring and reporting: rank hours by code length.
 
-A transaction's anomaly score is its code length under the final pattern
-table: hours that compress well are ordinary, hours that need long codes are
-unusual. Scores are ranked descending, the top fraction extracted, and an
-hour-of-day histogram built over the extracted set.
+An hour's anomaly score is its code length under the final pattern table:
+hours that compress well are ordinary, hours that need long codes are
+unusual. A score depends only on which distinct row an hour is, so each
+distinct row is covered, scored and formatted once. Scores are ranked
+descending, the top fraction extracted, and an hour-of-day histogram built
+over the extracted set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
-from math import copysign, inf, isfinite
+from itertools import chain, groupby
+from math import inf, isfinite
 from typing import Sequence
 
 from .codec import PatternTable, code_lengths, cover_order, cover_rows, row_lengths
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import Item, Transaction, hour_text, parse_categories, parse_hour
-from .mining import DistinctRows, exact_ceil, format_items, parse_items
+from .ingest import DistinctRows, Item, hour_text, parse_categories, parse_hour
+from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
 
 
 @dataclass(frozen=True)
-class ScoredTransaction:
-    """One scored hour; its rank is its 1-based place in the ranked list."""
+class Ranking:
+    """Scored hours by descending score, ties by time; a rank is a 1-based place.
 
-    transaction: Transaction
-    cover: str  # patterns '|'-separated, items ',': "LQ:3,RB:2|PB:1"
-    score: float
+    ``hours`` and ``index`` hold each ranked hour's clock hour and row.
+    ``items``, ``bits`` and ``covers`` hold each row's items in attribute
+    order, its score and its cover (patterns '|'-separated, items ',':
+    "LQ:3,RB:2|PB:1").
+    """
+
+    hours: list[datetime]
+    index: list[int]
+    items: list[tuple[Item, ...]]
+    bits: list[float]
+    covers: list[str]
+
+    def __len__(self) -> int:
+        return len(self.hours)
 
 
-def score_all(db: DistinctRows, table: PatternTable) -> list[ScoredTransaction]:
-    """Score every transaction and rank descending; ties rank earlier hours first.
+def score_all(db: DistinctRows, table: PatternTable) -> Ranking:
+    """Score every hour and rank descending; ties rank earlier hours first.
 
     Each distinct row is covered, scored and its cover written out as text
-    once, under the table as given.
+    once, under the table as given. The rows are sorted by score, and the
+    hours of rows with equal scores are merged: the database's hours ascend,
+    so their positions sort in time order, and no key runs per hour.
     """
     covers = cover_rows(db, cover_order(table.usages))
     bits = row_lengths(covers, code_lengths(table))
+    members: list[list[int]] = [[] for _ in bits]  # each row's positions, ascending
+    for position, row in enumerate(db.index):
+        members[row].append(position)
+    order: list[int] = []
+    by_score = sorted(range(len(bits)), key=bits.__getitem__, reverse=True)
+    for _, tied in groupby(by_score, key=bits.__getitem__):
+        order += sorted(chain.from_iterable(members[row] for row in tied))
     texts = ["|".join(format_items(part) for part in cover) for cover in covers]
-    scored = [
-        ScoredTransaction(txn, texts[row], bits[row]) for txn, row in zip(db.transactions, db.index)
-    ]
-    scored.sort(key=lambda entry: (-entry.score, entry.transaction.timestamp))
-    return scored
+    return Ranking([db.hours[p] for p in order], [db.index[p] for p in order],
+                   db.items, bits, texts)
 
 
-def top_fraction(
-    scored: Sequence[ScoredTransaction], fraction: float
-) -> list[ScoredTransaction]:
-    """The highest-scoring ceil(fraction * n) transactions (see exact_ceil)."""
+def top_fraction(ranking: Ranking, fraction: float) -> Ranking:
+    """The highest-scoring ceil(fraction * n) hours (see exact_ceil)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not scored:
-        raise ValueError("scored list is empty")
-    k = exact_ceil(fraction, len(scored))
-    return list(scored[:k])
+    if not ranking:
+        raise ValueError("ranking is empty")
+    k = exact_ceil(fraction, len(ranking))
+    return replace(ranking, hours=ranking.hours[:k], index=ranking.index[:k])
 
 
-def hour_frequency(selected: Sequence[ScoredTransaction]) -> tuple[int, ...]:
-    """Count the selected transactions by hour of day: 24 counts, index = hour."""
+def hour_frequency(selected: Ranking) -> tuple[int, ...]:
+    """Count the selected hours by hour of day: 24 counts, index = hour."""
     bins = [0] * 24
-    for entry in selected:
-        bins[entry.transaction.timestamp.hour] += 1
+    for hour in selected.hours:
+        bins[hour.hour] += 1
     return tuple(bins)
 
 
-def report(scored: Sequence[ScoredTransaction], fraction: float, k: int) -> str:
+def report(ranking: Ranking, fraction: float, k: int) -> str:
     """Structured-text report: top-k table, top-fraction listing, hour histogram.
 
     Machine-readable: versioned header line, then tab-separated sections.
-    Rows are ranked by their place in ``scored``. Cover column lists patterns
-    separated by '|', items within a pattern by ','.
+    Hours are ranked by their place in ``ranking``. Cover column lists
+    patterns separated by '|', items within a pattern by ','. Each row's
+    text after the stamp is formatted once.
     """
-    selected = top_fraction(scored, fraction)
+    selected = top_fraction(ranking, fraction)
     if k < 0:
         raise ValueError(f"k={k} is negative")
-    if k > len(scored):
-        raise ValueError(f"k={k} exceeds the number of scored transactions ({len(scored)})")
-    lines = [REPORT_VERSION, f"[summary]\tn={len(scored)}\tselected={len(selected)}\ttop_k={k}"]
-    for section, entries in (("[top-k]", scored[:k]), ("[top-fraction]", selected)):
+    if k > len(ranking):
+        raise ValueError(f"k={k} exceeds the number of scored transactions ({len(ranking)})")
+    after = [
+        f"\t{','.join(f'{attr}:{cat}' for attr, cat in items)}\t{bits:.9f}\t{cover}"
+        for items, bits, cover in zip(ranking.items, ranking.bits, ranking.covers)
+    ]
+    lines = [REPORT_VERSION, f"[summary]\tn={len(ranking)}\tselected={len(selected)}\ttop_k={k}"]
+    for section, count in (("[top-k]", k), ("[top-fraction]", len(selected))):
         lines += [section, "rank\ttimestamp\tcategories\tscore_bits\tcover"]
-        lines += (_entry_line(rank, entry) for rank, entry in enumerate(entries, start=1))
+        ranked = zip(ranking.hours[:count], ranking.index[:count])
+        lines += (f"{rank}\t{hour_text(hour)}{after[row]}"
+                  for rank, (hour, row) in enumerate(ranked, start=1))
     lines += ["[hour-histogram]", "hour\tcount"]
     lines += (f"{hour}\t{count}" for hour, count in enumerate(hour_frequency(selected)))
     return "\n".join(lines) + "\n"
-
-
-def _entry_line(rank: int, entry: ScoredTransaction) -> str:
-    categories = ",".join(f"{attr}:{cat}" for attr, cat in entry.transaction.items)
-    return (
-        f"{rank}\t{hour_text(entry.transaction.timestamp)}\t"
-        f"{categories}\t{entry.score:.9f}\t{entry.cover}"
-    )
 
 
 # --- scored file format ------------------------------------------------------
@@ -101,31 +118,23 @@ def _entry_line(rank: int, entry: ScoredTransaction) -> str:
 SCORES_TAIL = ("score_bits", "rank", "cover")
 
 
-def write_scores(
-    path: str,
-    scored: Sequence[ScoredTransaction],
-    attributes: Sequence[str],
-) -> None:
-    # The text around the rank is formatted once per (items, score, cover);
-    # copysign keeps apart 0.0 and -0.0, which are equal but format apart.
-    around: dict[tuple, tuple[str, str]] = {}
-    lines = []
-    for rank, entry in enumerate(scored, start=1):
-        txn, score = entry.transaction, entry.score
-        key = (txn.items, score, copysign(1.0, score), entry.cover)
-        parts = around.get(key)
-        if parts is None:
-            cats = dict(txn.items)
-            categories = "".join(f"\t{cats[attr]}" for attr in attributes)
-            parts = around[key] = (f"{categories}\t{score:.9f}\t", f"\t{entry.cover}\n")
-        lines.append(f"{hour_text(txn.timestamp)}{parts[0]}{rank}{parts[1]}")
+def write_scores(path: str, ranking: Ranking, attributes: Sequence[str]) -> None:
+    """One line per ranked hour; the text around the rank is formatted once per row."""
+    around = []  # per row: (categories and score, cover)
+    for items, bits, cover in zip(ranking.items, ranking.bits, ranking.covers):
+        cats = dict(items)
+        categories = "".join(f"\t{cats[attr]}" for attr in attributes)
+        around.append((f"{categories}\t{bits:.9f}\t", f"\t{cover}\n"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\t".join(["timestamp", *attributes, *SCORES_TAIL]) + "\n")
-        fh.writelines(lines)
+        fh.writelines(
+            f"{hour_text(hour)}{around[row][0]}{rank}{around[row][1]}"
+            for rank, (hour, row) in enumerate(zip(ranking.hours, ranking.index), start=1)
+        )
 
 
-def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
-    """Reload a scored file; returns (scored transactions, attribute names).
+def read_scores(path: str) -> tuple[Ranking, list[str]]:
+    """Reload a scored file; returns (ranking, attribute names).
 
     The ranking must be as write_scores writes it: each rank is the row's place
     among the data rows, no score is above the row before it, and the hours of
@@ -133,7 +142,7 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
     may hold one hour. The header names each site once, then score_bits, rank
     and cover. A distinct row is parsed and checked once: a finite score, and a
     cover whose patterns are disjoint and together hold exactly its items."""
-    scored = []
+    ranking = Ranking(hours=[], index=[], items=[], bits=[], covers=[])
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         attributes = header[1:-3]
@@ -141,8 +150,8 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             raise ValueError(f"{path}: bad scores header")
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
-        rows: dict[tuple[str, str], tuple[tuple[Item, ...], float, str]] = {}
-        last_hour: dict[tuple[str, str], datetime] = {}  # per distinct row
+        rows: dict[tuple[str, str], int] = {}  # (categories and score, cover) text -> row
+        last_hour: list[datetime] = []  # per row
         seen = set()
         previous = inf
         for lineno, line in enumerate(fh, start=2):
@@ -157,8 +166,7 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
                 if stamp in seen:
                     raise ValueError(f"repeated hour {hour_text(stamp)}")
                 constant, rank, cover = rest.rsplit("\t", 2)  # constant: categories, score
-                key = (constant, cover)
-                row = rows.get(key)
+                row = rows.get((constant, cover))
                 if row is None:
                     *categories, score_text = constant.split("\t")
                     items, score = parse_categories(categories, attributes), float(score_text)
@@ -168,19 +176,22 @@ def read_scores(path: str) -> tuple[list[ScoredTransaction], list[str]]:
                     covered = set().union(*parts)
                     if sum(map(len, parts)) != len(covered) or covered != set(items):
                         raise ValueError(f"cover {cover} does not split the row's items")
-                    row = rows[key] = (items, score, cover)
-                rank = int(rank)
-                if rank != len(scored) + 1:
-                    raise ValueError(f"rank {rank} out of place (expected {len(scored) + 1})")
-                if row[1] > previous:
-                    raise ValueError(f"score {row[1]!r} above the row before it ({previous!r})")
-                earlier = last_hour.get(key, stamp)
+                    row = rows[constant, cover] = len(last_hour)
+                    ranking.items.append(items)
+                    ranking.bits.append(score)
+                    ranking.covers.append(cover)
+                    last_hour.append(stamp)
+                rank, score, earlier = int(rank), ranking.bits[row], last_hour[row]
+                if rank != len(ranking) + 1:
+                    raise ValueError(f"rank {rank} out of place (expected {len(ranking) + 1})")
+                if score > previous:
+                    raise ValueError(f"score {score!r} above the row before it ({previous!r})")
                 if earlier > stamp:
                     raise ValueError(f"one row's hours out of order ({hour_text(earlier)} first)")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
             seen.add(stamp)
-            last_hour[key] = stamp
-            items, previous, cover = row
-            scored.append(ScoredTransaction(Transaction(stamp, items), cover, previous))
-    return scored, attributes
+            last_hour[row], previous = stamp, score
+            ranking.hours.append(stamp)
+            ranking.index.append(row)
+    return ranking, attributes

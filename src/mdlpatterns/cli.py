@@ -95,25 +95,23 @@ def run_pipeline(config: RunConfig) -> int:
         json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    transactions = _ingest(config, str(out / "transactions.csv"))
-    db = mining.distinct_rows(transactions)
+    db = _ingest(config, str(out / "transactions.csv"))
     least = mining.least_support(
-        config.threshold, len(transactions), config.threshold_minimum, config.threshold_inclusive
+        config.threshold, len(db), config.threshold_minimum, config.threshold_inclusive
     )
     itemsets = _mine(db, least, str(out / "itemsets.tsv"))
     result = _compress(
         db, itemsets, str(out / "pattern_table.tsv"), str(out / "acceptance_log.tsv")
     )
-    scored = _score(db, result.table, config.attributes, str(out / "scores.tsv"))
-    _report(scored, config.top_fraction, config.top_k, str(out / "report.txt"))
+    ranking = _score(db, result.table, config.attributes, str(out / "scores.tsv"))
+    _report(ranking, config.top_fraction, config.top_k, str(out / "report.txt"))
 
-    top = scored[0]
-    print(f"transactions: {len(transactions)}")
+    print(f"transactions: {len(db)}")
     print(f"initial_length_bits: {result.initial_length:.9f}")
     print(f"final_length_bits: {result.final_length:.9f}")
     print(f"compression_ratio: {result.compression_ratio:.9f}")
-    stamp = ingest.hour_text(top.transaction.timestamp)
-    print(f"top_anomaly: {stamp} score_bits={top.score:.9f}")
+    stamp, top = ingest.hour_text(ranking.hours[0]), ranking.bits[ranking.index[0]]
+    print(f"top_anomaly: {stamp} score_bits={top:.9f}")
     return 0
 
 
@@ -130,8 +128,8 @@ def _stage(name: str) -> Iterator[None]:
 
 
 @_stage("ingest")
-def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
-    """Raw records -> one categorized transaction per complete hour."""
+def _ingest(config: RunConfig, output: str) -> ingest.DistinctRows:
+    """Raw records -> the database of categorized complete hours."""
     direction = ingest.canonical(config.direction, ingest.DIRECTIONS, "direction")
     vehicle_class = ingest.canonical(config.vehicle_class, ingest.VEHICLE_CLASSES, "vehicle class")
     with open(config.input, "r", encoding="utf-8") as fh:
@@ -152,7 +150,7 @@ def _ingest(config: RunConfig, output: str) -> list[ingest.Transaction]:
 
 
 @_stage("mine")
-def _mine(db: mining.DistinctRows, least: int, output: str) -> dict[frozenset[ingest.Item], int]:
+def _mine(db: ingest.DistinctRows, least: int, output: str) -> dict[frozenset[ingest.Item], int]:
     itemsets = mining.frequent_itemsets(db, least)
     mining.write_itemsets(output, itemsets)
     return itemsets
@@ -160,7 +158,7 @@ def _mine(db: mining.DistinctRows, least: int, output: str) -> dict[frozenset[in
 
 @_stage("compress")
 def _compress(
-    db: mining.DistinctRows, candidates: dict[frozenset[ingest.Item], int],
+    db: ingest.DistinctRows, candidates: dict[frozenset[ingest.Item], int],
     table_out: str, log_out: str,
 ) -> codec.CompressionResult:
     result = codec.compress(db, candidates)
@@ -171,18 +169,16 @@ def _compress(
 
 @_stage("score")
 def _score(
-    db: mining.DistinctRows, table: codec.PatternTable, attributes: list[str], output: str
-) -> list[anomaly.ScoredTransaction]:
-    scored = anomaly.score_all(db, table)
-    anomaly.write_scores(output, scored, attributes)
-    return scored
+    db: ingest.DistinctRows, table: codec.PatternTable, attributes: list[str], output: str
+) -> anomaly.Ranking:
+    ranking = anomaly.score_all(db, table)
+    anomaly.write_scores(output, ranking, attributes)
+    return ranking
 
 
 @_stage("report")
-def _report(
-    scored: list[anomaly.ScoredTransaction], fraction: float, top_k: int, output: str
-) -> None:
-    document = anomaly.report(scored, fraction, min(top_k, len(scored)))
+def _report(ranking: anomaly.Ranking, fraction: float, top_k: int, output: str) -> None:
+    document = anomaly.report(ranking, fraction, min(top_k, len(ranking)))
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(document)
 
@@ -211,15 +207,15 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
         input=args.input, attributes=args.attributes, direction=args.direction,
         vehicle_class=args.vehicle_class, delimiter=args.delimiter,
     )
-    transactions = _ingest(config, args.output)
-    print(f"wrote {len(transactions)} transaction(s) to {args.output}")
+    db = _ingest(config, args.output)
+    print(f"wrote {len(db)} transaction(s) to {args.output}")
     return 0
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     with _stage("mine"):
-        db = mining.distinct_rows(ingest.read_transactions(args.transactions)[0])
-        least = mining.least_support(args.threshold, len(db.transactions), args.threshold_minimum)
+        db, _ = ingest.read_transactions(args.transactions)
+        least = mining.least_support(args.threshold, len(db), args.threshold_minimum)
     itemsets = _mine(db, least, args.output)
     print(f"wrote {len(itemsets)} itemset(s) to {args.output}")
     return 0
@@ -227,8 +223,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     with _stage("compress"):
-        db = mining.distinct_rows(ingest.read_transactions(args.transactions)[0])
-        least = mining.least_support(args.threshold, len(db.transactions), args.threshold_minimum)
+        db, _ = ingest.read_transactions(args.transactions)
+        least = mining.least_support(args.threshold, len(db), args.threshold_minimum)
         candidates = mining.frequent_itemsets(db, least)
     result = _compress(db, candidates, args.table_out, args.log_out)
     print(
@@ -240,18 +236,17 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     with _stage("score"):
-        transactions, attributes = ingest.read_transactions(args.transactions)
+        db, attributes = ingest.read_transactions(args.transactions)
         table = codec.read_pattern_table(args.table)
-        db = mining.distinct_rows(transactions)
-    scored = _score(db, table, attributes, args.output)
-    print(f"wrote {len(scored)} score(s) to {args.output}")
+    ranking = _score(db, table, attributes, args.output)
+    print(f"wrote {len(ranking)} score(s) to {args.output}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     with _stage("report"):
-        scored, _ = anomaly.read_scores(args.scores)
-    _report(scored, args.top_fraction, args.top_k, args.output)
+        ranking, _ = anomaly.read_scores(args.scores)
+    _report(ranking, args.top_fraction, args.top_k, args.output)
     print(f"wrote report to {args.output}")
     return 0
 

@@ -1,28 +1,27 @@
 """Dictionary-based compressor: pattern table, greedy covering, code lengths, MDL search.
 
 The pattern table is the compression model. Every distinct item in the
-database is always present as a singleton pattern, so any transaction can be
+database is always present as a singleton pattern, so any hour can be
 covered; multi-item patterns are admitted one at a time when they shorten the
 total description (database bits plus table bits, log base 2).
 
-A transaction's cover is a disjoint exact decomposition of its items into
-table patterns, chosen greedily in canonical cover order: descending
-cardinality, then descending usage, then lexicographic items. A pattern's
-code length is -log2 of its share of all usages, so frequent patterns get
-short codes; a transaction's code length (the anomaly score downstream) is
-the sum over its cover.
+An hour's cover is a disjoint exact decomposition of its items into table
+patterns, chosen greedily in canonical cover order: descending cardinality,
+then descending usage, then lexicographic items. A pattern's code length is
+-log2 of its share of all usages, so frequent patterns get short codes; an
+hour's code length (the anomaly score downstream) is the sum over its cover.
 
 A pattern is a frozenset of items, and the table maps each pattern to its
 usage, as Krimp's code table holds itemsets with usages. Covers, usages and
-code lengths depend only on which distinct row a transaction is, so
-compress is handed the collapsed database that mining and scoring are
-handed too: distinct rows with multiplicities (``mining.distinct_rows``;
-usage over a multiset, as in Krimp). A cover pass sweeps the patterns once
-over all rows' bitmasks; a pattern's usage, like a singleton's raw count, is
-the weight of the rows it takes, counted as mining counts support. Passes
-repeat until the cover order is stable, and only the settled pass is spread
-into per-row covers. They give the length: one correctly rounded sum of each
-distinct row's bits times its multiplicity, whatever the row order.
+code lengths depend only on which distinct row an hour is, so compress is
+handed the database that mining and scoring are handed too: distinct rows
+with multiplicities (``ingest.DistinctRows``; usage over a multiset, as in
+Krimp). A cover pass sweeps the patterns once over all rows' bitmasks; a
+pattern's usage, like a singleton's raw count, is the weight of the rows it
+takes, counted as mining counts support. Passes repeat until the cover order
+is stable, and only the settled pass is spread into per-row covers. They
+give the length: one correctly rounded sum of each distinct row's bits times
+its multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from math import fsum, inf, log2
 from operator import mul
 from typing import Mapping, Sequence
 
-from .ingest import Item, Transaction
-from .mining import DistinctRows, distinct_rows, format_items, parse_items
+from .ingest import DistinctRows, Item
+from .mining import format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -118,7 +117,7 @@ def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
     for rows in uncovered.values():
         stranded |= rows
     if stranded:  # pre-condition violation: some item has no singleton
-        first = stranded & -stranded  # the first transaction's row that failed
+        first = stranded & -stranded  # the first distinct row that failed
         missing = format_items(item for item, rows in uncovered.items() if rows & first)
         raise ValueError(f"table cannot cover item(s) {missing}")
     return taken_rows
@@ -224,38 +223,27 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
 
 # --- whole-database helpers outside the pipeline ---------------------------------
 # compress settles through _settle and score_all covers through cover_rows;
-# neither calls these six, which the tests use as oracles. They stay here, not
+# neither calls these five, which the tests use as oracles. They stay here, not
 # in tests/helpers.py, because the benchmark's tracer (perfbench/tracer.py)
-# wraps the five functions by name, and tests/test_tracer_targets.py checks that
-# they resolve (Cover is what cover_database returns). They can move once the
-# tracer reads run metrics instead of wrapping functions.
+# wraps them by name, and tests/test_tracer_targets.py checks that they
+# resolve. They can move once the tracer reads run metrics instead of
+# wrapping functions.
 
-@dataclass(frozen=True)
-class Cover:
-    """Disjoint exact decomposition of one transaction into table patterns."""
-
-    transaction: Transaction
-    parts: tuple[frozenset[Item], ...]
-
-
-def cover_database(transactions: Sequence[Transaction], table: PatternTable) -> list[Cover]:
-    """Cover every transaction under one fixed canonical order (single pass)."""
-    db = distinct_rows(transactions)
+def cover_database(db: DistinctRows, table: PatternTable) -> list[tuple[frozenset, ...]]:
+    """Every hour's cover, in time order, under one fixed canonical order (single pass)."""
     covers = cover_rows(db, cover_order(table.usages))
-    return [Cover(transaction=t, parts=covers[row]) for t, row in zip(transactions, db.index)]
+    return [covers[row] for row in db.index]
 
 
-def recompute_usages(table: PatternTable, transactions: Sequence[Transaction]) -> PatternTable:
+def recompute_usages(table: PatternTable, db: DistinctRows) -> PatternTable:
     """Set every pattern's usage to the number of covers that include it."""
-    _settle(table, distinct_rows(transactions), "the table")
+    _settle(table, db, "the table")
     return table
 
 
-def database_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
-    """Total bits to encode every transaction under the table."""
-    db = distinct_rows(transactions)
-    covers = cover_rows(db, cover_order(table.usages))
-    return _database_bits(db, covers, code_lengths(table))
+def database_length(db: DistinctRows, table: PatternTable) -> float:
+    """Total bits to encode every hour under the table."""
+    return _database_bits(db, cover_rows(db, cover_order(table.usages)), code_lengths(table))
 
 
 def table_length(table: PatternTable) -> float:
@@ -263,8 +251,8 @@ def table_length(table: PatternTable) -> float:
     return _table_bits(table, code_lengths(table))
 
 
-def total_length(transactions: Sequence[Transaction], table: PatternTable) -> float:
-    return database_length(transactions, table) + table_length(table)
+def total_length(db: DistinctRows, table: PatternTable) -> float:
+    return database_length(db, table) + table_length(table)
 
 
 # --- pattern table file format -------------------------------------------------

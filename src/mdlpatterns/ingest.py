@@ -1,4 +1,4 @@
-"""Raw wait-time ingestion: parse, aggregate to hourly means, categorize, assemble transactions.
+"""Raw wait-time ingestion: parse, aggregate to hourly means, categorize, collapse.
 
 Input is delimiter-separated text with a header row. Each data row is one
 observation: timestamp (ISO-8601, minute resolution), site identifier,
@@ -15,22 +15,24 @@ Pipeline:
                             (+ a diagnostic per rejected or replaced row)
     aggregate_hourly()   -> (site, direction, vehicle_class, hour) -> mean minutes
     discretize()         -> wait category 1..4
-    build_transactions() -> one Transaction per hour where every configured
-                            site has a value; incomplete hours are dropped
-                            and counted, never imputed
+    build_transactions() -> the database: every hour where every configured
+                            site has a value, collapsed to distinct rows
+                            (DistinctRows); incomplete hours are dropped and
+                            counted, never imputed
 
-All operations are pure and deterministic: identical input yields identical
-transactions.
+An hour is a position in the database: its clock hour and its distinct row.
+All operations are pure and deterministic: identical input yields an
+identical database.
 """
 
 from __future__ import annotations
 
 import csv
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from math import inf, isfinite
+from operator import gt
 from typing import IO, Mapping, Sequence
 
 Item = tuple[str, int]
@@ -54,12 +56,43 @@ def canonical(text: str, names: Sequence[str], noun: str) -> str:
     raise ValueError(f"unknown {noun} {text!r} (expected {' or '.join(names)})")
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One hourly row: a category per configured site, in configured site order."""
+class DistinctRows:
+    """The database: its hours in ascending time, collapsed to distinct rows.
 
-    timestamp: datetime
-    items: tuple[Item, ...]
+    Each hour is a position: ``hours`` holds its clock hour and ``index`` its
+    distinct row. Per distinct row, in order of first appearance in the input:
+    ``items`` holds its items in attribute order and ``weights`` its
+    multiplicity. Bit r of ``holding[item]`` is set when distinct row r holds
+    the item, and bit r of ``planes[k]`` when bit k of row r's multiplicity is.
+    """
+
+    def __init__(self, hours: Sequence[datetime], items: Sequence[tuple[Item, ...]]) -> None:
+        position: dict[tuple[Item, ...], int] = {}  # items -> distinct row
+        index = [position.setdefault(row_items, len(position)) for row_items in items]
+        if any(map(gt, hours, hours[1:])):  # out of time order; the sort is stable
+            order = sorted(range(len(hours)), key=hours.__getitem__)
+            hours, index = [hours[i] for i in order], [index[i] for i in order]
+        self.hours, self.index, self.items = list(hours), index, list(position)
+        self.weights = [0] * len(position)
+        for row in index:
+            self.weights[row] += 1
+        self.holding: dict[Item, int] = {}
+        for row, row_items in enumerate(self.items):
+            for item in row_items:
+                self.holding[item] = self.holding.get(item, 0) | 1 << row
+        self.planes = [int("".join(str(w >> k & 1) for w in reversed(self.weights)), 2)
+                       for k in range(max(self.weights, default=0).bit_length())]
+
+    def __len__(self) -> int:
+        return len(self.hours)
+
+    def weight(self, rows: int) -> int:
+        """Summed multiplicity of the distinct rows whose bits are set in ``rows``:
+        one popcount per multiplicity bit plane, whatever the number of rows."""
+        total = 0
+        for plane in reversed(self.planes):  # the highest bit first
+            total = 2 * total + (rows & plane).bit_count()
+        return total
 
 
 # (site, direction, vehicle_class, timestamp) of one observation
@@ -108,8 +141,8 @@ class Records(Mapping):
 
 @dataclass
 class TransactionBuild:
-    transactions: list[Transaction]
-    excluded_hours: list[datetime] = field(default_factory=list)
+    transactions: DistinctRows  # the complete hours
+    excluded_hours: list[datetime]
 
 
 def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
@@ -199,16 +232,25 @@ def _stamp_id(raw: str, parsed: ParseResult) -> int | str:
     """A naive timestamp's stamp id, the next one if it is new, or why it is rejected."""
     text = raw.strip()
     try:
-        stamp = datetime.fromisoformat(text)
+        stamp = _read_stamp(text)
     except ValueError:
         return f"bad timestamp {text!r}"
-    if len(text) <= 10:  # no longer than a date: a date alone reads as midnight
-        with suppress(ValueError):
-            date.fromisoformat(text)
-            return f"bad timestamp {text!r}"
     if stamp.tzinfo is not None:
         return f"timestamp carries a UTC offset ({text!r})"
     return parsed.stamps.setdefault(stamp, len(parsed.stamps))
+
+
+def _read_stamp(text: str) -> datetime:
+    """A raw or staged row's stamp. Raises ValueError on a bad one, or on a
+    date with no time of day, which fromisoformat would read as midnight."""
+    stamp = datetime.fromisoformat(text)
+    if len(text) <= 10:  # no longer than a date
+        try:
+            date.fromisoformat(text)
+        except ValueError:
+            return stamp
+        raise ValueError(f"timestamp has no time of day ({text!r})")
+    return stamp
 
 
 def _parse_slice(site: str, direction: str, vehicle_class: str) -> tuple[str, str, str] | str:
@@ -272,11 +314,11 @@ def build_transactions(
     direction: str,
     vehicle_class: str,
 ) -> TransactionBuild:
-    """Assemble one transaction per hour in which every configured site has a value.
+    """The database of every hour in which every configured site has a value.
 
     Hours where any configured site is missing are excluded and recorded in
-    ``excluded_hours``; nothing is imputed. Transactions are sorted by
-    timestamp and carry items in the configured attribute order.
+    ``excluded_hours``; nothing is imputed. Each hour's items are in the
+    configured attribute order.
     """
     if not attributes:
         raise IngestError("attribute list must be nonempty")
@@ -291,15 +333,15 @@ def build_transactions(
             continue
         by_hour.setdefault(hour, {})[site] = mean
 
-    build = TransactionBuild(transactions=[])
+    hours, rows, excluded = [], [], []
     for hour in sorted(by_hour):
         values = by_hour[hour]
         if any(site not in values for site in attributes):
-            build.excluded_hours.append(hour)
+            excluded.append(hour)
             continue
-        items = tuple((site, discretize(values[site])) for site in attributes)
-        build.transactions.append(Transaction(timestamp=hour, items=items))
-    return build
+        hours.append(hour)
+        rows.append(tuple((site, discretize(values[site])) for site in attributes))
+    return TransactionBuild(DistinctRows(hours, rows), excluded)
 
 
 # --- transaction file format -------------------------------------------------
@@ -313,9 +355,10 @@ def hour_text(stamp: datetime) -> str:
 
 def parse_hour(text: str) -> datetime:
     """The hour that starts an artifact row. Raises ValueError on a bad stamp,
-    on a UTC offset or seconds, which hour_text would not write back, or on
-    a stamp off the hour, which would give its hour a second row."""
-    stamp = datetime.fromisoformat(text)
+    on a date with no time of day, on a UTC offset or seconds, which hour_text
+    would not write back, or on a stamp off the hour, which would give its
+    hour a second row."""
+    stamp = _read_stamp(text)
     if stamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({text!r})")
     if stamp.second or stamp.microsecond:
@@ -334,24 +377,23 @@ def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[I
     return tuple(zip(attributes, categories))
 
 
-def write_transactions(
-    path: str,
-    transactions: Sequence[Transaction],
-    attributes: Sequence[str],
-) -> None:
+def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -> None:
+    """One row per hour, in time order; each distinct row's categories are formatted once."""
+    texts = []
+    for items in db.items:
+        cats = dict(items)
+        texts.append("".join(f",{cats[a]}" for a in attributes) + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp," + ",".join(attributes) + "\n")
-        for txn in transactions:
-            cats = dict(txn.items)
-            fh.write(hour_text(txn.timestamp) + "".join(f",{cats[a]}" for a in attributes) + "\n")
+        fh.writelines(hour_text(hour) + texts[row] for hour, row in zip(db.hours, db.index))
 
 
-def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
-    """Read a transaction file back; returns (transactions, attribute names).
+def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
+    """Read a transaction file back; returns (database, attribute names).
 
     Every row is checked, no two rows may hold one hour, and the header may
     not name a site twice. Each distinct category text is parsed once, so its
-    rows share one items tuple."""
+    rows share one items tuple. Rows may come in any time order."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -362,7 +404,7 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
         attributes = columns[1:]
         if len(set(attributes)) != len(attributes):
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
-        transactions = []
+        hours, hour_items = [], []
         rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
         seen: set[datetime] = set()
         for lineno, line in enumerate(fh, start=2):
@@ -382,5 +424,6 @@ def read_transactions(path: str) -> tuple[list[Transaction], list[str]]:
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {exc}")
             seen.add(stamp)
-            transactions.append(Transaction(timestamp=stamp, items=items))
-    return transactions, attributes
+            hours.append(stamp)
+            hour_items.append(items)
+    return DistinctRows(hours, hour_items), attributes

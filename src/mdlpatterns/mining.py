@@ -2,21 +2,20 @@
 
 An item is a (site, category) pair: the same category at two different sites
 is two different items, and no valid itemset holds two categories for one
-site. ``distinct_rows`` collapses the hours once into distinct rows with
-multiplicities; mining, the codec and the scorer are each handed that one
-collapsed database. Each item's rows form one bitmask, and the support of a
-set of items is the weight of the AND of their masks: one popcount per bit
-plane of the multiplicities. Mining returns itemsets of size >= 2 only, as
-itemset -> support; the codec counts singletons and usages with the same
-weights.
+site. Ingest builds the database once, already collapsed into distinct rows
+with multiplicities (``ingest.DistinctRows``); mining, the codec and the
+scorer are each handed that one database. Each item's rows form one bitmask,
+and the support of a set of items is the weight of the AND of their masks:
+one popcount per bit plane of the multiplicities. Mining returns itemsets of
+size >= 2 only, as itemset -> support; the codec counts singletons and usages
+with the same weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .ingest import Item, Transaction
+from .ingest import DistinctRows, Item
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -83,41 +82,6 @@ def parse_items(text: str) -> frozenset[Item]:
 def canonical_key(items: frozenset[Item], weight: int) -> tuple:
     """Sort key: descending cardinality, descending weight, lexicographic items."""
     return (-len(items), -weight, tuple(sorted(items)))
-
-
-@dataclass(frozen=True)
-class DistinctRows:
-    """A database: its hours, collapsed to distinct rows with multiplicities."""
-
-    transactions: Sequence[Transaction]  # the hours, in order
-    weights: list[int]  # per distinct row, in order of first appearance
-    index: list[int]  # distinct-row index of every transaction, in order
-    holding: dict[Item, int]  # bit r set: distinct row r holds the item
-    planes: list[int]  # bit r of plane k set: bit k of row r's multiplicity is set
-
-    def weight(self, rows: int) -> int:
-        """Summed multiplicity of the distinct rows whose bits are set in ``rows``:
-        one popcount per multiplicity bit plane, whatever the number of rows."""
-        total = 0
-        for plane in reversed(self.planes):  # the highest bit first
-            total = 2 * total + (rows & plane).bit_count()
-        return total
-
-
-def distinct_rows(transactions: Sequence[Transaction]) -> DistinctRows:
-    """Collapse the hours once; mining, the codec and the scorer are handed the result."""
-    position: dict[frozenset[Item], int] = {}
-    index = [position.setdefault(frozenset(txn.items), len(position)) for txn in transactions]
-    weights = [0] * len(position)
-    for row in index:
-        weights[row] += 1
-    holding: dict[Item, int] = {}
-    for row, items in enumerate(position):
-        for item in items:
-            holding[item] = holding.get(item, 0) | 1 << row
-    planes = [int("".join(str(w >> k & 1) for w in reversed(weights)), 2)
-              for k in range(max(weights, default=0).bit_length())]
-    return DistinctRows(transactions, weights, index, holding, planes)
 
 
 def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int]:

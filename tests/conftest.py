@@ -7,9 +7,8 @@ table whose best cover mixes a triple, a pair, and a singleton.
 
 import pytest
 
-from helpers import make_db
+from helpers import collapse, make_db
 from mdlpatterns.codec import init_pattern_table, recompute_usages
-from mdlpatterns.mining import distinct_rows
 
 # Verdict lines recorded by the acceptance tests; printed after the run so
 # they survive output capture.
@@ -42,7 +41,8 @@ def worked_table(six_rows):
     Settles to triple=4 (rows 1-4), pair=2 and RB:2=2 (rows 5-6); every
     plain singleton ends up unused.
     """
-    table = init_pattern_table(distinct_rows(six_rows))
+    db = collapse(six_rows)
+    table = init_pattern_table(db)
     table.usages.update({TRIPLE: 4, PAIR: 6})
-    recompute_usages(table, six_rows)
+    recompute_usages(table, db)
     return table

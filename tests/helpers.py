@@ -14,15 +14,14 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from itertools import combinations
 from math import fsum, isfinite, log2
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
-from mdlpatterns.anomaly import SCORES_TAIL, ScoredTransaction
+from mdlpatterns.anomaly import SCORES_TAIL, Ranking
 from mdlpatterns.codec import (
     _MAX_RECOVER_PASSES,
     CompressionResult,
-    Cover,
     PatternTable,
     compress,
     cover_database,
@@ -36,27 +35,62 @@ from mdlpatterns.ingest import (
     COLUMNS,
     DIRECTIONS,
     VEHICLE_CLASSES,
+    DistinctRows,
     IngestError,
     ParseResult,
-    Transaction,
     canonical,
     parse_records,
 )
-from mdlpatterns.mining import distinct_rows, format_items, frequent_itemsets, parse_items
+from mdlpatterns.mining import format_items, frequent_itemsets, parse_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
 BASE = datetime(2016, 8, 22)
 
 
+@dataclass(frozen=True)
+class Hour:
+    """One hourly row, as the builders and oracles here hold it: a category per site."""
+
+    timestamp: datetime
+    items: tuple
+
+
+class ScoredHour(NamedTuple):
+    """One ranked hour, as the scores oracles here hold it."""
+
+    timestamp: datetime
+    items: tuple
+    score: float
+    cover: str
+
+
+def collapse(hours: Sequence[Hour]) -> DistinctRows:
+    """The database of ``hours``, built as ingest builds it."""
+    return DistinctRows([hour.timestamp for hour in hours], [hour.items for hour in hours])
+
+
+def hours_of(db: DistinctRows) -> list[Hour]:
+    """The database's hours, in its order (time)."""
+    return [Hour(stamp, db.items[row]) for stamp, row in zip(db.hours, db.index)]
+
+
+def scored_hours(ranking: Ranking) -> list[ScoredHour]:
+    """The ranking's hours, in rank order, each with its row's items, score and cover."""
+    return [
+        ScoredHour(stamp, ranking.items[row], ranking.bits[row], ranking.covers[row])
+        for stamp, row in zip(ranking.hours, ranking.index)
+    ]
+
+
 def make_db(
     combos: Sequence[tuple[int, ...]],
     attrs: Sequence[str] = ("PB", "LQ", "RB"),
-) -> list[Transaction]:
-    """One transaction per category combo, consecutive hourly timestamps."""
+) -> list[Hour]:
+    """One hour per category combo, consecutive hourly timestamps."""
     rows = []
     for i, cats in enumerate(combos):
         items = tuple((attr, int(cat)) for attr, cat in zip(attrs, cats))
-        rows.append(Transaction(timestamp=BASE + timedelta(hours=i), items=items))
+        rows.append(Hour(timestamp=BASE + timedelta(hours=i), items=items))
     return rows
 
 
@@ -66,7 +100,7 @@ def random_db(
     attrs: Sequence[str] = ("A", "B", "C"),
     max_cat: int = 4,
     min_rows: int = 1,
-) -> list[Transaction]:
+) -> list[Hour]:
     n = rng.randint(min_rows, max_rows)
     combos = [
         tuple(rng.randint(1, max_cat) for _ in attrs) for _ in range(n)
@@ -86,14 +120,14 @@ def db_strategy(max_rows: int = 12, attrs=("A", "B", "C"), max_cat: int = 4):
 DATABASES = st.one_of(db_strategy(), db_strategy(attrs=tuple("ABCDEF"), max_cat=2))
 
 
-def support(items: frozenset, transactions: Sequence[Transaction]) -> int:
+def support(items: frozenset, transactions: Sequence[Hour]) -> int:
     """Number of transactions whose item set contains all of ``items``."""
     items = frozenset(items)
     return sum(1 for txn in transactions if items <= frozenset(txn.items))
 
 
 def brute_force_frequent(
-    transactions: Sequence[Transaction], least: int
+    transactions: Sequence[Hour], least: int
 ) -> set[tuple[frozenset, int]]:
     """Every itemset of size >= 2 with support at least ``least``, by direct enumeration.
 
@@ -113,14 +147,14 @@ def brute_force_frequent(
     return found
 
 
-def mine_and_compress(transactions: Sequence[Transaction], least: int = 2) -> CompressionResult:
+def mine_and_compress(transactions: Sequence[Hour], least: int = 2) -> CompressionResult:
     """Mine at ``least`` and compress on one collapse of the hours, as ``run`` does."""
-    db = distinct_rows(transactions)
+    db = collapse(transactions)
     return compress(db, frequent_itemsets(db, least))
 
 
 def exhaustive_best_length(
-    transactions: Sequence[Transaction], candidates: Mapping[frozenset, int]
+    transactions: Sequence[Hour], candidates: Mapping[frozenset, int]
 ) -> float:
     """Minimum total length over every subset of the candidate patterns.
 
@@ -128,21 +162,22 @@ def exhaustive_best_length(
     bound for what the greedy search can reach with the same candidates.
     """
     best = None
+    db = collapse(transactions)
     for mask in range(2 ** len(candidates)):
-        table = init_pattern_table(distinct_rows(transactions))
+        table = init_pattern_table(db)
         for bit, (items, sup) in enumerate(candidates.items()):
             if mask >> bit & 1:
                 table.usages[items] = sup
-        recompute_usages(table, transactions)
-        length = total_length(transactions, table)
+        recompute_usages(table, db)
+        length = total_length(db, table)
         if best is None or length < best:
             best = length
     return best
 
 
-def cover_transaction(txn: Transaction, table: PatternTable) -> Cover:
-    """One transaction's cover under the table's current order."""
-    return cover_database([txn], table)[0]
+def cover_transaction(txn: Hour, table: PatternTable) -> tuple[frozenset, ...]:
+    """One hour's cover under the table's current order."""
+    return cover_database(collapse([txn]), table)[0]
 
 
 def pattern_code_length(pattern: frozenset, table: PatternTable) -> float:
@@ -154,9 +189,9 @@ def pattern_code_length(pattern: frozenset, table: PatternTable) -> float:
     return -log2(usage / sum(table.usages.values()))
 
 
-def transaction_code_length(txn: Transaction, table: PatternTable) -> float:
-    """One transaction's code length: the sum over its cover."""
-    return database_length([txn], table)
+def transaction_code_length(txn: Hour, table: PatternTable) -> float:
+    """One hour's code length: the sum over its cover."""
+    return database_length(collapse([txn]), table)
 
 
 def greedy_cover_oracle(items: frozenset, order: Sequence[frozenset]) -> tuple[frozenset, ...]:
@@ -173,7 +208,7 @@ def greedy_cover_oracle(items: frozenset, order: Sequence[frozenset]) -> tuple[f
     return tuple(parts)
 
 
-def settle_oracle(table: PatternTable, transactions: Sequence[Transaction]) -> dict:
+def settle_oracle(table: PatternTable, transactions: Sequence[Hour]) -> dict:
     """Cover passes until the cover order is stable, usages added up row by row.
 
     Each pass covers each distinct row alone with the greedy scan, then adds
@@ -196,7 +231,7 @@ def settle_oracle(table: PatternTable, transactions: Sequence[Transaction]) -> d
     raise ValueError(f"cover order did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
-def settled_length_oracle(table: PatternTable, transactions: Sequence[Transaction]) -> float:
+def settled_length_oracle(table: PatternTable, transactions: Sequence[Hour]) -> float:
     """Settle the table with settle_oracle, then its total length in bits: each
     distinct row's code lengths added in cover order, times its multiplicity,
     plus the table's codes and singleton-item terms, each side one fsum."""
@@ -211,11 +246,11 @@ def settled_length_oracle(table: PatternTable, transactions: Sequence[Transactio
 
 
 def compress_oracle(
-    transactions: Sequence[Transaction], candidates: Mapping[frozenset, int]
+    transactions: Sequence[Hour], candidates: Mapping[frozenset, int]
 ) -> tuple[float, list[float], PatternTable]:
     """The greedy search with every trial settled and measured by the oracles
     above: (initial length, each candidate's trial length, final table)."""
-    table = init_pattern_table(distinct_rows(transactions))
+    table = init_pattern_table(collapse(transactions))
     initial = best = settled_length_oracle(table, transactions)
     trials = []
     for items, support in candidates.items():
@@ -335,8 +370,9 @@ def aggregate_hourly_oracle(
 # --- artifact I/O oracles: every row split, parsed and formatted in full ---------
 
 
-def read_transactions_oracle(path: str) -> tuple[list[Transaction], list[str]]:
-    """The per-row transaction reader that read_transactions replaced."""
+def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
+    """The per-row transaction reader that read_transactions replaced; its
+    hours come in file order."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -362,7 +398,7 @@ def read_transactions_oracle(path: str) -> tuple[list[Transaction], list[str]]:
     return transactions, attributes
 
 
-def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
+def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
     """The per-row scores reader that read_scores replaced, with its checks:
     every row compared with all the rows before it."""
     scored, texts = [], []  # texts: each row's categories, score and cover
@@ -381,7 +417,7 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                earlier = [entry.transaction for entry in scored]
+                earlier = [Hour(entry.timestamp, entry.items) for entry in scored]
                 transaction = _oracle_hour_row(fields, attributes, earlier)
                 score = float(fields[-3])
                 if not isfinite(score):
@@ -401,7 +437,8 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
                 if same and max(same) > transaction.timestamp:
                     latest = max(same).isoformat(timespec="minutes")
                     raise ValueError(f"one row's hours out of order ({latest} first)")
-                scored.append(ScoredTransaction(transaction, fields[-1], score))
+                stamp, items = transaction.timestamp, transaction.items
+                scored.append(ScoredHour(stamp, items, score, fields[-1]))
                 texts.append(text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
@@ -409,11 +446,18 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredTransaction], list[str]]:
 
 
 def _oracle_hour_row(
-    fields: Sequence[str], attributes: Sequence[str], earlier: Sequence[Transaction]
-) -> Transaction:
+    fields: Sequence[str], attributes: Sequence[str], earlier: Sequence[Hour]
+) -> Hour:
     """The stamp and categories that start an artifact row; ValueError on a bad
-    one, on an offset, seconds or minutes, or on an hour that an earlier row holds."""
+    one, on a date with no time of day, on an offset, seconds or minutes, or on
+    an hour that an earlier row holds."""
     stamp = datetime.fromisoformat(fields[0])
+    try:
+        date.fromisoformat(fields[0])
+    except ValueError:
+        pass
+    else:  # a date alone reads as midnight, but it has no time of day
+        raise ValueError(f"timestamp has no time of day ({fields[0]!r})")
     if stamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
     if stamp.second or stamp.microsecond:
@@ -426,18 +470,18 @@ def _oracle_hour_row(
     if not {1, 2, 3, 4}.issuperset(categories):
         bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
         raise ValueError(f"category outside 1..4 ({bad})")
-    return Transaction(timestamp=stamp, items=tuple(zip(attributes, categories)))
+    return Hour(timestamp=stamp, items=tuple(zip(attributes, categories)))
 
 
 def write_scores_oracle(
-    path: str, scored: Sequence[ScoredTransaction], attributes: Sequence[str]
+    path: str, scored: Sequence[ScoredHour], attributes: Sequence[str]
 ) -> None:
     """The per-row scores writer that write_scores replaced."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
         for rank, entry in enumerate(scored, start=1):
-            cats = dict(entry.transaction.items)
-            fields = [entry.transaction.timestamp.isoformat(timespec="minutes")]
+            cats = dict(entry.items)
+            fields = [entry.timestamp.isoformat(timespec="minutes")]
             fields.extend(str(cats[attr]) for attr in attributes)
             fields.append(f"{entry.score:.9f}")
             fields.append(str(rank))
@@ -445,11 +489,11 @@ def write_scores_oracle(
             fh.write("\t".join(fields) + "\n")
 
 
-# Stamps that no staged reader accepts: unparseable, with a UTC offset, with
-# seconds, off the hour.
+# Stamps that no staged reader accepts: unparseable, a date with no time of
+# day, with a UTC offset, with seconds, off the hour.
 BAD_STAMPS = [
-    "notadate", "", "2016-08-22T11:00+02:00", "2016-08-22T12:30:45", "2016-08-22T12:00:00.5",
-    "2016-08-22T12:30",
+    "notadate", "", "2016-08-22", "2016-08-22T11:00+02:00", "2016-08-22T12:30:45",
+    "2016-08-22T12:00:00.5", "2016-08-22T12:30",
 ]
 
 

@@ -13,12 +13,14 @@ import conftest
 from conftest import PAIR, RB2, SIX_ROW_COMBOS, TRIPLE
 from helpers import (
     brute_force_frequent,
+    collapse,
     exhaustive_best_length,
     make_db,
     mine_and_compress,
     parse_synthetic,
     pattern_code_length,
     random_db,
+    scored_hours,
     transaction_code_length,
 )
 from mdlpatterns import compress, frequent_itemsets, least_support, score_all, top_fraction
@@ -29,7 +31,6 @@ from mdlpatterns.ingest import (
     build_transactions,
     discretize,
 )
-from mdlpatterns.mining import distinct_rows
 from mdlpatterns.synth import generate_synthetic, write_records_csv
 
 SITES = ["PB", "LQ", "RB"]
@@ -44,9 +45,10 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 
 def _worked_table_and_rows():
     rows = make_db(SIX_ROW_COMBOS)
-    table = init_pattern_table(distinct_rows(rows))
+    db = collapse(rows)
+    table = init_pattern_table(db)
     table.usages.update({TRIPLE: 4, PAIR: 6})
-    recompute_usages(table, rows)
+    recompute_usages(table, db)
     return rows, table
 
 
@@ -74,7 +76,7 @@ def test_criterion_2_worked_example_code_lengths():
         pattern_code_length(items, table) for items in (TRIPLE, PAIR, RB2)
     )
     scores = [transaction_code_length(t, table) for t in rows]
-    db_bits = database_length(rows, table)
+    db_bits = database_length(collapse(rows), table)
     tol = 1e-9
     ok = (
         all(abs(g - e) <= tol for g, e in zip(lengths, (1.0, 2.0, 2.0)))
@@ -99,7 +101,7 @@ def test_criterion_3_mining_matches_brute_force():
             least = least_support(rng.randint(1, 4), len(db))
         else:
             least = least_support(rng.choice((0.2, 0.34, 0.5)), len(db))
-        mined = set(frequent_itemsets(distinct_rows(db), least).items())
+        mined = set(frequent_itemsets(collapse(db), least).items())
         oracle = brute_force_frequent(db, least)
         compared += len(oracle)
         if mined != oracle:
@@ -121,10 +123,10 @@ def test_criterion_4_greedy_versus_exhaustive():
     for _ in range(50):
         while True:
             db = random_db(rng, max_rows=10, min_rows=3, attrs=("A", "B", "C"), max_cat=3)
-            candidates = frequent_itemsets(distinct_rows(db), 2)
+            candidates = frequent_itemsets(collapse(db), 2)
             if len(candidates) <= 10:  # keeps the exhaustive sweep tractable
                 break
-        result = compress(distinct_rows(db), candidates)
+        result = compress(collapse(db), candidates)
         never_worse_than_start &= result.final_length <= result.initial_length
         best = exhaustive_best_length(db, candidates)
         ratios.append(result.final_length / best)
@@ -132,8 +134,8 @@ def test_criterion_4_greedy_versus_exhaustive():
     exact_on_uniform = True
     for combo in [(1, 2, 1), (2, 1, 3), (3, 3, 3), (1, 1, 1), (2, 3, 2)]:
         db = make_db([combo] * 20)
-        candidates = frequent_itemsets(distinct_rows(db), 2)
-        result = compress(distinct_rows(db), candidates)
+        candidates = frequent_itemsets(collapse(db), 2)
+        result = compress(collapse(db), candidates)
         best = exhaustive_best_length(db, candidates)
         exact_on_uniform &= abs(result.final_length - best) <= 1e-9
 
@@ -177,13 +179,12 @@ def test_criterion_6_synthetic_recall(tmp_path):
             seed=seed, days=30, dominance=0.95, anomalies=20
         )
         hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-        build = build_transactions(hourly, SITES, "ToCanada", "Car")
-        db = distinct_rows(build.transactions)
-        candidates = frequent_itemsets(db, least_support("0.05", len(build.transactions), 2))
+        db = build_transactions(hourly, SITES, "ToCanada", "Car").transactions
+        candidates = frequent_itemsets(db, least_support("0.05", len(db), 2))
         result = compress(db, candidates)
         scored = score_all(db, result.table)
         selected = top_fraction(scored, 0.05)
-        top_hours = {s.transaction.timestamp for s in selected}
+        top_hours = set(selected.hours)
         hits.append(sum(1 for h in dataset.injected_hours if h in top_hours))
     elapsed = time.perf_counter() - started
     mean_recall = fsum(hits) / len(hits)
@@ -207,23 +208,22 @@ def test_criterion_8_score_accounting(tmp_path):
     tol = 1e-9
     checks = []
     rows, table = _worked_table_and_rows()
-    cases = [("worked", rows, table)]
+    cases = [("worked", collapse(rows), table)]
 
     result = mine_and_compress(rows)
-    cases.append(("compressed", rows, result.table))
+    cases.append(("compressed", collapse(rows), result.table))
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
     hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-    build = build_transactions(hourly, SITES, "ToCanada", "Car")
-    db = distinct_rows(build.transactions)
-    candidates = frequent_itemsets(db, least_support("0.05", len(build.transactions), 2))
+    db = build_transactions(hourly, SITES, "ToCanada", "Car").transactions
+    candidates = frequent_itemsets(db, least_support("0.05", len(db), 2))
     synth_result = compress(db, candidates)
-    cases.append(("synthetic", build.transactions, synth_result.table))
+    cases.append(("synthetic", db, synth_result.table))
 
-    for name, transactions, current in cases:
-        scored = score_all(distinct_rows(transactions), current)
+    for name, db, current in cases:
+        scored = scored_hours(score_all(db, current))
         score_gap = abs(
-            fsum(s.score for s in scored) - database_length(transactions, current)
+            fsum(s.score for s in scored) - database_length(db, current)
         )
         code_share = fsum(
             2 ** -pattern_code_length(p, current)

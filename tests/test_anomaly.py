@@ -1,6 +1,7 @@
 """Scoring, ranking, top-fraction extraction, histogram, and the report."""
 
 import re
+from dataclasses import replace
 from datetime import datetime, timedelta
 from math import fsum
 
@@ -10,60 +11,60 @@ from hypothesis import strategies as st
 
 from helpers import (
     artifact_rows,
+    collapse,
     db_strategy,
     make_db,
     mine_and_compress,
     outcome,
     read_scores_oracle,
+    scored_hours,
     write_scores_oracle,
 )
 from mdlpatterns import score_all, top_fraction
 from mdlpatterns.anomaly import (
     REPORT_VERSION,
     SCORES_TAIL,
-    ScoredTransaction,
+    Ranking,
     hour_frequency,
     read_scores,
     report,
     write_scores,
 )
 from mdlpatterns.codec import database_length, init_pattern_table
-from mdlpatterns.ingest import Transaction
-from mdlpatterns.mining import distinct_rows
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
-    keys = [(-s.score, s.transaction.timestamp) for s in scored]
+    scored = scored_hours(score_all(collapse(six_rows), worked_table))
+    keys = [(-s.score, s.timestamp) for s in scored]
     assert keys == sorted(keys)
     assert [s.score for s in scored] == pytest.approx(
         [4.0, 4.0, 1.0, 1.0, 1.0, 1.0], abs=1e-12
     )
     # the two 4-bit rows are hours 4 and 5; earlier hour ranks first
-    assert scored[0].transaction.timestamp.hour == 4
-    assert scored[1].transaction.timestamp.hour == 5
-    stamps = [s.transaction.timestamp for s in scored[2:]]
+    assert scored[0].timestamp.hour == 4
+    assert scored[1].timestamp.hour == 5
+    stamps = [s.timestamp for s in scored[2:]]
     assert stamps == sorted(stamps)
 
 
 def test_rare_rows_outscore_common_rows(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
-    rare = {s.score for s in scored if s.transaction.items[2] == ("RB", 2)}
-    common = {s.score for s in scored if s.transaction.items[2] == ("RB", 1)}
+    scored = scored_hours(score_all(collapse(six_rows), worked_table))
+    rare = {s.score for s in scored if s.items[2] == ("RB", 2)}
+    common = {s.score for s in scored if s.items[2] == ("RB", 1)}
     assert min(rare) > max(common)
 
 
 def test_scores_carry_covers(six_rows, worked_table):
     # cover text as scores.tsv holds it: the pair then RB:2, and the triple
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = scored_hours(score_all(collapse(six_rows), worked_table))
     assert scored[0].cover == "LQ:2,PB:1|RB:2"
     assert scored[-1].cover == "LQ:2,PB:1,RB:1"
 
 
 def test_score_sum_equals_database_length(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = scored_hours(score_all(collapse(six_rows), worked_table))
     assert fsum(s.score for s in scored) == pytest.approx(
-        database_length(six_rows, worked_table), abs=1e-9
+        database_length(collapse(six_rows), worked_table), abs=1e-9
     )
 
 
@@ -71,9 +72,9 @@ def test_score_sum_equals_database_length(six_rows, worked_table):
 @settings(max_examples=100, deadline=None)
 def test_score_sum_matches_database_length_everywhere(db):
     result = mine_and_compress(db)
-    scored = score_all(distinct_rows(db), result.table)
+    scored = scored_hours(score_all(collapse(db), result.table))
     assert fsum(s.score for s in scored) == pytest.approx(
-        database_length(db, result.table), abs=1e-9
+        database_length(collapse(db), result.table), abs=1e-9
     )
 
 
@@ -81,38 +82,38 @@ def test_score_sum_matches_database_length_everywhere(db):
 
 
 def test_top_fraction_rounds_up(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = score_all(collapse(six_rows), worked_table)
     assert len(top_fraction(scored, 0.05)) == 1
     assert len(top_fraction(scored, 0.3)) == 2
     assert len(top_fraction(scored, 0.5)) == 3
     assert len(top_fraction(scored, 1.0)) == 6
-    assert top_fraction(scored, 0.5) == scored[:3]
+    assert scored_hours(top_fraction(scored, 0.5)) == scored_hours(scored)[:3]
 
 
 def test_top_fraction_ceiling_is_exact():
     # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
-    db = make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5)
-    scored = score_all(distinct_rows(db), init_pattern_table(distinct_rows(db)))
+    db = collapse(make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5))
+    scored = score_all(db, init_pattern_table(db))
     assert len(top_fraction(scored, 0.07)) == 7
     assert len(top_fraction(scored, 0.05)) == 5
 
 
 def test_top_fraction_validates(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = score_all(collapse(six_rows), worked_table)
     with pytest.raises(ValueError, match="fraction"):
         top_fraction(scored, 0.0)
     with pytest.raises(ValueError, match="fraction"):
         top_fraction(scored, 1.5)
     with pytest.raises(ValueError, match="empty"):
-        top_fraction([], 0.5)
+        top_fraction(Ranking(hours=[], index=[], items=[], bits=[], covers=[]), 0.5)
 
 
 # --- hour histogram -------------------------------------------------------------
 
 
 def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
-    histogram = hour_frequency(scored[:2])
+    scored = score_all(collapse(six_rows), worked_table)
+    histogram = hour_frequency(replace(scored, hours=scored.hours[:2], index=scored.index[:2]))
     assert len(histogram) == 24
     assert histogram[4] == 1
     assert histogram[5] == 1
@@ -123,7 +124,7 @@ def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
 
 
 def test_report_structure(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = score_all(collapse(six_rows), worked_table)
     document = report(scored, 0.5, k=2)
     lines = document.splitlines()
     assert lines[0] == REPORT_VERSION
@@ -148,7 +149,7 @@ def test_report_structure(six_rows, worked_table):
 
 
 def test_report_rejects_oversized_k(six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    scored = score_all(collapse(six_rows), worked_table)
     with pytest.raises(ValueError, match="exceeds"):
         report(scored, 0.5, k=7)
     with pytest.raises(ValueError, match="negative"):
@@ -159,16 +160,17 @@ def test_report_rejects_oversized_k(six_rows, worked_table):
 
 
 def test_scores_file_round_trip(tmp_path, six_rows, worked_table):
-    scored = score_all(distinct_rows(six_rows), worked_table)
+    ranking = score_all(collapse(six_rows), worked_table)
     path = tmp_path / "scores.tsv"
-    write_scores(str(path), scored, ["PB", "LQ", "RB"])
-    loaded, attributes = read_scores(str(path))
+    write_scores(str(path), ranking, ["PB", "LQ", "RB"])
+    ranking_loaded, attributes = read_scores(str(path))
     assert attributes == ["PB", "LQ", "RB"]
     # the rank column is each row's place
     assert [line.split("\t")[-2] for line in path.read_text().splitlines()[1:]] == [
         "1", "2", "3", "4", "5", "6"
     ]
-    assert [s.transaction for s in loaded] == [s.transaction for s in scored]
+    loaded, scored = scored_hours(ranking_loaded), scored_hours(ranking)
+    assert [s[:2] for s in loaded] == [s[:2] for s in scored]  # stamp and items
     assert [s.cover for s in loaded] == [s.cover for s in scored]
     for got, expected in zip(loaded, scored):
         # scores travel as 9-decimal text
@@ -183,14 +185,16 @@ def test_read_scores_rejects_bad_header(tmp_path):
 
 
 @pytest.mark.parametrize("stamp, reason", [
+    ("2016-08-22", "timestamp has no time of day"),
     ("2016-08-22T11:00+02:00", "timestamp carries a UTC offset"),
     ("2016-08-22T12:30:45", "timestamp has seconds"),
     ("2016-08-22T10:30", "timestamp is not on the hour"),
 ])
 def test_read_scores_rejects_stamps_it_cannot_write_back(tmp_path, stamp, reason):
-    # an offset could not be compared with the naive hours; seconds would be
-    # dropped; a minute would give the 10:00 row's hour a second row, which
-    # the report's hour-of-day histogram would count twice
+    # a date alone would read as its 00:00 hour; an offset could not be
+    # compared with the naive hours; seconds would be dropped; a minute would
+    # give the 10:00 row's hour a second row, which the report's hour-of-day
+    # histogram would count twice
     path = tmp_path / "scores.tsv"
     path.write_text(
         "timestamp\tPB\tscore_bits\trank\tcover\n"
@@ -249,7 +253,7 @@ def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     # blank lines hold no place
     path.write_text(header + "\n" + second + "\n" + first)
     loaded, _ = read_scores(str(path))
-    assert [(s.transaction.timestamp.hour, s.score) for s in loaded] == [(11, 4.0), (10, 1.0)]
+    assert [(s.timestamp.hour, s.score) for s in scored_hours(loaded)] == [(11, 4.0), (10, 1.0)]
 
 
 @pytest.mark.parametrize("header, row", [
@@ -315,7 +319,7 @@ def test_read_scores_takes_equal_scores_of_different_rows_in_any_time_order(tmp_
         "2016-08-22T10:00\t2\t1.000000000\t2\tPB:2\n"
     )
     loaded, _ = read_scores(str(path))
-    assert [s.transaction.timestamp.hour for s in loaded] == [11, 10]
+    assert [stamp.hour for stamp in loaded.hours] == [11, 10]
 
 
 @pytest.mark.parametrize("cover", [
@@ -337,22 +341,23 @@ def test_read_scores_rejects_a_cover_that_does_not_split_its_row(tmp_path, cover
 
 def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows, worked_table):
     path = tmp_path / "scores.tsv"
-    write_scores(str(path), score_all(distinct_rows(six_rows), worked_table), ["PB", "LQ", "RB"])
+    write_scores(str(path), score_all(collapse(six_rows), worked_table), ["PB", "LQ", "RB"])
     loaded, _ = read_scores(str(path))
-    first, last = loaded[2], loaded[-1]  # two hours of the dominant row
-    assert first.transaction.items is last.transaction.items
-    assert first.cover is last.cover
+    first, last = loaded.index[2], loaded.index[-1]  # two hours of the dominant row
+    assert first == last
+    assert loaded.items[first] is loaded.items[last]
+    assert loaded.covers[first] is loaded.covers[last]
+    assert len(loaded.items) == 2  # one entry per distinct row
 
 
 def test_scores_file_round_trips_a_year_before_1000(tmp_path):
-    entry = ScoredTransaction(
-        transaction=Transaction(timestamp=datetime(999, 1, 1), items=(("PB", 1),)),
-        cover="PB:1", score=1.0,
+    entry = Ranking(
+        hours=[datetime(999, 1, 1)], index=[0], items=[(("PB", 1),)], bits=[1.0], covers=["PB:1"]
     )
     path = tmp_path / "scores.tsv"
-    write_scores(str(path), [entry], ["PB"])
+    write_scores(str(path), entry, ["PB"])
     assert path.read_text().splitlines()[1] == "0999-01-01T00:00\t1\t1.000000000\t1\tPB:1"
-    assert read_scores(str(path)) == ([entry], ["PB"])
+    assert read_scores(str(path)) == (entry, ["PB"])
 
 
 SCORE_TEXTS = ["25.668123457", "7", "1.000000000", "0.000000000", "-0.000000000"]
@@ -402,10 +407,12 @@ def score_files(draw):
 
 def comparable(result):
     """A reader's outcome with scores as repr, so that -0.0 and 0.0 differ."""
-    if not isinstance(result[0], list):
+    if isinstance(result[0], type):
         return result
     scored, attributes = result
-    return [(s.transaction, s.cover, repr(s.score)) for s in scored], attributes
+    if isinstance(scored, Ranking):
+        scored = scored_hours(scored)
+    return [(s.timestamp, s.items, s.cover, repr(s.score)) for s in scored], attributes
 
 
 @given(text=score_files())
@@ -422,21 +429,24 @@ ITEMS = [(("PB", 1), ("LQ", 2)), (("PB", 3), ("LQ", 2)), (("LQ", 2), ("PB", 1))]
 
 @st.composite
 def scored_lists(draw):
-    """Scored hours in any order, drawn from a few items, scores and covers, so
-    that some hours share all three and some share only part."""
+    """Rankings of hours in any order, drawn from a few items, scores and covers,
+    so that some hours share all three and some share only part. Hours that
+    share all three (the score by its repr, so 0.0 and -0.0 differ) share a row."""
     start = draw(st.sampled_from([datetime(2016, 8, 22), datetime(999, 12, 31, 21)]))
     entries = draw(st.lists(st.tuples(
         st.sampled_from(ITEMS),
         st.sampled_from([1.0, 25.668123456789, 0.0, -0.0, float("inf"), float("nan"), 1e-12]),
         st.sampled_from(COVER_TEXTS),
     ), max_size=12))
-    return [
-        ScoredTransaction(
-            transaction=Transaction(timestamp=start + timedelta(hours=i), items=items),
-            cover=cover, score=score,
-        )
-        for i, (items, score, cover) in enumerate(entries)
-    ]
+    rows, firsts = [], {}  # firsts: (items, the score's repr, cover) -> its row
+    for items, score, cover in entries:
+        rows.append(firsts.setdefault((items, repr(score), cover), len(firsts)))
+    distinct = [entries[rows.index(row)] for row in range(len(firsts))]
+    return Ranking(
+        hours=[start + timedelta(hours=i) for i in range(len(entries))], index=rows,
+        items=[items for items, _, _ in distinct], bits=[score for _, score, _ in distinct],
+        covers=[cover for _, _, cover in distinct],
+    )
 
 
 @given(scored=scored_lists())
@@ -444,7 +454,7 @@ def scored_lists(draw):
 def test_write_scores_writes_the_per_row_oracles_bytes(scored, tmp_path_factory):
     folder = tmp_path_factory.mktemp("written")
     write_scores(str(folder / "scores.tsv"), scored, ["LQ", "PB"])
-    write_scores_oracle(str(folder / "oracle.tsv"), scored, ["LQ", "PB"])
+    write_scores_oracle(str(folder / "oracle.tsv"), scored_hours(scored), ["LQ", "PB"])
     assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()
 
 
@@ -453,7 +463,7 @@ def test_write_scores_writes_the_per_row_oracles_bytes(scored, tmp_path_factory)
 def test_write_scores_of_scored_hours_writes_the_per_row_oracles_bytes(db, tmp_path_factory):
     folder = tmp_path_factory.mktemp("written")
     result = mine_and_compress(db)
-    scored = score_all(distinct_rows(db), result.table)
+    scored = score_all(collapse(db), result.table)
     write_scores(str(folder / "scores.tsv"), scored, ["C", "A", "B"])
-    write_scores_oracle(str(folder / "oracle.tsv"), scored, ["C", "A", "B"])
+    write_scores_oracle(str(folder / "oracle.tsv"), scored_hours(scored), ["C", "A", "B"])
     assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mdlpatterns import anomaly, cli, codec, mining
+from mdlpatterns import cli, ingest, mining
 from mdlpatterns.cli import RunConfig, run_pipeline
 
 ARTIFACTS = [
@@ -490,15 +490,16 @@ def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
 
 
 def test_each_database_is_collapsed_once(tmp_path, monkeypatch):
-    # mine, compress and score are handed one collapsed database, not the hours
+    # mine, compress and score are handed one collapsed database, not the
+    # hours: ingest collapses them where it builds or reads the database
     collapses = []
-    for module in (anomaly, codec, mining):
-        if hasattr(module, "distinct_rows"):
-            def counted(transactions, collapse=module.distinct_rows):
-                collapses.append(len(transactions))
-                return collapse(transactions)
 
-            monkeypatch.setattr(module, "distinct_rows", counted)
+    class Counted(ingest.DistinctRows):
+        def __init__(self, hours, items):
+            collapses.append(len(hours))
+            super().__init__(hours, items)
+
+    monkeypatch.setattr(ingest, "DistinctRows", Counted)
     raw, out = make_raw(tmp_path), tmp_path / "out"
     txns = str(out / "transactions.csv")
     commands = {
@@ -515,6 +516,29 @@ def test_each_database_is_collapsed_once(tmp_path, monkeypatch):
         assert cli.main(argv) == 0
         counts[name] = len(collapses)
     assert counts == dict.fromkeys(commands, 1)
+
+
+def test_staged_score_ranks_equal_scores_by_time_on_a_file_out_of_time_order(tmp_path):
+    # The database sorts its hours, and score_all merges the hours of rows
+    # with equal scores: 03:00 (PB:1,LQ:2) and 04:00 (PB:2,LQ:1) tie across
+    # two rows, and the 1,1 row's hours come as 05:00, 02:00, 01:00.
+    txns = tmp_path / "transactions.csv"
+    txns.write_text(
+        "timestamp,PB,LQ\n2016-08-22T05:00,1,1\n2016-08-22T02:00,1,1\n"
+        "2016-08-22T04:00,2,1\n2016-08-22T03:00,1,2\n2016-08-22T01:00,1,1\n"
+    )
+    table, scores = str(tmp_path / "table.tsv"), tmp_path / "scores.tsv"
+    compress = ["compress", "--transactions", str(txns), "--table-out", table,
+                "--log-out", str(tmp_path / "log.tsv"), "--threshold", "5"]  # singletons only
+    assert cli.main(compress) == 0
+    score = ["score", "--transactions", str(txns), "--table", table, "--output", str(scores)]
+    assert cli.main(score) == 0
+    rows = [line.split("\t") for line in scores.read_text().splitlines()[1:]]
+    assert [(row[0][-5:], row[-3], row[-2]) for row in rows] == [
+        ("03:00", "4.643856190", "1"), ("04:00", "4.643856190", "2"),
+        ("01:00", "2.643856190", "3"), ("02:00", "2.643856190", "4"),
+        ("05:00", "2.643856190", "5"),
+    ]
 
 
 def test_staged_subcommands_read_what_run_writes_for_a_year_before_1000(tmp_path):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from conftest import PAIR, RB2, TRIPLE
 from helpers import (
     DATABASES,
+    Hour,
+    collapse,
     compress_oracle,
     cover_transaction,
     db_strategy,
@@ -42,8 +44,7 @@ from mdlpatterns.codec import (
     write_acceptance_log,
     write_pattern_table,
 )
-from mdlpatterns.ingest import Transaction
-from mdlpatterns.mining import canonical_key, distinct_rows
+from mdlpatterns.mining import canonical_key
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -60,7 +61,7 @@ SINGLETON_TERM = 34.03910001730775
 
 
 def test_init_table_uses_raw_item_counts(six_rows):
-    table = init_pattern_table(distinct_rows(six_rows))
+    table = init_pattern_table(collapse(six_rows))
     usages = {next(iter(p)): usage for p, usage in table.usages.items()}
     assert usages == {("PB", 1): 6, ("LQ", 2): 6, ("RB", 1): 4, ("RB", 2): 2}
     assert sum(table.singleton_counts.values()) == 18
@@ -71,7 +72,7 @@ def test_init_table_uses_raw_item_counts(six_rows):
 
 def test_init_table_rejects_empty_database():
     with pytest.raises(ValueError, match="empty"):
-        init_pattern_table(distinct_rows([]))
+        init_pattern_table(collapse([]))
 
 
 # --- covering -----------------------------------------------------------------
@@ -80,14 +81,14 @@ def test_init_table_rejects_empty_database():
 def test_cover_is_exact_and_disjoint(six_rows, worked_table):
     for txn in six_rows:
         cover = cover_transaction(txn, worked_table)
-        covered = [item for part in cover.parts for item in part]
+        covered = [item for part in cover for item in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == frozenset(txn.items)
 
 
 def test_cover_prefers_larger_patterns(six_rows, worked_table):
-    assert cover_transaction(six_rows[0], worked_table).parts == (TRIPLE,)
-    assert cover_transaction(six_rows[4], worked_table).parts == (PAIR, RB2)
+    assert cover_transaction(six_rows[0], worked_table) == (TRIPLE,)
+    assert cover_transaction(six_rows[4], worked_table) == (PAIR, RB2)
 
 
 @given(db=db_strategy(max_rows=12, max_cat=3), seed=st.integers(0, 2**16))
@@ -96,14 +97,15 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     # a random half of all itemsets, with scrambled usages, so that
     # overlapping patterns compete in many different orders
     rng = random.Random(seed)
-    table = init_pattern_table(distinct_rows(db))
-    for itemset in frequent_itemsets(distinct_rows(db), 1):
+    table = init_pattern_table(collapse(db))
+    for itemset in frequent_itemsets(collapse(db), 1):
         if rng.random() < 0.5:
             table.usages[itemset] = 0
     table.usages = {pattern: rng.randint(0, 5) for pattern in table.usages}
     order = cover_order(table.usages)
-    for cover in cover_database(db, table):
-        assert cover.parts == greedy_cover_oracle(frozenset(cover.transaction.items), order)
+    # the drawn hours ascend, so the database keeps their order
+    for txn, cover in zip(db, cover_database(collapse(db), table)):
+        assert cover == greedy_cover_oracle(frozenset(txn.items), order)
 
 
 @given(db=DATABASES, seed=st.integers(0, 2**16))
@@ -112,7 +114,7 @@ def test_cover_order_sorts_by_the_canonical_key_with_or_without_names(db, seed):
     # compress hands cover_order each pattern's sorted items, built once; the
     # order must be the one canonical_key gives, ties in usage included
     rng = random.Random(seed)
-    usages = {p: rng.randint(0, 3) for p in frequent_itemsets(distinct_rows(db), 1)}
+    usages = {p: rng.randint(0, 3) for p in frequent_itemsets(collapse(db), 1)}
     expected = sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
     assert cover_order(usages) == expected
     assert cover_order(usages, {p: tuple(sorted(p)) for p in usages}) == expected
@@ -122,7 +124,7 @@ def test_cover_order_sorts_by_the_canonical_key_with_or_without_names(db, seed):
 def candidate_tables(draw):
     """A database and a random part of its itemsets, each with a drawn support."""
     db = draw(DATABASES)
-    itemsets = list(frequent_itemsets(distinct_rows(db), 1))
+    itemsets = list(frequent_itemsets(collapse(db), 1))
     chosen = draw(st.lists(st.sampled_from(itemsets), unique=True)) if itemsets else []
     return db, {items: draw(st.integers(0, len(db))) for items in chosen}
 
@@ -131,27 +133,27 @@ def candidate_tables(draw):
 @settings(max_examples=100, deadline=None)
 def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
     db, candidates = drawn
-    table = init_pattern_table(distinct_rows(db))
+    table = init_pattern_table(collapse(db))
     table.usages.update(candidates)
     expected = replace(table, usages=dict(table.usages))
     try:
         covers = settle_oracle(expected, db)
     except ValueError:
         with pytest.raises(ValueError, match="did not settle"):
-            codec._settle(table, distinct_rows(db), "the drawn table")
+            codec._settle(table, collapse(db), "the drawn table")
         return
-    assert codec._settle(table, distinct_rows(db), "the drawn table") == list(covers.values())
+    assert codec._settle(table, collapse(db), "the drawn table") == list(covers.values())
     assert list(table.usages.items()) == list(expected.usages.items())
 
     initial, trials, final = compress_oracle(db, candidates)
-    result = compress(distinct_rows(db), candidates)
+    result = compress(collapse(db), candidates)
     assert result.initial_length == initial
     assert [record.trial_length for record in result.log] == trials
     assert list(result.table.usages.items()) == list(final.usages.items())
 
 
 def test_cover_rejects_unknown_item(worked_table):
-    stranger = Transaction(
+    stranger = Hour(
         timestamp=make_db([(1, 2, 1)])[0].timestamp,
         items=(("PB", 1), ("LQ", 2), ("ZZ", 9)),
     )
@@ -172,7 +174,7 @@ def test_recompute_settles_worked_usages(worked_table):
 
 def test_recompute_is_idempotent(six_rows, worked_table):
     before = list(worked_table.usages.items())
-    recompute_usages(worked_table, six_rows)
+    recompute_usages(worked_table, collapse(six_rows))
     assert list(worked_table.usages.items()) == before
 
 
@@ -192,7 +194,7 @@ def test_zero_usage_pattern_has_no_code(worked_table):
     assert worked_table.usages[frozenset({("PB", 1)})] == 0
     # an hour holding PB:1 alone can only be covered by the unused singleton
     with pytest.raises(ValueError, match="pattern PB:1 has zero usage; it carries no code"):
-        database_length(make_db([(1,)], attrs=("PB",)), worked_table)
+        database_length(collapse(make_db([(1,)], attrs=("PB",))), worked_table)
 
 
 def test_transaction_code_lengths_worked(six_rows, worked_table):
@@ -201,7 +203,7 @@ def test_transaction_code_lengths_worked(six_rows, worked_table):
 
 
 def test_database_length_worked(six_rows, worked_table):
-    assert database_length(six_rows, worked_table) == pytest.approx(12.0, abs=1e-12)
+    assert database_length(collapse(six_rows), worked_table) == pytest.approx(12.0, abs=1e-12)
 
 
 def test_table_length_worked(worked_table):
@@ -213,8 +215,9 @@ def test_table_length_worked(worked_table):
 
 
 def test_total_length_is_sum_of_parts(six_rows, worked_table):
-    assert total_length(six_rows, worked_table) == pytest.approx(
-        database_length(six_rows, worked_table) + table_length(worked_table),
+    db = collapse(six_rows)
+    assert total_length(db, worked_table) == pytest.approx(
+        database_length(db, worked_table) + table_length(worked_table),
         abs=1e-12,
     )
 
@@ -257,18 +260,18 @@ def test_unsettled_trial_raises_naming_the_candidate(six_rows, monkeypatch):
     with pytest.raises(ValueError, match=r"candidate LQ:2,PB:1,RB:1 did not settle in 1 passes"):
         mine_and_compress(six_rows)
     monkeypatch.setattr(codec, "_MAX_RECOVER_PASSES", 2)
-    assert compress(distinct_rows(six_rows), {TRIPLE: 4}).final_length < INITIAL_LENGTH
+    assert compress(collapse(six_rows), {TRIPLE: 4}).final_length < INITIAL_LENGTH
 
 
 def test_compress_rejects_a_candidate_already_in_the_table(six_rows):
     # every item is already a singleton pattern; a second entry would overwrite its usage
     with pytest.raises(ValueError, match=r"^candidate PB:1 is already in the table$"):
-        compress(distinct_rows(six_rows), {TRIPLE: 4, frozenset({("PB", 1)}): 6})
+        compress(collapse(six_rows), {TRIPLE: 4, frozenset({("PB", 1)}): 6})
 
 
 def test_compress_rejects_empty_database():
     with pytest.raises(ValueError, match="empty"):
-        compress(distinct_rows([]), {})
+        compress(collapse([]), {})
 
 
 def test_accepted_lengths_strictly_decrease():
@@ -299,16 +302,16 @@ def test_compress_invariants(db):
     # no dead weight: every multi-item pattern earns its keep
     assert all(usage > 0 for p, usage in table.usages.items() if len(p) > 1)
 
-    covers = cover_database(db, table)
-    for cover in covers:
-        covered = [item for part in cover.parts for item in part]
+    covers = cover_database(collapse(db), table)  # the drawn hours ascend, as the database's do
+    for txn, cover in zip(db, covers):
+        covered = [item for part in cover for item in part]
         assert len(covered) == len(set(covered))
-        assert set(covered) == frozenset(cover.transaction.items)
+        assert set(covered) == frozenset(txn.items)
 
     # usages are exactly the cover participation counts
-    tally = Counter(part for cover in covers for part in cover.parts)
+    tally = Counter(part for cover in covers for part in cover)
     assert dict(tally) == {p: usage for p, usage in table.usages.items() if usage > 0}
-    assert sum(table.usages.values()) == sum(len(c.parts) for c in covers)
+    assert sum(table.usages.values()) == sum(len(c) for c in covers)
 
     # code lengths of in-use patterns form a complete prefix-code budget
     share = fsum(
@@ -356,15 +359,15 @@ def test_compress_ignores_row_order_where_only_rounding_differs():
 @settings(max_examples=100)
 def test_doubling_database_doubles_encoded_bits(db):
     doubled = db + db
-    table = init_pattern_table(distinct_rows(db))
-    table_doubled = init_pattern_table(distinct_rows(doubled))
+    table = init_pattern_table(collapse(db))
+    table_doubled = init_pattern_table(collapse(doubled))
     # usage shares are unchanged, so every row costs exactly the same bits
     for txn in db:
         assert transaction_code_length(txn, table_doubled) == pytest.approx(
             transaction_code_length(txn, table), abs=1e-9
         )
-    assert database_length(doubled, table_doubled) == pytest.approx(
-        2 * database_length(db, table), abs=1e-9
+    assert database_length(collapse(doubled), table_doubled) == pytest.approx(
+        2 * database_length(collapse(db), table), abs=1e-9
     )
 
 

@@ -1,17 +1,24 @@
-"""Every name a module under ``src/mdlpatterns`` imports is used there.
+"""Every name a module under ``src/mdlpatterns`` imports or defines is used.
 
 No linter ships with the toolchain, so this stands in for the unused-import
 rule (F401). A name counts as used when the module reads it, lists it in
 ``__all__``, or imports it on a ``# noqa: F401`` line: a binding kept for
 code outside the module, such as the benchmark tracer's wrapped functions.
+
+It also stands in for a dead-code check: every top-level def, class or
+assignment must be read by some source module (as a name or an attribute),
+listed in ``__all__``, or named by the benchmark tracer's ``TARGETS``.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mdlpatterns"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mdlpatterns"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,18 +35,55 @@ def unused_imports(source: str) -> list[str]:
         for alias in node.names:
             imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = {
+    return [
+        f"{name} (line {lineno})"
+        for name, lineno in sorted(imported.items())
+        if name not in read | exported(tree)
+    ]
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    return {
         name
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
         for name in ast.literal_eval(node.value)
     }
-    return [
-        f"{name} (line {lineno})"
-        for name, lineno in sorted(imported.items())
-        if name not in read | exported
-    ]
+
+
+def unread_definitions(sources: dict[str, str], tracer_targets) -> list[str]:
+    """Top-level defs, classes and assignments of the modules (name -> source)
+    that no module reads, no ``__all__`` lists and ``tracer_targets`` (the
+    tracer's (module, attribute, span) triples) does not name. Dunder names
+    are exempt. Reads are matched by name alone, whichever module they are in."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(exported, trees.values()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    named = {(module, attr) for module, attr, _ in tracer_targets}
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in bound if isinstance(target, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}.{name} (line {node.lineno})"
+                for name in names
+                if name not in read and (module, name) not in named
+                and not (name.startswith("__") and name.endswith("__"))
+            ]
+    return unread
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -58,3 +102,35 @@ def test_the_check_finds_an_unused_import():
         "print(exact_ceil)\n"
     )
     assert unused_imports(source) == ["distinct_rows (line 4)", "os (line 2)"]
+
+
+def test_every_definition_is_read():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_definitions(sources, tracer.TARGETS) == []
+
+
+def test_the_check_finds_an_unread_definition():
+    sources = {
+        "ingest": (
+            "RecordKey = tuple[str, int]\n"
+            "Item = tuple[str, int]\n"
+            "__version__ = '0.1.0'\n"
+            "def parse(): return Item\n"
+            "def orphan(): pass\n"
+            "class Build: pass\n"
+        ),
+        "codec": (
+            "from .ingest import parse\n"
+            "__all__ = ['compress']\n"
+            "def compress(): return parse()\n"
+            "def total_length(): pass\n"
+        ),
+        "cli": "from . import ingest\nprint(ingest.Build)\n",
+    }
+    targets = [("codec", "total_length", "codec.length"), ("ingest", "total_length", "x")]
+    assert unread_definitions(sources, targets) == [
+        "ingest.RecordKey (line 1)", "ingest.orphan (line 5)",
+    ]

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, TRIPLE
-from helpers import DATABASES, brute_force_frequent, make_db, random_db, support
+from helpers import DATABASES, brute_force_frequent, collapse, make_db, random_db, support
 from mdlpatterns import frequent_itemsets, least_support
+from mdlpatterns.ingest import DistinctRows
 from mdlpatterns.mining import (
-    DistinctRows,
     canonical_key,
-    distinct_rows,
     exact_ceil,
     format_items,
     parse_items,
@@ -67,30 +66,29 @@ def weighted_masks(draw):
 @settings(max_examples=200)
 def test_weight_is_the_summed_multiplicity_of_the_mask_rows(drawn):
     weights, mask = drawn
-    db = DistinctRows(
-        transactions=[], weights=weights, index=[], holding={}, planes=bit_planes(weights)
-    )
+    db = DistinctRows([], [])  # no hours; the drawn multiplicities stand in for theirs
+    db.weights, db.planes = weights, bit_planes(weights)
     assert db.weight(mask) == sum(w for row, w in enumerate(weights) if mask >> row & 1)
 
 
 @given(db=DATABASES)
 @settings(max_examples=100)
 def test_distinct_rows_build_the_multiplicity_bit_planes(db):
-    rows = distinct_rows(db)
+    rows = collapse(db)
     assert rows.weights == list(Counter(frozenset(txn.items) for txn in db).values())
     assert rows.planes == bit_planes(rows.weights)
 
 
 def test_an_empty_database_has_no_planes():
-    rows = distinct_rows([])
+    rows = collapse([])
     assert rows.planes == [] and rows.weight(0) == 0
 
 
 def test_matches_brute_force_where_a_row_repeats_past_the_sixteenth_plane():
     # 65,537 copies set the multiplicity's bit 16, a plane smaller draws never reach
     db = make_db([(1, 2, 1)] * 65_537 + [(1, 2, 2), (1, 3, 2), (1, 3, 2)])
-    assert distinct_rows(db).weights == [65_537, 1, 2]
-    mined = frequent_itemsets(distinct_rows(db), 2)
+    assert collapse(db).weights == [65_537, 1, 2]
+    mined = frequent_itemsets(collapse(db), 2)
     assert set(mined.items()) == brute_force_frequent(db, 2)
     assert mined[frozenset({("PB", 1), ("LQ", 2), ("RB", 1)})] == 65_537
 
@@ -152,8 +150,8 @@ def test_threshold_inclusive_versus_strict():
 
 
 def test_strict_threshold_excludes_boundary_supports(six_rows):
-    at_least_4 = frequent_itemsets(distinct_rows(six_rows), least_support("4", 6))
-    above_4 = frequent_itemsets(distinct_rows(six_rows), least_support("4", 6, inclusive=False))
+    at_least_4 = frequent_itemsets(collapse(six_rows), least_support("4", 6))
+    above_4 = frequent_itemsets(collapse(six_rows), least_support("4", 6, inclusive=False))
     assert at_least_4.keys() >= above_4.keys()
     assert all(sup > 4 for sup in above_4.values())
     assert 4 in at_least_4.values()
@@ -163,7 +161,7 @@ def test_strict_threshold_excludes_boundary_supports(six_rows):
 
 
 def test_worked_example_itemsets(six_rows):
-    found = frequent_itemsets(distinct_rows(six_rows), 2)
+    found = frequent_itemsets(collapse(six_rows), 2)
     listed = [(format_items(items), sup) for items, sup in found.items()]
     assert listed == [
         ("LQ:2,PB:1,RB:1", 4),
@@ -177,19 +175,19 @@ def test_worked_example_itemsets(six_rows):
 
 
 def test_no_singletons_in_output(six_rows):
-    found = frequent_itemsets(distinct_rows(six_rows), 1)
+    found = frequent_itemsets(collapse(six_rows), 1)
     assert all(len(items) >= 2 for items in found)
 
 
 def test_repeated_rows_count_once_each():
     db = make_db([(1, 1, 1)] * 5, attrs=("A", "B", "C"))
-    found = frequent_itemsets(distinct_rows(db), 5)
+    found = frequent_itemsets(collapse(db), 5)
     assert set(found.values()) == {5}
     assert len(found) == 4  # three pairs and the triple
 
 
 def test_output_in_canonical_order(six_rows):
-    found = frequent_itemsets(distinct_rows(six_rows), 2)
+    found = frequent_itemsets(collapse(six_rows), 2)
     keys = [canonical_key(items, sup) for items, sup in found.items()]
     assert keys == sorted(keys)
 
@@ -198,7 +196,7 @@ def test_output_in_canonical_order(six_rows):
 @settings(max_examples=100)
 def test_matches_brute_force(db, count, inclusive):
     least = least_support(count, len(db), inclusive=inclusive)
-    mined = set(frequent_itemsets(distinct_rows(db), least).items())
+    mined = set(frequent_itemsets(collapse(db), least).items())
     assert mined == brute_force_frequent(db, least)
 
 
@@ -206,13 +204,13 @@ def test_matches_brute_force(db, count, inclusive):
 @settings(max_examples=100)
 def test_matches_brute_force_fractional(db, fraction):
     least = least_support(fraction, len(db))
-    mined = set(frequent_itemsets(distinct_rows(db), least).items())
+    mined = set(frequent_itemsets(collapse(db), least).items())
     assert mined == brute_force_frequent(db, least)
 
 
 def test_a_least_support_below_one_is_rejected():
     # at 0, two categories of one site (PB:1,PB:2, support 0) would count as frequent
-    db = distinct_rows(make_db([(1, 1, 1), (2, 1, 1)]))
+    db = collapse(make_db([(1, 1, 1), (2, 1, 1)]))
     with pytest.raises(ValueError, match="least support must be >= 1, got 0"):
         frequent_itemsets(db, 0)
 
@@ -221,7 +219,7 @@ def test_every_sub_itemset_is_also_frequent():
     rng = random.Random(2101)
     for _ in range(40):
         db = random_db(rng)
-        found = frequent_itemsets(distinct_rows(db), 2)
+        found = frequent_itemsets(collapse(db), 2)
         for itemset in found:
             for item in itemset:
                 smaller = itemset - {item}
@@ -233,7 +231,7 @@ def test_no_itemset_mixes_categories_for_one_attribute():
     rng = random.Random(2102)
     for _ in range(40):
         db = random_db(rng)
-        for itemset in frequent_itemsets(distinct_rows(db), 1):
+        for itemset in frequent_itemsets(collapse(db), 1):
             attrs = [attr for attr, _ in itemset]
             assert len(attrs) == len(set(attrs))
 
@@ -267,7 +265,7 @@ def test_parse_items_rejects_items_no_hour_can_hold(text, reason):
 
 
 def test_itemsets_file_round_trip(tmp_path, six_rows):
-    found = frequent_itemsets(distinct_rows(six_rows), 2)
+    found = frequent_itemsets(collapse(six_rows), 2)
     path = tmp_path / "itemsets.tsv"
     write_itemsets(str(path), found)
     assert list(read_itemsets(str(path)).items()) == list(found.items())

@@ -43,8 +43,8 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     golden = (GOLDEN / "scores.tsv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(worst) == 36  # ceil(0.05 * 720 hours)
     assert [
-        (e.transaction.timestamp.strftime("%Y-%m-%dT%H:%M"), f"{e.score:.9f}", e.cover)
-        for e in worst
+        (hour.strftime("%Y-%m-%dT%H:%M"), f"{worst.bits[row]:.9f}", worst.covers[row])
+        for hour, row in zip(worst.hours, worst.index)
     ] == [
         (fields[0], fields[-3], fields[-1])
         for fields in (line.split("\t") for line in golden[: len(worst)])

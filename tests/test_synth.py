@@ -70,7 +70,7 @@ def test_constant_regime_without_noise_is_uniform(tmp_path):
     build = build_transactions(hourly, SITES, "ToCanada", "Car")
     assert len(build.transactions) == 48
     assert build.excluded_hours == []
-    categories = {tuple(cat for _, cat in t.items) for t in build.transactions}
+    categories = {tuple(cat for _, cat in items) for items in build.transactions.items}
     assert categories == {(2, 1, 1)}
 
 
