@@ -19,9 +19,11 @@ with multiplicities (``ingest.DistinctRows``; usage over a multiset, as in
 Krimp). A cover pass sweeps the patterns once over all rows' bitmasks; a
 pattern's usage, like a singleton's raw count, is the weight of the rows it
 takes, counted as mining counts support. Passes repeat until the cover order
-is stable, and only the settled pass is spread into per-row covers. They
-give the length: one correctly rounded sum of each distinct row's bits times
-its multiplicity, whatever the row order.
+is stable. No trial spreads its sweep into per-row covers: each taken-row
+mask is split once per compress into its weight and its row positions, and
+walking the settled sweep in cover order adds each pattern's code length to
+the bits of the rows it takes. The length is one correctly rounded sum of
+each distinct row's bits times its multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
@@ -138,22 +140,46 @@ def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[froze
     return _expand(db, order, _sweep(db, order))
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str, names=None) -> list[tuple]:
-    """Cover passes until usages are self-consistent; returns the settled covers.
+class _Splits(dict):
+    """Taken-row mask -> (its weight, its set bits' row positions ascending).
+
+    Each mask is split on its first lookup. compress keeps one per call, as
+    its passes and trials take the same few masks again and again.
+    """
+
+    def __init__(self, db: DistinctRows) -> None:
+        super().__init__()
+        self.db = db
+
+    def __missing__(self, rows: int) -> tuple[int, tuple[int, ...]]:
+        positions = []
+        remaining = rows
+        while remaining:
+            positions.append((remaining & -remaining).bit_length() - 1)
+            remaining &= remaining - 1  # clear the lowest set bit
+        self[rows] = split = (self.db.weight(rows), tuple(positions))
+        return split
+
+
+def _settle(table: PatternTable, db: DistinctRows, trial: str, names=None,
+            splits=None) -> tuple[list[frozenset], list[int]]:
+    """Cover passes until usages are self-consistent; returns the settled sweep.
 
     Each pass sets every usage to the weight of the rows whose covers take it.
     Once the order after a pass equals the order before it, another pass would
-    repeat its covers, and only then are they expanded into parts per row.
-    Raises ValueError naming ``trial`` at the pass cap; ``names`` is cover_order's.
+    repeat its covers, and that pass's cover order and each pattern's taken
+    rows are returned. Raises ValueError naming ``trial`` at the pass cap;
+    ``names`` is cover_order's, and ``splits`` a ``_Splits`` of ``db``.
     """
+    splits = _Splits(db) if splits is None else splits
     order = cover_order(table.usages, names)
     for _ in range(_MAX_RECOVER_PASSES):
         taken_rows = _sweep(db, order)
-        usages = dict(zip(order, map(db.weight, taken_rows)))
+        usages = dict(zip(order, [splits[taken][0] for taken in taken_rows]))
         table.usages = {pattern: usages[pattern] for pattern in table.usages}  # table order
         previous, order = order, cover_order(table.usages, names)
         if order == previous:
-            return _expand(db, order, taken_rows)
+            return order, taken_rows
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
@@ -164,18 +190,28 @@ def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
 
 
 def row_lengths(covers: Sequence[tuple[frozenset, ...]], lengths: Mapping) -> list[float]:
-    """Bits of each cover: its parts' code lengths summed in cover order."""
+    """Bits of each cover: its parts' code lengths added left to right in cover order.
+
+    An explicit loop, not ``sum``: from Python 3.12 ``sum`` compensates float
+    rounding, and every row's bits must be the same on every Python.
+    """
+    bits = []
     try:
-        return [sum(map(lengths.__getitem__, parts)) for parts in covers]
+        for parts in covers:
+            row_bits = 0
+            for part in parts:
+                row_bits += lengths[part]
+            bits.append(row_bits)
     except KeyError:
         unused = next(p for parts in covers for p in parts if p not in lengths)
         raise ValueError(
             f"pattern {format_items(unused)} has zero usage; it carries no code"
         ) from None
+    return bits
 
 
-def _database_bits(db: DistinctRows, covers: Sequence, lengths: Mapping) -> float:
-    return fsum(map(mul, row_lengths(covers, lengths), db.weights))
+def _database_bits(db: DistinctRows, row_bits: Sequence[float]) -> float:
+    return fsum(map(mul, row_bits, db.weights))
 
 
 def _table_bits(table: PatternTable, lengths: Mapping) -> float:
@@ -197,11 +233,20 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
     """
     table = init_pattern_table(db)
     names = {pattern: tuple(sorted(pattern)) for pattern in (*table.usages, *candidates)}
+    splits = _Splits(db)
 
     def settled_length(model: PatternTable, trial: str) -> float:
-        covers = _settle(model, db, trial, names)
+        # Walk the settled sweep in cover order: each row's bits are its
+        # parts' lengths added left to right, as row_lengths adds them.
+        order, taken_rows = _settle(model, db, trial, names, splits)
         lengths = code_lengths(model)
-        return _database_bits(db, covers, lengths) + _table_bits(model, lengths)
+        row_bits = [0] * len(db.weights)
+        for pattern, taken in zip(order, taken_rows):
+            if taken:
+                length = lengths[pattern]
+                for row in splits[taken][1]:
+                    row_bits[row] += length
+        return _database_bits(db, row_bits) + _table_bits(model, lengths)
 
     initial = best = settled_length(table, "the singleton table")
     log: list[TrialRecord] = []
@@ -243,7 +288,8 @@ def recompute_usages(table: PatternTable, db: DistinctRows) -> PatternTable:
 
 def database_length(db: DistinctRows, table: PatternTable) -> float:
     """Total bits to encode every hour under the table."""
-    return _database_bits(db, cover_rows(db, cover_order(table.usages)), code_lengths(table))
+    covers = cover_rows(db, cover_order(table.usages))
+    return _database_bits(db, row_lengths(covers, code_lengths(table)))
 
 
 def table_length(table: PatternTable) -> float:

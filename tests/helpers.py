@@ -12,8 +12,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
+from functools import reduce
 from itertools import combinations
 from math import fsum, isfinite, log2
+from operator import add
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from hypothesis import strategies as st
@@ -180,6 +182,12 @@ def cover_transaction(txn: Hour, table: PatternTable) -> tuple[frozenset, ...]:
     return cover_database(collapse([txn]), table)[0]
 
 
+def left_to_right(values: Iterable[float]) -> float:
+    """The values added one at a time from 0, in order: a row's bits, on any
+    Python (builtin ``sum`` compensates float rounding from 3.12 on)."""
+    return reduce(add, values, 0)
+
+
 def pattern_code_length(pattern: frozenset, table: PatternTable) -> float:
     """-log2(usage / total usage), straight from the definition. A pattern
     with zero usage carries no code, so asking for its length is an error."""
@@ -239,7 +247,8 @@ def settled_length_oracle(table: PatternTable, transactions: Sequence[Hour]) -> 
     total = sum(table.usages.values())
     lengths = {p: -log2(usage / total) for p, usage in table.usages.items() if usage > 0}
     multiplicity = Counter(frozenset(txn.items) for txn in transactions)
-    rows = fsum(sum(lengths[p] for p in parts) * multiplicity[r] for r, parts in covers.items())
+    rows = fsum(left_to_right(lengths[p] for p in parts) * multiplicity[r]
+                for r, parts in covers.items())
     c = sum(table.singleton_counts.values())
     items = [-r * log2(r / c) for r in table.singleton_counts.values()]
     return rows + fsum([*lengths.values(), *items])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mdlpatterns import cli, ingest, mining
+from mdlpatterns import cli, codec, ingest, mining
 from mdlpatterns.cli import RunConfig, run_pipeline
 
 ARTIFACTS = [
@@ -516,6 +516,34 @@ def test_each_database_is_collapsed_once(tmp_path, monkeypatch):
         assert cli.main(argv) == 0
         counts[name] = len(collapses)
     assert counts == dict.fromkeys(commands, 1)
+
+
+def test_only_scoring_spreads_a_sweep_into_per_row_covers(tmp_path, monkeypatch):
+    # compress settles and measures every trial on taken-row masks; score_all
+    # spreads its one cover pass into per-row parts, to write them out
+    expansions = []
+    expand = codec._expand
+
+    def counted(*args):
+        expansions.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(codec, "_expand", counted)
+    raw, out = make_raw(tmp_path), tmp_path / "out"
+    txns = str(out / "transactions.csv")
+    commands = {
+        "run": ["run", "--input", str(raw), "--output-dir", str(out)],
+        "compress": ["compress", "--transactions", txns, "--table-out", str(tmp_path / "table"),
+                     "--log-out", str(tmp_path / "log.tsv")],
+        "score": ["score", "--transactions", txns, "--table", str(out / "pattern_table.tsv"),
+                  "--output", str(tmp_path / "scores.tsv")],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        expansions.clear()
+        assert cli.main(argv) == 0
+        counts[name] = len(expansions)
+    assert counts == {"run": 1, "compress": 0, "score": 1}
 
 
 def test_staged_score_ranks_equal_scores_by_time_on_a_file_out_of_time_order(tmp_path):

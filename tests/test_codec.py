@@ -12,7 +12,7 @@ from dataclasses import replace
 from math import fsum, log2
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, RB2, TRIPLE
@@ -24,6 +24,7 @@ from helpers import (
     cover_transaction,
     db_strategy,
     greedy_cover_oracle,
+    left_to_right,
     make_db,
     mine_and_compress,
     pattern_code_length,
@@ -142,7 +143,9 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
         with pytest.raises(ValueError, match="did not settle"):
             codec._settle(table, collapse(db), "the drawn table")
         return
-    assert codec._settle(table, collapse(db), "the drawn table") == list(covers.values())
+    rows = collapse(db)
+    order, taken_rows = codec._settle(table, rows, "the drawn table")
+    assert codec._expand(rows, order, taken_rows) == list(covers.values())
     assert list(table.usages.items()) == list(expected.usages.items())
 
     initial, trials, final = compress_oracle(db, candidates)
@@ -150,6 +153,64 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
     assert result.initial_length == initial
     assert [record.trial_length for record in result.log] == trials
     assert list(result.table.usages.items()) == list(final.usages.items())
+
+
+@st.composite
+def databases_with_masks(draw):
+    """A database and some masks over its distinct rows, with a repeat among them."""
+    db = collapse(draw(DATABASES))
+    masks = draw(st.lists(st.integers(0, (1 << len(db.weights)) - 1), min_size=1, max_size=8))
+    return db, masks + [draw(st.sampled_from(masks))]
+
+
+@given(drawn=databases_with_masks())
+@settings(max_examples=100)
+def test_each_taken_row_mask_is_split_once_into_its_weight_and_rows(drawn):
+    db, masks = drawn
+    splits = codec._Splits(db)
+    for mask in masks:
+        weight, rows = split = splits[mask]
+        assert weight == db.weight(mask)
+        assert list(rows) == [row for row in range(len(db.weights)) if mask >> row & 1]
+        assert splits[mask] is split
+    assert len(splits) == len(set(masks))
+
+
+def compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as builtin ``sum`` adds floats from Python 3.12."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation else total
+
+
+@st.composite
+def covers_with_code_lengths(draw):
+    """Covers over a few patterns, and the code lengths of the patterns' drawn usages."""
+    usages = draw(st.lists(st.integers(1, 1000), min_size=2, max_size=10))
+    patterns = [frozenset({("A", k)}) for k in range(len(usages))]
+    lengths = {p: -log2(usage / sum(usages)) for p, usage in zip(patterns, usages)}
+    parts = st.lists(st.sampled_from(patterns), min_size=1, max_size=8).map(tuple)
+    return draw(st.lists(parts, min_size=1, max_size=6)), lengths
+
+
+@given(drawn=covers_with_code_lengths())
+@settings(max_examples=100)
+def test_row_bits_add_left_to_right_whatever_builtin_sum_does(drawn):
+    # A compensated builtin sum, where the codec module would find it, must
+    # not move any row's bits: each is its parts' lengths added in order
+    covers, lengths = drawn
+    folds = [left_to_right(map(lengths.__getitem__, parts)) for parts in covers]
+    assume(any(compensated_sum(map(lengths.__getitem__, parts)) != fold
+               for parts, fold in zip(covers, folds)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "sum", compensated_sum, raising=False)
+        assert codec.row_lengths(covers, lengths) == folds
 
 
 def test_cover_rejects_unknown_item(worked_table):
