@@ -16,7 +16,7 @@ from itertools import chain, groupby
 from math import inf, isfinite
 from typing import Sequence
 
-from .codec import PatternTable, code_lengths, cover_order, cover_rows, row_lengths
+from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .ingest import DistinctRows, Item, hour_text, parse_categories, parse_hour
 from .mining import exact_ceil, format_items, parse_items
@@ -52,8 +52,7 @@ def score_all(db: DistinctRows, table: PatternTable) -> Ranking:
     hours of rows with equal scores are merged: the database's hours ascend,
     so their positions sort in time order, and no key runs per hour.
     """
-    covers = cover_rows(db, cover_order(table.usages))
-    bits = row_lengths(covers, code_lengths(table))
+    bits, covers = cover_rows(db, table)
     members: list[list[int]] = [[] for _ in bits]  # each row's positions, ascending
     for position, row in enumerate(db.index):
         members[row].append(position)

@@ -19,10 +19,11 @@ with multiplicities (``ingest.DistinctRows``; usage over a multiset, as in
 Krimp). A cover pass sweeps the patterns once over all rows' bitmasks; a
 pattern's usage, like a singleton's raw count, is the weight of the rows it
 takes, counted as mining counts support. Passes repeat until the cover order
-is stable. No trial spreads its sweep into per-row covers: each taken-row
-mask is split once per compress into its weight and its row positions, and
-walking the settled sweep in cover order adds each pattern's code length to
-the bits of the rows it takes. The length is one correctly rounded sum of
+is stable. Each taken-row mask is split once per call into its weight and
+its row positions. Compress and scoring share one walk from a sweep to row
+bits: in cover order, it adds each pattern's code length to the bits of the
+rows the pattern takes. No trial spreads its sweep into per-row covers; only
+scoring does, to write them out. The length is one correctly rounded sum of
 each distinct row's bits times its multiplicity, whatever the row order.
 """
 
@@ -34,7 +35,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .ingest import DistinctRows, Item
-from .mining import format_items, parse_items
+from .mining import cover_order, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -92,12 +93,6 @@ def init_pattern_table(db: DistinctRows) -> PatternTable:
     )
 
 
-def cover_order(usages: Mapping[frozenset, int], names: Mapping | None = None) -> list[frozenset]:
-    """The patterns in ``mining.canonical_key`` order; ``names``: each one's sorted items."""
-    names = names or {pattern: tuple(sorted(pattern)) for pattern in usages}
-    return sorted(usages, key=lambda pattern: (-len(pattern), -usages[pattern], names[pattern]))
-
-
 def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
     """Greedy cover of every distinct row under one cover order: each pattern's taken rows.
 
@@ -125,21 +120,6 @@ def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
     return taken_rows
 
 
-def _expand(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int]):
-    """Each distinct row's cover, its parts in cover order, from a sweep's taken rows."""
-    parts: list[list[frozenset]] = [[] for _ in db.weights]
-    for pattern, taken in zip(order, taken_rows):
-        while taken:
-            parts[(taken & -taken).bit_length() - 1].append(pattern)
-            taken &= taken - 1  # clear the lowest set bit
-    return [tuple(row_parts) for row_parts in parts]
-
-
-def cover_rows(db: DistinctRows, order: Sequence[frozenset]) -> list[tuple[frozenset, ...]]:
-    """Greedy cover of every distinct row under one cover order, as parts per row."""
-    return _expand(db, order, _sweep(db, order))
-
-
 class _Splits(dict):
     """Taken-row mask -> (its weight, its set bits' row positions ascending).
 
@@ -159,6 +139,36 @@ class _Splits(dict):
             remaining &= remaining - 1  # clear the lowest set bit
         self[rows] = split = (self.db.weight(rows), tuple(positions))
         return split
+
+
+def _expand(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int],
+            splits: _Splits) -> list[tuple[frozenset, ...]]:
+    """Each distinct row's cover, its parts in cover order, from a sweep's taken rows."""
+    parts: list[list[frozenset]] = [[] for _ in db.weights]
+    for pattern, taken in zip(order, taken_rows):
+        for row in splits[taken][1]:
+            parts[row].append(pattern)
+    return [tuple(row_parts) for row_parts in parts]
+
+
+def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int],
+              lengths: Mapping, splits: _Splits) -> list[float]:
+    """Each distinct row's bits: walking the sweep in cover order adds each
+    pattern's code length to every row it takes, from integer 0. A loop, not
+    ``sum``, which compensates float rounding from Python 3.12 on, so a row's
+    bits are the same on every Python. A zero-usage pattern that takes a row
+    is a ValueError."""
+    bits = [0] * len(db.weights)
+    try:
+        for pattern, taken in zip(order, taken_rows):
+            if taken:
+                length = lengths[pattern]
+                for row in splits[taken][1]:
+                    bits[row] += length
+    except KeyError:  # code_lengths leaves out every zero-usage pattern
+        unused = format_items(pattern)
+        raise ValueError(f"pattern {unused} has zero usage; it carries no code") from None
+    return bits
 
 
 def _settle(table: PatternTable, db: DistinctRows, trial: str, names=None,
@@ -189,25 +199,12 @@ def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
     return {p: -log2(usage / total) for p, usage in table.usages.items() if usage > 0}
 
 
-def row_lengths(covers: Sequence[tuple[frozenset, ...]], lengths: Mapping) -> list[float]:
-    """Bits of each cover: its parts' code lengths added left to right in cover order.
-
-    An explicit loop, not ``sum``: from Python 3.12 ``sum`` compensates float
-    rounding, and every row's bits must be the same on every Python.
-    """
-    bits = []
-    try:
-        for parts in covers:
-            row_bits = 0
-            for part in parts:
-                row_bits += lengths[part]
-            bits.append(row_bits)
-    except KeyError:
-        unused = next(p for parts in covers for p in parts if p not in lengths)
-        raise ValueError(
-            f"pattern {format_items(unused)} has zero usage; it carries no code"
-        ) from None
-    return bits
+def cover_rows(db: DistinctRows, table: PatternTable) -> tuple[list[float], list[tuple]]:
+    """Each distinct row's bits and cover, from one sweep under the table as given."""
+    order = cover_order(table.usages)
+    taken_rows, splits = _sweep(db, order), _Splits(db)
+    bits = _row_bits(db, order, taken_rows, code_lengths(table), splits)
+    return bits, _expand(db, order, taken_rows, splits)
 
 
 def _database_bits(db: DistinctRows, row_bits: Sequence[float]) -> float:
@@ -236,16 +233,9 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
     splits = _Splits(db)
 
     def settled_length(model: PatternTable, trial: str) -> float:
-        # Walk the settled sweep in cover order: each row's bits are its
-        # parts' lengths added left to right, as row_lengths adds them.
         order, taken_rows = _settle(model, db, trial, names, splits)
         lengths = code_lengths(model)
-        row_bits = [0] * len(db.weights)
-        for pattern, taken in zip(order, taken_rows):
-            if taken:
-                length = lengths[pattern]
-                for row in splits[taken][1]:
-                    row_bits[row] += length
+        row_bits = _row_bits(db, order, taken_rows, lengths, splits)
         return _database_bits(db, row_bits) + _table_bits(model, lengths)
 
     initial = best = settled_length(table, "the singleton table")
@@ -267,8 +257,9 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
 
 
 # --- whole-database helpers outside the pipeline ---------------------------------
-# compress settles through _settle and score_all covers through cover_rows;
-# neither calls these five, which the tests use as oracles. They stay here, not
+# compress and score_all share one walk from a sweep to row bits (_row_bits):
+# compress on each trial's settled sweep, score_all through cover_rows.
+# Neither calls these five, which the tests use as oracles. They stay here, not
 # in tests/helpers.py, because the benchmark's tracer (perfbench/tracer.py)
 # wraps them by name, and tests/test_tracer_targets.py checks that they
 # resolve. They can move once the tracer reads run metrics instead of
@@ -276,7 +267,8 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
 
 def cover_database(db: DistinctRows, table: PatternTable) -> list[tuple[frozenset, ...]]:
     """Every hour's cover, in time order, under one fixed canonical order (single pass)."""
-    covers = cover_rows(db, cover_order(table.usages))
+    order = cover_order(table.usages)
+    covers = _expand(db, order, _sweep(db, order), _Splits(db))
     return [covers[row] for row in db.index]
 
 
@@ -288,8 +280,7 @@ def recompute_usages(table: PatternTable, db: DistinctRows) -> PatternTable:
 
 def database_length(db: DistinctRows, table: PatternTable) -> float:
     """Total bits to encode every hour under the table."""
-    covers = cover_rows(db, cover_order(table.usages))
-    return _database_bits(db, row_lengths(covers, code_lengths(table)))
+    return _database_bits(db, cover_rows(db, table)[0])
 
 
 def table_length(table: PatternTable) -> float:

@@ -202,6 +202,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             table = tables[fields] = result.slices.setdefault(slice_, {})
         raw_wait = row[i_wait].strip()
         try:
+            if "_" in raw_wait or not raw_wait.isascii():
+                raise ValueError  # float() reads "1_5" as 15 and non-ASCII digits
             wait = float(raw_wait)
         except ValueError:
             diagnostics.append(f"row {reader.line_num}: bad wait minutes {raw_wait!r}")
@@ -369,10 +371,11 @@ def parse_hour(text: str) -> datetime:
 
 
 def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[Item, ...]:
-    """A category per attribute; raises ValueError on a bad field or one outside 1..4."""
+    """A category per attribute, each the ASCII digit 1..4, as every writer writes
+    one; raises ValueError on any other field (int() also reads " 3" or "+2")."""
     categories = [int(text) for text in texts]
-    if not {1, 2, 3, 4}.issuperset(categories):
-        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
+    bad = ",".join(f"{a}:{t}" for a, t in zip(attributes, texts) if t not in ("1", "2", "3", "4"))
+    if bad:
         raise ValueError(f"category outside 1..4 ({bad})")
     return tuple(zip(attributes, categories))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .ingest import DistinctRows, Item
+from .ingest import DistinctRows, Item, parse_categories
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -65,7 +65,7 @@ def format_items(items: Iterable[Item]) -> str:
 
 
 def parse_items(text: str) -> frozenset[Item]:
-    """Items of "site:category,...", which an hour can hold: one category in 1..4 per site."""
+    """Items of "site:category,..." an hour can hold: one ASCII digit 1..4 per site."""
     items: dict[str, int] = {}
     for token in text.split(","):
         attr, _, cat = token.rpartition(":")
@@ -73,15 +73,15 @@ def parse_items(text: str) -> frozenset[Item]:
             raise ValueError(f"bad item {token!r} (expected site:category)")
         if attr in items:
             raise ValueError(f"two categories for site {attr} ({text})")
-        items[attr] = int(cat)
-        if not 1 <= items[attr] <= 4:
-            raise ValueError(f"category outside 1..4 ({token})")
+        items.update(parse_categories([cat], [attr]))
     return frozenset(items.items())
 
 
-def canonical_key(items: frozenset[Item], weight: int) -> tuple:
-    """Sort key: descending cardinality, descending weight, lexicographic items."""
-    return (-len(items), -weight, tuple(sorted(items)))
+def cover_order(usages: Mapping[frozenset, int], names: Mapping | None = None) -> list[frozenset]:
+    """The canonical order: descending cardinality, then descending usage (or
+    support), then lexicographic items. ``names``: each pattern's sorted items."""
+    names = names or {pattern: tuple(sorted(pattern)) for pattern in usages}
+    return sorted(usages, key=lambda pattern: (-len(pattern), -usages[pattern], names[pattern]))
 
 
 def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int]:
@@ -91,10 +91,10 @@ def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int
     frequent set is extended by every later frequent item, in item order, and
     the extension's support is the weight of the rows both masks hold. Two
     categories of one site share no row, so together they have support 0.
-    Output is sorted by descending cardinality, then descending support, then
-    lexicographic items; this order drives both the `mine` artifact and the
-    compression trial loop. A ``least`` below 1 is a ValueError: it would count
-    pairs no hour holds, such as two categories of one site, as frequent.
+    Output is in cover_order, support as the usage; this order drives both the
+    `mine` artifact and the compression trial loop. A ``least`` below 1 is a
+    ValueError: it would count pairs no hour holds, such as two categories of
+    one site, as frequent.
     """
     if least < 1:
         raise ValueError(f"least support must be >= 1, got {least}")
@@ -112,7 +112,7 @@ def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int
                 extend(items | {item}, rows & holding, position + 1)
 
     extend(frozenset(), -1, 0)
-    return dict(sorted(found.items(), key=lambda entry: canonical_key(*entry)))
+    return {items: found[items] for items in cover_order(found)}
 
 
 # --- itemset file format -----------------------------------------------------

@@ -202,6 +202,13 @@ def transaction_code_length(txn: Hour, table: PatternTable) -> float:
     return database_length(collapse([txn]), table)
 
 
+def canonical_key(items: frozenset, weight: int) -> tuple:
+    """Sort key of the canonical order, from its definition: descending
+    cardinality, then descending weight (usage or support), then lexicographic
+    items."""
+    return (-len(items), -weight, tuple(sorted(items)))
+
+
 def greedy_cover_oracle(items: frozenset, order: Sequence[frozenset]) -> tuple[frozenset, ...]:
     """Row-by-row greedy scan: take each pattern, in order, whose items are all
     still uncovered. The codec covers all distinct rows in one sweep over the
@@ -355,6 +362,10 @@ def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
         wait = float(raw_wait)
     except ValueError:
         raise ValueError(f"bad wait minutes {raw_wait!r}")
+    # float() also reads digit groups ("1_5") and other scripts' digits; a
+    # wait is written with the characters of an ASCII number, inf or nan only
+    if not all(char in "0123456789+-.eEinfatyINFATY" for char in raw_wait):
+        raise ValueError(f"bad wait minutes {raw_wait!r}")
     if not isfinite(wait):
         raise ValueError(f"non-finite wait ({raw_wait})")
     if wait < 0:
@@ -475,9 +486,13 @@ def _oracle_hour_row(
         raise ValueError(f"timestamp is not on the hour ({fields[0]!r})")
     if any(txn.timestamp == stamp for txn in earlier):
         raise ValueError(f"repeated hour {stamp.isoformat(timespec='minutes')}")
-    categories = [int(text) for text in fields[1 : 1 + len(attributes)]]
-    if not {1, 2, 3, 4}.issuperset(categories):
-        bad = ",".join(f"{a}:{c}" for a, c in zip(attributes, categories) if not 1 <= c <= 4)
+    texts = fields[1 : 1 + len(attributes)]
+    categories = [int(text) for text in texts]
+    # int() also reads " 2", "+2" and other scripts' digits, which no writer writes
+    written = [str(category) == text and 1 <= category <= 4
+               for text, category in zip(texts, categories)]
+    if not all(written):
+        bad = ",".join(f"{a}:{t}" for a, t, ok in zip(attributes, texts, written) if not ok)
         raise ValueError(f"category outside 1..4 ({bad})")
     return Hour(timestamp=stamp, items=tuple(zip(attributes, categories)))
 
@@ -560,8 +575,9 @@ def artifact_rows(draw, pools, ranked: bool = False):
 
 
 def category_fields(width: int):
-    """``width`` category fields, mostly valid; 0, 9, x or an empty field are not."""
-    field = st.sampled_from(["1", "2", "3", "4"] * 6 + [" 2", "0", "9", "x", ""])
+    """``width`` category fields, mostly valid; " 2", "+2", an Arabic-Indic 2,
+    0, 9, x or an empty field are not."""
+    field = st.sampled_from(["1", "2", "3", "4"] * 6 + [" 2", "+2", "\u0662", "0", "9", "x", ""])
     return st.lists(field, min_size=width, max_size=width)
 
 

@@ -388,7 +388,8 @@ def score_files(draw):
     row = pool[draw(st.integers(0, len(pool) - 1))]
     items = [f"{attr}:{cat}" for attr, cat in zip(attributes, row)]
     if fault == "category":
-        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from([" 2", "0", "9", "x", ""]))
+        bad = st.sampled_from([" 2", "+2", "\u0662", "0", "9", "x", ""])
+        row[draw(st.integers(0, width - 1))] = draw(bad)
     elif fault == "score":
         row[-2] = draw(st.sampled_from(["inf", "-inf", "nan", "x", ""]))
     elif fault == "cover":  # an item left out, one covered twice, a wrong category

@@ -10,6 +10,8 @@ import re
 from collections import Counter
 from dataclasses import replace
 from math import fsum, log2
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,7 @@ from conftest import PAIR, RB2, TRIPLE
 from helpers import (
     DATABASES,
     Hour,
+    canonical_key,
     collapse,
     compress_oracle,
     cover_transaction,
@@ -32,8 +35,16 @@ from helpers import (
     settle_oracle,
     transaction_code_length,
 )
-from mdlpatterns import codec, compress, frequent_itemsets
+from mdlpatterns import (
+    codec,
+    compress,
+    frequent_itemsets,
+    least_support,
+    read_transactions,
+    score_all,
+)
 from mdlpatterns.codec import (
+    PatternTable,
     cover_database,
     cover_order,
     database_length,
@@ -45,7 +56,6 @@ from mdlpatterns.codec import (
     write_acceptance_log,
     write_pattern_table,
 )
-from mdlpatterns.mining import canonical_key
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -145,7 +155,7 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
         return
     rows = collapse(db)
     order, taken_rows = codec._settle(table, rows, "the drawn table")
-    assert codec._expand(rows, order, taken_rows) == list(covers.values())
+    assert codec._expand(rows, order, taken_rows, codec._Splits(rows)) == list(covers.values())
     assert list(table.usages.items()) == list(expected.usages.items())
 
     initial, trials, final = compress_oracle(db, candidates)
@@ -190,27 +200,30 @@ def compensated_sum(values, start=0):
 
 
 @st.composite
-def covers_with_code_lengths(draw):
-    """Covers over a few patterns, and the code lengths of the patterns' drawn usages."""
-    usages = draw(st.lists(st.integers(1, 1000), min_size=2, max_size=10))
-    patterns = [frozenset({("A", k)}) for k in range(len(usages))]
-    lengths = {p: -log2(usage / sum(usages)) for p, usage in zip(patterns, usages)}
-    parts = st.lists(st.sampled_from(patterns), min_size=1, max_size=8).map(tuple)
-    return draw(st.lists(parts, min_size=1, max_size=6)), lengths
+def singleton_tables(draw):
+    """A database over a few sites, and a singleton table over its items with drawn usages."""
+    width = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(1, 2)] * width), min_size=1, max_size=6))
+    db = collapse(make_db(rows, attrs=[f"S{k}" for k in range(width)]))
+    usages = {frozenset([item]): draw(st.integers(1, 1000)) for item in sorted(db.holding)}
+    return db, PatternTable(usages, {next(iter(p)): usage for p, usage in usages.items()})
 
 
-@given(drawn=covers_with_code_lengths())
+@given(drawn=singleton_tables())
 @settings(max_examples=100)
 def test_row_bits_add_left_to_right_whatever_builtin_sum_does(drawn):
     # A compensated builtin sum, where the codec module would find it, must
-    # not move any row's bits: each is its parts' lengths added in order
-    covers, lengths = drawn
+    # not move any row's bits: each is its parts' lengths added in cover order
+    db, table = drawn
+    lengths = codec.code_lengths(table)
+    order = cover_order(table.usages)
+    covers = [greedy_cover_oracle(frozenset(items), order) for items in db.items]
     folds = [left_to_right(map(lengths.__getitem__, parts)) for parts in covers]
     assume(any(compensated_sum(map(lengths.__getitem__, parts)) != fold
                for parts, fold in zip(covers, folds)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "sum", compensated_sum, raising=False)
-        assert codec.row_lengths(covers, lengths) == folds
+        assert codec.cover_rows(db, table) == (folds, covers)
 
 
 def test_cover_rejects_unknown_item(worked_table):
@@ -284,6 +297,26 @@ def test_total_length_is_sum_of_parts(six_rows, worked_table):
 
 
 # --- greedy search ---------------------------------------------------------------
+
+
+def assert_scores_and_table_make_the_final_length(db, result):
+    # compress and scoring are one length: the hours' scores under the
+    # chosen table, plus the table's own bits, are the length compress chose
+    bits = score_all(db, result.table).bits
+    assert fsum(map(mul, bits, db.weights)) + table_length(result.table) == result.final_length
+
+
+@given(db=db_strategy(max_rows=10, max_cat=3))
+@settings(max_examples=100, deadline=None)
+def test_scores_and_table_make_the_final_length(db):
+    assert_scores_and_table_make_the_final_length(collapse(db), mine_and_compress(db))
+
+
+def test_scores_and_table_make_the_final_length_on_the_wide_golden_rows():
+    db, _ = read_transactions(str(Path(__file__).parent / "golden_wide" / "transactions.csv"))
+    result = compress(db, frequent_itemsets(db, least_support("0.05", len(db), minimum=2)))
+    assert (len(db.weights), len(result.log)) == (322, 245)
+    assert_scores_and_table_make_the_final_length(db, result)
 
 
 def test_compress_worked_example(six_rows):

@@ -125,6 +125,19 @@ def test_parse_rejects_non_finite_wait(raw):
     assert result.diagnostics == [f"row 2: non-finite wait ({raw})"]
 
 
+# waits float() reads (as 15, 12 and 15) that the parser must reject
+FLOAT_ONLY_WAITS = ["1_5", "\u0661\u0662", "\uff11\uff15"]
+
+
+@pytest.mark.parametrize("raw", ["1_000.5", *FLOAT_ONLY_WAITS])
+def test_parse_rejects_a_wait_float_reads_from_digit_groups_or_other_scripts(raw):
+    # float() reads these as 1000.5, 15, 12 and 15, but no feed writes a wait so
+    result = parse(HEADER + f"\n2016-08-22T10:00,PB,ToCanada,Car,{raw}\n")
+    assert result.rejected_rows == 1
+    assert result.records == {}
+    assert result.diagnostics == [f"row 2: bad wait minutes {raw!r}"]
+
+
 @pytest.mark.parametrize("stamp", ["2017-01-01T01:00+00:00", "2017-01-01T01:00-05:00"])
 def test_parse_rejects_timestamp_with_utc_offset(stamp):
     result = parse(
@@ -277,10 +290,12 @@ hourly_rows = _rows(HOURLY_STAMPS, ["RB"])
 @st.composite
 def malformed_rows(draw):
     fields = draw(five_minute_rows)
-    kind = draw(st.sampled_from(["field", "short", "long", "blank"]))
+    kind = draw(st.sampled_from(["field", "float-only wait", "short", "long", "blank"]))
     if kind == "field":
         column = draw(st.integers(0, len(COLUMNS) - 1))
         fields[column] = draw(st.sampled_from(BAD_FIELDS[column]))
+    elif kind == "float-only wait":
+        fields[-1] = draw(st.sampled_from(FLOAT_ONLY_WAITS))
     elif kind == "short":  # missing fields read as empty
         fields = fields[: draw(st.integers(1, len(COLUMNS) - 1))]
     elif kind == "long":  # extra fields are ignored
@@ -458,6 +473,17 @@ def test_read_transactions_rejects_stamps_it_cannot_write_back(tmp_path, stamp, 
     path = tmp_path / "transactions.csv"
     path.write_text(f"timestamp,PB\n2016-08-22T10:00,1\n{stamp},2\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}:3: {reason} ('{stamp}')")):
+        read_transactions(str(path))
+
+
+@pytest.mark.parametrize("text", [" 3", "+2", "\u0661", "04"])
+def test_read_transactions_rejects_a_category_written_otherwise(tmp_path, text):
+    # int() reads each as a category in 1..4, which write_transactions would
+    # write back as other text
+    path = tmp_path / "transactions.csv"
+    path.write_text(f"timestamp,PB,LQ\n2016-08-22T10:00,1,{text}\n", encoding="utf-8")
+    reason = f"{path}:2: category outside 1..4 (LQ:{text})"
+    with pytest.raises(IngestError, match=re.escape(reason)):
         read_transactions(str(path))
 
 

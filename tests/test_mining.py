@@ -11,11 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIR, TRIPLE
-from helpers import DATABASES, brute_force_frequent, collapse, make_db, random_db, support
+from helpers import (
+    DATABASES,
+    brute_force_frequent,
+    canonical_key,
+    collapse,
+    make_db,
+    random_db,
+    support,
+)
 from mdlpatterns import frequent_itemsets, least_support
 from mdlpatterns.ingest import DistinctRows
 from mdlpatterns.mining import (
-    canonical_key,
     exact_ceil,
     format_items,
     parse_items,
@@ -257,6 +264,10 @@ def test_parse_items_rejects_bad_tokens():
     ("LQ:2,PB:1,PB:1", "two categories for site PB (LQ:2,PB:1,PB:1)"),
     ("LQ:2,PB:9", "category outside 1..4 (PB:9)"),
     ("PB:0", "category outside 1..4 (PB:0)"),
+    # int() reads these as 3, 2 and 1, which format_items would write back otherwise
+    ("LQ:2,PB: 3", "category outside 1..4 (PB: 3)"),
+    ("PB:+2", "category outside 1..4 (PB:+2)"),
+    ("PB:\u0661", "category outside 1..4 (PB:\u0661)"),
 ])
 def test_parse_items_rejects_items_no_hour_can_hold(text, reason):
     # an hour holds one category in 1..4 per site
