@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import DistinctRows, Item, hour_text, parse_categories, parse_hour
+from .ingest import DistinctRows, Item, hour_text, hour_texts, parse_categories, parse_hour
 from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -103,9 +103,8 @@ def report(ranking: Ranking, fraction: float, k: int) -> str:
     lines = [REPORT_VERSION, f"[summary]\tn={len(ranking)}\tselected={len(selected)}\ttop_k={k}"]
     for section, count in (("[top-k]", k), ("[top-fraction]", len(selected))):
         lines += [section, "rank\ttimestamp\tcategories\tscore_bits\tcover"]
-        ranked = zip(ranking.hours[:count], ranking.index[:count])
-        lines += (f"{rank}\t{hour_text(hour)}{after[row]}"
-                  for rank, (hour, row) in enumerate(ranked, start=1))
+        ranked = zip(hour_texts(ranking.hours[:count]), ranking.index[:count])
+        lines += (f"{rank}\t{text}{after[row]}" for rank, (text, row) in enumerate(ranked, start=1))
     lines += ["[hour-histogram]", "hour\tcount"]
     lines += (f"{hour}\t{count}" for hour, count in enumerate(hour_frequency(selected)))
     return "\n".join(lines) + "\n"
@@ -127,8 +126,8 @@ def write_scores(path: str, ranking: Ranking, attributes: Sequence[str]) -> None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\t".join(["timestamp", *attributes, *SCORES_TAIL]) + "\n")
         fh.writelines(
-            f"{hour_text(hour)}{around[row][0]}{rank}{around[row][1]}"
-            for rank, (hour, row) in enumerate(zip(ranking.hours, ranking.index), start=1)
+            f"{text}{around[row][0]}{rank}{around[row][1]}"
+            for rank, (text, row) in enumerate(zip(hour_texts(ranking.hours), ranking.index), 1)
         )
 
 
@@ -180,9 +179,9 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                     ranking.bits.append(score)
                     ranking.covers.append(cover)
                     last_hour.append(stamp)
-                rank, score, earlier = int(rank), ranking.bits[row], last_hour[row]
-                if rank != len(ranking) + 1:
-                    raise ValueError(f"rank {rank} out of place (expected {len(ranking) + 1})")
+                score, earlier, expected = ranking.bits[row], last_hour[row], str(len(ranking) + 1)
+                if rank != expected:  # int() would also read "+1", " 1", "01", "0_1"
+                    raise ValueError(f"rank {rank} out of place (expected {expected})")
                 if score > previous:
                     raise ValueError(f"score {score!r} above the row before it ({previous!r})")
                 if earlier > stamp:

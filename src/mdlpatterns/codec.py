@@ -19,23 +19,30 @@ with multiplicities (``ingest.DistinctRows``; usage over a multiset, as in
 Krimp). A cover pass sweeps the patterns once over all rows' bitmasks; a
 pattern's usage, like a singleton's raw count, is the weight of the rows it
 takes, counted as mining counts support. Passes repeat until the cover order
-is stable. Each taken-row mask is split once per call into its weight and
-its row positions. Compress and scoring share one walk from a sweep to row
-bits: in cover order, it adds each pattern's code length to the bits of the
-rows the pattern takes. No trial spreads its sweep into per-row covers; only
-scoring does, to write them out. The length is one correctly rounded sum of
-each distinct row's bits times its multiplicity, whatever the row order.
+is stable. What a pattern takes depends only on the patterns before it, so a
+trial's pass resumes the table's settled sweep, or the trial's last pass,
+where its order leaves theirs; a candidate that takes no row where it enters
+the table's sweep would only repeat the table's covers, and costs no pass.
+Each call works out a taken-row mask's weight once, and its row positions
+once if a settled sweep takes it. Compress and scoring share one walk from a
+sweep to row bits: in cover order, it adds each pattern's code length to the
+bits of the rows the pattern takes. No trial spreads its sweep into per-row
+covers; only scoring does, to write them out. The length is one correctly
+rounded sum of each distinct row's bits times its multiplicity, whatever the
+row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import islice
 from math import fsum, inf, log2
-from operator import mul
-from typing import Mapping, Sequence
+from operator import and_, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ingest import DistinctRows, Item
-from .mining import cover_order, format_items, parse_items
+from .ingest import DistinctRows, Item, parse_count
+from .mining import cover_order, cover_ranks, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 # Cover/usage consistency: usages are defined by covers and covers scan in
@@ -93,51 +100,89 @@ def init_pattern_table(db: DistinctRows) -> PatternTable:
     )
 
 
-def _sweep(db: DistinctRows, order: Sequence[frozenset]) -> list[int]:
-    """Greedy cover of every distinct row under one cover order: each pattern's taken rows.
+class _Patterns(dict):
+    """Pattern -> its items' numbers, for every pattern one call may sweep, with
+    their cover_ranks and each numbered item's rows (0 if no row holds it)."""
+
+    def __init__(self, db: DistinctRows, patterns: Iterable[frozenset]) -> None:
+        self.ranks = cover_ranks(patterns)
+        self.numbered = sorted(set(db.holding).union(*self.ranks))
+        number = {item: n for n, item in enumerate(self.numbered)}
+        super().__init__((p, tuple(map(number.__getitem__, p))) for p in self.ranks)
+        self.holding = [db.holding.get(item, 0) for item in self.numbered]
+
+
+class _Sweep(NamedTuple):
+    """A cover pass: its order, each pattern's taken rows, and the item masks
+    still uncovered before each position and after the last (one list, copied
+    where a pattern takes rows)."""
+
+    order: list[frozenset]
+    taken: list[int]
+    uncovered: list[list[int]]
+
+
+def _sweep(order: Sequence[frozenset], patterns: _Patterns, resumable=()) -> _Sweep:
+    """Greedy cover of every distinct row under one cover order.
 
     Visits each pattern once, in order, and takes it for every row in which
     all its items are still uncovered: for each row, exactly the parts, in
-    the same order, that a scan of that row alone would pick.
+    the same order, that a scan of that row alone would pick. What a pattern
+    takes depends only on the patterns before it, so the sweep resumes the
+    one of ``resumable`` whose order shares the longest prefix with ``order``.
     """
-    uncovered = dict(db.holding)  # row bitmasks, as in DistinctRows.holding
-    taken_rows = []
-    for pattern in order:
+    base, start = _Sweep([], [], [patterns.holding]), 0
+    for sweep in resumable:  # the length of the prefix it shares with ``order``
+        shared = next((k for k, (a, b) in enumerate(zip(sweep.order, order)) if a is not b),
+                      min(len(sweep.order), len(order)))
+        if shared > start:
+            base, start = sweep, shared
+    taken_rows, uncovered = base.taken[:start], base.uncovered[:start + 1]
+    state = uncovered[-1]
+    for pattern in islice(order, start, None):
+        numbers = patterns[pattern]
         taken = -1
-        for item in pattern:
-            taken &= uncovered.get(item, 0)
+        for n in numbers:
+            taken &= state[n]
         if taken:
-            for item in pattern:
-                uncovered[item] &= ~taken
+            state = state.copy()
+            for n in numbers:
+                state[n] &= ~taken
         taken_rows.append(taken)
-    stranded = 0
-    for rows in uncovered.values():
-        stranded |= rows
-    if stranded:  # pre-condition violation: some item has no singleton
-        first = stranded & -stranded  # the first distinct row that failed
-        missing = format_items(item for item, rows in uncovered.items() if rows & first)
+        uncovered.append(state)
+    if any(state):  # pre-condition violation: some item has no singleton
+        first = min(rows & -rows for rows in state if rows)  # the first distinct row that failed
+        missing = format_items(item for item, rows in zip(patterns.numbered, state) if rows & first)
         raise ValueError(f"table cannot cover item(s) {missing}")
-    return taken_rows
+    return _Sweep(order, taken_rows, uncovered)
 
 
 class _Splits(dict):
-    """Taken-row mask -> (its weight, its set bits' row positions ascending).
-
-    Each mask is split on its first lookup. compress keeps one per call, as
-    its passes and trials take the same few masks again and again.
+    """Taken-row mask -> its weight; in ``rows``, -> its set bits' row
+    positions ascending. Each is worked out on its first lookup. compress
+    keeps one per call, as its passes and trials take the same few masks again
+    and again, and reads the rows only of the masks its settled sweeps take.
     """
 
     def __init__(self, db: DistinctRows) -> None:
         super().__init__()
-        self.db = db
+        self.db, self.rows = db, _Rows()
 
-    def __missing__(self, rows: int) -> tuple[int, tuple[int, ...]]:
+    def __missing__(self, rows: int) -> int:
+        self[rows] = weight = self.db.weight(rows)
+        return weight
+
+
+class _Rows(dict):
+    """Row mask -> its set bits' positions ascending, worked out on first lookup."""
+
+    def __missing__(self, rows: int) -> tuple[int, ...]:
         positions = []
         remaining = rows
         while remaining:
             positions.append((remaining & -remaining).bit_length() - 1)
             remaining &= remaining - 1  # clear the lowest set bit
-        self[rows] = split = (self.db.weight(rows), tuple(positions))
+        self[rows] = split = tuple(positions)
         return split
 
 
@@ -146,7 +191,7 @@ def _expand(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[i
     """Each distinct row's cover, its parts in cover order, from a sweep's taken rows."""
     parts: list[list[frozenset]] = [[] for _ in db.weights]
     for pattern, taken in zip(order, taken_rows):
-        for row in splits[taken][1]:
+        for row in splits.rows[taken]:
             parts[row].append(pattern)
     return [tuple(row_parts) for row_parts in parts]
 
@@ -163,7 +208,7 @@ def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence
         for pattern, taken in zip(order, taken_rows):
             if taken:
                 length = lengths[pattern]
-                for row in splits[taken][1]:
+                for row in splits.rows[taken]:
                     bits[row] += length
     except KeyError:  # code_lengths leaves out every zero-usage pattern
         unused = format_items(pattern)
@@ -171,25 +216,28 @@ def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence
     return bits
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str, names=None,
-            splits=None) -> tuple[list[frozenset], list[int]]:
+def _settle(table: PatternTable, db: DistinctRows, trial: str, patterns=None, splits=None,
+            order=None, resumable=()) -> _Sweep:
     """Cover passes until usages are self-consistent; returns the settled sweep.
 
-    Each pass sets every usage to the weight of the rows whose covers take it.
-    Once the order after a pass equals the order before it, another pass would
-    repeat its covers, and that pass's cover order and each pattern's taken
-    rows are returned. Raises ValueError naming ``trial`` at the pass cap;
-    ``names`` is cover_order's, and ``splits`` a ``_Splits`` of ``db``.
+    Each pass sets every usage, in place and in table order, to the weight of
+    the rows whose covers take it. Once the order after a pass equals the
+    order before it, another pass would repeat its covers, and that pass's
+    sweep is returned. A pass resumes the last pass or one of ``resumable``.
+    Raises ValueError naming ``trial`` at the pass cap. ``order`` is the
+    table's cover order, and ``splits`` a _Splits of ``db``.
     """
+    patterns = _Patterns(db, table.usages) if patterns is None else patterns
     splits = _Splits(db) if splits is None else splits
-    order = cover_order(table.usages, names)
+    order = order or cover_order(table.usages, patterns.ranks)
+    passes = resumable
     for _ in range(_MAX_RECOVER_PASSES):
-        taken_rows = _sweep(db, order)
-        usages = dict(zip(order, [splits[taken][0] for taken in taken_rows]))
-        table.usages = {pattern: usages[pattern] for pattern in table.usages}  # table order
-        previous, order = order, cover_order(table.usages, names)
+        sweep = _sweep(order, patterns, passes)
+        table.usages.update(zip(order, map(splits.__getitem__, sweep.taken)))
+        previous, order = order, cover_order(table.usages, patterns.ranks)
         if order == previous:
-            return order, taken_rows
+            return sweep
+        passes = (*resumable, sweep)
     raise ValueError(f"cover order for {trial} did not settle in {_MAX_RECOVER_PASSES} passes")
 
 
@@ -201,8 +249,8 @@ def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
 
 def cover_rows(db: DistinctRows, table: PatternTable) -> tuple[list[float], list[tuple]]:
     """Each distinct row's bits and cover, from one sweep under the table as given."""
-    order = cover_order(table.usages)
-    taken_rows, splits = _sweep(db, order), _Splits(db)
+    order, splits = cover_order(table.usages), _Splits(db)
+    taken_rows = _sweep(order, _Patterns(db, table.usages)).taken
     bits = _row_bits(db, order, taken_rows, code_lengths(table), splits)
     return bits, _expand(db, order, taken_rows, splits)
 
@@ -229,16 +277,16 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
     singletons always stay. A candidate already in the table is a ValueError.
     """
     table = init_pattern_table(db)
-    names = {pattern: tuple(sorted(pattern)) for pattern in (*table.usages, *candidates)}
-    splits = _Splits(db)
+    patterns, splits = _Patterns(db, [*table.usages, *candidates]), _Splits(db)
 
-    def settled_length(model: PatternTable, trial: str) -> float:
-        order, taken_rows = _settle(model, db, trial, names, splits)
+    def settled_length(model: PatternTable, trial: str, *resume) -> tuple[float, _Sweep]:
+        sweep = _settle(model, db, trial, patterns, splits, *resume)
         lengths = code_lengths(model)
-        row_bits = _row_bits(db, order, taken_rows, lengths, splits)
-        return _database_bits(db, row_bits) + _table_bits(model, lengths)
+        row_bits = _row_bits(db, sweep.order, sweep.taken, lengths, splits)
+        return _database_bits(db, row_bits) + _table_bits(model, lengths), sweep
 
-    initial = best = settled_length(table, "the singleton table")
+    initial, settled = settled_length(table, "the singleton table")
+    best = initial
     log: list[TrialRecord] = []
     for items, support in candidates.items():
         if items in table.usages:
@@ -246,12 +294,23 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
         # Provisional usage = support places the newcomer among its
         # same-cardinality peers for the trial's first cover pass.
         trial = replace(table, usages={**table.usages, items: support})
-        length = settled_length(trial, f"candidate {format_items(items)}")
+        # It enters the table's settled order; with no row left for it there,
+        # every pass would repeat the table's covers, and its length.
+        order = cover_order(trial.usages, patterns.ranks)
+        free = settled.uncovered[order.index(items)]
+        if not reduce(and_, map(free.__getitem__, patterns[items]), -1):
+            log.append(TrialRecord(items, support, best, False, best))
+            continue
+        length, sweep = settled_length(trial, f"candidate {format_items(items)}", order, (settled,))
         accepted = length < best
         if accepted:
             best = length
             trial.usages = {p: u for p, u in trial.usages.items() if u > 0 or len(p) == 1}
             table = trial
+            # the pruned patterns took no rows, so the masks skip them unchanged
+            kept = [k for k, pattern in enumerate(sweep.order) if pattern in table.usages]
+            settled = _Sweep([sweep.order[k] for k in kept], [sweep.taken[k] for k in kept],
+                             [sweep.uncovered[k] for k in (*kept, -1)])
         log.append(TrialRecord(items, support, length, accepted, best))
     return CompressionResult(table=table, initial_length=initial, final_length=best, log=log)
 
@@ -268,7 +327,7 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
 def cover_database(db: DistinctRows, table: PatternTable) -> list[tuple[frozenset, ...]]:
     """Every hour's cover, in time order, under one fixed canonical order (single pass)."""
     order = cover_order(table.usages)
-    covers = _expand(db, order, _sweep(db, order), _Splits(db))
+    covers = _expand(db, order, _sweep(order, _Patterns(db, table.usages)).taken, _Splits(db))
     return [covers[row] for row in db.index]
 
 
@@ -325,17 +384,17 @@ def read_pattern_table(path: str) -> PatternTable:
                 if line.startswith("#"):
                     fields = line[1:].strip().split("\t")
                     if fields[0] == "total_singleton_count":
-                        totals.append((lineno, int(fields[1])))
+                        totals.append((lineno, parse_count(fields[1])))
                     elif fields[0] == "item_count":
                         (item,) = parse_items(fields[1])  # one item, or ValueError
                         if item in singleton_counts:
                             raise ValueError(f"repeated item count {fields[1]}")
-                        singleton_counts[item] = int(fields[2])
+                        singleton_counts[item] = parse_count(fields[2])
                         if singleton_counts[item] < 1:
                             raise ValueError(f"item count {fields[2]} for {fields[1]} is below 1")
                     continue
                 items_text, usage_text, _bits = line.split("\t")
-                pattern, usage = parse_items(items_text), int(usage_text)
+                pattern, usage = parse_items(items_text), parse_count(usage_text)
                 if usage < 0:
                     raise ValueError(f"negative usage {usage} for {items_text}")
                 if pattern in usages:

@@ -32,8 +32,8 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from math import inf, isfinite
-from operator import gt
-from typing import IO, Mapping, Sequence
+from operator import add, gt
+from typing import IO, Iterator, Mapping, Sequence
 
 Item = tuple[str, int]
 
@@ -355,6 +355,18 @@ def hour_text(stamp: datetime) -> str:
     return stamp.isoformat(timespec="minutes")
 
 
+_HOURS, _MINUTES = [f"T{hour:02d}" for hour in range(24)], [f":{m:02d}" for m in range(60)]
+
+
+def hour_texts(stamps: Sequence[datetime]) -> Iterator[str]:
+    """hour_text of each stamp, lazily and with no call per stamp: each day's
+    date is formatted once. A stamp with a tzinfo, whose text ends in its
+    offset, takes hour_text."""
+    days = {day: date.fromordinal(day).isoformat() for day in set(map(date.toordinal, stamps))}
+    return (days[s.toordinal()] + _HOURS[s.hour] + _MINUTES[s.minute] if s.tzinfo is None
+            else hour_text(s) for s in stamps)
+
+
 def parse_hour(text: str) -> datetime:
     """The hour that starts an artifact row. Raises ValueError on a bad stamp,
     on a date with no time of day, on a UTC offset or seconds, which hour_text
@@ -380,6 +392,14 @@ def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[I
     return tuple(zip(attributes, categories))
 
 
+def parse_count(text: str) -> int:
+    """An integer in canonical ASCII decimal, as every writer writes one; int()
+    also reads "+1", " 1", "01", "0_1" and other scripts' digits."""
+    if str(count := int(text)) != text:
+        raise ValueError(f"count {text!r} is not in canonical decimal")
+    return count
+
+
 def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -> None:
     """One row per hour, in time order; each distinct row's categories are formatted once."""
     texts = []
@@ -388,7 +408,7 @@ def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -
         texts.append("".join(f",{cats[a]}" for a in attributes) + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp," + ",".join(attributes) + "\n")
-        fh.writelines(hour_text(hour) + texts[row] for hour, row in zip(db.hours, db.index))
+        fh.writelines(map(add, hour_texts(db.hours), map(texts.__getitem__, db.index)))
 
 
 def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:

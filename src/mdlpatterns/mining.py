@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .ingest import DistinctRows, Item, parse_categories
+from .ingest import DistinctRows, Item, parse_categories, parse_count
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -77,11 +77,22 @@ def parse_items(text: str) -> frozenset[Item]:
     return frozenset(items.items())
 
 
-def cover_order(usages: Mapping[frozenset, int], names: Mapping | None = None) -> list[frozenset]:
+def cover_ranks(patterns: Iterable[frozenset]) -> dict[frozenset, int]:
+    """Each pattern's place in the canonical order's static part: descending
+    cardinality, then lexicographic items."""
+    ranked = sorted(patterns, key=lambda pattern: (-len(pattern), sorted(pattern)))
+    return {pattern: rank for rank, pattern in enumerate(ranked)}
+
+
+def cover_order(usages: Mapping[frozenset, int], ranks: Mapping | None = None) -> list[frozenset]:
     """The canonical order: descending cardinality, then descending usage (or
-    support), then lexicographic items. ``names``: each pattern's sorted items."""
-    names = names or {pattern: tuple(sorted(pattern)) for pattern in usages}
-    return sorted(usages, key=lambda pattern: (-len(pattern), -usages[pattern], names[pattern]))
+    support), then lexicographic items. ``ranks`` is cover_ranks of patterns
+    that include all of ``usages``. The key is one int: the rank below the
+    usage below the cardinality, each scaled past the span of the one below it."""
+    ranks = ranks or cover_ranks(usages)
+    high, width = max(usages.values(), default=0), len(ranks)
+    span = high - min(usages.values(), default=0) + 1
+    return sorted(usages, key=lambda p: (high - usages[p] - len(p) * span) * width + ranks[p])
 
 
 def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int]:
@@ -136,7 +147,7 @@ def read_itemsets(path: str) -> dict[frozenset[Item], int]:
                 items = parse_items(items_text)
                 if items in itemsets:
                     raise ValueError(f"repeated itemset {items_text}")
-                itemsets[items] = int(support_text)
+                itemsets[items] = parse_count(support_text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     return itemsets

@@ -445,9 +445,10 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
                 covered = [item for part in fields[-1].split("|") for item in parse_items(part)]
                 if sorted(covered) != sorted(transaction.items):
                     raise ValueError(f"cover {fields[-1]} does not split the row's items")
-                rank = int(fields[-2])
-                if rank != len(scored) + 1:
-                    raise ValueError(f"rank {rank} out of place (expected {len(scored) + 1})")
+                # a rank is written as str() writes its place; int() would
+                # also read "+1", " 1", "01" or "0_1"
+                if fields[-2] != str(len(scored) + 1):
+                    raise ValueError(f"rank {fields[-2]} out of place (expected {len(scored) + 1})")
                 if scored and score > scored[-1].score:
                     raise ValueError(
                         f"score {score!r} above the row before it ({scored[-1].score!r})"
@@ -562,7 +563,7 @@ def artifact_rows(draw, pools, ranked: bool = False):
             at = 0 if kind == "climb" else min(at + draw(st.sampled_from([0, 0, 1])), len(pool) - 1)
             rank = str(len(stamps))
             if kind == "bad rank":
-                rank = draw(st.sampled_from([" 7", "x", "1.5", "", "0"]))
+                rank = draw(st.sampled_from([" 7", "x", "1.5", "", "0", f"+{rank}", f"0{rank}"]))
             fields = [*pool[at][:-1], rank, pool[at][-1]]
         if kind == "short":
             fields.pop(draw(st.integers(0, len(fields) - 1)))
@@ -572,6 +573,11 @@ def artifact_rows(draw, pools, ranked: bool = False):
             fields = []
         rows.append([stamp, *fields])
     return rows
+
+
+# Texts that int() reads as 1 but no writer writes: a sign, a space, an
+# Arabic-Indic digit, a digit group, a leading zero.
+NONCANONICAL_ONES = ["+1", " 1", "\u0661", "0_1", "01"]
 
 
 def category_fields(width: int):

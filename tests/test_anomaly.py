@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    NONCANONICAL_ONES,
     artifact_rows,
     collapse,
     db_strategy,
@@ -254,6 +255,16 @@ def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     path.write_text(header + "\n" + second + "\n" + first)
     loaded, _ = read_scores(str(path))
     assert [(s.timestamp.hour, s.score) for s in scored_hours(loaded)] == [(11, 4.0), (10, 1.0)]
+
+
+@pytest.mark.parametrize("rank", NONCANONICAL_ONES)
+def test_read_scores_rejects_a_rank_written_otherwise(tmp_path, rank):
+    # int() reads each as 1, the right place; write_scores writes "1"
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"timestamp\tPB\tscore_bits\trank\tcover\n"
+                    f"2016-08-22T10:00\t1\t1.000000000\t{rank}\tPB:1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: rank {rank} out of place")):
+        read_scores(str(path))
 
 
 @pytest.mark.parametrize("header, row", [

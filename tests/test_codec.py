@@ -9,8 +9,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from math import fsum, log2
-from operator import mul
+from operator import and_, mul
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import PAIR, RB2, TRIPLE
 from helpers import (
     DATABASES,
+    NONCANONICAL_ONES,
     Hour,
     canonical_key,
     collapse,
@@ -47,6 +49,7 @@ from mdlpatterns.codec import (
     PatternTable,
     cover_database,
     cover_order,
+    cover_ranks,
     database_length,
     init_pattern_table,
     read_pattern_table,
@@ -56,6 +59,7 @@ from mdlpatterns.codec import (
     write_acceptance_log,
     write_pattern_table,
 )
+from mdlpatterns.mining import format_items, parse_items
 
 TRIPLE_B = frozenset({("PB", 1), ("LQ", 2), ("RB", 2)})
 
@@ -121,14 +125,16 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
 
 @given(db=DATABASES, seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
-def test_cover_order_sorts_by_the_canonical_key_with_or_without_names(db, seed):
-    # compress hands cover_order each pattern's sorted items, built once; the
-    # order must be the one canonical_key gives, ties in usage included
+def test_cover_order_sorts_by_the_canonical_key_with_or_without_ranks(db, seed):
+    # compress hands cover_order each pattern's static rank, built once over
+    # more patterns than one order holds; the order must be the one
+    # canonical_key gives, ties in usage and usages far apart included
     rng = random.Random(seed)
-    usages = {p: rng.randint(0, 3) for p in frequent_itemsets(collapse(db), 1)}
+    itemsets = list(frequent_itemsets(collapse(db), 1))
+    usages = {p: rng.choice([0, 1, 2, 3, 10**12]) for p in itemsets if rng.random() < 0.8}
     expected = sorted(usages, key=lambda pattern: canonical_key(pattern, usages[pattern]))
     assert cover_order(usages) == expected
-    assert cover_order(usages, {p: tuple(sorted(p)) for p in usages}) == expected
+    assert cover_order(usages, cover_ranks(itemsets)) == expected
 
 
 @st.composite
@@ -154,7 +160,7 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
             codec._settle(table, collapse(db), "the drawn table")
         return
     rows = collapse(db)
-    order, taken_rows = codec._settle(table, rows, "the drawn table")
+    order, taken_rows, _ = codec._settle(table, rows, "the drawn table")
     assert codec._expand(rows, order, taken_rows, codec._Splits(rows)) == list(covers.values())
     assert list(table.usages.items()) == list(expected.usages.items())
 
@@ -179,11 +185,11 @@ def test_each_taken_row_mask_is_split_once_into_its_weight_and_rows(drawn):
     db, masks = drawn
     splits = codec._Splits(db)
     for mask in masks:
-        weight, rows = split = splits[mask]
+        weight, rows = splits[mask], splits.rows[mask]
         assert weight == db.weight(mask)
         assert list(rows) == [row for row in range(len(db.weights)) if mask >> row & 1]
-        assert splits[mask] is split
-    assert len(splits) == len(set(masks))
+        assert splits.rows[mask] is rows
+    assert len(splits) == len(splits.rows) == len(set(masks))
 
 
 def compensated_sum(values, start=0):
@@ -312,11 +318,177 @@ def test_scores_and_table_make_the_final_length(db):
     assert_scores_and_table_make_the_final_length(collapse(db), mine_and_compress(db))
 
 
-def test_scores_and_table_make_the_final_length_on_the_wide_golden_rows():
+def wide_golden_rows():
+    """The wide golden snapshot's database and the candidates ``run`` mines from it."""
     db, _ = read_transactions(str(Path(__file__).parent / "golden_wide" / "transactions.csv"))
-    result = compress(db, frequent_itemsets(db, least_support("0.05", len(db), minimum=2)))
+    return db, frequent_itemsets(db, least_support("0.05", len(db), minimum=2))
+
+
+def test_scores_and_table_make_the_final_length_on_the_wide_golden_rows():
+    db, candidates = wide_golden_rows()
+    result = compress(db, candidates)
     assert (len(db.weights), len(result.log)) == (322, 245)
     assert_scores_and_table_make_the_final_length(db, result)
+
+
+@st.composite
+def wide_drawn_rows(draw):
+    """4 to 6 sites and up to 80 hours, each one of a few common rows with one
+    site drifted now and then, and a part of the itemsets mined from them in a
+    drawn order: trials resume, accept, prune (a larger pattern after one it
+    holds) and make no pass."""
+    attrs = [f"S{k}" for k in range(draw(st.integers(4, 6)))]
+    common = draw(st.lists(st.tuples(*[st.integers(1, 3)] * len(attrs)), min_size=2, max_size=4))
+    combos = []
+    for _ in range(draw(st.integers(20, 80))):
+        row = list(draw(st.sampled_from(common)))
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(1, 4))
+        combos.append(row)
+    hours = make_db(combos, attrs=attrs)
+    mined = list(frequent_itemsets(collapse(hours), draw(st.integers(2, 6))).items())
+    if not mined:
+        return hours, {}
+    chosen = st.lists(st.sampled_from(mined), unique=True, min_size=min(len(mined), 8),
+                      max_size=40)
+    return hours, dict(draw(chosen.flatmap(st.permutations)))  # any order, as compress takes
+
+
+@given(drawn=wide_drawn_rows())
+@settings(max_examples=50, deadline=None)
+def test_compress_matches_the_oracle_on_wider_draws(drawn):
+    hours, candidates = drawn
+    initial, trials, final = compress_oracle(hours, candidates)
+    result = compress(collapse(hours), candidates)
+    assert result.initial_length == initial
+    assert [record.trial_length for record in result.log] == trials
+    assert list(result.table.usages.items()) == list(final.usages.items())
+
+
+def count_passes(monkeypatch):
+    """Each cover pass, as the name of the trial whose settling made it (None
+    outside one); and the names of the trials settled."""
+    passes, settled, current = [], [], [None]
+    sweep, settle = codec._sweep, codec._settle
+
+    def counted_sweep(*args):
+        passes.append(current[0])
+        return sweep(*args)
+
+    def counted_settle(table, db, trial, *args):
+        settled.append(trial)
+        current[0] = trial
+        try:
+            return settle(table, db, trial, *args)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(codec, "_sweep", counted_sweep)
+    monkeypatch.setattr(codec, "_settle", counted_settle)
+    return passes, settled
+
+
+def test_a_candidate_that_takes_no_row_where_it_enters_costs_no_pass(monkeypatch):
+    # Replay the greedy search from scratch, and find each candidate's rows
+    # left uncovered where it enters the table's cover order: with none, its
+    # trial would repeat the table's covers, so it is rejected at the table's
+    # length without a cover pass
+    db, candidates = wide_golden_rows()
+    passes, settled = count_passes(monkeypatch)
+    result = compress(db, candidates)
+    assert None not in passes and len(passes) > len(settled)
+    table, free = init_pattern_table(db), []
+    for record in result.log:
+        trial = replace(table, usages={**table.usages, record.items: record.support})
+        order = cover_order(trial.usages)
+        patterns = codec._Patterns(db, order)
+        masks = codec._sweep(order, patterns).uncovered[order.index(record.items)]
+        holding = [masks[patterns.numbered.index(item)] for item in record.items]
+        name = f"candidate {format_items(record.items)}"
+        if not reduce(and_, holding, -1):
+            free.append(record.items)
+            assert not record.accepted and record.trial_length == record.length_after
+            assert name not in settled
+        else:
+            assert name in settled
+        if record.accepted:
+            recompute_usages(trial, db)
+            table = replace(trial, usages={p: u for p, u in trial.usages.items()
+                                           if u > 0 or len(p) == 1})
+    assert len(free) == 9
+
+
+def test_a_candidate_holding_an_item_no_row_holds_takes_no_pass(six_rows, monkeypatch):
+    # no row holds RB:3, so the pair takes no row whatever the table
+    stranger = frozenset({("PB", 1), ("RB", 3)})
+    candidates = {stranger: 6, TRIPLE: 4, TRIPLE_B: 2, frozenset({("LQ", 2), ("RB", 3)}): 1}
+    passes, settled = count_passes(monkeypatch)
+    result = compress(collapse(six_rows), candidates)
+    initial, trials, final = compress_oracle(six_rows, candidates)
+    assert result.initial_length == initial
+    assert [record.trial_length for record in result.log] == trials
+    assert list(result.table.usages.items()) == list(final.usages.items())
+    assert [record.accepted for record in result.log] == [False, True, True, False]
+    assert result.log[0].trial_length == result.initial_length
+    assert result.log[3].trial_length == result.final_length
+    assert settled == ["the singleton table", "candidate LQ:2,PB:1,RB:1",
+                       "candidate LQ:2,PB:1,RB:2"]
+
+
+def test_a_pruned_pattern_leaves_the_table_sweep(monkeypatch):
+    # S1:3,S2:2,S3:2,S4:3 takes both rows of S0:3,S1:3,S3:2,S4:3, which is
+    # pruned. S0:3,S2:3,S3:3 then enters after a pattern that takes its one
+    # row. Left in the table's sweep, the pruned pattern would shift the masks
+    # read where the newcomer enters to before that pattern, and its trial
+    # would make passes that repeat the table's covers.
+    hours = make_db([(3, 2, 3, 3, 2), (1, 3, 2, 2, 3), (2, 3, 1, 1, 1), (3, 3, 2, 2, 3),
+                     (3, 2, 2, 3, 1)], attrs=["S0", "S1", "S2", "S3", "S4"])
+    candidates = {parse_items(text): support for text, support in [
+        ("S1:3,S2:1,S4:1", 1), ("S1:2,S2:2,S3:3,S4:1", 1), ("S0:3,S1:3,S3:2,S4:3", 2),
+        ("S2:3,S4:2", 2), ("S0:3,S1:2,S2:3", 2), ("S1:3,S2:2,S3:2,S4:3", 3),
+        ("S0:3,S2:3,S3:3", 1), ("S0:1,S1:3,S3:2,S4:3", 0), ("S0:1,S1:3,S2:2,S3:2", 2),
+    ]}
+    passes, settled = count_passes(monkeypatch)
+    result = compress(collapse(hours), candidates)
+    initial, trials, final = compress_oracle(hours, candidates)
+    assert result.initial_length == initial
+    assert [record.trial_length for record in result.log] == trials
+    assert list(result.table.usages.items()) == list(final.usages.items())
+    assert [record.accepted for record in result.log] == [True] * 6 + [False] * 3
+    assert parse_items("S0:3,S1:3,S3:2,S4:3") not in result.table.usages
+    assert settled[-2:] == ["candidate S1:3,S2:2,S3:2,S4:3", "candidate S0:1,S1:3,S2:2,S3:2"]
+    assert len(settled) == 8
+
+
+def test_compress_resumes_its_sweeps_on_the_wide_golden_rows(monkeypatch):
+    # A pass visits only the patterns after the prefix its order shares with
+    # the table's settled sweep or the trial's last pass, and looks up each
+    # one's items once. From scratch, every pass would visit its whole order.
+    # The passes that remain are about half resumed: those of the candidates
+    # that take no row are not made at all.
+    visits, orders = [0], []
+
+    class Counted(codec._Patterns):
+        def __getitem__(self, pattern):
+            visits[0] += orders[-1] is not None
+            return super().__getitem__(pattern)
+
+    sweep = codec._sweep
+
+    def counted(order, *args):
+        orders.append(len(order))
+        try:
+            return sweep(order, *args)
+        finally:
+            orders.append(None)
+
+    monkeypatch.setattr(codec, "_Patterns", Counted)
+    monkeypatch.setattr(codec, "_sweep", counted)
+    orders.append(None)
+    compress(*wide_golden_rows())
+    from_scratch = sum(filter(None, orders))
+    assert (orders.count(None) - 1, from_scratch, visits[0]) == (629, 46718, 23812)
+    assert visits[0] < 0.51 * from_scratch
 
 
 def test_compress_worked_example(six_rows):
@@ -536,6 +708,23 @@ def test_read_pattern_table_rejects_what_no_hour_can_hold(tmp_path, line, reason
     path.write_text(f"# pattern-table v1\n# item_count\tPB:1\t4\nPB:1\t4\t0.000000000\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: {reason}")):
         read_pattern_table(str(path))
+
+
+@pytest.mark.parametrize("count", NONCANONICAL_ONES)
+def test_read_pattern_table_rejects_a_count_written_otherwise(tmp_path, count):
+    # int() reads each as 1; write_pattern_table writes "1"
+    path = tmp_path / "table.tsv"
+    lines = ["# pattern-table v1", "# total_singleton_count\t1", "# item_count\tPB:1\t1",
+             "PB:1\t1\t0.000000000"]
+    for lineno, field in ((2, 1), (3, 2), (4, 1)):
+        fields = lines[lineno - 1].split("\t")
+        fields[field] = count
+        path.write_text("\n".join(lines[:lineno - 1] + ["\t".join(fields)] + lines[lineno:]))
+        reason = f"{path}:{lineno}: count {count!r} is not in canonical decimal"
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            read_pattern_table(str(path))
+    path.write_text("\n".join(lines))
+    assert read_pattern_table(str(path)).usages == {frozenset({("PB", 1)}): 1}
 
 
 def test_acceptance_log_format(tmp_path, six_rows):

@@ -3,7 +3,7 @@
 import gc
 import io
 import re
-from datetime import datetime
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,8 @@ from mdlpatterns.ingest import (
     build_transactions,
     canonical,
     discretize,
+    hour_text,
+    hour_texts,
     parse_records,
     write_transactions,
 )
@@ -441,6 +443,24 @@ def test_transactions_round_trip(tmp_path):
     loaded, attributes = read_transactions(str(path))
     assert attributes == ["PB", "LQ", "RB"]
     assert hours_of(loaded) == hours_of(build.transactions)
+
+
+# any datetime, with nonzero minutes, seconds or microseconds, or a UTC offset;
+# some share a day, so a day's text is reused
+STAMPS = st.one_of(
+    st.datetimes(),
+    st.datetimes(timezones=st.just(timezone(timedelta(hours=-5)))),
+    st.builds(datetime.combine, st.sampled_from([date(2016, 8, 22), date(999, 12, 31)]),
+              st.times()),
+)
+
+
+@given(stamps=st.lists(STAMPS, max_size=30))
+@settings(max_examples=300)
+def test_hour_texts_writes_what_hour_text_writes(stamps):
+    # the writers format each day once and add the clock; every text must be
+    # the one hour_text gives
+    assert list(hour_texts(stamps)) == [hour_text(stamp) for stamp in stamps]
 
 
 def test_read_transactions_rejects_garbage(tmp_path):

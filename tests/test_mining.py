@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import PAIR, TRIPLE
 from helpers import (
     DATABASES,
+    NONCANONICAL_ONES,
     brute_force_frequent,
     canonical_key,
     collapse,
@@ -287,4 +288,14 @@ def test_read_itemsets_rejects_a_repeated_itemset(tmp_path):
     path = tmp_path / "itemsets.tsv"
     path.write_text("LQ:2,PB:1\t6\nPB:1,RB:1\t4\nPB:1,LQ:2\t5\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: repeated itemset PB:1,LQ:2"):
+        read_itemsets(str(path))
+
+
+@pytest.mark.parametrize("support", NONCANONICAL_ONES)
+def test_read_itemsets_rejects_a_support_written_otherwise(tmp_path, support):
+    # int() reads each as 1; write_itemsets writes "1"
+    path = tmp_path / "itemsets.tsv"
+    path.write_text(f"LQ:2,PB:1\t6\nPB:1,RB:1\t{support}\n")
+    reason = f"{path}:2: count {support!r} is not in canonical decimal"
+    with pytest.raises(ValueError, match=re.escape(reason)):
         read_itemsets(str(path))
