@@ -181,7 +181,7 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                     last_hour.append(stamp)
                 score, earlier, expected = ranking.bits[row], last_hour[row], str(len(ranking) + 1)
                 if rank != expected:  # int() would also read "+1", " 1", "01", "0_1"
-                    raise ValueError(f"rank {rank} out of place (expected {expected})")
+                    raise ValueError(f"rank {rank!r} out of place (expected {expected})")
                 if score > previous:
                     raise ValueError(f"score {score!r} above the row before it ({previous!r})")
                 if earlier > stamp:

@@ -9,10 +9,10 @@ rates (five-minute or hourly feeds); everything is averaged per clock hour
 before categorization so the sites line up.
 
 Pipeline:
-    parse_records()      -> in one pass, the last row per (site, direction,
-                            vehicle_class, timestamp), in file order, as one
-                            table per slice: stamp id -> the row's wait
-                            (+ a diagnostic per rejected or replaced row)
+    parse_records()      -> in one pass, three arrays per (site, direction,
+                            vehicle_class) slice, in file order: stamp in
+                            microseconds, wait, line; the last row per stamp
+                            is kept (+ a diagnostic per rejected or replaced row)
     aggregate_hourly()   -> (site, direction, vehicle_class, hour) -> mean minutes
     discretize()         -> wait category 1..4
     build_transactions() -> the database: every hour where every configured
@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import csv
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
+from itertools import compress, count, islice, repeat
 from math import inf, isfinite
-from operator import add, gt
+from operator import add, floordiv, ge, gt
 from typing import IO, Iterator, Mapping, Sequence
 
 Item = tuple[str, int]
@@ -98,45 +100,25 @@ class DistinctRows:
 # (site, direction, vehicle_class, timestamp) of one observation
 RecordKey = tuple[str, str, str, datetime]
 
+_MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in microseconds
+_CACHED = 1 << 10  # texts a parse cache holds before it is cleared
+
 
 @dataclass
 class ParseResult:
     """The rows parse_records kept, and what it rejected or replaced.
 
-    ``stamps`` numbers the distinct timestamps from 0, their stamp ids. Each
-    (site, direction, vehicle_class) slice has one table of ints: stamp id ->
-    its kept row's position in ``waits``, in the file order of those rows.
-    """
+    Each (site, direction, vehicle_class) slice holds its kept rows in file
+    order as three columns: stamps (``array('q')``, microseconds since
+    ``datetime.min``), waits (``array('d')``) and lines in the input (``array('q')``)."""
 
-    slices: dict[tuple[str, str, str], dict[int, int]] = field(default_factory=dict)
-    waits: array = field(default_factory=lambda: array("d"))
-    stamps: dict[datetime, int] = field(default_factory=dict)
+    slices: dict[tuple[str, str, str], tuple[array, array, array]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     rejected_rows: int = 0
     duplicate_rows: int = 0
 
-    records = property(lambda self: Records(self))
-
-
-class Records(Mapping):
-    """Every kept (site, direction, vehicle_class, timestamp) -> its position in
-    ``waits``, in file order: a read-only view merging the slice tables' runs."""
-
-    def __init__(self, parsed: ParseResult) -> None:
-        self._parsed = parsed
-
-    def __len__(self) -> int:
-        return sum(map(len, self._parsed.slices.values()))
-
-    def __getitem__(self, key: RecordKey) -> int:
-        return self._parsed.slices[key[:3]][self._parsed.stamps[key[3]]]
-
-    def __iter__(self):
-        stamps = list(self._parsed.stamps)
-        rows = sorted((position, (*slice_, stamps[stamp]))
-                      for slice_, table in self._parsed.slices.items()
-                      for stamp, position in table.items())
-        return (key for _, key in rows)
+    # the kept rows, numbered: len(records) counts them
+    records = property(lambda self: range(sum(len(columns[0]) for columns in self.slices.values())))
 
 
 @dataclass
@@ -174,64 +156,96 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     padding = [""] * width
 
     result = ParseResult()
-    waits, diagnostics = result.waits, result.diagnostics
-    # Sites share timestamps and a feed has few slices, so each distinct valid
-    # text is parsed once: a stamp to its id, a slice's fields to its table.
-    stamp_ids: dict[str, int] = {}
-    tables: dict[tuple[str, str, str], dict[int, int]] = {}
-    replaced: list[tuple[int, tuple[str, str, str], int]] = []  # (position, fields, stamp id)
+    diagnostics = result.diagnostics
+    # Stamp and wait text -> value, or why it is rejected; cleared when full, so
+    # each stamp is parsed once in an hour-major feed, and per row in a site-major one.
+    stamp_of: dict[str, int | str] = {}
+    wait_of: dict[str, float | str] = {}
+    appends: dict[tuple[str, str, str], tuple] = {}  # slice fields -> its columns' appends
     for row in reader:
         if len(row) < width:
             if not row:
                 continue
             row += padding[len(row):]
-        stamp = stamp_ids.get(row[i_stamp])
+        stamp = stamp_of.get(row[i_stamp])
         if stamp is None:
-            stamp = _stamp_id(row[i_stamp], result)
-            if isinstance(stamp, str):
-                diagnostics.append(f"row {reader.line_num}: {stamp}")
-                continue
-            stamp_ids[row[i_stamp]] = stamp
+            if len(stamp_of) == _CACHED:
+                stamp_of.clear()
+            stamp = stamp_of[row[i_stamp]] = _stamp(row[i_stamp])
+        if stamp.__class__ is str:
+            diagnostics.append(f"row {reader.line_num}: {stamp}")
+            continue
         fields = (row[i_site], row[i_direction], row[i_class])
-        table = tables.get(fields)
-        if table is None:
+        append = appends.get(fields)
+        if append is None:
             slice_ = _parse_slice(*fields)
             if isinstance(slice_, str):
                 diagnostics.append(f"row {reader.line_num}: {slice_}")
                 continue
-            table = tables[fields] = result.slices.setdefault(slice_, {})
-        raw_wait = row[i_wait].strip()
-        try:
-            if "_" in raw_wait or not raw_wait.isascii():
-                raise ValueError  # float() reads "1_5" as 15 and non-ASCII digits
-            wait = float(raw_wait)
-        except ValueError:
-            diagnostics.append(f"row {reader.line_num}: bad wait minutes {raw_wait!r}")
+            columns = result.slices.setdefault(slice_, (array("q"), array("d"), array("q")))
+            append = appends[fields] = tuple(column.append for column in columns)
+        wait = wait_of.get(row[i_wait])
+        if wait is None:
+            if len(wait_of) == _CACHED:
+                wait_of.clear()
+            wait = wait_of[row[i_wait]] = _wait(row[i_wait].strip())
+        if wait.__class__ is str:
+            diagnostics.append(f"row {reader.line_num}: {wait}")
             continue
-        if not 0 <= wait < inf:
-            reason = "non-finite" if not isfinite(wait) else "negative"
-            diagnostics.append(f"row {reader.line_num}: {reason} wait ({raw_wait})")
-            continue
-        if stamp in table:  # keep the last: the row moves to the end of its slice
-            replaced.append((table.pop(stamp), fields, stamp))
-        table[stamp] = len(waits)
-        waits.append(wait)
+        add_stamp, add_wait, add_line = append
+        add_stamp(stamp)
+        add_wait(wait)
+        add_line(reader.line_num)
 
     result.rejected_rows = len(diagnostics)  # only rejections so far
+    replaced = []  # (line, slice, stamp) per replaced row
+    for slice_, (stamps, waits, lines) in result.slices.items():
+        if rows := sorted(_replaced(stamps)):
+            replaced += ((lines[row], slice_, stamps[row]) for row in rows)
+            result.slices[slice_] = tuple(map(_without, (stamps, waits, lines), repeat(rows)))
     result.duplicate_rows = len(replaced)
-    stamps = list(result.stamps)
-    # positions are distinct, so the sort never compares further
-    for _, fields, stamp in sorted(replaced, reverse=True):
-        site, direction, vehicle_class = _parse_slice(*fields)
-        diagnostics.append(
-            f"duplicate observation for {site}/{direction}/{vehicle_class} "
-            f"at {stamps[stamp].isoformat()}; kept last"
-        )
+    for _, slice_, stamp in sorted(replaced, reverse=True):  # lines are distinct
+        diagnostics.append(f"duplicate observation for {'/'.join(slice_)} "
+                           f"at {(datetime.min + stamp * _MICROSECOND).isoformat()}; kept last")
     return result
 
 
-def _stamp_id(raw: str, parsed: ParseResult) -> int | str:
-    """A naive timestamp's stamp id, the next one if it is new, or why it is rejected."""
+def _replaced(stamps: array) -> list[int]:
+    """The rows of a slice that a later row with the same stamp replaces. Only a
+    late row, one not above every earlier stamp, replaces one; the other rows
+    ascend, so its twin is bisected for in their runs, or is an earlier late row."""
+    late, end = [], 0
+    for drop in compress(count(1), map(ge, stamps, islice(stamps, 1, None))):
+        if drop > end:  # stamps[drop - 1] is the highest so far
+            top, end = stamps[drop - 1], drop
+            while end < len(stamps) and stamps[end] <= top:
+                late.append(end)
+                end += 1
+    runs = [(start, stop) for start, stop in zip([0, *(row + 1 for row in late)],
+                                                 [*late, len(stamps)]) if start < stop]
+    firsts = [stamps[start] for start, _ in runs]
+    replaced, seen = [], {}  # seen: stamp -> the latest late row holding it
+    for row in late:
+        if (stamp := stamps[row]) in seen:
+            replaced.append(seen[stamp])
+        elif run := bisect_right(firsts, stamp):
+            start, stop = runs[run - 1]
+            if (twin := bisect_left(stamps, stamp, start, stop)) < stop and stamps[twin] == stamp:
+                replaced.append(twin)
+        seen[stamp] = row
+    return replaced
+
+
+def _without(column: array, rows: list[int]) -> array:
+    """``column`` without the ascending positions ``rows``, each kept run copied whole."""
+    kept = array(column.typecode)
+    for start, stop in zip([0, *(row + 1 for row in rows)], [*rows, len(column)]):
+        kept += column[start:stop]
+    return kept
+
+
+def _stamp(raw: str) -> int | str:
+    """A naive timestamp in microseconds since ``datetime.min``, or why it is rejected."""
     text = raw.strip()
     try:
         stamp = _read_stamp(text)
@@ -239,7 +253,20 @@ def _stamp_id(raw: str, parsed: ParseResult) -> int | str:
         return f"bad timestamp {text!r}"
     if stamp.tzinfo is not None:
         return f"timestamp carries a UTC offset ({text!r})"
-    return parsed.stamps.setdefault(stamp, len(parsed.stamps))
+    return (stamp - datetime.min) // _MICROSECOND
+
+
+def _wait(text: str) -> float | str:
+    """A wait's minutes, or why it is rejected."""
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError  # float() reads "1_5" as 15 and non-ASCII digits
+        wait = float(text)
+    except ValueError:
+        return f"bad wait minutes {text!r}"
+    if not 0 <= wait < inf:
+        return f"{'non-finite' if not isfinite(wait) else 'negative'} wait ({text})"
+    return wait
 
 
 def _read_stamp(text: str) -> datetime:
@@ -276,21 +303,19 @@ def aggregate_hourly(parsed: ParseResult) -> dict[RecordKey, float]:
     a category bound can move by one bit under another order or under a
     compensated sum (``sum`` is one from Python 3.12).
     """
-    ids: dict[tuple, int] = {}  # (year, month, day, hour) -> hour id
-    hour_ids = [ids.setdefault((s.year, s.month, s.day, s.hour), len(ids)) for s in parsed.stamps]
-    hours, waits = [datetime(*hour) for hour in ids], parsed.waits  # hour id -> clock hour
-    groups = []  # [first kept position, slice, hour id, sum, count] per slice and hour
-    for slice_, table in parsed.slices.items():
-        by_hour: dict[int, list] = {}  # hour id -> its group; the table is in file order
-        for stamp, position in table.items():
-            group = by_hour.get(hour_ids[stamp])
+    groups = []  # [first kept line, slice, hour, sum, count] per slice and hour
+    for slice_, (stamps, waits, lines) in parsed.slices.items():
+        by_hour: dict[int, list] = {}  # hour -> its group; the columns are in file order
+        for hour, wait, line in zip(map(floordiv, stamps, repeat(_HOUR)), waits, lines):
+            group = by_hour.get(hour)
             if group is None:
-                group = by_hour[hour_ids[stamp]] = [position, slice_, hour_ids[stamp], 0.0, 0]
-            group[3] += waits[position]
+                group = by_hour[hour] = [line, slice_, hour, 0.0, 0]
+            group[3] += wait
             group[4] += 1
         groups += by_hour.values()
-    groups.sort()  # first positions are distinct, so keys come in file order
-    return {(*slice_, hours[hour]): total / count for _, slice_, hour, total, count in groups}
+    groups.sort()  # first lines are distinct, so keys come in file order
+    clock = {hour: datetime.min + timedelta(hours=hour) for hour in {group[2] for group in groups}}
+    return {(*slice_, clock[hour]): total / rows for _, slice_, hour, total, rows in groups}
 
 
 def discretize(mean_wait: float) -> int:

@@ -287,6 +287,14 @@ def parse_synthetic(dataset: SyntheticDataset, tmp_path) -> ParseResult:
         return parse_records(fh)
 
 
+def kept_rows(result: ParseResult) -> list[tuple]:
+    """Every kept row in file order: (site, direction, class, timestamp, wait)."""
+    rows = sorted((line, *slice_, datetime.min + timedelta(microseconds=stamp), wait)
+                  for slice_, columns in result.slices.items()
+                  for stamp, wait, line in zip(*columns))
+    return [row[1:] for row in rows]
+
+
 # --- ingest oracle: a record per row, deduplicated and averaged in later passes --
 
 
@@ -447,8 +455,9 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
                     raise ValueError(f"cover {fields[-1]} does not split the row's items")
                 # a rank is written as str() writes its place; int() would
                 # also read "+1", " 1", "01" or "0_1"
-                if fields[-2] != str(len(scored) + 1):
-                    raise ValueError(f"rank {fields[-2]} out of place (expected {len(scored) + 1})")
+                place = str(len(scored) + 1)
+                if fields[-2] != place:
+                    raise ValueError(f"rank {fields[-2]!r} out of place (expected {place})")
                 if scored and score > scored[-1].score:
                     raise ValueError(
                         f"score {score!r} above the row before it ({scored[-1].score!r})"

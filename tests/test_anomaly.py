@@ -249,7 +249,8 @@ def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     first = "2016-08-22T10:00\t1\t1.000000000\t2\tPB:1\n"
     second = "2016-08-22T11:00\t2\t4.000000000\t1\tPB:2\n"
     path.write_text(header + first + second)
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: rank 2 out of place (expected 1)")):
+    reason = f"{path}:2: rank '2' out of place (expected 1)"
+    with pytest.raises(ValueError, match=re.escape(reason)):
         read_scores(str(path))
     # blank lines hold no place
     path.write_text(header + "\n" + second + "\n" + first)
@@ -263,7 +264,7 @@ def test_read_scores_rejects_a_rank_written_otherwise(tmp_path, rank):
     path = tmp_path / "scores.tsv"
     path.write_text(f"timestamp\tPB\tscore_bits\trank\tcover\n"
                     f"2016-08-22T10:00\t1\t1.000000000\t{rank}\tPB:1\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: rank {rank} out of place")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: rank {rank!r} out of place")):
         read_scores(str(path))
 
 

@@ -3,6 +3,8 @@
 import gc
 import io
 import re
+import tracemalloc
+from array import array
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -16,6 +18,7 @@ from helpers import (
     category_fields,
     collapse,
     hours_of,
+    kept_rows,
     outcome,
     parse_records_oracle,
     read_transactions_oracle,
@@ -35,6 +38,7 @@ from mdlpatterns.ingest import (
     parse_records,
     write_transactions,
 )
+from mdlpatterns.synth import generate_synthetic, write_records_csv
 
 HEADER = "timestamp,site,direction,vehicle_class,wait_minutes"
 
@@ -47,13 +51,33 @@ def feed(*rows: str) -> str:
     return HEADER + "\n" + "".join(row + "\n" for row in rows)
 
 
-def kept(result) -> list[tuple]:
-    """Kept rows in file order: (site, direction, class, timestamp, wait)."""
-    return [(*key, result.waits[position]) for key, position in result.records.items()]
-
-
 def hourly_of(*rows: str):
     return aggregate_hourly(parse(feed(*rows)))
+
+
+def micros(stamp: datetime) -> int:
+    """A stamp as the columns hold it: microseconds since datetime.min."""
+    return (stamp - datetime.min) // timedelta(microseconds=1)
+
+
+def matches_the_oracles(text: str):
+    """parse_records and aggregate_hourly on ``text``, checked against the
+    record-list oracles: kept rows, diagnostics, counts, hourly key order and
+    the exact bits of every mean."""
+    result = parse(text)
+    oracle = parse_records_oracle(io.StringIO(text))
+    assert kept_rows(result) == [
+        (r.site, r.direction, r.vehicle_class, r.timestamp, r.wait_minutes)
+        for r in oracle.records
+    ]
+    assert result.diagnostics == oracle.diagnostics
+    assert result.rejected_rows == oracle.rejected_rows
+    assert result.duplicate_rows == oracle.duplicate_rows
+    hourly = aggregate_hourly(result)
+    expected = aggregate_hourly_oracle(oracle.records)
+    assert list(hourly) == list(expected)
+    assert [mean.hex() for mean in hourly.values()] == [mean.hex() for mean in expected.values()]
+    return result
 
 
 # --- parsing -----------------------------------------------------------------
@@ -67,17 +91,28 @@ def test_parse_happy_path():
     )
     assert result.rejected_rows == 0
     assert result.diagnostics == []
-    first, second = kept(result)
+    first, second = kept_rows(result)
     assert first == ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10, 0), 12.5)
     assert second == ("LQ", "ToUS", "Truck", datetime(2016, 8, 22, 10, 5), 0.0)
-    # stamp ids count the distinct timestamps up from 0, and both fall in hour 10
-    assert result.stamps == {datetime(2016, 8, 22, 10, 0): 0, datetime(2016, 8, 22, 10, 5): 1}
+    # each slice keeps three columns: stamps in microseconds, waits, and lines;
+    # both stamps fall in hour 10
+    first_stamp, second_stamp = (micros(datetime(2016, 8, 22, 10, minute)) for minute in (0, 5))
+    assert result.slices == {
+        ("PB", "ToCanada", "Car"): (array("q", [first_stamp]), array("d", [12.5]), array("q", [2])),
+        ("LQ", "ToUS", "Truck"): (array("q", [second_stamp]), array("d", [0.0]), array("q", [3])),
+    }
     assert [key[3] for key in aggregate_hourly(result)] == [datetime(2016, 8, 22, 10)] * 2
 
 
 def test_parse_empty_input_raises():
     with pytest.raises(IngestError, match="no header"):
         parse("")
+
+
+def test_parse_reads_a_blank_first_line_as_an_empty_header():
+    # csv.reader reads it as a row with no fields, so every column is missing
+    with pytest.raises(IngestError, match="missing required column.*timestamp"):
+        parse("\n" + feed("2016-08-22T10:00,PB,ToCanada,Car,5"))
 
 
 def test_parse_missing_column_raises():
@@ -123,7 +158,7 @@ def test_parse_rejects_non_finite_wait(raw):
     # discretize to a false heavy-delay hour
     result = parse(HEADER + f"\n2016-08-22T10:00,PB,ToCanada,Car,{raw}\n")
     assert result.rejected_rows == 1
-    assert result.records == {}
+    assert kept_rows(result) == []
     assert result.diagnostics == [f"row 2: non-finite wait ({raw})"]
 
 
@@ -136,7 +171,7 @@ def test_parse_rejects_a_wait_float_reads_from_digit_groups_or_other_scripts(raw
     # float() reads these as 1000.5, 15, 12 and 15, but no feed writes a wait so
     result = parse(HEADER + f"\n2016-08-22T10:00,PB,ToCanada,Car,{raw}\n")
     assert result.rejected_rows == 1
-    assert result.records == {}
+    assert kept_rows(result) == []
     assert result.diagnostics == [f"row 2: bad wait minutes {raw!r}"]
 
 
@@ -172,7 +207,7 @@ def test_parse_duplicate_keeps_last():
     )
     assert result.duplicate_rows == 1
     assert len(result.records) == 2
-    waits = {site: wait for site, _, _, _, wait in kept(result)}
+    waits = {site: wait for site, _, _, _, wait in kept_rows(result)}
     assert waits == {"PB": 9.0, "LQ": 7.0}
     assert any("kept last" in d for d in result.diagnostics)
 
@@ -190,7 +225,7 @@ def test_duplicate_diagnostics_name_the_latest_replaced_row_first():
         "duplicate observation for PB/ToCanada/Car at 2016-08-22T10:05:00; kept last",
         "duplicate observation for PB/ToCanada/Car at 2016-08-22T10:00:00; kept last",
     ]
-    assert [(stamp.minute, wait) for _, _, _, stamp, wait in kept(result)] == [(0, 3.0), (5, 4.0)]
+    assert [(stamp.minute, wait) for *_, stamp, wait in kept_rows(result)] == [(0, 3.0), (5, 4.0)]
 
 
 def test_direction_and_class_parse_case_insensitive():
@@ -205,14 +240,32 @@ def test_direction_and_class_parse_case_insensitive():
     assert str(vehicle_class.value) == "unknown vehicle class 'bike' (expected Car or Truck)"
 
 
-def test_slice_tables_are_not_tracked_by_the_cyclic_collector():
-    # a slice's table maps ints to ints, so it holds nothing the collector
-    # must walk and no collection ever visits it, however many rows it keeps
+def test_slice_columns_hold_no_object_per_row_for_the_cyclic_collector():
+    # a slice's columns are arrays of machine values, so a collection visits
+    # each array once and no object per row, however many rows it keeps
     result = parse(feed("2016-08-22T10:00,PB,ToCanada,Car,5", "2016-08-22T10:05,LQ,tous,truck,7",
                         "2016-08-22T10:00,PB,ToCanada,Car,6"))
-    gc.collect()
     assert list(result.slices) == [("PB", "ToCanada", "Car"), ("LQ", "ToUS", "Truck")]
-    assert [gc.is_tracked(table) for table in result.slices.values()] == [False, False]
+    columns = [column for table in result.slices.values() for column in table]
+    assert [column.typecode for column in columns] == ["q", "d", "q"] * 2
+    assert [gc.get_referents(column) for column in columns] == [[array]] * 6
+
+
+def test_parse_and_aggregate_peak_under_96_bytes_per_kept_row(tmp_path):
+    # the kept rows live in arrays and every parse cache is bounded, so the
+    # peak grows by a few dozen bytes per row (a dict entry per row is more)
+    path = tmp_path / "raw.csv"
+    write_records_csv(str(path), generate_synthetic(seed=7, days=30).records)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            result = parse_records(fh)
+        hourly = aggregate_hourly(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(result.records), len(hourly)) == (18_000, 2_160)
+    assert peak <= 96 * len(result.records)
 
 
 # --- hourly aggregation ------------------------------------------------------
@@ -349,19 +402,78 @@ def feeds(draw):
 @given(text=feeds())
 @settings(max_examples=300, deadline=None)
 def test_one_pass_matches_the_record_list_oracle(text):
-    result = parse(text)
-    oracle = parse_records_oracle(io.StringIO(text))
-    assert kept(result) == [
-        (r.site, r.direction, r.vehicle_class, r.timestamp, r.wait_minutes)
-        for r in oracle.records
+    matches_the_oracles(text)
+
+
+# --- keep-last: settled after the pass, from the late rows only ----------------
+
+
+def test_keep_last_a_row_resent_twice():
+    # the first re-send's twin ascends with the rows before it; the second's
+    # twin is the first re-send, itself a late row
+    result = matches_the_oracles(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,14.9", "2016-08-22T10:05,PB,ToCanada,Car,15.1",
+        "2016-08-22T10:00,PB,ToCanada,Car,0.1", "2016-08-22T10:00,PB,ToCanada,Car,0.2",
+    ))
+    assert result.duplicate_rows == 2
+    assert [wait for *_, wait in kept_rows(result)] == [15.1, 0.2]
+
+
+def test_keep_last_re_sends_whose_twins_come_in_reverse_order():
+    # the second re-send replaces a row above the first's twin; diagnostics
+    # still name the latest replaced row first
+    result = matches_the_oracles(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,0.1", "2016-08-22T10:05,PB,ToCanada,Car,0.2",
+        "2016-08-22T10:10,PB,ToCanada,Car,0.3", "2016-08-22T10:05,PB,ToCanada,Car,14.9",
+        "2016-08-22T10:00,PB,ToCanada,Car,15.1",
+    ))
+    assert [wait for *_, wait in kept_rows(result)] == [0.3, 14.9, 15.1]
+    assert [d.split(" at ")[1] for d in result.diagnostics] == [
+        "2016-08-22T10:05:00; kept last", "2016-08-22T10:00:00; kept last",
     ]
-    assert result.diagnostics == oracle.diagnostics
-    assert result.rejected_rows == oracle.rejected_rows
-    assert result.duplicate_rows == oracle.duplicate_rows
-    hourly = aggregate_hourly(result)
-    expected = aggregate_hourly_oracle(oracle.records)
-    assert list(hourly) == list(expected)
-    assert [mean.hex() for mean in hourly.values()] == [mean.hex() for mean in expected.values()]
+
+
+def test_keep_last_a_late_row_with_a_new_stamp_is_no_duplicate():
+    result = matches_the_oracles(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,0.1", "2016-08-22T10:10,PB,ToCanada,Car,0.2",
+        "2016-08-22T10:05,PB,ToCanada,Car,0.7",
+    ))
+    assert (result.duplicate_rows, len(result.records)) == (0, 3)
+
+
+def test_keep_last_a_late_duplicate_of_a_late_row():
+    result = matches_the_oracles(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,0.1", "2016-08-22T10:10,PB,ToCanada,Car,0.2",
+        "2016-08-22T10:05,PB,ToCanada,Car,0.7", "2016-08-22T10:05,PB,ToCanada,Car,29.9",
+    ))
+    assert result.duplicate_rows == 1
+    assert [wait for *_, wait in kept_rows(result)] == [0.1, 0.2, 29.9]
+
+
+def test_keep_last_a_slice_that_ascends_except_at_its_last_row():
+    slots = [f"2016-08-22T10:{5 * slot:02d},PB,ToCanada,Car,{WAITS[slot]}" for slot in range(12)]
+    resent = "2016-08-22T10:30,PB,ToCanada,Car,14.999999999999998"
+    result = matches_the_oracles(feed(*slots, resent))
+    assert result.duplicate_rows == 1
+    assert result.diagnostics == [
+        "duplicate observation for PB/ToCanada/Car at 2016-08-22T10:30:00; kept last"
+    ]
+
+
+def test_keep_last_the_feed_year_shape():
+    # per hour: PB's twelve slots, one re-sent after the later slots of its
+    # hour, then LQ's and RB's; then the next hour
+    rows = []
+    for hour, resent in ((10, 3), (11, 11)):
+        for site in ("PB", "LQ"):
+            slots = [(slot, WAITS[(slot + hour) % len(WAITS)]) for slot in range(12)]
+            if site == "PB":
+                slots.append((resent, "15.000000000000002"))
+            rows += [f"2016-08-22T{hour}:{5 * slot:02d},{site},ToCanada,Car,{wait}"
+                     for slot, wait in slots]
+        rows.append(f"2016-08-22T{hour}:00,RB,ToCanada,Car,30")
+    result = matches_the_oracles(feed(*rows))
+    assert (result.duplicate_rows, len(aggregate_hourly(result))) == (2, 6)
 
 
 # --- categorization ----------------------------------------------------------

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from helpers import parse_synthetic, read_manifest
+from helpers import kept_rows, parse_synthetic, read_manifest
 from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,
@@ -99,7 +99,7 @@ def test_records_csv_feeds_the_parser(tmp_path):
     assert result.duplicate_rows == 0
     assert len(result.records) == len(dataset.records)
     # every record comes back, in the order written
-    assert [(*key, result.waits[position]) for key, position in result.records.items()] == [
+    assert kept_rows(result) == [
         (rec.site, rec.direction, rec.vehicle_class, rec.timestamp, rec.wait_minutes)
         for rec in dataset.records
     ]
