@@ -9,7 +9,9 @@ anomalies.
 
 ``__all__`` is the public API; everything else is imported from its module
 (``mdlpatterns.ingest``, ``.mining``, ``.codec``, ``.anomaly``, ``.synth``,
-``.cli``). Typical use::
+``.cli``). Results are immutable ``typing.NamedTuple`` records, such as
+``codec.CompressionResult`` and ``anomaly.Ranking``; ``_replace`` gives a
+changed copy, and ``len(ranking.hours)`` counts the ranked hours. Typical use::
 
     from mdlpatterns import (
         compress, frequent_itemsets, least_support, read_transactions, score_all, top_fraction,

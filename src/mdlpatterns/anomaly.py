@@ -4,17 +4,16 @@ An hour's anomaly score is its code length under the final pattern table:
 hours that compress well are ordinary, hours that need long codes are
 unusual. A score depends only on which distinct row an hour is, so each
 distinct row is covered, scored and formatted once. Scores are ranked
-descending, the top fraction extracted, and an hour-of-day histogram built
-over the extracted set.
+descending (a Ranking; ``len(ranking.hours)`` counts its hours), the top
+fraction extracted, and an hour-of-day histogram built over the extracted set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from datetime import datetime
 from itertools import chain, groupby
 from math import inf, isfinite
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
@@ -24,8 +23,7 @@ from .mining import exact_ceil, format_items, parse_items
 REPORT_VERSION = "pattern-anomaly-report v1"
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     """Scored hours by descending score, ties by time; a rank is a 1-based place.
 
     ``hours`` and ``index`` hold each ranked hour's clock hour and row.
@@ -39,9 +37,6 @@ class Ranking:
     items: list[tuple[Item, ...]]
     bits: list[float]
     covers: list[str]
-
-    def __len__(self) -> int:
-        return len(self.hours)
 
 
 def score_all(db: DistinctRows, table: PatternTable) -> Ranking:
@@ -69,10 +64,10 @@ def top_fraction(ranking: Ranking, fraction: float) -> Ranking:
     """The highest-scoring ceil(fraction * n) hours (see exact_ceil)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not ranking:
+    if not ranking.hours:
         raise ValueError("ranking is empty")
-    k = exact_ceil(fraction, len(ranking))
-    return replace(ranking, hours=ranking.hours[:k], index=ranking.index[:k])
+    k = exact_ceil(fraction, len(ranking.hours))
+    return ranking._replace(hours=ranking.hours[:k], index=ranking.index[:k])
 
 
 def hour_frequency(selected: Ranking) -> tuple[int, ...]:
@@ -92,16 +87,17 @@ def report(ranking: Ranking, fraction: float, k: int) -> str:
     text after the stamp is formatted once.
     """
     selected = top_fraction(ranking, fraction)
+    n, chosen = len(ranking.hours), len(selected.hours)
     if k < 0:
         raise ValueError(f"k={k} is negative")
-    if k > len(ranking):
-        raise ValueError(f"k={k} exceeds the number of scored transactions ({len(ranking)})")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the number of scored transactions ({n})")
     after = [
         f"\t{','.join(f'{attr}:{cat}' for attr, cat in items)}\t{bits:.9f}\t{cover}"
         for items, bits, cover in zip(ranking.items, ranking.bits, ranking.covers)
     ]
-    lines = [REPORT_VERSION, f"[summary]\tn={len(ranking)}\tselected={len(selected)}\ttop_k={k}"]
-    for section, count in (("[top-k]", k), ("[top-fraction]", len(selected))):
+    lines = [REPORT_VERSION, f"[summary]\tn={n}\tselected={chosen}\ttop_k={k}"]
+    for section, count in (("[top-k]", k), ("[top-fraction]", chosen)):
         lines += [section, "rank\ttimestamp\tcategories\tscore_bits\tcover"]
         ranked = zip(hour_texts(ranking.hours[:count]), ranking.index[:count])
         lines += (f"{rank}\t{text}{after[row]}" for rank, (text, row) in enumerate(ranked, start=1))
@@ -140,7 +136,7 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
     may hold one hour. The header names each site once, then score_bits, rank
     and cover. A distinct row is parsed and checked once: a finite score, and a
     cover whose patterns are disjoint and together hold exactly its items."""
-    ranking = Ranking(hours=[], index=[], items=[], bits=[], covers=[])
+    hours, index, row_items, bits, covers = [], [], [], [], []  # the Ranking's fields
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         attributes = header[1:-3]
@@ -175,11 +171,11 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                     if sum(map(len, parts)) != len(covered) or covered != set(items):
                         raise ValueError(f"cover {cover} does not split the row's items")
                     row = rows[constant, cover] = len(last_hour)
-                    ranking.items.append(items)
-                    ranking.bits.append(score)
-                    ranking.covers.append(cover)
+                    row_items.append(items)
+                    bits.append(score)
+                    covers.append(cover)
                     last_hour.append(stamp)
-                score, earlier, expected = ranking.bits[row], last_hour[row], str(len(ranking) + 1)
+                score, earlier, expected = bits[row], last_hour[row], str(len(hours) + 1)
                 if rank != expected:  # int() would also read "+1", " 1", "01", "0_1"
                     raise ValueError(f"rank {rank!r} out of place (expected {expected})")
                 if score > previous:
@@ -190,6 +186,6 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                 raise ValueError(f"{path}:{lineno}: {exc}")
             seen.add(stamp)
             last_hour[row], previous = stamp, score
-            ranking.hours.append(stamp)
-            ranking.index.append(row)
-    return ranking, attributes
+            hours.append(stamp)
+            index.append(row)
+    return Ranking(hours, index, row_items, bits, covers), attributes

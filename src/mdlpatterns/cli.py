@@ -19,9 +19,8 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import anomaly, codec, ingest, mining, synth
 
@@ -37,12 +36,11 @@ class StageError(RuntimeError):
         self.exit_code = STAGE_EXIT_CODES.get(stage, 1)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a full pipeline run depends on."""
 
     input: str
-    attributes: list[str] = field(default_factory=lambda: ["PB", "LQ", "RB"])
+    attributes: list[str] = ["PB", "LQ", "RB"]  # shared by every config; never mutated
     direction: str = "ToCanada"
     vehicle_class: str = "Car"
     threshold: str = "0.05"  # integer string = absolute count, else fraction
@@ -57,13 +55,15 @@ class RunConfig:
     def validate(self) -> None:
         # A value must have its default's exact type (so true is no int) or one listed here.
         numeric = {"threshold": (str, int, float), "top_fraction": (int, float)}
-        for name, default in asdict(RunConfig(input="")).items():
+        for name, default in RunConfig(input="")._asdict().items():
             kinds, value = numeric.get(name, (type(default),)), getattr(self, name)
             if type(value) not in kinds:
                 expected = " or ".join(kind.__name__ for kind in kinds)
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
         if not self.attributes:
             raise ValueError("attributes must be nonempty")
+        if not all(type(name) is str for name in self.attributes):
+            raise ValueError(f"attributes must be site names (str), got {self.attributes!r}")
         if not 0 < self.top_fraction <= 1:
             raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
         if self.top_k < 0:
@@ -77,7 +77,7 @@ class RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict) or "input" not in data:
             raise ValueError(f"config {path} must be a JSON object with an 'input' key")
-        unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         return cls(**data)
@@ -92,7 +92,7 @@ def run_pipeline(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
+        json.dump(config._asdict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     db = _ingest(config, str(out / "transactions.csv"))
@@ -178,7 +178,7 @@ def _score(
 
 @_stage("report")
 def _report(ranking: anomaly.Ranking, fraction: float, top_k: int, output: str) -> None:
-    document = anomaly.report(ranking, fraction, min(top_k, len(ranking)))
+    document = anomaly.report(ranking, fraction, min(top_k, len(ranking.hours)))
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(document)
 
@@ -194,9 +194,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print("run: --input is required when no --config is given", file=sys.stderr)
         return 2
-    for name in config.__dataclass_fields__:
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
+    flags = {name: getattr(args, name, None) for name in config._fields}
+    config = config._replace(**{name: value for name, value in flags.items() if value is not None})
     config.validate()
     log.setLevel(config.log_level.upper())
     return run_pipeline(config)
@@ -239,7 +238,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         db, attributes = ingest.read_transactions(args.transactions)
         table = codec.read_pattern_table(args.table)
     ranking = _score(db, table, attributes, args.output)
-    print(f"wrote {len(ranking)} score(s) to {args.output}")
+    print(f"wrote {len(ranking.hours)} score(s) to {args.output}")
     return 0
 
 

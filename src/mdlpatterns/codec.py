@@ -34,7 +34,6 @@ row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import islice
 from math import fsum, inf, log2
@@ -52,8 +51,7 @@ from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps 
 _MAX_RECOVER_PASSES = 25
 
 
-@dataclass
-class PatternTable:
+class PatternTable(NamedTuple):
     """The code dictionary: pattern -> usage, plus fixed singleton-item statistics.
 
     ``usages`` is in table order: sorted singletons, then accepted candidates
@@ -68,8 +66,7 @@ class PatternTable:
     singleton_counts: dict[Item, int]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     items: frozenset[Item]
     support: int
     trial_length: float
@@ -77,12 +74,11 @@ class TrialRecord:
     length_after: float
 
 
-@dataclass
-class CompressionResult:
+class CompressionResult(NamedTuple):
     table: PatternTable
     initial_length: float
     final_length: float
-    log: list[TrialRecord] = field(default_factory=list)
+    log: list[TrialRecord]
 
     @property
     def compression_ratio(self) -> float:
@@ -293,7 +289,7 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
             raise ValueError(f"candidate {format_items(items)} is already in the table")
         # Provisional usage = support places the newcomer among its
         # same-cardinality peers for the trial's first cover pass.
-        trial = replace(table, usages={**table.usages, items: support})
+        trial = table._replace(usages={**table.usages, items: support})
         # It enters the table's settled order; with no row left for it there,
         # every pass would repeat the table's covers, and its length.
         order = cover_order(trial.usages, patterns.ranks)
@@ -305,8 +301,8 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
         accepted = length < best
         if accepted:
             best = length
-            trial.usages = {p: u for p, u in trial.usages.items() if u > 0 or len(p) == 1}
-            table = trial
+            table = trial._replace(usages={p: u for p, u in trial.usages.items()
+                                           if u > 0 or len(p) == 1})
             # the pruned patterns took no rows, so the masks skip them unchanged
             kept = [k for k, pattern in enumerate(sweep.order) if pattern in table.usages]
             settled = _Sweep([sweep.order[k] for k in kept], [sweep.taken[k] for k in kept],

@@ -21,8 +21,8 @@ Pipeline:
                             counted, never imputed
 
 An hour is a position in the database: its clock hour and its distinct row.
-All operations are pure and deterministic: identical input yields an
-identical database.
+ParseResult and TransactionBuild are immutable NamedTuples. All operations
+are pure and deterministic: identical input yields an identical database.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from __future__ import annotations
 import csv
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from itertools import compress, count, islice, repeat
 from math import inf, isfinite
 from operator import add, floordiv, ge, gt
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, NamedTuple, Sequence
 
 Item = tuple[str, int]
 
@@ -104,25 +103,23 @@ _MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in mic
 _CACHED = 1 << 10  # texts a parse cache holds before it is cleared
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     """The rows parse_records kept, and what it rejected or replaced.
 
     Each (site, direction, vehicle_class) slice holds its kept rows in file
     order as three columns: stamps (``array('q')``, microseconds since
     ``datetime.min``), waits (``array('d')``) and lines in the input (``array('q')``)."""
 
-    slices: dict[tuple[str, str, str], tuple[array, array, array]] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
-    rejected_rows: int = 0
-    duplicate_rows: int = 0
+    slices: dict[tuple[str, str, str], tuple[array, array, array]]
+    diagnostics: list[str]
+    rejected_rows: int
+    duplicate_rows: int
 
     # the kept rows, numbered: len(records) counts them
     records = property(lambda self: range(sum(len(columns[0]) for columns in self.slices.values())))
 
 
-@dataclass
-class TransactionBuild:
+class TransactionBuild(NamedTuple):
     transactions: DistinctRows  # the complete hours
     excluded_hours: list[datetime]
 
@@ -155,8 +152,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     width = max(index[c] for c in COLUMNS) + 1
     padding = [""] * width
 
-    result = ParseResult()
-    diagnostics = result.diagnostics
+    slices: dict[tuple[str, str, str], tuple[array, array, array]] = {}
+    diagnostics: list[str] = []
     # Stamp and wait text -> value, or why it is rejected; cleared when full, so
     # each stamp is parsed once in an hour-major feed, and per row in a site-major one.
     stamp_of: dict[str, int | str] = {}
@@ -182,7 +179,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             if isinstance(slice_, str):
                 diagnostics.append(f"row {reader.line_num}: {slice_}")
                 continue
-            columns = result.slices.setdefault(slice_, (array("q"), array("d"), array("q")))
+            columns = slices.setdefault(slice_, (array("q"), array("d"), array("q")))
             append = appends[fields] = tuple(column.append for column in columns)
         wait = wait_of.get(row[i_wait])
         if wait is None:
@@ -197,17 +194,16 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
         add_wait(wait)
         add_line(reader.line_num)
 
-    result.rejected_rows = len(diagnostics)  # only rejections so far
+    rejected = len(diagnostics)  # only rejections so far
     replaced = []  # (line, slice, stamp) per replaced row
-    for slice_, (stamps, waits, lines) in result.slices.items():
+    for slice_, (stamps, waits, lines) in slices.items():
         if rows := sorted(_replaced(stamps)):
             replaced += ((lines[row], slice_, stamps[row]) for row in rows)
-            result.slices[slice_] = tuple(map(_without, (stamps, waits, lines), repeat(rows)))
-    result.duplicate_rows = len(replaced)
+            slices[slice_] = tuple(map(_without, (stamps, waits, lines), repeat(rows)))
     for _, slice_, stamp in sorted(replaced, reverse=True):  # lines are distinct
         diagnostics.append(f"duplicate observation for {'/'.join(slice_)} "
                            f"at {(datetime.min + stamp * _MICROSECOND).isoformat()}; kept last")
-    return result
+    return ParseResult(slices, diagnostics, rejected, len(replaced))
 
 
 def _replaced(stamps: array) -> list[int]:

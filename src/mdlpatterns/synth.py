@@ -14,9 +14,8 @@ Same seed, same output, always.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ingest import COLUMNS, DIRECTIONS, VEHICLE_CLASSES, canonical, hour_text
 
@@ -63,8 +62,7 @@ REGIMES: dict[str, RegimeFn] = {
 }
 
 
-@dataclass(frozen=True)
-class WaitTimeRecord:
+class WaitTimeRecord(NamedTuple):
     """One raw observation, as a row of the raw feed."""
 
     timestamp: datetime
@@ -74,8 +72,7 @@ class WaitTimeRecord:
     wait_minutes: float
 
 
-@dataclass
-class SyntheticDataset:
+class SyntheticDataset(NamedTuple):
     records: list[WaitTimeRecord]
     injected_hours: list[datetime]
 

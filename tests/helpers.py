@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import reduce
 from itertools import combinations
@@ -236,7 +236,8 @@ def settle_oracle(table: PatternTable, transactions: Sequence[Hour]) -> dict:
     order = cover_order(table.usages)
     for _ in range(_MAX_RECOVER_PASSES):
         covers = {items: greedy_cover_oracle(items, order) for items in multiplicity}
-        usages = table.usages = dict.fromkeys(table.usages, 0)
+        usages = table.usages  # in place: the caller sees the settled usages
+        usages.update(dict.fromkeys(usages, 0))
         for items, parts in covers.items():
             for part in parts:
                 usages[part] += multiplicity[items]
@@ -270,12 +271,12 @@ def compress_oracle(
     initial = best = settled_length_oracle(table, transactions)
     trials = []
     for items, support in candidates.items():
-        trial = replace(table, usages={**table.usages, items: support})
+        trial = table._replace(usages={**table.usages, items: support})
         trials.append(settled_length_oracle(trial, transactions))
         if trials[-1] < best:
             best = trials[-1]
-            trial.usages = {p: u for p, u in trial.usages.items() if u > 0 or len(p) == 1}
-            table = trial
+            table = trial._replace(usages={p: u for p, u in trial.usages.items()
+                                           if u > 0 or len(p) == 1})
     return initial, trials, table
 
 

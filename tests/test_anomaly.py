@@ -1,7 +1,6 @@
 """Scoring, ranking, top-fraction extraction, histogram, and the report."""
 
 import re
-from dataclasses import replace
 from datetime import datetime, timedelta
 from math import fsum
 
@@ -84,10 +83,10 @@ def test_score_sum_matches_database_length_everywhere(db):
 
 def test_top_fraction_rounds_up(six_rows, worked_table):
     scored = score_all(collapse(six_rows), worked_table)
-    assert len(top_fraction(scored, 0.05)) == 1
-    assert len(top_fraction(scored, 0.3)) == 2
-    assert len(top_fraction(scored, 0.5)) == 3
-    assert len(top_fraction(scored, 1.0)) == 6
+    assert len(top_fraction(scored, 0.05).hours) == 1
+    assert len(top_fraction(scored, 0.3).hours) == 2
+    assert len(top_fraction(scored, 0.5).hours) == 3
+    assert len(top_fraction(scored, 1.0).hours) == 6
     assert scored_hours(top_fraction(scored, 0.5)) == scored_hours(scored)[:3]
 
 
@@ -95,8 +94,8 @@ def test_top_fraction_ceiling_is_exact():
     # 0.07 * 100 is 7.000000000000001 in floating point; the exact answer is 7
     db = collapse(make_db([(1, 2, 1)] * 95 + [(1, 2, 2)] * 5))
     scored = score_all(db, init_pattern_table(db))
-    assert len(top_fraction(scored, 0.07)) == 7
-    assert len(top_fraction(scored, 0.05)) == 5
+    assert len(top_fraction(scored, 0.07).hours) == 7
+    assert len(top_fraction(scored, 0.05).hours) == 5
 
 
 def test_top_fraction_validates(six_rows, worked_table):
@@ -114,7 +113,7 @@ def test_top_fraction_validates(six_rows, worked_table):
 
 def test_hour_frequency_buckets_by_hour_of_day(six_rows, worked_table):
     scored = score_all(collapse(six_rows), worked_table)
-    histogram = hour_frequency(replace(scored, hours=scored.hours[:2], index=scored.index[:2]))
+    histogram = hour_frequency(scored._replace(hours=scored.hours[:2], index=scored.index[:2]))
     assert len(histogram) == 24
     assert histogram[4] == 1
     assert histogram[5] == 1

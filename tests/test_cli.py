@@ -123,6 +123,8 @@ def test_config_validation(tmp_path, capsys):
         ({"input": "raw.csv", "top_k": "3"}, "top_k must be int"),
         ({"input": "raw.csv", "log_level": 10}, "log_level must be str"),
         ({"input": "raw.csv", "log_level": "LOUD"}, "Unknown level: 'LOUD'"),
+        ({"input": "raw.csv", "attributes": [1, 2]}, "attributes must be site names"),
+        ({"input": "raw.csv", "attributes": ["PB", ["LQ"]]}, "attributes must be site names"),
         (["raw.csv"], "JSON object"),
         ({"top_k": 3}, "'input' key"),
     ]:

@@ -8,7 +8,6 @@ precision where the formula mixes irrational logs.
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 from math import fsum, log2
 from operator import and_, mul
@@ -116,7 +115,7 @@ def test_cover_matches_row_by_row_greedy_scan(db, seed):
     for itemset in frequent_itemsets(collapse(db), 1):
         if rng.random() < 0.5:
             table.usages[itemset] = 0
-    table.usages = {pattern: rng.randint(0, 5) for pattern in table.usages}
+    table = table._replace(usages={pattern: rng.randint(0, 5) for pattern in table.usages})
     order = cover_order(table.usages)
     # the drawn hours ascend, so the database keeps their order
     for txn, cover in zip(db, cover_database(collapse(db), table)):
@@ -152,7 +151,7 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
     db, candidates = drawn
     table = init_pattern_table(collapse(db))
     table.usages.update(candidates)
-    expected = replace(table, usages=dict(table.usages))
+    expected = table._replace(usages=dict(table.usages))
     try:
         covers = settle_oracle(expected, db)
     except ValueError:
@@ -399,7 +398,7 @@ def test_a_candidate_that_takes_no_row_where_it_enters_costs_no_pass(monkeypatch
     assert None not in passes and len(passes) > len(settled)
     table, free = init_pattern_table(db), []
     for record in result.log:
-        trial = replace(table, usages={**table.usages, record.items: record.support})
+        trial = table._replace(usages={**table.usages, record.items: record.support})
         order = cover_order(trial.usages)
         patterns = codec._Patterns(db, order)
         masks = codec._sweep(order, patterns).uncovered[order.index(record.items)]
@@ -413,7 +412,7 @@ def test_a_candidate_that_takes_no_row_where_it_enters_costs_no_pass(monkeypatch
             assert name in settled
         if record.accepted:
             recompute_usages(trial, db)
-            table = replace(trial, usages={p: u for p, u in trial.usages.items()
+            table = trial._replace(usages={p: u for p, u in trial.usages.items()
                                            if u > 0 or len(p) == 1})
     assert len(free) == 9
 

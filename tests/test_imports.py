@@ -8,10 +8,16 @@ code outside the module, such as the benchmark tracer's wrapped functions.
 It also stands in for a dead-code check: every top-level def, class or
 assignment must be read by some source module (as a name or an attribute),
 listed in ``__all__``, or named by the benchmark tracer's ``TARGETS``.
+
+And it guards start-up: importing the CLI and building its parser loads
+neither ``dataclasses`` nor ``inspect``, which every command would pay for.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +140,19 @@ def test_the_check_finds_an_unread_definition():
     assert unread_definitions(sources, targets) == [
         "ingest.RecordKey (line 1)", "ingest.orphan (line 5)",
     ]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # dataclasses loads inspect, and with it ast and dis: about a third of
+    # the CLI's start-up, paid by every staged command.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+    def loaded(code: str) -> set[str]:
+        """The modules a fresh interpreter holds after running ``code``."""
+        script = f"{code}\nimport sys\nprint(*sys.modules)"
+        return set(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split())
+
+    added = loaded("import mdlpatterns.cli\nmdlpatterns.cli.build_parser()") - loaded("pass")
+    assert "mdlpatterns.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
