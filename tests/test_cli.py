@@ -1,6 +1,7 @@
 """Command-line interface: config handling, staged runs, exit codes, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -125,12 +126,19 @@ def test_config_validation(tmp_path, capsys):
         ({"input": "raw.csv", "log_level": "LOUD"}, "Unknown level: 'LOUD'"),
         ({"input": "raw.csv", "attributes": [1, 2]}, "attributes must be site names"),
         ({"input": "raw.csv", "attributes": ["PB", ["LQ"]]}, "attributes must be site names"),
+        ({"input": "raw.csv", "attributes": ["PB", "PB"]}, "attributes must be distinct"),
+        ({"input": "raw.csv", "attributes": [""]}, "attributes must be distinct"),
         (["raw.csv"], "JSON object"),
         ({"top_k": 3}, "'input' key"),
     ]:
         path.write_text(json.dumps(data))
         assert cli.main(["run", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
+    # run_pipeline checks the level before it writes a config.json that could not be replayed.
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="Unknown level: 'LOUD'"):
+        run_pipeline(RunConfig(input="raw.csv", output_dir=str(out), log_level="loud"))
+    assert not out.exists()
 
 
 # --- full pipeline ------------------------------------------------------------------
@@ -166,9 +174,7 @@ def test_rerun_is_byte_identical(tmp_path):
     assert before == after
 
 
-def test_run_on_interleaved_slices_matches_a_run_on_each_slices_own_feed(
-    tmp_path, capsys, caplog
-):
+def test_run_on_interleaved_slices_matches_a_run_on_each_slices_own_feed(tmp_path, capsys):
     # Four feeds, one per direction and vehicle class, mixed line by line
     # under one header: each slice keeps its own rows, so a run of one slice
     # on the mixed feed writes, prints and warns exactly what a run on that
@@ -194,8 +200,7 @@ def test_run_on_interleaved_slices_matches_a_run_on_each_slices_own_feed(
                              "--direction", direction, "--vehicle-class", vehicle_class]) == 0
             # config.json names the input, so it is the one artifact that differs
             runs.append(({name: (out / name).read_bytes() for name in ARTIFACTS[1:]},
-                         capsys.readouterr(), caplog.messages))
-            caplog.clear()
+                         capsys.readouterr()))
         assert runs[0] == runs[1], (direction, vehicle_class)
 
 
@@ -626,6 +631,40 @@ def test_run_log_level_filters_ingest_warnings(tmp_path, config_level, flags, wa
     assert proc.returncode == 0, proc.stderr
     warning = "WARNING:mdlpatterns:ingest: row 602: bad timestamp 'garbage'"
     assert (warning in proc.stderr) is warned, proc.stderr
+
+
+BAD_ROW_WARNING = "WARNING:mdlpatterns:ingest: row 602: bad timestamp 'garbage'\n"
+
+
+def raw_with_bad_row(tmp_path):
+    """A one-day feed whose last row ingest rejects with BAD_ROW_WARNING."""
+    raw = make_raw(tmp_path, days=1)
+    with open(raw, "a", encoding="utf-8") as fh:
+        fh.write("garbage,PB,ToCanada,Car,5\n")
+    return raw
+
+
+@pytest.mark.parametrize(
+    "level, warned",
+    [("notset", True), ("Debug", True), ("iNFO", True), ("warn", True), ("Warning", True),
+     ("error", False), ("Critical", False), ("FATAL", False)],
+)
+def test_ingest_warnings_show_below_error(tmp_path, capsys, level, warned):
+    raw = raw_with_bad_row(tmp_path)
+    handlers = list(logging.getLogger().handlers)
+    capsys.readouterr()
+    argv = ["run", "--input", str(raw), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--log-level", level]) == 0
+    assert capsys.readouterr().err == (BAD_ROW_WARNING if warned else "")
+    # The CLI prints its warnings itself: a host process's root logger is left alone.
+    assert logging.getLogger().handlers == handlers
+
+
+def test_discretize_shows_ingest_warnings(tmp_path, capsys):
+    raw = raw_with_bad_row(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["discretize", "--input", str(raw), "--output", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().err == BAD_ROW_WARNING
 
 
 # --- determinism across interpreter processes ------------------------------------------

@@ -10,7 +10,8 @@ assignment must be read by some source module (as a name or an attribute),
 listed in ``__all__``, or named by the benchmark tracer's ``TARGETS``.
 
 And it guards start-up: importing the CLI and building its parser loads
-neither ``dataclasses`` nor ``inspect``, which every command would pay for.
+none of ``dataclasses``, ``inspect`` and ``logging``, which every command
+would pay for.
 """
 
 import ast
@@ -142,9 +143,10 @@ def test_the_check_finds_an_unread_definition():
     ]
 
 
-def test_the_cli_starts_without_dataclasses_or_inspect():
+def test_the_cli_starts_without_dataclasses_inspect_or_logging():
     # dataclasses loads inspect, and with it ast and dis: about a third of
-    # the CLI's start-up, paid by every staged command.
+    # the CLI's start-up, paid by every staged command. logging loads
+    # traceback, linecache, tokenize, textwrap and string: over a quarter.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
     def loaded(code: str) -> set[str]:
@@ -155,4 +157,4 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
 
     added = loaded("import mdlpatterns.cli\nmdlpatterns.cli.build_parser()") - loaded("pass")
     assert "mdlpatterns.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
+    assert added.isdisjoint({"dataclasses", "inspect", "logging"}), sorted(added)
