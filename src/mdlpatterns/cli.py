@@ -12,17 +12,17 @@ Stage failures exit with a distinct code: ingest 10, mine 20, compress 30,
 score 40, report 50.
 
 Ingest's diagnostics go to stderr as `WARNING:mdlpatterns:ingest: ...` lines
-unless `log_level` is ERROR, CRITICAL or FATAL. The `logging` module is not
-imported: it would add over a quarter to the start-up of every command.
+unless `log_level` is ERROR, CRITICAL or FATAL. No command's start-up imports
+`logging` or `pathlib`; `json` is imported where `run` reads or writes a config.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import os
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from . import anomaly, codec, ingest, mining, synth
@@ -78,6 +78,8 @@ class RunConfig(NamedTuple):
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or "input" not in data:
@@ -93,23 +95,23 @@ def run_pipeline(config: RunConfig) -> int:
 
     Returns 0 on success. Raises StageError naming the failed stage.
     """
+    import json
+
     config.validate()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8", newline="") as fh:
+    os.makedirs(config.output_dir or os.curdir, exist_ok=True)  # "" is the working directory
+    out = functools.partial(os.path.join, config.output_dir)
+    with open(out("config.json"), "w", encoding="utf-8", newline="") as fh:
         json.dump(config._asdict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    db = _ingest(config, str(out / "transactions.csv"))
+    db = _ingest(config, out("transactions.csv"))
     least = mining.least_support(
         config.threshold, len(db), config.threshold_minimum, config.threshold_inclusive
     )
-    itemsets = _mine(db, least, str(out / "itemsets.tsv"))
-    result = _compress(
-        db, itemsets, str(out / "pattern_table.tsv"), str(out / "acceptance_log.tsv")
-    )
-    ranking = _score(db, result.table, config.attributes, str(out / "scores.tsv"))
-    _report(ranking, config.top_fraction, config.top_k, str(out / "report.txt"))
+    itemsets = _mine(db, least, out("itemsets.tsv"))
+    result = _compress(db, itemsets, out("pattern_table.tsv"), out("acceptance_log.tsv"))
+    ranking = _score(db, result.table, config.attributes, out("scores.tsv"))
+    _report(ranking, config.top_fraction, config.top_k, out("report.txt"))
 
     print(f"transactions: {len(db)}")
     print(f"initial_length_bits: {result.initial_length:.9f}")

@@ -23,18 +23,20 @@ Pipeline:
 An hour is a position in the database: its clock hour and its distinct row.
 ParseResult and TransactionBuild are immutable NamedTuples. All operations
 are pure and deterministic: identical input yields an identical database.
+Only parse_records uses `csv` and `array`, and it imports them as it starts.
 """
 
 from __future__ import annotations
 
-import csv
-from array import array
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
 from itertools import compress, count, islice, repeat
 from math import inf, isfinite
 from operator import add, floordiv, ge, gt
-from typing import IO, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from array import array
 
 Item = tuple[str, int]
 
@@ -100,7 +102,8 @@ class DistinctRows:
 RecordKey = tuple[str, str, str, datetime]
 
 _MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in microseconds
-_CACHED = 1 << 10  # texts a parse cache holds before it is cleared
+# texts a parse cache holds before it is cleared: stamps pass, a year's few thousand waits recur
+_STAMPS_CACHED, _WAITS_CACHED = 1 << 10, 1 << 14
 
 
 class ParseResult(NamedTuple):
@@ -140,6 +143,9 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     Raises IngestError if the stream has no header or a mandatory column
     is missing.
     """
+    import csv
+    from array import array
+
     reader = csv.reader(stream, delimiter=delimiter)
     header = next(reader, None)
     if header is None:
@@ -166,7 +172,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             row += padding[len(row):]
         stamp = stamp_of.get(row[i_stamp])
         if stamp is None:
-            if len(stamp_of) == _CACHED:
+            if len(stamp_of) == _STAMPS_CACHED:
                 stamp_of.clear()
             stamp = stamp_of[row[i_stamp]] = _stamp(row[i_stamp])
         if stamp.__class__ is str:
@@ -183,7 +189,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             append = appends[fields] = tuple(column.append for column in columns)
         wait = wait_of.get(row[i_wait])
         if wait is None:
-            if len(wait_of) == _CACHED:
+            if len(wait_of) == _WAITS_CACHED:
                 wait_of.clear()
             wait = wait_of[row[i_wait]] = _wait(row[i_wait].strip())
         if wait.__class__ is str:
@@ -234,7 +240,7 @@ def _replaced(stamps: array) -> list[int]:
 
 def _without(column: array, rows: list[int]) -> array:
     """``column`` without the ascending positions ``rows``, each kept run copied whole."""
-    kept = array(column.typecode)
+    kept = column[:0]
     for start, stop in zip([0, *(row + 1 for row in rows)], [*rows, len(column)]):
         kept += column[start:stop]
     return kept

@@ -9,9 +9,12 @@ It also stands in for a dead-code check: every top-level def, class or
 assignment must be read by some source module (as a name or an attribute),
 listed in ``__all__``, or named by the benchmark tracer's ``TARGETS``.
 
-And it guards start-up: importing the CLI and building its parser loads
-none of ``dataclasses``, ``inspect`` and ``logging``, which every command
-would pay for.
+And it guards start-up, in interpreters started with ``-S`` so that no
+``.pth`` file preloads a module: importing the CLI and building its parser
+loads none of ``json``, ``csv``, ``array``, ``pathlib``, ``dataclasses``,
+``inspect`` and ``logging``, which every command would pay for; and the
+staged ``score`` and ``report`` load none of ``json``, ``csv`` and ``array``
+while they run.
 """
 
 import ast
@@ -143,18 +146,42 @@ def test_the_check_finds_an_unread_definition():
     ]
 
 
-def test_the_cli_starts_without_dataclasses_inspect_or_logging():
+PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+
+def loaded(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``, printed on
+    the last line of its output. It runs with ``-S``: no ``.pth`` file in
+    site-packages can load a module first."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    output = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": PYTHONPATH}).stdout
+    return set(output.splitlines()[-1].split())
+
+
+def test_the_cli_starts_without_json_csv_array_pathlib_dataclasses_inspect_or_logging():
     # dataclasses loads inspect, and with it ast and dis: about a third of
     # the CLI's start-up, paid by every staged command. logging loads
     # traceback, linecache, tokenize, textwrap and string: over a quarter.
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-
-    def loaded(code: str) -> set[str]:
-        """The modules a fresh interpreter holds after running ``code``."""
-        script = f"{code}\nimport sys\nprint(*sys.modules)"
-        return set(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                  check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split())
-
+    # json (config files), csv and array (raw feeds) are imported where used.
     added = loaded("import mdlpatterns.cli\nmdlpatterns.cli.build_parser()") - loaded("pass")
     assert "mdlpatterns.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "logging"}), sorted(added)
+    unwanted = {"json", "csv", "array", "pathlib", "dataclasses", "inspect", "logging"}
+    assert added.isdisjoint(unwanted), sorted(added)
+
+
+def test_staged_score_and_report_load_neither_json_csv_nor_array(tmp_path):
+    # The commands that rescore new hours against a frozen table: the saving
+    # must be real for them, not moved from start-up into their run.
+    golden = ROOT / "tests" / "golden"
+    commands = [
+        ["score", "--transactions", str(golden / "transactions.csv"),
+         "--table", str(golden / "pattern_table.tsv"), "--output", str(tmp_path / "scores.tsv")],
+        ["report", "--scores", str(tmp_path / "scores.tsv"),
+         "--output", str(tmp_path / "report.txt")],
+    ]
+    added = loaded(f"from mdlpatterns import cli\nassert [cli.main(argv) for argv in {commands!r}]"
+                   " == [0, 0]") - loaded("pass")
+    assert "mdlpatterns.anomaly" in added
+    assert added.isdisjoint({"json", "csv", "array"}), sorted(added)
+    assert (tmp_path / "report.txt").read_bytes() == (golden / "report.txt").read_bytes()
