@@ -2,14 +2,14 @@
 
 Subcommands mirror the pipeline stages (discretize, mine, compress, score,
 report), plus `run` for the whole chain and `synth` for the seeded test-data
-generator. Each stage is one function here, called both by `run` and by its
-staged subcommand, so chaining the stages reproduces `run`. `run` writes every
-stage artifact into the output directory along with the resolved
-configuration, so a run can be reproduced exactly: identical config and input
-produce byte-identical artifacts.
-
-Stage failures exit with a distinct code: ingest 10, mine 20, compress 30,
-score 40, report 50.
+generator. Each stage is one function, called by `run` and by its staged
+subcommand, so chaining the stages reproduces `run`; `run` also writes the
+resolved config, and identical config and input give byte-identical artifacts.
+Each option flag is declared once, in `_FLAGS`, with no default: `_config` lays
+the flags given over RunConfig's defaults (or `run --config`) and validates the
+result, so a bad option exits 1 on every command before any stage runs.
+`synth`'s defaults are `generate_synthetic`'s. Stage failures exit with a
+distinct code: ingest 10, mine 20, compress 30, score 40, report 50.
 
 Ingest's diagnostics go to stderr as `WARNING:mdlpatterns:ingest: ...` lines
 unless `log_level` is ERROR, CRITICAL or FATAL. No command's start-up imports
@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import anomaly, codec, ingest, mining, synth
 
@@ -69,6 +69,8 @@ class RunConfig(NamedTuple):
             raise ValueError(f"attributes must be distinct nonempty names, got {self.attributes!r}")
         if self.log_level.upper() not in LOG_LEVELS:
             raise ValueError(f"Unknown level: {self.log_level.upper()!r}")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         if not 0 < self.top_fraction <= 1:
             raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
         if self.top_k < 0:
@@ -195,42 +197,49 @@ def _report(ranking: anomaly.Ranking, fraction: float, top_k: int, output: str) 
 # --- subcommand handlers -----------------------------------------------------
 
 
+def _given(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The flags among `names` that the command line set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _config(args: argparse.Namespace) -> RunConfig:
+    """A command's options: its `--config` file, else RunConfig's defaults, with
+    every flag it was given laid over them, checked before any stage starts."""
+    path = getattr(args, "config", None)
+    config = RunConfig.from_file(path) if path else RunConfig(input="")
+    config = config._replace(**_given(args, config._fields))
+    config.validate()
+    return config
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config:
-        config = RunConfig.from_file(args.config)
-    elif args.input:
-        config = RunConfig(input=args.input)
-    else:
+    if not (args.config or args.input):
         print("run: --input is required when no --config is given", file=sys.stderr)
         return 2
-    flags = {name: getattr(args, name, None) for name in config._fields}
-    config = config._replace(**{name: value for name, value in flags.items() if value is not None})
-    return run_pipeline(config)
+    return run_pipeline(_config(args))
 
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        input=args.input, attributes=args.attributes, direction=args.direction,
-        vehicle_class=args.vehicle_class, delimiter=args.delimiter,
-    )
-    db = _ingest(config, args.output)
+    db = _ingest(_config(args), args.output)
     print(f"wrote {len(db)} transaction(s) to {args.output}")
     return 0
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    config = _config(args)
     with _stage("mine"):
         db, _ = ingest.read_transactions(args.transactions)
-        least = mining.least_support(args.threshold, len(db), args.threshold_minimum)
+        least = mining.least_support(config.threshold, len(db), config.threshold_minimum)
     itemsets = _mine(db, least, args.output)
     print(f"wrote {len(itemsets)} itemset(s) to {args.output}")
     return 0
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    config = _config(args)
     with _stage("compress"):
         db, _ = ingest.read_transactions(args.transactions)
-        least = mining.least_support(args.threshold, len(db), args.threshold_minimum)
+        least = mining.least_support(config.threshold, len(db), config.threshold_minimum)
         candidates = mining.frequent_itemsets(db, least)
     result = _compress(db, candidates, args.table_out, args.log_out)
     print(
@@ -250,23 +259,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    config = _config(args)
     with _stage("report"):
         ranking, _ = anomaly.read_scores(args.scores)
-    _report(ranking, args.top_fraction, args.top_k, args.output)
+    _report(ranking, config.top_fraction, config.top_k, args.output)
     print(f"wrote report to {args.output}")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = synth.generate_synthetic(
-        seed=args.seed,
-        days=args.days,
-        dominance=args.dominance,
-        anomalies=args.anomalies,
-        regime=args.regime,
-        direction=args.direction,
-        vehicle_class=args.vehicle_class,
-    )
+    dataset = synth.generate_synthetic(args.seed, **_given(args, _SYNTH_OPTIONS))
     synth.write_records_csv(args.output, dataset.records)
     synth.write_manifest(args.manifest, dataset.injected_hours)
     print(
@@ -280,6 +282,40 @@ def _split_attrs(text: str) -> list[str]:
     return [a.strip() for a in text.split(",") if a.strip()]
 
 
+# Every option flag, by its RunConfig field or generate_synthetic parameter. None
+# has a default: a flag left out is None, and the config or function keeps its own.
+_FLAGS = {
+    "config": {"help": "JSON config file (flags override it)"},
+    "input": {"help": "raw records file"},
+    "attributes": {"type": _split_attrs, "help": "comma-separated site order, e.g. PB,LQ,RB"},
+    "direction": {"help": "ToUS or ToCanada"},
+    "vehicle_class": {"help": "Car or Truck"},
+    "threshold": {"help": "absolute count or fraction, e.g. 2 or 0.05"},
+    "threshold_minimum": {"type": int},
+    "top_fraction": {"type": float},
+    "top_k": {"type": int},
+    "output_dir": {},
+    "log_level": {},
+    "delimiter": {},
+    "seed": {"type": int},
+    "days": {"type": int},
+    "dominance": {"type": float},
+    "anomalies": {"type": int},
+    "regime": {"choices": sorted(synth.REGIMES)},
+}
+_SYNTH_OPTIONS = ("days", "dominance", "anomalies", "regime", "direction", "vehicle_class")
+
+
+def _command(sub: argparse._SubParsersAction, name: str, handler: Callable[..., int], help: str,
+             required: tuple[str, ...] = (), options: tuple[str, ...] = ()) -> None:
+    """Add subcommand `name`: its required flags, then the option flags it takes."""
+    command = sub.add_parser(name, help=help)
+    for flag in required + options:
+        kwargs = _FLAGS.get(flag, {})  # a file flag is a plain required string
+        command.add_argument("--" + flag.replace("_", "-"), required=flag in required, **kwargs)
+    command.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdlpatterns",
@@ -290,73 +326,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig(input="")  # what an unset staged option means
-
-    run = sub.add_parser("run", help="full pipeline: ingest through report")
-    run.add_argument("--config", help="JSON config file (flags override it)")
-    run.add_argument("--input", help="raw records file")
-    run.add_argument(
-        "--attributes", type=_split_attrs, help="comma-separated site order, e.g. PB,LQ,RB"
-    )
-    run.add_argument("--direction", help="ToUS or ToCanada")
-    run.add_argument("--vehicle-class", dest="vehicle_class", help="Car or Truck")
-    run.add_argument("--threshold", help="absolute count or fraction, e.g. 2 or 0.05")
-    run.add_argument("--top-fraction", dest="top_fraction", type=float)
-    run.add_argument("--top-k", dest="top_k", type=int)
-    run.add_argument("--output-dir", dest="output_dir")
-    run.add_argument("--log-level", dest="log_level")
-    run.add_argument("--delimiter")
-    run.set_defaults(handler=_cmd_run)
-
-    disc = sub.add_parser("discretize", help="raw records -> hourly transaction file")
-    disc.add_argument("--input", required=True)
-    disc.add_argument("--output", required=True)
-    disc.add_argument("--attributes", type=_split_attrs, default=defaults.attributes)
-    disc.add_argument("--direction", default=defaults.direction)
-    disc.add_argument("--vehicle-class", dest="vehicle_class", default=defaults.vehicle_class)
-    disc.add_argument("--delimiter", default=defaults.delimiter)
-    disc.set_defaults(handler=_cmd_discretize)
-
-    mine = sub.add_parser("mine", help="transaction file -> frequent itemsets")
-    mine.add_argument("--transactions", required=True)
-    mine.add_argument("--output", required=True)
-    mine.add_argument("--threshold", default=defaults.threshold)
-    mine.add_argument("--threshold-minimum", type=int, default=defaults.threshold_minimum)
-    mine.set_defaults(handler=_cmd_mine)
-
-    comp = sub.add_parser("compress", help="transaction file -> pattern table + log")
-    comp.add_argument("--transactions", required=True)
-    comp.add_argument("--table-out", dest="table_out", required=True)
-    comp.add_argument("--log-out", dest="log_out", required=True)
-    comp.add_argument("--threshold", default=defaults.threshold)
-    comp.add_argument("--threshold-minimum", type=int, default=defaults.threshold_minimum)
-    comp.set_defaults(handler=_cmd_compress)
-
-    score = sub.add_parser("score", help="transactions + pattern table -> scores")
-    score.add_argument("--transactions", required=True)
-    score.add_argument("--table", required=True)
-    score.add_argument("--output", required=True)
-    score.set_defaults(handler=_cmd_score)
-
-    rep = sub.add_parser("report", help="scores -> structured-text report")
-    rep.add_argument("--scores", required=True)
-    rep.add_argument("--output", required=True)
-    rep.add_argument("--top-k", type=int, default=defaults.top_k)
-    rep.add_argument("--top-fraction", type=float, default=defaults.top_fraction)
-    rep.set_defaults(handler=_cmd_report)
-
-    syn = sub.add_parser("synth", help="seeded synthetic records + injection manifest")
-    syn.add_argument("--seed", type=int, required=True)
-    syn.add_argument("--days", type=int, default=30)
-    syn.add_argument("--output", required=True, help="records CSV path")
-    syn.add_argument("--manifest", required=True, help="injected-hours manifest path")
-    syn.add_argument("--dominance", type=float, default=0.95)
-    syn.add_argument("--anomalies", type=int, default=20)
-    syn.add_argument("--regime", default="daily", choices=sorted(synth.REGIMES))
-    syn.add_argument("--direction", default=defaults.direction)
-    syn.add_argument("--vehicle-class", dest="vehicle_class", default=defaults.vehicle_class)
-    syn.set_defaults(handler=_cmd_synth)
-
+    _command(sub, "run", _cmd_run, "full pipeline: ingest through report", options=(
+        "config", "input", "attributes", "direction", "vehicle_class", "threshold",
+        "top_fraction", "top_k", "output_dir", "log_level", "delimiter",
+    ))
+    _command(sub, "discretize", _cmd_discretize, "raw records -> hourly transaction file",
+             ("input", "output"), ("attributes", "direction", "vehicle_class", "delimiter"))
+    _command(sub, "mine", _cmd_mine, "transaction file -> frequent itemsets",
+             ("transactions", "output"), ("threshold", "threshold_minimum"))
+    _command(sub, "compress", _cmd_compress, "transaction file -> pattern table + log",
+             ("transactions", "table_out", "log_out"), ("threshold", "threshold_minimum"))
+    _command(sub, "score", _cmd_score, "transactions + pattern table -> scores",
+             ("transactions", "table", "output"))
+    _command(sub, "report", _cmd_report, "scores -> structured-text report",
+             ("scores", "output"), ("top_k", "top_fraction"))
+    _command(sub, "synth", _cmd_synth, "seeded synthetic records + injection manifest",
+             ("seed", "output", "manifest"), _SYNTH_OPTIONS)
     return parser
 
 

@@ -79,7 +79,7 @@ class SyntheticDataset(NamedTuple):
 
 def generate_synthetic(
     seed: int,
-    days: int,
+    days: int = 30,
     *,
     direction: str = "ToCanada",
     vehicle_class: str = "Car",

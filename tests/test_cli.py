@@ -48,7 +48,8 @@ def make_raw(tmp_path, seed=11, days=3):
 def mine_least(argv, n):
     """The least support the `mine` subcommand resolves from its arguments for n hours."""
     args = cli.build_parser().parse_args(["mine", "--transactions", "t", "--output", "o", *argv])
-    return mining.least_support(args.threshold, n, args.threshold_minimum)
+    config = cli._config(args)
+    return mining.least_support(config.threshold, n, config.threshold_minimum)
 
 
 def test_parse_threshold_absolute():
@@ -139,6 +140,15 @@ def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="Unknown level: 'LOUD'"):
         run_pipeline(RunConfig(input="raw.csv", output_dir=str(out), log_level="loud"))
     assert not out.exists()
+    # A delimiter the feed reader cannot take is an option error, not an ingest failure.
+    raw = make_raw(tmp_path, days=1)
+    for delimiter in ["", ";;"]:
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            RunConfig(input="x", delimiter=delimiter).validate()
+        argv = ["run", "--input", str(raw), "--output-dir", str(out), "--delimiter", delimiter]
+        assert cli.main(argv) == 1
+        assert f"delimiter must be one character, got {delimiter!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # --- full pipeline ------------------------------------------------------------------
@@ -292,6 +302,24 @@ def test_staged_subcommands_match_run(tmp_path, options):
         assert staged.read_bytes() == (out / combined).read_bytes(), combined
 
 
+def test_delimiter_flag_reads_a_feed_split_by_another_character(tmp_path):
+    # The same feed with `;` between fields, read with `--delimiter ';'`, gives
+    # the comma feed's artifacts; only config.json, naming input and delimiter, differs.
+    raw = make_raw(tmp_path, seed=3, days=2)
+    semicolons = tmp_path / "semicolons.csv"
+    semicolons.write_text(raw.read_text().replace(",", ";"))
+    written = []
+    for feed, flag in [(raw, []), (semicolons, ["--delimiter", ";"])]:
+        out = tmp_path / f"out-{feed.stem}"
+        assert cli.main(["run", "--input", str(feed), "--output-dir", str(out)] + flag) == 0
+        staged = tmp_path / f"staged-{feed.stem}.csv"
+        assert cli.main(["discretize", "--input", str(feed), "--output", str(staged)] + flag) == 0
+        assert staged.read_bytes() == (out / "transactions.csv").read_bytes()
+        written.append({name: (out / name).read_bytes() for name in ARTIFACTS[1:]})
+    assert written[0] == written[1]
+    assert len(written[0]["transactions.csv"].splitlines()) == 1 + 48
+
+
 def test_run_accepts_config_file_with_overrides(tmp_path, capsys):
     raw = make_raw(tmp_path)
     config_path = tmp_path / "config.json"
@@ -340,8 +368,8 @@ def test_discretize_fails_where_run_ingest_fails(tmp_path, capsys, direction):
 def test_discretize_rejects_empty_attributes(tmp_path, capsys):
     raw = make_raw(tmp_path, days=1)
     args = ["discretize", "--input", str(raw), "--output", str(tmp_path / "t.csv")]
-    assert cli.main(args + ["--attributes", ""]) == 10
-    assert "attribute list must be nonempty" in capsys.readouterr().err
+    assert cli.main(args + ["--attributes", ""]) == 1
+    assert "attributes must be distinct nonempty names, got []" in capsys.readouterr().err
 
 
 def test_exit_code_mine_failure(tmp_path):
@@ -358,9 +386,9 @@ def test_exit_code_mine_failure(tmp_path):
 
 
 def test_exit_code_compress_failure(tmp_path):
-    raw = make_raw(tmp_path, days=1)
     txns = tmp_path / "transactions.csv"
-    assert cli.main(["discretize", "--input", str(raw), "--output", str(txns)]) == 0
+    # category x: read_transactions rejects the file
+    txns.write_text("timestamp,PB,LQ\n2016-08-22T10:00,1,x\n")
     code = cli.main(
         [
             "compress",
@@ -370,8 +398,6 @@ def test_exit_code_compress_failure(tmp_path):
             str(tmp_path / "t.tsv"),
             "--log-out",
             str(tmp_path / "l.tsv"),
-            "--threshold",
-            "zero",
         ]
     )
     assert code == 30
@@ -414,12 +440,38 @@ def test_exit_code_report_failure(tmp_path):
         ]
     )
     assert code == 50
-    # A negative top-k is a report failure too, as `run` rejects it.
-    raw = make_raw(tmp_path, days=1)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
-    report_args = ["report", "--scores", str(out / "scores.tsv"), "--output", str(tmp_path / "r")]
-    assert cli.main(report_args + ["--top-k", "-1"]) == 50
+
+
+@pytest.mark.parametrize(
+    "command, option, message",
+    [
+        ("discretize", ["--attributes", ","], "attributes must be distinct nonempty names"),
+        ("mine", ["--threshold", "0"], "bad threshold '0': absolute threshold must be >= 1"),
+        ("mine", ["--threshold-minimum", "0"], "bad threshold '0.05': minimum must be >= 1"),
+        ("compress", ["--threshold", "zero"], "bad threshold 'zero'"),
+        ("report", ["--top-fraction", "0"], "top_fraction must be in (0, 1], got 0.0"),
+        ("report", ["--top-k", "-1"], "top_k must be >= 0, got -1"),
+    ],
+    ids=["discretize-attributes", "mine-threshold", "mine-threshold-minimum",
+         "compress-threshold", "report-top-fraction", "report-top-k"],
+)
+def test_a_bad_option_exits_1_before_any_stage(tmp_path, capsys, command, option, message):
+    # Every command checks its options as `run` does, on inputs its stage would take.
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    transactions, out = os.path.join(golden, "transactions.csv"), str(tmp_path / "out")
+    files = {
+        "mine": ["--transactions", transactions, "--output", out],
+        "compress": ["--transactions", transactions, "--table-out", out, "--log-out", out],
+        "report": ["--scores", os.path.join(golden, "scores.tsv"), "--output", out],
+    }
+    if command == "discretize":
+        files[command] = ["--input", str(make_raw(tmp_path, days=1)), "--output", out]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert cli.main([command, *files[command], *option]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert (stdout, stderr.startswith(f"error: {message}"), stderr.count("\n")) == ("", True, 1)
+    assert sorted(os.listdir(tmp_path)) == before  # no output written
 
 
 def test_score_names_the_bad_table_line(tmp_path, capsys):
