@@ -13,11 +13,12 @@ from __future__ import annotations
 from datetime import datetime
 from itertools import chain, groupby
 from math import inf, isfinite
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import DistinctRows, Item, hour_text, hour_texts, parse_categories, parse_hour
+from .ingest import (DistinctRows, Item, hour_reader, hour_text, hour_texts, parse_categories,
+                     parse_hours)
 from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -135,7 +136,22 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
     one distinct row (equal categories, score and cover) ascend. No two rows
     may hold one hour. The header names each site once, then score_bits, rank
     and cover. A distinct row is parsed and checked once: a finite score, and a
-    cover whose patterns are disjoint and together hold exactly its items."""
+    cover whose patterns are disjoint and together hold exactly its items. The
+    stamps are read as read_transactions reads them: in one call when every one
+    is as hour_text writes it, else in a second pass, per row, that alone gives
+    the result or the diagnostic."""
+    try:
+        ranking, attributes = _ranked_rows(path, str)  # the stamps as texts
+        if parse_hours(ranking.hours):
+            return ranking, attributes
+    except (ValueError, AttributeError):  # the out-of-order diagnostic calls hour_text on a text
+        pass
+    return _ranked_rows(path, hour_reader())
+
+
+def _ranked_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[Ranking, list[str]]:
+    """The ranking with each stamp as ``read_hour`` reads it, and the attribute
+    names; ValueError names the first bad line."""
     hours, index, row_items, bits, covers = [], [], [], [], []  # the Ranking's fields
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -145,8 +161,7 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
         rows: dict[tuple[str, str], int] = {}  # (categories and score, cover) text -> row
-        last_hour: list[datetime] = []  # per row
-        seen = set()
+        last_hour: list = []  # per row
         previous = inf
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -156,9 +171,7 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                 if line.count("\t") != len(header) - 1:
                     raise ValueError(f"expected {len(header)} fields")
                 text, _, rest = line.partition("\t")
-                stamp = parse_hour(text)
-                if stamp in seen:
-                    raise ValueError(f"repeated hour {hour_text(stamp)}")
+                stamp = read_hour(text)
                 constant, rank, cover = rest.rsplit("\t", 2)  # constant: categories, score
                 row = rows.get((constant, cover))
                 if row is None:
@@ -184,7 +197,6 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
                     raise ValueError(f"one row's hours out of order ({hour_text(earlier)} first)")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
-            seen.add(stamp)
             last_hour[row], previous = stamp, score
             hours.append(stamp)
             index.append(row)

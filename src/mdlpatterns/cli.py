@@ -279,7 +279,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _split_attrs(text: str) -> list[str]:
-    return [a.strip() for a in text.split(",") if a.strip()]
+    """The site names in a comma-separated list, stripped. An empty name is kept,
+    so validate rejects ``PB,,LQ`` as it rejects the config list it spells."""
+    return [a.strip() for a in text.split(",")] if text.strip() else []
 
 
 # Every option flag, by its RunConfig field or generate_synthetic parameter. None

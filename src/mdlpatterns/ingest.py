@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
-from operator import add, floordiv, ge, gt
-from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, eq, floordiv, ge, gt
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from array import array
@@ -396,9 +396,9 @@ def hour_texts(stamps: Sequence[datetime]) -> Iterator[str]:
 
 def parse_hour(text: str) -> datetime:
     """The hour that starts an artifact row. Raises ValueError on a bad stamp,
-    on a date with no time of day, on a UTC offset or seconds, which hour_text
-    would not write back, or on a stamp off the hour, which would give its
-    hour a second row."""
+    on a date with no time of day, on a UTC offset or nonzero seconds, which
+    hour_text would not write back, or on a stamp off the hour, which would
+    give its hour a second row."""
     stamp = _read_stamp(text)
     if stamp.tzinfo is not None:
         raise ValueError(f"timestamp carries a UTC offset ({text!r})")
@@ -407,6 +407,47 @@ def parse_hour(text: str) -> datetime:
     if stamp.minute:
         raise ValueError(f"timestamp is not on the hour ({text!r})")
     return stamp
+
+
+# Each character that every hour_text stamp has at a fixed position.
+_HOUR_MARKS = tuple(zip((4, 7, 10, 13, 14, 15), "--T:00"))
+
+
+def parse_hours(texts: list[str]) -> bool:
+    """Replace each text by its parse_hour, in a few calls over the whole column,
+    and say whether every one was: False unless each text is exactly as
+    hour_text writes it (``2016-08-22T10:00``: ASCII, 16 characters) and no
+    text repeats. fromisoformat checks the digits and their ranges. Texts in
+    that form order as their hours do, so sorting them finds a repeat. They
+    are replaced a block at a time, so the column is never held both as texts
+    and as hours; after False, some may have been replaced."""
+    joined, n = "".join(texts), len(texts)
+    if (len(joined) != 16 * n or min(map(len, texts), default=16) != 16
+            or not joined.isascii()
+            or any(joined[at::16] != mark * n for at, mark in _HOUR_MARKS)):
+        return False
+    if any(starmap(eq, pairwise(sorted(texts)))):
+        return False
+    try:
+        for start in range(0, n, 4096):
+            texts[start:start + 4096] = map(datetime.fromisoformat, texts[start:start + 4096])
+    except ValueError:
+        return False
+    return True
+
+
+def hour_reader() -> Callable[[str], datetime]:
+    """parse_hour, also raising ValueError on an hour it has read before."""
+    seen: set[datetime] = set()
+
+    def read(text: str) -> datetime:
+        stamp = parse_hour(text)
+        if stamp in seen:
+            raise ValueError(f"repeated hour {hour_text(stamp)}")
+        seen.add(stamp)
+        return stamp
+
+    return read
 
 
 def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[Item, ...]:
@@ -443,7 +484,23 @@ def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
 
     Every row is checked, no two rows may hold one hour, and the header may
     not name a site twice. Each distinct category text is parsed once, so its
-    rows share one items tuple. Rows may come in any time order."""
+    rows share one items tuple. Rows may come in any time order. The stamps
+    are read in one call (parse_hours) when every one is as hour_text writes
+    it; otherwise the file is read again with parse_hour per row, and that
+    pass alone gives the result or the diagnostic."""
+    try:
+        hours, hour_items, attributes = _transaction_rows(path, str)  # the stamps as texts
+        in_one_call = parse_hours(hours)
+    except (IngestError, ValueError):
+        in_one_call = False
+    if not in_one_call:
+        hours, hour_items, attributes = _transaction_rows(path, hour_reader())
+    return DistinctRows(hours, hour_items), attributes
+
+
+def _transaction_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[list, list, list[str]]:
+    """Each row's stamp as ``read_hour`` reads it and its items, in file order,
+    and the attribute names; IngestError names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -456,7 +513,6 @@ def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
         hours, hour_items = [], []
         rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
-        seen: set[datetime] = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -465,15 +521,12 @@ def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
                 if line.count(",") != len(attributes):
                     raise ValueError(f"expected {len(columns)} fields")
                 text, _, categories = line.partition(",")
-                stamp = parse_hour(text)
-                if stamp in seen:
-                    raise ValueError(f"repeated hour {hour_text(stamp)}")
+                stamp = read_hour(text)
                 items = rows.get(categories)
                 if items is None:
                     items = rows[categories] = parse_categories(categories.split(","), attributes)
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {exc}")
-            seen.add(stamp)
             hours.append(stamp)
             hour_items.append(items)
-    return DistinctRows(hours, hour_items), attributes
+    return hours, hour_items, attributes

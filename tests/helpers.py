@@ -585,6 +585,50 @@ def artifact_rows(draw, pools, ranked: bool = False):
     return rows
 
 
+# A long artifact file has LONG_ROWS rows, so a change to row LATE follows
+# hundreds of stamps as hour_text writes them, which a reader takes in one call.
+LONG_ROWS, LATE = 1000, 990
+# The changes change_late_row makes: one late fault, one late stamp in a form
+# the readers accept besides hour_text's (ACCEPTED_LATE), or two faults.
+LATE_CHANGES = [
+    "bad stamp", "impossible date", "off the hour", "repeat", "repeat with a space",
+    "space for the T", "seconds", "hour alone", "hours out of order",
+    "stamp then category", "category then stamp",
+]
+ACCEPTED_LATE = {"space for the T", "seconds", "hour alone"}
+
+
+def change_late_row(rows: list[list[str]], change: str) -> None:
+    """Make one of LATE_CHANGES to a long file's rows: field lists, each a stamp
+    then a category. "hours out of order" swaps the stamps of rows LATE - 1
+    and LATE; a "repeat" takes row 5's stamp."""
+    late, stamp = rows[LATE], rows[LATE][0]
+    if change == "bad stamp":
+        late[0] = "notadate"
+    elif change == "impossible date":  # as hour_text writes a stamp, but no date
+        late[0] = "2016-02-30T10:00"
+    elif change == "off the hour":
+        late[0] = stamp[:-2] + "30"
+    elif change == "repeat":
+        late[0] = rows[5][0]
+    elif change == "repeat with a space":
+        late[0] = rows[5][0].replace("T", " ")
+    elif change == "space for the T":
+        late[0] = stamp.replace("T", " ")
+    elif change == "seconds":
+        late[0] = stamp + ":00"
+    elif change == "hour alone":
+        late[0] = stamp[:-3]
+    elif change == "hours out of order":
+        rows[LATE - 1][0], late[0] = stamp, rows[LATE - 1][0]
+    elif change == "stamp then category":
+        rows[LATE - 5][0], late[1] = "notadate", "9"
+    elif change == "category then stamp":
+        rows[LATE - 5][1], late[0] = "9", "notadate"
+    else:
+        raise ValueError(f"unknown change {change!r}")
+
+
 # Texts that int() reads as 1 but no writer writes: a sign, a space, an
 # Arabic-Indic digit, a digit group, a leading zero.
 NONCANONICAL_ONES = ["+1", " 1", "\u0661", "0_1", "01"]

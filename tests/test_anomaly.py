@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ACCEPTED_LATE,
+    LATE_CHANGES,
+    LONG_ROWS,
     NONCANONICAL_ONES,
     artifact_rows,
+    change_late_row,
     collapse,
     db_strategy,
     make_db,
@@ -31,6 +35,7 @@ from mdlpatterns.anomaly import (
     write_scores,
 )
 from mdlpatterns.codec import database_length, init_pattern_table
+from mdlpatterns.ingest import hour_text
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -479,3 +484,21 @@ def test_write_scores_of_scored_hours_writes_the_per_row_oracles_bytes(db, tmp_p
     write_scores(str(folder / "scores.tsv"), scored, ["C", "A", "B"])
     write_scores_oracle(str(folder / "oracle.tsv"), scored_hours(scored), ["C", "A", "B"])
     assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("change", LATE_CHANGES)
+def test_read_scores_matches_the_per_row_oracle_on_a_long_file(change, tmp_path):
+    # Even hours hold one row, odd hours another with a lower score.
+    start = datetime(2016, 1, 1)
+    stamps = [hour_text(start + timedelta(hours=i)) for i in range(LONG_ROWS)]
+    rows = [[stamp, "1", "2", "5.000000000", "LQ:2|PB:1"] for stamp in stamps[0::2]]
+    rows += [[stamp, "3", "2", "3.000000000", "LQ:2,PB:3"] for stamp in stamps[1::2]]
+    for rank, row in enumerate(rows, start=1):
+        row.insert(-1, str(rank))
+    change_late_row(rows, change)
+    path = tmp_path / "scores.tsv"
+    header = ["timestamp", "PB", "LQ", *SCORES_TAIL]
+    path.write_text("".join("\t".join(row) + "\n" for row in [header, *rows]))
+    expected = comparable(outcome(read_scores_oracle, str(path)))
+    assert isinstance(expected[0], type) is not (change in ACCEPTED_LATE)
+    assert comparable(outcome(read_scores, str(path))) == expected

@@ -372,6 +372,19 @@ def test_discretize_rejects_empty_attributes(tmp_path, capsys):
     assert "attributes must be distinct nonempty names, got []" in capsys.readouterr().err
 
 
+def test_an_empty_site_name_fails_alike_from_the_flag_and_the_config(tmp_path, capsys):
+    raw, out = str(make_raw(tmp_path, days=1)), str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": raw, "attributes": ["PB", "", "LQ"], "output_dir": out}))
+    outcomes = []
+    for args in (["--input", raw, "--attributes", "PB,,LQ", "--output-dir", out],
+                 ["--config", str(config)]):
+        outcomes.append((cli.main(["run", *args]), capsys.readouterr().err))
+    message = "error: attributes must be distinct nonempty names, got ['PB', '', 'LQ']\n"
+    assert outcomes == [(1, message)] * 2
+    assert not os.path.exists(out)
+
+
 def test_exit_code_mine_failure(tmp_path):
     code = cli.main(
         [

@@ -12,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ACCEPTED_LATE,
+    LATE_CHANGES,
+    LONG_ROWS,
     Hour,
     aggregate_hourly_oracle,
     artifact_rows,
     category_fields,
+    change_late_row,
     collapse,
     hours_of,
     kept_rows,
@@ -35,6 +39,8 @@ from mdlpatterns.ingest import (
     discretize,
     hour_text,
     hour_texts,
+    parse_hour,
+    parse_hours,
     parse_records,
     write_transactions,
 )
@@ -686,3 +692,30 @@ def test_read_transactions_matches_the_per_row_oracle(text, tmp_path_factory):
     assert in_time_order(outcome(read_transactions, str(path))) == in_time_order(
         outcome(read_transactions_oracle, str(path))
     )
+
+
+@pytest.mark.parametrize("change", LATE_CHANGES)
+def test_read_transactions_matches_the_per_row_oracle_on_a_long_file(change, tmp_path):
+    start = datetime(2016, 1, 1)
+    rows = [[hour_text(start + timedelta(hours=i)), str(i % 4 + 1), str(i // 4 % 4 + 1)]
+            for i in range(LONG_ROWS)]
+    change_late_row(rows, change)
+    path = tmp_path / "transactions.csv"
+    path.write_text("timestamp,PB,LQ\n" + "".join(",".join(row) + "\n" for row in rows))
+    expected = in_time_order(outcome(read_transactions_oracle, str(path)))
+    accepted = change in ACCEPTED_LATE or change == "hours out of order"
+    assert isinstance(expected[0], type) is not accepted
+    assert in_time_order(outcome(read_transactions, str(path))) == expected
+
+
+def test_parse_hours_reads_only_stamps_as_hour_text_writes_them():
+    texts = [hour_text(datetime(2016, 8, 22) + timedelta(hours=i)) for i in range(30)]
+    hours = list(texts)
+    assert parse_hours(hours) and hours == list(map(parse_hour, texts))
+    for bad in [
+        [*texts, texts[3]],  # a repeat
+        ["2016-08-22T10:0", "2016-08-22T11:000"],  # 32 characters, but not 16 each
+        ["2016-08-22 10:00"], ["2016-08-22T10:00:00"], ["2016-08-22T10:30"],
+        ["2016-08-\u0662\u0662T10:00"], ["2016-02-30T10:00"], ["2016-08-22T1x:00"],
+    ]:
+        assert not parse_hours(list(bad))

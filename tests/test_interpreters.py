@@ -1,0 +1,73 @@
+"""The golden snapshots on the other supported interpreters found on PATH.
+
+``datetime.fromisoformat``, on which the feed parser and the staged readers
+rest, reads a narrower grammar on 3.10 than on 3.11 and later. So each of
+python3.10, python3.12 and python3.13, other than the interpreter running
+the tests, runs the CLI from this checkout's ``src`` on the two snapshot
+checks of ``test_golden.py``, and must write the same bytes. An interpreter
+that does not start is skipped, and the skip reason names it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden import ARTIFACTS, GOLDEN, GOLDEN_WIDE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUNNING = f"python{sys.version_info.major}.{sys.version_info.minor}"
+OTHERS = [name for name in ("python3.10", "python3.12", "python3.13") if name != RUNNING]
+TIMEOUT_S = 120
+
+
+def run_cli(python: str, cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """`python -m mdlpatterns.cli ARGS` in cwd, importing this checkout's source
+    and writing no bytecode into it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([python, "-m", "mdlpatterns.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+@pytest.fixture(params=OTHERS)
+def python(request) -> str:
+    """An interpreter other than the running one; skipped when it does not start."""
+    name = request.param
+    try:
+        started = subprocess.run([name, "-c", "import sys; print(sys.version_info[:2])"],
+                                 capture_output=True, text=True, timeout=TIMEOUT_S)
+    except OSError as exc:
+        pytest.skip(f"{name} does not start: {exc}")
+    wanted = str(tuple(map(int, name.removeprefix("python").split("."))))
+    if started.returncode != 0 or started.stdout.strip() != wanted:
+        why = (started.stderr.strip().splitlines() or [started.stdout.strip()])[0]
+        pytest.skip(f"{name} does not start as {name} (exit {started.returncode}): {why}")
+    return name
+
+
+def test_run_matches_golden_snapshot(python, tmp_path):
+    synth = run_cli(python, tmp_path, "synth", "--seed", "7", "--days", "30",
+                    "--output", "raw.csv", "--manifest", "manifest.txt")
+    assert synth.returncode == 0, synth.stderr
+    done = run_cli(python, tmp_path, "run", "--input", "raw.csv", "--output-dir", "out")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_staged_chain_matches_wide_golden_snapshot(python, tmp_path):
+    (tmp_path / "transactions.csv").write_bytes((GOLDEN_WIDE / "transactions.csv").read_bytes())
+    for args in (
+        ["compress", "--transactions", "transactions.csv", "--table-out", "pattern_table.tsv",
+         "--log-out", "acceptance_log.tsv"],
+        ["score", "--transactions", "transactions.csv", "--table", "pattern_table.tsv",
+         "--output", "scores.tsv"],
+        ["report", "--scores", "scores.tsv", "--output", "report.txt"],
+    ):
+        done = run_cli(python, tmp_path, *args)
+        assert done.returncode == 0, (args[0], done.stderr)
+    for name in ["pattern_table.tsv", "acceptance_log.tsv", "scores.tsv", "report.txt"]:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_WIDE / name).read_bytes(), name
