@@ -11,14 +11,13 @@ fraction extracted, and an hour-of-day histogram built over the extracted set.
 from __future__ import annotations
 
 from datetime import datetime
-from itertools import chain, groupby
+from functools import partial
 from math import inf, isfinite
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import (DistinctRows, Item, hour_reader, hour_text, hour_texts, parse_categories,
-                     parse_hours)
+from .ingest import DistinctRows, Item, hour_text, hour_texts, parse_categories, read_stamped
 from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -44,18 +43,13 @@ def score_all(db: DistinctRows, table: PatternTable) -> Ranking:
     """Score every hour and rank descending; ties rank earlier hours first.
 
     Each distinct row is covered, scored and its cover written out as text
-    once, under the table as given. The rows are sorted by score, and the
-    hours of rows with equal scores are merged: the database's hours ascend,
-    so their positions sort in time order, and no key runs per hour.
+    once, under the table as given. The positions are ranked by one stable
+    sort on their row's score: the database's hours ascend, and a reversed
+    stable sort keeps equal keys in their order, so ties rank in time order.
     """
     bits, covers = cover_rows(db, table)
-    members: list[list[int]] = [[] for _ in bits]  # each row's positions, ascending
-    for position, row in enumerate(db.index):
-        members[row].append(position)
-    order: list[int] = []
-    by_score = sorted(range(len(bits)), key=bits.__getitem__, reverse=True)
-    for _, tied in groupby(by_score, key=bits.__getitem__):
-        order += sorted(chain.from_iterable(members[row] for row in tied))
+    scores = list(map(bits.__getitem__, db.index))  # each position's row's score
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     texts = ["|".join(format_items(part) for part in cover) for cover in covers]
     return Ranking([db.hours[p] for p in order], [db.index[p] for p in order],
                    db.items, bits, texts)
@@ -137,16 +131,9 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
     may hold one hour. The header names each site once, then score_bits, rank
     and cover. A distinct row is parsed and checked once: a finite score, and a
     cover whose patterns are disjoint and together hold exactly its items. The
-    stamps are read as read_transactions reads them: in one call when every one
-    is as hour_text writes it, else in a second pass, per row, that alone gives
-    the result or the diagnostic."""
-    try:
-        ranking, attributes = _ranked_rows(path, str)  # the stamps as texts
-        if parse_hours(ranking.hours):
-            return ranking, attributes
-    except (ValueError, AttributeError):  # the out-of-order diagnostic calls hour_text on a text
-        pass
-    return _ranked_rows(path, hour_reader())
+    stamps are read as read_stamped reads them: in one call when every one is
+    as hour_text writes it, else per row."""
+    return read_stamped(partial(_ranked_rows, path), lambda ranked: ranked[0].hours)
 
 
 def _ranked_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[Ranking, list[str]]:

@@ -13,7 +13,8 @@ distinct code: ingest 10, mine 20, compress 30, score 40, report 50.
 
 Ingest's diagnostics go to stderr as `WARNING:mdlpatterns:ingest: ...` lines
 unless `log_level` is ERROR, CRITICAL or FATAL. No command's start-up imports
-`logging` or `pathlib`; `json` is imported where `run` reads or writes a config.
+`logging` or `pathlib`; `json` is imported where `run` reads or writes a config,
+and `synth` only by the `synth` command.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple
 
-from . import anomaly, codec, ingest, mining, synth
+from . import anomaly, codec, ingest, mining
 
 STAGE_EXIT_CODES = {"ingest": 10, "mine": 20, "compress": 30, "score": 40, "report": 50}
 # The logging module's level names; ingest warnings show below ERROR.
@@ -268,6 +269,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     dataset = synth.generate_synthetic(args.seed, **_given(args, _SYNTH_OPTIONS))
     synth.write_records_csv(args.output, dataset.records)
     synth.write_manifest(args.manifest, dataset.injected_hours)
@@ -303,7 +306,7 @@ _FLAGS = {
     "days": {"type": int},
     "dominance": {"type": float},
     "anomalies": {"type": int},
-    "regime": {"choices": sorted(synth.REGIMES)},
+    "regime": {"help": "constant or daily"},
 }
 _SYNTH_OPTIONS = ("days", "dominance", "anomalies", "regime", "direction", "vehicle_class")
 

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
+from functools import partial
 from itertools import compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
-from operator import add, eq, floordiv, ge, gt
+from operator import add, eq, floordiv, ge, gt, itemgetter
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -436,8 +437,19 @@ def parse_hours(texts: list[str]) -> bool:
     return True
 
 
-def hour_reader() -> Callable[[str], datetime]:
-    """parse_hour, also raising ValueError on an hour it has read before."""
+def read_stamped(rows: Callable[[Callable[[str], Any]], Any], column: Callable[[Any], list]) -> Any:
+    """A staged file read by its row loop ``rows``, which reads each stamp with
+    the reader it is given. The first pass keeps every stamp as its text and
+    reads ``column`` of the result in one call (parse_hours). If that pass
+    raises or parse_hours returns False, the loop runs again with parse_hour
+    per row, which also rejects an hour read before; that pass alone gives
+    the result or the diagnostic."""
+    try:
+        result = rows(str)
+        if parse_hours(column(result)):
+            return result
+    except (IngestError, ValueError, AttributeError):  # a diagnostic's hour_text on a text
+        pass
     seen: set[datetime] = set()
 
     def read(text: str) -> datetime:
@@ -447,7 +459,7 @@ def hour_reader() -> Callable[[str], datetime]:
         seen.add(stamp)
         return stamp
 
-    return read
+    return rows(read)
 
 
 def parse_categories(texts: Sequence[str], attributes: Sequence[str]) -> tuple[Item, ...]:
@@ -485,16 +497,9 @@ def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
     Every row is checked, no two rows may hold one hour, and the header may
     not name a site twice. Each distinct category text is parsed once, so its
     rows share one items tuple. Rows may come in any time order. The stamps
-    are read in one call (parse_hours) when every one is as hour_text writes
-    it; otherwise the file is read again with parse_hour per row, and that
-    pass alone gives the result or the diagnostic."""
-    try:
-        hours, hour_items, attributes = _transaction_rows(path, str)  # the stamps as texts
-        in_one_call = parse_hours(hours)
-    except (IngestError, ValueError):
-        in_one_call = False
-    if not in_one_call:
-        hours, hour_items, attributes = _transaction_rows(path, hour_reader())
+    are read as read_stamped reads them: in one call when every one is as
+    hour_text writes it, else per row."""
+    hours, hour_items, attributes = read_stamped(partial(_transaction_rows, path), itemgetter(0))
     return DistinctRows(hours, hour_items), attributes
 
 

@@ -412,7 +412,7 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
         attributes = columns[1:]
         if len(set(attributes)) != len(attributes):
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
-        transactions = []
+        transactions, seen = [], set()  # seen: the earlier rows' hours
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -421,16 +421,18 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
             if len(parts) != len(columns):
                 raise IngestError(f"{path}:{lineno}: expected {len(columns)} fields")
             try:
-                transactions.append(_oracle_hour_row(parts, attributes, transactions))
+                transactions.append(_oracle_hour_row(parts, attributes, seen))
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {exc}")
+            seen.add(transactions[-1].timestamp)
     return transactions, attributes
 
 
 def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
     """The per-row scores reader that read_scores replaced, with its checks:
     every row compared with all the rows before it."""
-    scored, texts = [], []  # texts: each row's categories, score and cover
+    scored, seen = [], set()  # seen: the earlier rows' hours
+    latest = {}  # each row text (categories, score and cover) -> its latest hour
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         attributes = header[1:-3]
@@ -446,8 +448,7 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                earlier = [Hour(entry.timestamp, entry.items) for entry in scored]
-                transaction = _oracle_hour_row(fields, attributes, earlier)
+                transaction = _oracle_hour_row(fields, attributes, seen)
                 score = float(fields[-3])
                 if not isfinite(score):
                     raise ValueError(f"non-finite score {fields[-3]}")
@@ -464,24 +465,24 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
                         f"score {score!r} above the row before it ({scored[-1].score!r})"
                     )
                 text = (*fields[1:-2], fields[-1])
-                same = [txn.timestamp for txn, other in zip(earlier, texts) if other == text]
-                if same and max(same) > transaction.timestamp:
-                    latest = max(same).isoformat(timespec="minutes")
-                    raise ValueError(f"one row's hours out of order ({latest} first)")
+                if text in latest and latest[text] > transaction.timestamp:
+                    first = latest[text].isoformat(timespec="minutes")
+                    raise ValueError(f"one row's hours out of order ({first} first)")
                 stamp, items = transaction.timestamp, transaction.items
                 scored.append(ScoredHour(stamp, items, score, fields[-1]))
-                texts.append(text)
+                seen.add(stamp)
+                latest[text] = stamp
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     return scored, attributes
 
 
 def _oracle_hour_row(
-    fields: Sequence[str], attributes: Sequence[str], earlier: Sequence[Hour]
+    fields: Sequence[str], attributes: Sequence[str], earlier: set[datetime]
 ) -> Hour:
     """The stamp and categories that start an artifact row; ValueError on a bad
     one, on a date with no time of day, on an offset, seconds or minutes, or on
-    an hour that an earlier row holds."""
+    an hour in ``earlier``, the hours of the rows before it."""
     stamp = datetime.fromisoformat(fields[0])
     try:
         date.fromisoformat(fields[0])
@@ -495,7 +496,7 @@ def _oracle_hour_row(
         raise ValueError(f"timestamp has seconds ({fields[0]!r})")
     if stamp.minute:
         raise ValueError(f"timestamp is not on the hour ({fields[0]!r})")
-    if any(txn.timestamp == stamp for txn in earlier):
+    if stamp in earlier:
         raise ValueError(f"repeated hour {stamp.isoformat(timespec='minutes')}")
     texts = fields[1 : 1 + len(attributes)]
     categories = [int(text) for text in texts]

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,8 +34,8 @@ from mdlpatterns.anomaly import (
     report,
     write_scores,
 )
-from mdlpatterns.codec import database_length, init_pattern_table
-from mdlpatterns.ingest import hour_text
+from mdlpatterns.codec import PatternTable, database_length, init_pattern_table
+from mdlpatterns.ingest import DistinctRows, hour_text
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -81,6 +81,33 @@ def test_score_sum_matches_database_length_everywhere(db):
     assert fsum(s.score for s in scored) == pytest.approx(
         database_length(collapse(db), result.table), abs=1e-9
     )
+
+
+@st.composite
+def tied_databases(draw):
+    """A database of two sites in any input order, and a singleton table whose
+    usages are 1 or 2: a row's score is one of three sums, so distinct rows tie,
+    and their hours interleave in time."""
+    items = [(site, cat) for site in ("PB", "LQ") for cat in (1, 2, 3)]
+    usages = {frozenset([item]): draw(st.integers(1, 2)) for item in items}
+    table = PatternTable(usages=usages, singleton_counts=dict.fromkeys(items, 1))
+    offsets = draw(st.lists(st.integers(0, 300), min_size=2, max_size=40, unique=True))
+    rows = [draw(st.tuples(st.sampled_from(items[:3]), st.sampled_from(items[3:])))
+            for _ in offsets]
+    start = datetime(2016, 8, 22)
+    return DistinctRows([start + timedelta(hours=h) for h in offsets], rows), table
+
+
+@given(drawn=tied_databases())
+@settings(max_examples=100, deadline=None)
+def test_score_all_ranks_by_descending_score_then_ascending_hour(drawn):
+    db, table = drawn
+    ranking = score_all(db, table)
+    scores = [ranking.bits[row] for row in db.index]
+    assume(len(set(ranking.bits)) < len(ranking.bits))  # two distinct rows tie
+    order = sorted(range(len(db)), key=lambda p: (-scores[p], db.hours[p]))
+    assert ranking.hours == [db.hours[p] for p in order]
+    assert ranking.index == [db.index[p] for p in order]
 
 
 # --- top-fraction selection ----------------------------------------------------

@@ -487,6 +487,17 @@ def test_a_bad_option_exits_1_before_any_stage(tmp_path, capsys, command, option
     assert sorted(os.listdir(tmp_path)) == before  # no output written
 
 
+def test_synth_rejects_an_unknown_regime_with_exit_1(tmp_path, capsys):
+    # generate_synthetic checks the name, as validate checks every other option
+    files = ["--output", str(tmp_path / "raw.csv"), "--manifest", str(tmp_path / "manifest.txt")]
+    capsys.readouterr()
+    assert cli.main(["synth", "--seed", "1", *files, "--regime", "lunar"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown regime 'lunar' (have: constant, daily)\n")
+    assert os.listdir(tmp_path) == []  # no output written
+    assert cli.main(["synth", "--seed", "1", "--days", "1", *files, "--regime", "constant"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["manifest.txt", "raw.csv"]
+
+
 def test_score_names_the_bad_table_line(tmp_path, capsys):
     raw = make_raw(tmp_path, days=1)
     out = tmp_path / "out"

@@ -12,9 +12,9 @@ listed in ``__all__``, or named by the benchmark tracer's ``TARGETS``.
 And it guards start-up, in interpreters started with ``-S`` so that no
 ``.pth`` file preloads a module: importing the CLI and building its parser
 loads none of ``json``, ``csv``, ``array``, ``pathlib``, ``dataclasses``,
-``inspect`` and ``logging``, which every command would pay for; and the
-staged ``score`` and ``report`` load none of ``json``, ``csv`` and ``array``
-while they run.
+``inspect``, ``logging`` and ``mdlpatterns.synth``, which every command would
+pay for; and the staged ``score`` and ``report`` load none of ``json``,
+``csv`` and ``array`` while they run.
 """
 
 import ast
@@ -163,10 +163,12 @@ def test_the_cli_starts_without_json_csv_array_pathlib_dataclasses_inspect_or_lo
     # dataclasses loads inspect, and with it ast and dis: about a third of
     # the CLI's start-up, paid by every staged command. logging loads
     # traceback, linecache, tokenize, textwrap and string: over a quarter.
-    # json (config files), csv and array (raw feeds) are imported where used.
+    # json (config files), csv and array (raw feeds) are imported where used,
+    # and mdlpatterns.synth (with random) by the synth command alone.
     added = loaded("import mdlpatterns.cli\nmdlpatterns.cli.build_parser()") - loaded("pass")
     assert "mdlpatterns.cli" in added
-    unwanted = {"json", "csv", "array", "pathlib", "dataclasses", "inspect", "logging"}
+    unwanted = {"json", "csv", "array", "pathlib", "dataclasses", "inspect", "logging",
+                "mdlpatterns.synth"}
     assert added.isdisjoint(unwanted), sorted(added)
 
 

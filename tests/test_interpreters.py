@@ -4,8 +4,10 @@
 rest, reads a narrower grammar on 3.10 than on 3.11 and later. So each of
 python3.10, python3.12 and python3.13, other than the interpreter running
 the tests, runs the CLI from this checkout's ``src`` on the two snapshot
-checks of ``test_golden.py``, and must write the same bytes. An interpreter
-that does not start is skipped, and the skip reason names it.
+checks of ``test_golden.py``, and must write the same bytes. Where the name
+on PATH does not start, the same minor version installed beside the running
+interpreter is tried (pyenv's layout). An interpreter found neither way is
+skipped, and the skip reason names it.
 """
 
 import os
@@ -31,20 +33,35 @@ def run_cli(python: str, cwd: Path, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=TIMEOUT_S)
 
 
-@pytest.fixture(params=OTHERS)
-def python(request) -> str:
-    """An interpreter other than the running one; skipped when it does not start."""
-    name = request.param
+def start_failure(python: str, wanted: str) -> str | None:
+    """None when ``python`` starts as version ``wanted``, else why it does not."""
     try:
-        started = subprocess.run([name, "-c", "import sys; print(sys.version_info[:2])"],
+        started = subprocess.run([python, "-c", "import sys; print(sys.version_info[:2])"],
                                  capture_output=True, text=True, timeout=TIMEOUT_S)
     except OSError as exc:
-        pytest.skip(f"{name} does not start: {exc}")
-    wanted = str(tuple(map(int, name.removeprefix("python").split("."))))
+        return f"{python} does not start: {exc}"
     if started.returncode != 0 or started.stdout.strip() != wanted:
         why = (started.stderr.strip().splitlines() or [started.stdout.strip()])[0]
-        pytest.skip(f"{name} does not start as {name} (exit {started.returncode}): {why}")
-    return name
+        return f"{python} does not start as {python} (exit {started.returncode}): {why}"
+    return None
+
+
+@pytest.fixture(params=OTHERS)
+def python(request) -> str:
+    """An interpreter other than the running one: the name on PATH, else that
+    minor version installed beside the running interpreter (pyenv's layout,
+    whose shims start a version only when PYENV_VERSION names it); skipped
+    when neither starts."""
+    name = request.param
+    minor = name.removeprefix("python")
+    wanted = str(tuple(map(int, minor.split("."))))
+    why = start_failure(name, wanted)
+    if why is None:
+        return name
+    for path in sorted(Path(sys.base_prefix).parent.glob(f"{minor}.*/bin/{name}")):
+        if start_failure(str(path), wanted) is None:
+            return str(path)
+    pytest.skip(why)
 
 
 def test_run_matches_golden_snapshot(python, tmp_path):
