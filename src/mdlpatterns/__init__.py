@@ -11,7 +11,8 @@ anomalies.
 (``mdlpatterns.ingest``, ``.mining``, ``.codec``, ``.anomaly``, ``.synth``,
 ``.cli``). Results are immutable ``typing.NamedTuple`` records, such as
 ``codec.CompressionResult`` and ``anomaly.Ranking``; ``_replace`` gives a
-changed copy, and ``len(ranking.hours)`` counts the ranked hours. Typical use::
+changed copy, and ``len(ranking.hours)`` counts the ranked hours, each held as
+the text the artifacts write for it (``2016-08-22T10:00``). Typical use::
 
     from mdlpatterns import (
         compress, frequent_itemsets, least_support, read_transactions, score_all, top_fraction,

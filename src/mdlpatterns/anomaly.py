@@ -10,14 +10,13 @@ fraction extracted, and an hour-of-day histogram built over the extracted set.
 
 from __future__ import annotations
 
-from datetime import datetime
 from functools import partial
 from math import inf, isfinite
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import DistinctRows, Item, hour_text, hour_texts, parse_categories, read_stamped
+from .ingest import DistinctRows, Item, parse_categories, read_stamped
 from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -26,13 +25,13 @@ REPORT_VERSION = "pattern-anomaly-report v1"
 class Ranking(NamedTuple):
     """Scored hours by descending score, ties by time; a rank is a 1-based place.
 
-    ``hours`` and ``index`` hold each ranked hour's clock hour and row.
+    ``hours`` and ``index`` hold each ranked hour's clock hour (its hour_text) and row.
     ``items``, ``bits`` and ``covers`` hold each row's items in attribute
     order, its score and its cover (patterns '|'-separated, items ',':
     "LQ:3,RB:2|PB:1").
     """
 
-    hours: list[datetime]
+    hours: list[str]
     index: list[int]
     items: list[tuple[Item, ...]]
     bits: list[float]
@@ -68,8 +67,8 @@ def top_fraction(ranking: Ranking, fraction: float) -> Ranking:
 def hour_frequency(selected: Ranking) -> tuple[int, ...]:
     """Count the selected hours by hour of day: 24 counts, index = hour."""
     bins = [0] * 24
-    for hour in selected.hours:
-        bins[hour.hour] += 1
+    for hour in selected.hours:  # 2016-08-22T10:00
+        bins[int(hour[11:13])] += 1
     return tuple(bins)
 
 
@@ -94,8 +93,8 @@ def report(ranking: Ranking, fraction: float, k: int) -> str:
     lines = [REPORT_VERSION, f"[summary]\tn={n}\tselected={chosen}\ttop_k={k}"]
     for section, count in (("[top-k]", k), ("[top-fraction]", chosen)):
         lines += [section, "rank\ttimestamp\tcategories\tscore_bits\tcover"]
-        ranked = zip(hour_texts(ranking.hours[:count]), ranking.index[:count])
-        lines += (f"{rank}\t{text}{after[row]}" for rank, (text, row) in enumerate(ranked, start=1))
+        ranked = zip(ranking.hours[:count], ranking.index[:count])
+        lines += (f"{rank}\t" + hour + after[row] for rank, (hour, row) in enumerate(ranked, 1))
     lines += ["[hour-histogram]", "hour\tcount"]
     lines += (f"{hour}\t{count}" for hour, count in enumerate(hour_frequency(selected)))
     return "\n".join(lines) + "\n"
@@ -116,10 +115,8 @@ def write_scores(path: str, ranking: Ranking, attributes: Sequence[str]) -> None
         around.append((f"{categories}\t{bits:.9f}\t", f"\t{cover}\n"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\t".join(["timestamp", *attributes, *SCORES_TAIL]) + "\n")
-        fh.writelines(
-            f"{text}{around[row][0]}{rank}{around[row][1]}"
-            for rank, (text, row) in enumerate(zip(hour_texts(ranking.hours), ranking.index), 1)
-        )
+        fh.writelines(hour + f"{around[row][0]}{rank}{around[row][1]}"
+                      for rank, (hour, row) in enumerate(zip(ranking.hours, ranking.index), 1))
 
 
 def read_scores(path: str) -> tuple[Ranking, list[str]]:
@@ -181,7 +178,7 @@ def _ranked_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[Ranking, l
                 if score > previous:
                     raise ValueError(f"score {score!r} above the row before it ({previous!r})")
                 if earlier > stamp:
-                    raise ValueError(f"one row's hours out of order ({hour_text(earlier)} first)")
+                    raise ValueError(f"one row's hours out of order ({earlier} first)")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
             last_hour[row], previous = stamp, score

@@ -120,8 +120,8 @@ def run_pipeline(config: RunConfig) -> int:
     print(f"initial_length_bits: {result.initial_length:.9f}")
     print(f"final_length_bits: {result.final_length:.9f}")
     print(f"compression_ratio: {result.compression_ratio:.9f}")
-    stamp, top = ingest.hour_text(ranking.hours[0]), ranking.bits[ranking.index[0]]
-    print(f"top_anomaly: {stamp} score_bits={top:.9f}")
+    top = ranking.bits[ranking.index[0]]
+    print("top_anomaly: " + ranking.hours[0] + f" score_bits={top:.9f}")
     return 0
 
 

@@ -20,7 +20,8 @@ Pipeline:
                             (DistinctRows); incomplete hours are dropped and
                             counted, never imputed
 
-An hour is a position in the database: its clock hour and its distinct row.
+An hour is a position in the database: its clock hour, held as the text every
+artifact writes (hour_text: ``2016-08-22T10:00``), and its distinct row.
 ParseResult and TransactionBuild are immutable NamedTuples. All operations
 are pure and deterministic: identical input yields an identical database.
 Only parse_records uses `csv` and `array`, and it imports them as it starts.
@@ -34,7 +35,7 @@ from functools import partial
 from itertools import compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
 from operator import add, eq, floordiv, ge, gt, itemgetter
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from array import array
@@ -63,14 +64,15 @@ def canonical(text: str, names: Sequence[str], noun: str) -> str:
 class DistinctRows:
     """The database: its hours in ascending time, collapsed to distinct rows.
 
-    Each hour is a position: ``hours`` holds its clock hour and ``index`` its
-    distinct row. Per distinct row, in order of first appearance in the input:
-    ``items`` holds its items in attribute order and ``weights`` its
-    multiplicity. Bit r of ``holding[item]`` is set when distinct row r holds
-    the item, and bit r of ``planes[k]`` when bit k of row r's multiplicity is.
+    Each hour is a position: ``hours`` holds its clock hour as hour_text writes
+    it, a text that orders as the hours do, and ``index`` its distinct row. Per
+    distinct row, in order of first appearance in the input: ``items`` holds
+    its items in attribute order and ``weights`` its multiplicity. Bit r of
+    ``holding[item]`` is set when distinct row r holds the item, and bit r of
+    ``planes[k]`` when bit k of row r's multiplicity is.
     """
 
-    def __init__(self, hours: Sequence[datetime], items: Sequence[tuple[Item, ...]]) -> None:
+    def __init__(self, hours: Sequence[str], items: Sequence[tuple[Item, ...]]) -> None:
         position: dict[tuple[Item, ...], int] = {}  # items -> distinct row
         index = [position.setdefault(row_items, len(position)) for row_items in items]
         if any(map(gt, hours, hours[1:])):  # out of time order; the sort is stable
@@ -125,7 +127,7 @@ class ParseResult(NamedTuple):
 
 class TransactionBuild(NamedTuple):
     transactions: DistinctRows  # the complete hours
-    excluded_hours: list[datetime]
+    excluded_hours: list[str]  # as hour_text writes them
 
 
 def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
@@ -348,7 +350,7 @@ def build_transactions(
 
     Hours where any configured site is missing are excluded and recorded in
     ``excluded_hours``; nothing is imputed. Each hour's items are in the
-    configured attribute order.
+    configured attribute order. Every hour is kept as its hour_text.
     """
     if not attributes:
         raise IngestError("attribute list must be nonempty")
@@ -367,9 +369,9 @@ def build_transactions(
     for hour in sorted(by_hour):
         values = by_hour[hour]
         if any(site not in values for site in attributes):
-            excluded.append(hour)
+            excluded.append(hour_text(hour))
             continue
-        hours.append(hour)
+        hours.append(hour_text(hour))
         rows.append(tuple((site, discretize(values[site])) for site in attributes))
     return TransactionBuild(DistinctRows(hours, rows), excluded)
 
@@ -381,18 +383,6 @@ def build_transactions(
 def hour_text(stamp: datetime) -> str:
     """How every artifact writes an hour: ``2016-08-22T10:00``, the year in four digits."""
     return stamp.isoformat(timespec="minutes")
-
-
-_HOURS, _MINUTES = [f"T{hour:02d}" for hour in range(24)], [f":{m:02d}" for m in range(60)]
-
-
-def hour_texts(stamps: Sequence[datetime]) -> Iterator[str]:
-    """hour_text of each stamp, lazily and with no call per stamp: each day's
-    date is formatted once. A stamp with a tzinfo, whose text ends in its
-    offset, takes hour_text."""
-    days = {day: date.fromordinal(day).isoformat() for day in set(map(date.toordinal, stamps))}
-    return (days[s.toordinal()] + _HOURS[s.hour] + _MINUTES[s.minute] if s.tzinfo is None
-            else hour_text(s) for s in stamps)
 
 
 def parse_hour(text: str) -> datetime:
@@ -414,14 +404,12 @@ def parse_hour(text: str) -> datetime:
 _HOUR_MARKS = tuple(zip((4, 7, 10, 13, 14, 15), "--T:00"))
 
 
-def parse_hours(texts: list[str]) -> bool:
-    """Replace each text by its parse_hour, in a few calls over the whole column,
-    and say whether every one was: False unless each text is exactly as
-    hour_text writes it (``2016-08-22T10:00``: ASCII, 16 characters) and no
-    text repeats. fromisoformat checks the digits and their ranges. Texts in
-    that form order as their hours do, so sorting them finds a repeat. They
-    are replaced a block at a time, so the column is never held both as texts
-    and as hours; after False, some may have been replaced."""
+def parse_hours(texts: Sequence[str]) -> bool:
+    """Whether each text is exactly as hour_text writes it (``2016-08-22T10:00``:
+    ASCII, 16 characters) and no text repeats, checked in a few calls over the
+    whole column; the texts are left as they are. fromisoformat checks the
+    digits and their ranges. Texts in that form order as their hours do, so
+    sorting them finds a repeat."""
     joined, n = "".join(texts), len(texts)
     if (len(joined) != 16 * n or min(map(len, texts), default=16) != 16
             or not joined.isascii()
@@ -430,8 +418,7 @@ def parse_hours(texts: list[str]) -> bool:
     if any(starmap(eq, pairwise(sorted(texts)))):
         return False
     try:
-        for start in range(0, n, 4096):
-            texts[start:start + 4096] = map(datetime.fromisoformat, texts[start:start + 4096])
+        all(map(datetime.fromisoformat, texts))  # every datetime is true, so all reads each
     except ValueError:
         return False
     return True
@@ -440,24 +427,24 @@ def parse_hours(texts: list[str]) -> bool:
 def read_stamped(rows: Callable[[Callable[[str], Any]], Any], column: Callable[[Any], list]) -> Any:
     """A staged file read by its row loop ``rows``, which reads each stamp with
     the reader it is given. The first pass keeps every stamp as its text and
-    reads ``column`` of the result in one call (parse_hours). If that pass
-    raises or parse_hours returns False, the loop runs again with parse_hour
-    per row, which also rejects an hour read before; that pass alone gives
-    the result or the diagnostic."""
+    checks ``column`` of the result in one call (parse_hours). If that pass
+    raises or parse_hours returns False, the loop runs again with hour_text of
+    parse_hour per row, which also rejects an hour read before; that pass
+    alone gives the result or the diagnostic. Either way an hour is its text."""
     try:
         result = rows(str)
         if parse_hours(column(result)):
             return result
-    except (IngestError, ValueError, AttributeError):  # a diagnostic's hour_text on a text
+    except (IngestError, ValueError):
         pass
-    seen: set[datetime] = set()
+    seen: set[str] = set()
 
-    def read(text: str) -> datetime:
-        stamp = parse_hour(text)
-        if stamp in seen:
-            raise ValueError(f"repeated hour {hour_text(stamp)}")
-        seen.add(stamp)
-        return stamp
+    def read(text: str) -> str:
+        hour = hour_text(parse_hour(text))
+        if hour in seen:
+            raise ValueError(f"repeated hour {hour}")
+        seen.add(hour)
+        return hour
 
     return rows(read)
 
@@ -488,7 +475,7 @@ def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -
         texts.append("".join(f",{cats[a]}" for a in attributes) + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp," + ",".join(attributes) + "\n")
-        fh.writelines(map(add, hour_texts(db.hours), map(texts.__getitem__, db.index)))
+        fh.writelines(map(add, db.hours, map(texts.__getitem__, db.index)))
 
 
 def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:

@@ -41,6 +41,7 @@ from mdlpatterns.ingest import (
     IngestError,
     ParseResult,
     canonical,
+    hour_text,
     parse_records,
 )
 from mdlpatterns.mining import format_items, frequent_itemsets, parse_items
@@ -51,23 +52,24 @@ BASE = datetime(2016, 8, 22)
 
 @dataclass(frozen=True)
 class Hour:
-    """One hourly row, as the builders and oracles here hold it: a category per site."""
+    """One hourly row, as the builders and oracles here hold it: its hour as
+    hour_text writes it, as the database holds it, and a category per site."""
 
-    timestamp: datetime
+    timestamp: str
     items: tuple
 
 
 class ScoredHour(NamedTuple):
-    """One ranked hour, as the scores oracles here hold it."""
+    """One ranked hour, as the scores oracles here hold it; its hour as hour_text writes it."""
 
-    timestamp: datetime
+    timestamp: str
     items: tuple
     score: float
     cover: str
 
 
 def collapse(hours: Sequence[Hour]) -> DistinctRows:
-    """The database of ``hours``, built as ingest builds it."""
+    """The database of ``hours``, built as ingest builds it: each hour is its text."""
     return DistinctRows([hour.timestamp for hour in hours], [hour.items for hour in hours])
 
 
@@ -92,7 +94,7 @@ def make_db(
     rows = []
     for i, cats in enumerate(combos):
         items = tuple((attr, int(cat)) for attr, cat in zip(attrs, cats))
-        rows.append(Hour(timestamp=BASE + timedelta(hours=i), items=items))
+        rows.append(Hour(timestamp=hour_text(BASE + timedelta(hours=i)), items=items))
     return rows
 
 
@@ -401,7 +403,7 @@ def aggregate_hourly_oracle(
 
 def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
     """The per-row transaction reader that read_transactions replaced; its
-    hours come in file order."""
+    hours come in file order, each as hour_text writes it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -412,7 +414,7 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
         attributes = columns[1:]
         if len(set(attributes)) != len(attributes):
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
-        transactions, seen = [], set()  # seen: the earlier rows' hours
+        transactions, seen = [], set()  # seen: the earlier rows' hour texts
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -430,8 +432,9 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
 
 def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
     """The per-row scores reader that read_scores replaced, with its checks:
-    every row compared with all the rows before it."""
-    scored, seen = [], set()  # seen: the earlier rows' hours
+    every row compared with all the rows before it. Its hours are texts, as
+    hour_text writes them, compared as the clock hours they name."""
+    scored, seen = [], set()  # seen: the earlier rows' hour texts
     latest = {}  # each row text (categories, score and cover) -> its latest hour
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -465,9 +468,9 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
                         f"score {score!r} above the row before it ({scored[-1].score!r})"
                     )
                 text = (*fields[1:-2], fields[-1])
-                if text in latest and latest[text] > transaction.timestamp:
-                    first = latest[text].isoformat(timespec="minutes")
-                    raise ValueError(f"one row's hours out of order ({first} first)")
+                if text in latest and (datetime.fromisoformat(latest[text])
+                                       > datetime.fromisoformat(transaction.timestamp)):
+                    raise ValueError(f"one row's hours out of order ({latest[text]} first)")
                 stamp, items = transaction.timestamp, transaction.items
                 scored.append(ScoredHour(stamp, items, score, fields[-1]))
                 seen.add(stamp)
@@ -478,11 +481,12 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
 
 
 def _oracle_hour_row(
-    fields: Sequence[str], attributes: Sequence[str], earlier: set[datetime]
+    fields: Sequence[str], attributes: Sequence[str], earlier: set[str]
 ) -> Hour:
-    """The stamp and categories that start an artifact row; ValueError on a bad
-    one, on a date with no time of day, on an offset, seconds or minutes, or on
-    an hour in ``earlier``, the hours of the rows before it."""
+    """The stamp, as hour_text writes it, and categories that start an artifact
+    row; ValueError on a bad one, on a date with no time of day, on an offset,
+    seconds or minutes, or on an hour in ``earlier``, the hour texts of the
+    rows before it."""
     stamp = datetime.fromisoformat(fields[0])
     try:
         date.fromisoformat(fields[0])
@@ -496,8 +500,9 @@ def _oracle_hour_row(
         raise ValueError(f"timestamp has seconds ({fields[0]!r})")
     if stamp.minute:
         raise ValueError(f"timestamp is not on the hour ({fields[0]!r})")
-    if stamp in earlier:
-        raise ValueError(f"repeated hour {stamp.isoformat(timespec='minutes')}")
+    hour = stamp.isoformat(timespec="minutes")
+    if hour in earlier:
+        raise ValueError(f"repeated hour {hour}")
     texts = fields[1 : 1 + len(attributes)]
     categories = [int(text) for text in texts]
     # int() also reads " 2", "+2" and other scripts' digits, which no writer writes
@@ -506,7 +511,7 @@ def _oracle_hour_row(
     if not all(written):
         bad = ",".join(f"{a}:{t}" for a, t, ok in zip(attributes, texts, written) if not ok)
         raise ValueError(f"category outside 1..4 ({bad})")
-    return Hour(timestamp=stamp, items=tuple(zip(attributes, categories)))
+    return Hour(timestamp=hour, items=tuple(zip(attributes, categories)))
 
 
 def write_scores_oracle(
@@ -517,7 +522,7 @@ def write_scores_oracle(
         fh.write("timestamp\t" + "\t".join(attributes) + "\tscore_bits\trank\tcover\n")
         for rank, entry in enumerate(scored, start=1):
             cats = dict(entry.items)
-            fields = [entry.timestamp.isoformat(timespec="minutes")]
+            fields = [entry.timestamp]
             fields.extend(str(cats[attr]) for attr in attributes)
             fields.append(f"{entry.score:.9f}")
             fields.append(str(rank))

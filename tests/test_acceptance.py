@@ -30,6 +30,7 @@ from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,
     discretize,
+    hour_text,
 )
 from mdlpatterns.synth import generate_synthetic, write_records_csv
 
@@ -185,7 +186,7 @@ def test_criterion_6_synthetic_recall(tmp_path):
         scored = score_all(db, result.table)
         selected = top_fraction(scored, 0.05)
         top_hours = set(selected.hours)
-        hits.append(sum(1 for h in dataset.injected_hours if h in top_hours))
+        hits.append(sum(1 for h in dataset.injected_hours if hour_text(h) in top_hours))
     elapsed = time.perf_counter() - started
     mean_recall = fsum(hits) / len(hits)
     ok = mean_recall >= 18.0 and elapsed < 30.0

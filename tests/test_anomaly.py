@@ -35,7 +35,7 @@ from mdlpatterns.anomaly import (
     write_scores,
 )
 from mdlpatterns.codec import PatternTable, database_length, init_pattern_table
-from mdlpatterns.ingest import DistinctRows, hour_text
+from mdlpatterns.ingest import DistinctRows, hour_text, write_transactions
 
 
 def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
@@ -46,8 +46,8 @@ def test_scores_rank_descending_with_time_tiebreak(six_rows, worked_table):
         [4.0, 4.0, 1.0, 1.0, 1.0, 1.0], abs=1e-12
     )
     # the two 4-bit rows are hours 4 and 5; earlier hour ranks first
-    assert scored[0].timestamp.hour == 4
-    assert scored[1].timestamp.hour == 5
+    assert scored[0].timestamp == "2016-08-22T04:00"
+    assert scored[1].timestamp == "2016-08-22T05:00"
     stamps = [s.timestamp for s in scored[2:]]
     assert stamps == sorted(stamps)
 
@@ -95,7 +95,7 @@ def tied_databases(draw):
     rows = [draw(st.tuples(st.sampled_from(items[:3]), st.sampled_from(items[3:])))
             for _ in offsets]
     start = datetime(2016, 8, 22)
-    return DistinctRows([start + timedelta(hours=h) for h in offsets], rows), table
+    return DistinctRows([hour_text(start + timedelta(hours=h)) for h in offsets], rows), table
 
 
 @given(drawn=tied_databases())
@@ -286,7 +286,9 @@ def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     # blank lines hold no place
     path.write_text(header + "\n" + second + "\n" + first)
     loaded, _ = read_scores(str(path))
-    assert [(s.timestamp.hour, s.score) for s in scored_hours(loaded)] == [(11, 4.0), (10, 1.0)]
+    assert [(s.timestamp, s.score) for s in scored_hours(loaded)] == [
+        ("2016-08-22T11:00", 4.0), ("2016-08-22T10:00", 1.0)
+    ]
 
 
 @pytest.mark.parametrize("rank", NONCANONICAL_ONES)
@@ -362,7 +364,7 @@ def test_read_scores_takes_equal_scores_of_different_rows_in_any_time_order(tmp_
         "2016-08-22T10:00\t2\t1.000000000\t2\tPB:2\n"
     )
     loaded, _ = read_scores(str(path))
-    assert [stamp.hour for stamp in loaded.hours] == [11, 10]
+    assert loaded.hours == ["2016-08-22T11:00", "2016-08-22T10:00"]
 
 
 @pytest.mark.parametrize("cover", [
@@ -395,7 +397,7 @@ def test_read_scores_shares_items_and_cover_per_distinct_row(tmp_path, six_rows,
 
 def test_scores_file_round_trips_a_year_before_1000(tmp_path):
     entry = Ranking(
-        hours=[datetime(999, 1, 1)], index=[0], items=[(("PB", 1),)], bits=[1.0], covers=["PB:1"]
+        hours=[hour_text(datetime(999, 1, 1))], index=[0], items=[(("PB", 1),)], bits=[1.0], covers=["PB:1"]
     )
     path = tmp_path / "scores.tsv"
     write_scores(str(path), entry, ["PB"])
@@ -487,7 +489,7 @@ def scored_lists(draw):
         rows.append(firsts.setdefault((items, repr(score), cover), len(firsts)))
     distinct = [entries[rows.index(row)] for row in range(len(firsts))]
     return Ranking(
-        hours=[start + timedelta(hours=i) for i in range(len(entries))], index=rows,
+        hours=[hour_text(start + timedelta(hours=i)) for i in range(len(entries))], index=rows,
         items=[items for items, _, _ in distinct], bits=[score for _, score, _ in distinct],
         covers=[cover for _, _, cover in distinct],
     )
@@ -511,6 +513,19 @@ def test_write_scores_of_scored_hours_writes_the_per_row_oracles_bytes(db, tmp_p
     write_scores(str(folder / "scores.tsv"), scored, ["C", "A", "B"])
     write_scores_oracle(str(folder / "oracle.tsv"), scored_hours(scored), ["C", "A", "B"])
     assert (folder / "scores.tsv").read_bytes() == (folder / "oracle.tsv").read_bytes()
+
+
+def test_writers_refuse_hours_held_as_datetimes(tmp_path):
+    # an hour is held as its text; a datetime would be written as str() writes it
+    hour, items = datetime(2016, 8, 22, 10), (("PB", 1),)
+    with pytest.raises(TypeError):
+        db = DistinctRows([hour], [items])
+        write_transactions(str(tmp_path / "transactions.csv"), db, ["PB"])
+    ranking = Ranking(hours=[hour], index=[0], items=[items], bits=[1.0], covers=["PB:1"])
+    with pytest.raises(TypeError):
+        write_scores(str(tmp_path / "scores.tsv"), ranking, ["PB"])
+    with pytest.raises(TypeError):
+        report(ranking, 1.0, k=1)
 
 
 @pytest.mark.parametrize("change", LATE_CHANGES)

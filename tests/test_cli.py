@@ -630,9 +630,10 @@ def test_only_scoring_spreads_a_sweep_into_per_row_covers(tmp_path, monkeypatch)
 
 
 def test_staged_score_ranks_equal_scores_by_time_on_a_file_out_of_time_order(tmp_path):
-    # The database sorts its hours, and score_all merges the hours of rows
-    # with equal scores: 03:00 (PB:1,LQ:2) and 04:00 (PB:2,LQ:1) tie across
-    # two rows, and the 1,1 row's hours come as 05:00, 02:00, 01:00.
+    # The database sorts its hours, and score_all ranks them by one stable
+    # sort on their row's score, so equal scores keep time order: 03:00
+    # (PB:1,LQ:2) and 04:00 (PB:2,LQ:1) tie across two rows, and the 1,1
+    # row's hours come as 05:00, 02:00, 01:00.
     txns = tmp_path / "transactions.csv"
     txns.write_text(
         "timestamp,PB,LQ\n2016-08-22T05:00,1,1\n2016-08-22T02:00,1,1\n"

@@ -5,7 +5,7 @@ import io
 import re
 import tracemalloc
 from array import array
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +38,6 @@ from mdlpatterns.ingest import (
     canonical,
     discretize,
     hour_text,
-    hour_texts,
-    parse_hour,
     parse_hours,
     parse_records,
     write_transactions,
@@ -192,7 +190,7 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
     assert result.diagnostics[0].startswith("row 3: timestamp carries a UTC offset")
     # the naive row alone still builds; mixed with an aware one it could not be sorted
     build = build_transactions(aggregate_hourly(result), ["PB"], "ToCanada", "Car")
-    assert build.transactions.hours == [datetime(2017, 1, 1, 0)]
+    assert build.transactions.hours == ["2017-01-01T00:00"]
 
 
 @pytest.mark.parametrize("stamp", ["2016-08-22", " 2016-08-22 ", "20160822", "2016-W34-1"])
@@ -524,9 +522,9 @@ def hourly_fixture():
 
 def test_build_transactions_assembles_complete_hours_only():
     build = build_transactions(hourly_fixture(), ["PB", "LQ", "RB"], "ToCanada", "Car")
-    assert build.transactions.hours == [datetime(2016, 8, 22, 10)]
+    assert build.transactions.hours == ["2016-08-22T10:00"]
     assert hours_of(build.transactions)[0].items == (("PB", 1), ("LQ", 2), ("RB", 4))
-    assert build.excluded_hours == [datetime(2016, 8, 22, 11)]
+    assert build.excluded_hours == ["2016-08-22T11:00"]
 
 
 def test_build_transactions_respects_attribute_order():
@@ -563,22 +561,20 @@ def test_transactions_round_trip(tmp_path):
     assert hours_of(loaded) == hours_of(build.transactions)
 
 
-# any datetime, with nonzero minutes, seconds or microseconds, or a UTC offset;
-# some share a day, so a day's text is reused
-STAMPS = st.one_of(
-    st.datetimes(),
-    st.datetimes(timezones=st.just(timezone(timedelta(hours=-5)))),
-    st.builds(datetime.combine, st.sampled_from([date(2016, 8, 22), date(999, 12, 31)]),
-              st.times()),
-)
+# naive clock hours, years 1 to 9999
+HOURS = st.datetimes().map(lambda stamp: stamp.replace(minute=0, second=0, microsecond=0))
 
 
-@given(stamps=st.lists(STAMPS, max_size=30))
+@given(hours=st.lists(HOURS, max_size=30), repeats=st.lists(st.integers(0, 29), max_size=2))
 @settings(max_examples=300)
-def test_hour_texts_writes_what_hour_text_writes(stamps):
-    # the writers format each day once and add the clock; every text must be
-    # the one hour_text gives
-    assert list(hour_texts(stamps)) == [hour_text(stamp) for stamp in stamps]
+def test_hour_text_orders_as_the_hours_and_parse_hours_takes_distinct_texts(hours, repeats):
+    # the database holds each hour as its text: it sorts the texts, read_scores
+    # compares them, and the staged readers take a column of them in one call
+    assert sorted(map(hour_text, hours)) == list(map(hour_text, sorted(hours)))
+    hours += [hours[at] for at in repeats if at < len(hours)]
+    texts = list(map(hour_text, hours))
+    assert parse_hours(texts) is (len(set(hours)) == len(hours))
+    assert texts == list(map(hour_text, hours))  # checked, not changed
 
 
 def test_read_transactions_rejects_garbage(tmp_path):
@@ -658,7 +654,7 @@ def test_read_transactions_shares_one_items_tuple_per_category_text(tmp_path):
 
 def test_transactions_round_trip_a_year_before_1000(tmp_path):
     # strftime("%Y") writes 999, which fromisoformat cannot read back
-    txn = Hour(timestamp=datetime(999, 12, 31, 23), items=(("PB", 2),))
+    txn = Hour(timestamp=hour_text(datetime(999, 12, 31, 23)), items=(("PB", 2),))
     path = tmp_path / "transactions.csv"
     write_transactions(str(path), collapse([txn]), ["PB"])
     assert path.read_text() == "timestamp,PB\n0999-12-31T23:00,2\n"
@@ -711,7 +707,7 @@ def test_read_transactions_matches_the_per_row_oracle_on_a_long_file(change, tmp
 def test_parse_hours_reads_only_stamps_as_hour_text_writes_them():
     texts = [hour_text(datetime(2016, 8, 22) + timedelta(hours=i)) for i in range(30)]
     hours = list(texts)
-    assert parse_hours(hours) and hours == list(map(parse_hour, texts))
+    assert parse_hours(hours) and hours == texts
     for bad in [
         [*texts, texts[3]],  # a repeat
         ["2016-08-22T10:0", "2016-08-22T11:000"],  # 32 characters, but not 16 each

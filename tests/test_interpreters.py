@@ -4,13 +4,16 @@
 rest, reads a narrower grammar on 3.10 than on 3.11 and later. So each of
 python3.10, python3.12 and python3.13, other than the interpreter running
 the tests, runs the CLI from this checkout's ``src`` on the two snapshot
-checks of ``test_golden.py``, and must write the same bytes. Where the name
+checks of ``test_golden.py``, and on the wide snapshot's staged chain with
+its stamps in another accepted form, which the staged readers take row by
+row, and must write the same bytes. Where the name
 on PATH does not start, the same minor version installed beside the running
 interpreter is tried (pyenv's layout). An interpreter found neither way is
 skipped, and the skip reason names it.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,8 +78,9 @@ def test_run_matches_golden_snapshot(python, tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
-def test_staged_chain_matches_wide_golden_snapshot(python, tmp_path):
-    (tmp_path / "transactions.csv").write_bytes((GOLDEN_WIDE / "transactions.csv").read_bytes())
+def check_staged_chain(python: str, cwd: Path, transactions: str) -> None:
+    """compress, score and report on ``transactions`` write the wide snapshot's bytes."""
+    (cwd / "transactions.csv").write_text(transactions, encoding="utf-8")
     for args in (
         ["compress", "--transactions", "transactions.csv", "--table-out", "pattern_table.tsv",
          "--log-out", "acceptance_log.tsv"],
@@ -84,7 +88,20 @@ def test_staged_chain_matches_wide_golden_snapshot(python, tmp_path):
          "--output", "scores.tsv"],
         ["report", "--scores", "scores.tsv", "--output", "report.txt"],
     ):
-        done = run_cli(python, tmp_path, *args)
+        done = run_cli(python, cwd, *args)
         assert done.returncode == 0, (args[0], done.stderr)
     for name in ["pattern_table.tsv", "acceptance_log.tsv", "scores.tsv", "report.txt"]:
-        assert (tmp_path / name).read_bytes() == (GOLDEN_WIDE / name).read_bytes(), name
+        assert (cwd / name).read_bytes() == (GOLDEN_WIDE / name).read_bytes(), name
+
+
+def test_staged_chain_matches_wide_golden_snapshot(python, tmp_path):
+    check_staged_chain(python, tmp_path, (GOLDEN_WIDE / "transactions.csv").read_text("utf-8"))
+
+
+def test_staged_chain_reads_stamps_row_by_row_as_the_wide_golden_snapshot(python, tmp_path):
+    # "2018-03-01 00:00:00" is not as hour_text writes an hour, so the staged
+    # readers parse each stamp with fromisoformat, whose grammar varies by version
+    text = (GOLDEN_WIDE / "transactions.csv").read_text(encoding="utf-8")
+    text, rows = re.subn(r"^(\d{4}-\d\d-\d\d)T(\d\d:\d\d),", r"\1 \2:00,", text, flags=re.M)
+    assert rows == 720
+    check_staged_chain(python, tmp_path, text)

@@ -43,7 +43,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     golden = (GOLDEN / "scores.tsv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(worst.hours) == 36  # ceil(0.05 * 720 hours)
     assert [
-        (hour.strftime("%Y-%m-%dT%H:%M"), f"{worst.bits[row]:.9f}", worst.covers[row])
+        (hour, f"{worst.bits[row]:.9f}", worst.covers[row])
         for hour, row in zip(worst.hours, worst.index)
     ] == [
         (fields[0], fields[-3], fields[-1])
