@@ -125,11 +125,11 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
     The ranking must be as write_scores writes it: each rank is the row's place
     among the data rows, no score is above the row before it, and the hours of
     one distinct row (equal categories, score and cover) ascend. No two rows
-    may hold one hour. The header names each site once, then score_bits, rank
-    and cover. A distinct row is parsed and checked once: a finite score, and a
-    cover whose patterns are disjoint and together hold exactly its items. The
-    stamps are read as read_stamped reads them: in one call when every one is
-    as hour_text writes it, else per row."""
+    may hold one hour. The header names each site once, by a name that is not
+    empty, then score_bits, rank and cover. A distinct row is parsed and
+    checked once: a finite score, and a cover whose patterns are disjoint and
+    together hold exactly its items. The stamps are read as read_stamped reads
+    them: in one call when every one is as hour_text writes it, else per row."""
     return read_stamped(partial(_ranked_rows, path), lambda ranked: ranked[0].hours)
 
 
@@ -144,6 +144,8 @@ def _ranked_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[Ranking, l
             raise ValueError(f"{path}: bad scores header")
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
+        if "" in attributes:
+            raise ValueError(f"{path}: scores header names an empty site")
         rows: dict[tuple[str, str], int] = {}  # (categories and score, cover) text -> row
         last_hour: list = []  # per row
         previous = inf

@@ -14,22 +14,22 @@ hour's code length (the anomaly score downstream) is the sum over its cover.
 A pattern is a frozenset of items, and the table maps each pattern to its
 usage, as Krimp's code table holds itemsets with usages. Covers, usages and
 code lengths depend only on which distinct row an hour is, so compress is
-handed the database that mining and scoring are handed too: distinct rows
-with multiplicities (``ingest.DistinctRows``; usage over a multiset, as in
-Krimp). A cover pass sweeps the patterns once over all rows' bitmasks; a
-pattern's usage, like a singleton's raw count, is the weight of the rows it
-takes, counted as mining counts support. Passes repeat until the cover order
-is stable. What a pattern takes depends only on the patterns before it, so a
+handed the database that mining and scoring are handed too: distinct rows with
+multiplicities (``ingest.DistinctRows``; usage over a multiset, as in Krimp).
+A cover pass sweeps the patterns once over all rows' bitmasks; a pattern's
+usage, like a singleton's raw count, is the weight of the rows it takes,
+counted as mining counts support. Passes repeat until the cover order is
+stable. What a pattern takes depends only on the patterns before it, so a
 trial's pass resumes the table's settled sweep, or the trial's last pass,
 where its order leaves theirs; a candidate that takes no row where it enters
-the table's sweep would only repeat the table's covers, and costs no pass.
-Each call works out a taken-row mask's weight once, and its row positions
-once if a settled sweep takes it. Compress and scoring share one walk from a
-sweep to row bits: in cover order, it adds each pattern's code length to the
-bits of the rows the pattern takes. No trial spreads its sweep into per-row
-covers; only scoring does, to write them out. The length is one correctly
-rounded sum of each distinct row's bits times its multiplicity, whatever the
-row order.
+the table's sweep would only repeat the table's covers, and costs no pass. The
+database works out a taken-row mask's weight once, and its row positions once,
+whichever stage asks (``DistinctRows.weight`` and ``rows``). Compress and
+scoring share one walk from a sweep to row bits: in cover order, it adds each
+pattern's code length to the bits of the rows the pattern takes. No trial
+spreads its sweep into per-row covers; only scoring does, to write them out.
+The length is one correctly rounded sum of each distinct row's bits times its
+multiplicity, whatever the row order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from math import fsum, inf, log2
 from operator import and_, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ingest import DistinctRows, Item, parse_count
+from .ingest import DistinctRows, Item, check_fields, parse_count
 from .mining import cover_order, cover_ranks, format_items, parse_items
 from .mining import frequent_itemsets  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
@@ -153,47 +153,18 @@ def _sweep(order: Sequence[frozenset], patterns: _Patterns, resumable=()) -> _Sw
     return _Sweep(order, taken_rows, uncovered)
 
 
-class _Splits(dict):
-    """Taken-row mask -> its weight; in ``rows``, -> its set bits' row
-    positions ascending. Each is worked out on its first lookup. compress
-    keeps one per call, as its passes and trials take the same few masks again
-    and again, and reads the rows only of the masks its settled sweeps take.
-    """
-
-    def __init__(self, db: DistinctRows) -> None:
-        super().__init__()
-        self.db, self.rows = db, _Rows()
-
-    def __missing__(self, rows: int) -> int:
-        self[rows] = weight = self.db.weight(rows)
-        return weight
-
-
-class _Rows(dict):
-    """Row mask -> its set bits' positions ascending, worked out on first lookup."""
-
-    def __missing__(self, rows: int) -> tuple[int, ...]:
-        positions = []
-        remaining = rows
-        while remaining:
-            positions.append((remaining & -remaining).bit_length() - 1)
-            remaining &= remaining - 1  # clear the lowest set bit
-        self[rows] = split = tuple(positions)
-        return split
-
-
-def _expand(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int],
-            splits: _Splits) -> list[tuple[frozenset, ...]]:
+def _expand(db: DistinctRows, order: Sequence[frozenset],
+            taken_rows: Sequence[int]) -> list[tuple[frozenset, ...]]:
     """Each distinct row's cover, its parts in cover order, from a sweep's taken rows."""
     parts: list[list[frozenset]] = [[] for _ in db.weights]
     for pattern, taken in zip(order, taken_rows):
-        for row in splits.rows[taken]:
+        for row in db.rows(taken):
             parts[row].append(pattern)
     return [tuple(row_parts) for row_parts in parts]
 
 
 def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence[int],
-              lengths: Mapping, splits: _Splits) -> list[float]:
+              lengths: Mapping) -> list[float]:
     """Each distinct row's bits: walking the sweep in cover order adds each
     pattern's code length to every row it takes, from integer 0. A loop, not
     ``sum``, which compensates float rounding from Python 3.12 on, so a row's
@@ -204,7 +175,7 @@ def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence
         for pattern, taken in zip(order, taken_rows):
             if taken:
                 length = lengths[pattern]
-                for row in splits.rows[taken]:
+                for row in db.rows(taken):
                     bits[row] += length
     except KeyError:  # code_lengths leaves out every zero-usage pattern
         unused = format_items(pattern)
@@ -212,8 +183,8 @@ def _row_bits(db: DistinctRows, order: Sequence[frozenset], taken_rows: Sequence
     return bits
 
 
-def _settle(table: PatternTable, db: DistinctRows, trial: str, patterns=None, splits=None,
-            order=None, resumable=()) -> _Sweep:
+def _settle(table: PatternTable, db: DistinctRows, trial: str, patterns=None, order=None,
+            resumable=()) -> _Sweep:
     """Cover passes until usages are self-consistent; returns the settled sweep.
 
     Each pass sets every usage, in place and in table order, to the weight of
@@ -221,15 +192,14 @@ def _settle(table: PatternTable, db: DistinctRows, trial: str, patterns=None, sp
     order before it, another pass would repeat its covers, and that pass's
     sweep is returned. A pass resumes the last pass or one of ``resumable``.
     Raises ValueError naming ``trial`` at the pass cap. ``order`` is the
-    table's cover order, and ``splits`` a _Splits of ``db``.
+    table's cover order.
     """
     patterns = _Patterns(db, table.usages) if patterns is None else patterns
-    splits = _Splits(db) if splits is None else splits
     order = order or cover_order(table.usages, patterns.ranks)
     passes = resumable
     for _ in range(_MAX_RECOVER_PASSES):
         sweep = _sweep(order, patterns, passes)
-        table.usages.update(zip(order, map(splits.__getitem__, sweep.taken)))
+        table.usages.update(zip(order, map(db.weight, sweep.taken)))
         previous, order = order, cover_order(table.usages, patterns.ranks)
         if order == previous:
             return sweep
@@ -245,10 +215,10 @@ def code_lengths(table: PatternTable) -> dict[frozenset[Item], float]:
 
 def cover_rows(db: DistinctRows, table: PatternTable) -> tuple[list[float], list[tuple]]:
     """Each distinct row's bits and cover, from one sweep under the table as given."""
-    order, splits = cover_order(table.usages), _Splits(db)
+    order = cover_order(table.usages)
     taken_rows = _sweep(order, _Patterns(db, table.usages)).taken
-    bits = _row_bits(db, order, taken_rows, code_lengths(table), splits)
-    return bits, _expand(db, order, taken_rows, splits)
+    bits = _row_bits(db, order, taken_rows, code_lengths(table))
+    return bits, _expand(db, order, taken_rows)
 
 
 def _database_bits(db: DistinctRows, row_bits: Sequence[float]) -> float:
@@ -273,12 +243,12 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
     singletons always stay. A candidate already in the table is a ValueError.
     """
     table = init_pattern_table(db)
-    patterns, splits = _Patterns(db, [*table.usages, *candidates]), _Splits(db)
+    patterns = _Patterns(db, [*table.usages, *candidates])
 
     def settled_length(model: PatternTable, trial: str, *resume) -> tuple[float, _Sweep]:
-        sweep = _settle(model, db, trial, patterns, splits, *resume)
+        sweep = _settle(model, db, trial, patterns, *resume)
         lengths = code_lengths(model)
-        row_bits = _row_bits(db, sweep.order, sweep.taken, lengths, splits)
+        row_bits = _row_bits(db, sweep.order, sweep.taken, lengths)
         return _database_bits(db, row_bits) + _table_bits(model, lengths), sweep
 
     initial, settled = settled_length(table, "the singleton table")
@@ -323,7 +293,7 @@ def compress(db: DistinctRows, candidates: Mapping[frozenset[Item], int]) -> Com
 def cover_database(db: DistinctRows, table: PatternTable) -> list[tuple[frozenset, ...]]:
     """Every hour's cover, in time order, under one fixed canonical order (single pass)."""
     order = cover_order(table.usages)
-    covers = _expand(db, order, _sweep(order, _Patterns(db, table.usages)).taken, _Splits(db))
+    covers = _expand(db, order, _sweep(order, _Patterns(db, table.usages)).taken)
     return [covers[row] for row in db.index]
 
 
@@ -380,23 +350,25 @@ def read_pattern_table(path: str) -> PatternTable:
                 if line.startswith("#"):
                     fields = line[1:].strip().split("\t")
                     if fields[0] == "total_singleton_count":
-                        totals.append((lineno, parse_count(fields[1])))
+                        _, total = check_fields(fields, 2)
+                        totals.append((lineno, parse_count(total)))
                     elif fields[0] == "item_count":
-                        (item,) = parse_items(fields[1])  # one item, or ValueError
+                        _, items_text, count_text = check_fields(fields, 3)
+                        (item,) = parse_items(items_text)  # one item, or ValueError
                         if item in singleton_counts:
-                            raise ValueError(f"repeated item count {fields[1]}")
-                        singleton_counts[item] = parse_count(fields[2])
+                            raise ValueError(f"repeated item count {items_text}")
+                        singleton_counts[item] = parse_count(count_text)
                         if singleton_counts[item] < 1:
-                            raise ValueError(f"item count {fields[2]} for {fields[1]} is below 1")
+                            raise ValueError(f"item count {count_text} for {items_text} is below 1")
                     continue
-                items_text, usage_text, _bits = line.split("\t")
+                items_text, usage_text, _bits = check_fields(line.split("\t"), 3)
                 pattern, usage = parse_items(items_text), parse_count(usage_text)
                 if usage < 0:
                     raise ValueError(f"negative usage {usage} for {items_text}")
                 if pattern in usages:
                     raise ValueError(f"repeated pattern {items_text}")
                 usages[pattern] = usage
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     if not usages:
         raise ValueError(f"{path}: no patterns found")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
-from functools import partial
+from functools import cache, partial
 from itertools import compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
 from operator import add, eq, floordiv, ge, gt, itemgetter
@@ -70,6 +70,9 @@ class DistinctRows:
     its items in attribute order and ``weights`` its multiplicity. Bit r of
     ``holding[item]`` is set when distinct row r holds the item, and bit r of
     ``planes[k]`` when bit k of row r's multiplicity is.
+
+    ``weight`` and ``rows`` map a row mask to the summed multiplicity and the
+    ascending positions of its distinct rows, each worked out once per mask.
     """
 
     def __init__(self, hours: Sequence[str], items: Sequence[tuple[Item, ...]]) -> None:
@@ -88,17 +91,29 @@ class DistinctRows:
                 self.holding[item] = self.holding.get(item, 0) | 1 << row
         self.planes = [int("".join(str(w >> k & 1) for w in reversed(self.weights)), 2)
                        for k in range(max(self.weights, default=0).bit_length())]
+        self.weight = cache(partial(_weight, self.planes))
+        self.rows = cache(_positions)
 
     def __len__(self) -> int:
         return len(self.hours)
 
-    def weight(self, rows: int) -> int:
-        """Summed multiplicity of the distinct rows whose bits are set in ``rows``:
-        one popcount per multiplicity bit plane, whatever the number of rows."""
-        total = 0
-        for plane in reversed(self.planes):  # the highest bit first
-            total = 2 * total + (rows & plane).bit_count()
-        return total
+
+def _weight(planes: Sequence[int], rows: int) -> int:
+    """Summed multiplicity of the rows whose bits are set in ``rows``: one
+    popcount per multiplicity bit plane, whatever the number of rows."""
+    total = 0
+    for plane in reversed(planes):  # the highest bit first
+        total = 2 * total + (rows & plane).bit_count()
+    return total
+
+
+def _positions(rows: int) -> tuple[int, ...]:
+    """The positions of the bits set in ``rows``, ascending."""
+    positions = []
+    while rows:
+        positions.append((rows & -rows).bit_length() - 1)
+        rows &= rows - 1  # clear the lowest set bit
+    return tuple(positions)
 
 
 # (site, direction, vehicle_class, timestamp) of one observation
@@ -467,6 +482,13 @@ def parse_count(text: str) -> int:
     return count
 
 
+def check_fields(fields: list[str], count: int) -> list[str]:
+    """``fields``, if there are ``count`` of them; otherwise ValueError."""
+    if len(fields) != count:
+        raise ValueError(f"expected {count} fields")
+    return fields
+
+
 def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -> None:
     """One row per hour, in time order; each distinct row's categories are formatted once."""
     texts = []
@@ -481,11 +503,11 @@ def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -
 def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
     """Read a transaction file back; returns (database, attribute names).
 
-    Every row is checked, no two rows may hold one hour, and the header may
-    not name a site twice. Each distinct category text is parsed once, so its
-    rows share one items tuple. Rows may come in any time order. The stamps
-    are read as read_stamped reads them: in one call when every one is as
-    hour_text writes it, else per row."""
+    Every row is checked, no two rows may hold one hour, and the header names
+    each site once, by a name that is not empty. Each distinct category text is
+    parsed once, so its rows share one items tuple. Rows may come in any time
+    order. The stamps are read as read_stamped reads them: in one call when
+    every one is as hour_text writes it, else per row."""
     hours, hour_items, attributes = read_stamped(partial(_transaction_rows, path), itemgetter(0))
     return DistinctRows(hours, hour_items), attributes
 
@@ -503,6 +525,8 @@ def _transaction_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[list,
         attributes = columns[1:]
         if len(set(attributes)) != len(attributes):
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
+        if "" in attributes:
+            raise IngestError(f"{path}: transaction header names an empty site ({header!r})")
         hours, hour_items = [], []
         rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
         for lineno, line in enumerate(fh, start=2):

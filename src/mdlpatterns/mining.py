@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .ingest import DistinctRows, Item, parse_categories, parse_count
+from .ingest import DistinctRows, Item, check_fields, parse_categories, parse_count
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -87,12 +87,9 @@ def cover_ranks(patterns: Iterable[frozenset]) -> dict[frozenset, int]:
 def cover_order(usages: Mapping[frozenset, int], ranks: Mapping | None = None) -> list[frozenset]:
     """The canonical order: descending cardinality, then descending usage (or
     support), then lexicographic items. ``ranks`` is cover_ranks of patterns
-    that include all of ``usages``. The key is one int: the rank below the
-    usage below the cardinality, each scaled past the span of the one below it."""
+    that include all of ``usages``; a pattern's rank stands for its items."""
     ranks = ranks or cover_ranks(usages)
-    high, width = max(usages.values(), default=0), len(ranks)
-    span = high - min(usages.values(), default=0) + 1
-    return sorted(usages, key=lambda p: (high - usages[p] - len(p) * span) * width + ranks[p])
+    return sorted(usages, key=lambda p: (-len(p), -usages[p], ranks[p]))
 
 
 def frequent_itemsets(db: DistinctRows, least: int) -> dict[frozenset[Item], int]:
@@ -143,7 +140,7 @@ def read_itemsets(path: str) -> dict[frozenset[Item], int]:
             if not line:
                 continue
             try:
-                items_text, support_text = line.split("\t")
+                items_text, support_text = check_fields(line.split("\t"), 2)
                 items = parse_items(items_text)
                 if items in itemsets:
                     raise ValueError(f"repeated itemset {items_text}")

@@ -414,6 +414,8 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
         attributes = columns[1:]
         if len(set(attributes)) != len(attributes):
             raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
+        if "" in attributes:
+            raise IngestError(f"{path}: transaction header names an empty site ({header!r})")
         transactions, seen = [], set()  # seen: the earlier rows' hour texts
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -443,6 +445,8 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
             raise ValueError(f"{path}: bad scores header")
         if len(set(attributes)) != len(attributes):
             raise ValueError(f"{path}: scores header names a site twice")
+        if "" in attributes:
+            raise ValueError(f"{path}: scores header names an empty site")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:

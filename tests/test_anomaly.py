@@ -273,6 +273,20 @@ def test_read_scores_rejects_a_header_naming_a_site_twice(tmp_path):
         read_scores(str(path))
 
 
+@pytest.mark.parametrize("sites", ["PB\t", "\tPB"])
+def test_read_scores_rejects_a_header_naming_an_empty_site(sites, tmp_path):
+    # without the check, the cover 'PB:1|:2' would fail as a bad item instead
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        f"timestamp\t{sites}\tscore_bits\trank\tcover\n"
+        "2016-08-22T10:00\t1\t2\t1.000000000\t1\tPB:1|:2\n"
+    )
+    reason = f"{path}: scores header names an empty site"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))
+    assert outcome(read_scores_oracle, str(path)) == (ValueError, reason)
+
+
 def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     # top_fraction and the top-k take the first rows, so they must be the top ranks
     path = tmp_path / "scores.tsv"

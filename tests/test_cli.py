@@ -416,6 +416,25 @@ def test_exit_code_compress_failure(tmp_path):
     assert code == 30
 
 
+def test_staged_commands_refuse_a_transaction_header_naming_an_empty_site(tmp_path, capsys):
+    # mine and compress would exit 0 and write items such as ':2'
+    txns = tmp_path / "transactions.csv"
+    txns.write_text("timestamp,PB,\n2016-08-22T10:00,1,2\n2016-08-22T11:00,1,2\n")
+    table = tmp_path / "t.tsv"
+    table.write_text("# pattern-table v1\nPB:1\t2\t0.000000000\n")
+    given = ["--transactions", str(txns)]
+    outcomes = [
+        cli.main(["mine", *given, "--output", str(tmp_path / "i.tsv")]),
+        cli.main(["compress", *given, "--table-out", str(tmp_path / "out.tsv"),
+                  "--log-out", str(tmp_path / "l.tsv")]),
+        cli.main(["score", *given, "--table", str(table), "--output", str(tmp_path / "s.tsv")]),
+    ]
+    assert outcomes == [20, 30, 40]
+    reason = f"{txns}: transaction header names an empty site ('timestamp,PB,')"
+    assert capsys.readouterr().err.count(reason) == 3
+    assert not {"i.tsv", "out.tsv", "l.tsv", "s.tsv"} & set(os.listdir(tmp_path))
+
+
 def test_unsettled_cover_order_is_a_compress_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.codec, "_MAX_RECOVER_PASSES", 1)
     raw = make_raw(tmp_path)

@@ -160,7 +160,7 @@ def test_settled_usages_and_lengths_match_the_row_by_row_oracle(drawn):
         return
     rows = collapse(db)
     order, taken_rows, _ = codec._settle(table, rows, "the drawn table")
-    assert codec._expand(rows, order, taken_rows, codec._Splits(rows)) == list(covers.values())
+    assert codec._expand(rows, order, taken_rows) == list(covers.values())
     assert list(table.usages.items()) == list(expected.usages.items())
 
     initial, trials, final = compress_oracle(db, candidates)
@@ -181,14 +181,16 @@ def databases_with_masks(draw):
 @given(drawn=databases_with_masks())
 @settings(max_examples=100)
 def test_each_taken_row_mask_is_split_once_into_its_weight_and_rows(drawn):
+    # the database remembers each mask's weight and rows for every stage
     db, masks = drawn
-    splits = codec._Splits(db)
+    weight_misses, rows_misses = db.weight.cache_info().misses, db.rows.cache_info().misses
     for mask in masks:
-        weight, rows = splits[mask], splits.rows[mask]
-        assert weight == db.weight(mask)
+        weight, rows = db.weight(mask), db.rows(mask)
+        assert weight == sum((mask & plane).bit_count() << k for k, plane in enumerate(db.planes))
         assert list(rows) == [row for row in range(len(db.weights)) if mask >> row & 1]
-        assert splits.rows[mask] is rows
-    assert len(splits) == len(splits.rows) == len(set(masks))
+        assert db.rows(mask) is rows
+    assert db.weight.cache_info().misses - weight_misses == len(set(masks))
+    assert db.rows.cache_info().misses - rows_misses == len(set(masks))
 
 
 def compensated_sum(values, start=0):
@@ -671,8 +673,12 @@ def test_read_pattern_table_rejects_empty(tmp_path):
     # kept, a count of 0 makes table_length fail with a bare math domain error
     ("# item_count\tPB:1\t0\nPB:1\t3\t0.000000000\n", "3: item count 0 for PB:1 is below 1"),
     ("# item_count\tPB:1\t-3\nPB:1\t3\t0.000000000\n", "3: item count -3 for PB:1 is below 1"),
+    # each read its missing field as "list index out of range" or "not enough values to unpack"
+    ("# item_count\tPB:1\nPB:1\t3\t0.000000000\n", "3: expected 3 fields"),
+    ("# total_singleton_count\nPB:1\t3\t0.000000000\n", "3: expected 2 fields"),
+    ("PB:1\t3\n", "3: expected 3 fields"),
 ], ids=["negative-usage", "repeated-pattern", "repeated-item-count", "zero-item-count",
-        "negative-item-count"])
+        "negative-item-count", "short-item-count", "short-total", "short-pattern"])
 def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
     path = tmp_path / "table.tsv"
     path.write_text("# pattern-table v1\n# total_singleton_count\t18\n" + body)

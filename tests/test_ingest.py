@@ -642,6 +642,18 @@ def test_read_transactions_rejects_a_header_naming_a_site_twice(tmp_path):
         read_transactions(str(path))
 
 
+@pytest.mark.parametrize("header", ["timestamp,PB,", "timestamp,,PB"])
+def test_read_transactions_rejects_a_header_naming_an_empty_site(header, tmp_path):
+    # the staged mine and compress would write items such as ':2', which no
+    # reader reads back; run refuses such an attribute list
+    path = tmp_path / "transactions.csv"
+    path.write_text(f"{header}\n2016-08-22T10:00,1,2\n")
+    reason = f"{path}: transaction header names an empty site ({header!r})"
+    with pytest.raises(IngestError, match=re.escape(reason)):
+        read_transactions(str(path))
+    assert outcome(read_transactions_oracle, str(path)) == (IngestError, reason)
+
+
 def test_read_transactions_shares_one_items_tuple_per_category_text(tmp_path):
     path = tmp_path / "transactions.csv"
     path.write_text("timestamp,PB,LQ\n2016-08-22T00:00,1,2\n2016-08-22T01:00,3,1\n"

@@ -22,7 +22,7 @@ from helpers import (
     support,
 )
 from mdlpatterns import frequent_itemsets, least_support
-from mdlpatterns.ingest import DistinctRows
+from mdlpatterns.ingest import _weight
 from mdlpatterns.mining import (
     exact_ceil,
     format_items,
@@ -73,10 +73,12 @@ def weighted_masks(draw):
 @given(drawn=weighted_masks())
 @settings(max_examples=200)
 def test_weight_is_the_summed_multiplicity_of_the_mask_rows(drawn):
+    # no hours: the drawn multiplicities' planes stand in for a database's,
+    # which DistinctRows.weight sums with _weight
     weights, mask = drawn
-    db = DistinctRows([], [])  # no hours; the drawn multiplicities stand in for theirs
-    db.weights, db.planes = weights, bit_planes(weights)
-    assert db.weight(mask) == sum(w for row, w in enumerate(weights) if mask >> row & 1)
+    assert _weight(bit_planes(weights), mask) == sum(
+        w for row, w in enumerate(weights) if mask >> row & 1
+    )
 
 
 @given(db=DATABASES)
@@ -288,6 +290,15 @@ def test_read_itemsets_rejects_a_repeated_itemset(tmp_path):
     path = tmp_path / "itemsets.tsv"
     path.write_text("LQ:2,PB:1\t6\nPB:1,RB:1\t4\nPB:1,LQ:2\t5\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: repeated itemset PB:1,LQ:2"):
+        read_itemsets(str(path))
+
+
+@pytest.mark.parametrize("line", ["LQ:2,PB:1", "LQ:2,PB:1\t6\t6"], ids=["short", "long"])
+def test_read_itemsets_names_the_field_count_of_a_bad_line(tmp_path, line):
+    # each was "not enough" or "too many values to unpack (expected 2)"
+    path = tmp_path / "itemsets.tsv"
+    path.write_text(f"PB:1,RB:1\t4\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected 2 fields")):
         read_itemsets(str(path))
 
 

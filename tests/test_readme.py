@@ -1,7 +1,8 @@
 """The README's Library example runs as written, on the golden transactions.
 
 It must import only names in ``mdlpatterns.__all__``, and all of them, so the
-README and the package's exports cannot drift apart.
+README and the package's exports cannot drift apart. Its "Command line"
+section names exactly the flags the parser declares.
 """
 
 import ast
@@ -10,16 +11,33 @@ import shutil
 from pathlib import Path
 
 import mdlpatterns
+from mdlpatterns.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def library_example() -> str:
+def readme_section(title: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_example() -> str:
+    (block,) = re.findall(r"```python\n(.*?)```", readme_section("Library"), flags=re.DOTALL)
     return block
+
+
+def test_readme_command_line_names_every_declared_flag():
+    # each subcommand's parser is the choice of the one subparsers action
+    (subcommands,) = [a for a in build_parser()._actions if a.choices]
+    declared = {
+        flag
+        for command in subcommands.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", readme_section("Command line"))) == declared
 
 
 def test_readme_imports_exactly_the_public_api():
