@@ -354,7 +354,9 @@ def read_pattern_table(path: str) -> PatternTable:
                         totals.append((lineno, parse_count(total)))
                     elif fields[0] == "item_count":
                         _, items_text, count_text = check_fields(fields, 3)
-                        (item,) = parse_items(items_text)  # one item, or ValueError
+                        if len(items := parse_items(items_text)) != 1:
+                            raise ValueError(f"item count names {len(items)} items ({items_text})")
+                        (item,) = items
                         if item in singleton_counts:
                             raise ValueError(f"repeated item count {items_text}")
                         singleton_counts[item] = parse_count(count_text)

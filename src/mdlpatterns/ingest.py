@@ -23,8 +23,10 @@ Pipeline:
 An hour is a position in the database: its clock hour, held as the text every
 artifact writes (hour_text: ``2016-08-22T10:00``), and its distinct row.
 ParseResult and TransactionBuild are immutable NamedTuples. All operations
-are pure and deterministic: identical input yields an identical database.
-Only parse_records uses `csv` and `array`, and it imports them as it starts.
+are pure and deterministic. Only parse_records uses `csv` and `array`,
+imported as it starts: csv reads the header and any line a split would
+misread; each other line is cut at its stamp, and the text after the stamp
+is parsed once into a bounded cache.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
 from functools import cache, partial
-from itertools import compress, count, islice, pairwise, repeat, starmap
+from itertools import chain, compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
 from operator import add, eq, floordiv, ge, gt, itemgetter
 from typing import IO, TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
@@ -120,8 +122,9 @@ def _positions(rows: int) -> tuple[int, ...]:
 RecordKey = tuple[str, str, str, datetime]
 
 _MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in microseconds
-# texts a parse cache holds before it is cleared: stamps pass, a year's few thousand waits recur
-_STAMPS_CACHED, _WAITS_CACHED = 1 << 10, 1 << 14
+# texts a parse cache holds: stamps pass, so theirs is cleared when full; a year's few
+# thousand tails recur, so the first are kept; waits are parsed for new tails only
+_STAMPS_CACHED, _TAILS_CACHED, _WAITS_CACHED = 1 << 10, 1 << 12, 1 << 11
 
 
 class ParseResult(NamedTuple):
@@ -154,17 +157,25 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     timestamp) keys keep the last occurrence, with a diagnostic per replaced
     row; these follow the rejections, latest replaced row first.
 
+    csv reads the header. Each line is then cut into its stamp text and its
+    tail, the rest of the line, and each is looked up in a cache: a tail maps
+    to its slice's appends and wait, or why it is rejected, and that cache
+    keeps the first _TAILS_CACHED tails. A line holding a quote, NUL, ``\\r``
+    before its end or more than ``csv.field_size_limit()`` characters, or too
+    short to reach its stamp, is read as one csv row instead, and is not cached.
+
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name reads its last column and a short row reads its missing fields as
     empty.
 
     Raises IngestError if the stream has no header or a mandatory column
-    is missing.
+    is missing; csv's own errors pass through.
     """
     import csv
     from array import array
 
-    reader = csv.reader(stream, delimiter=delimiter)
+    source = iter(stream)
+    reader = csv.reader(source, delimiter=delimiter)
     header = next(reader, None)
     if header is None:
         raise IngestError("input has no header row")
@@ -174,35 +185,33 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     index = {name: i for i, name in enumerate(header)}
     i_stamp, i_site, i_direction, i_class, i_wait = (index[c] for c in COLUMNS)
     width = max(index[c] for c in COLUMNS) + 1
-    padding = [""] * width
+    limit = csv.field_size_limit()
 
     slices: dict[tuple[str, str, str], tuple[array, array, array]] = {}
     diagnostics: list[str] = []
-    # Stamp and wait text -> value, or why it is rejected; cleared when full, so
-    # each stamp is parsed once in an hour-major feed, and per row in a site-major one.
+    # stamp and wait text -> value, or why it is rejected; each cleared when full
     stamp_of: dict[str, int | str] = {}
     wait_of: dict[str, float | str] = {}
     appends: dict[tuple[str, str, str], tuple] = {}  # slice fields -> its columns' appends
-    for row in reader:
+    tail_of: dict[str, tuple | str] = {}  # tail -> its entry (parse_tail)
+
+    def cut(line: str) -> tuple[str, str, str]:
+        """(stamp text, delimiter, the line without them); no delimiter if the line is short."""
+        fields = line.split(delimiter, i_stamp + 1)
+        if len(fields) <= i_stamp:
+            return "", "", line
+        return fields.pop(i_stamp), delimiter, delimiter.join(fields)
+
+    def parse_tail(row: list[str]) -> tuple | str:
+        """A row's tail entry: (*appends, wait), or why its slice, then its wait, is rejected."""
         if len(row) < width:
-            if not row:
-                continue
-            row += padding[len(row):]
-        stamp = stamp_of.get(row[i_stamp])
-        if stamp is None:
-            if len(stamp_of) == _STAMPS_CACHED:
-                stamp_of.clear()
-            stamp = stamp_of[row[i_stamp]] = _stamp(row[i_stamp])
-        if stamp.__class__ is str:
-            diagnostics.append(f"row {reader.line_num}: {stamp}")
-            continue
+            row += [""] * (width - len(row))
         fields = (row[i_site], row[i_direction], row[i_class])
         append = appends.get(fields)
         if append is None:
             slice_ = _parse_slice(*fields)
             if isinstance(slice_, str):
-                diagnostics.append(f"row {reader.line_num}: {slice_}")
-                continue
+                return slice_
             columns = slices.setdefault(slice_, (array("q"), array("d"), array("q")))
             append = appends[fields] = tuple(column.append for column in columns)
         wait = wait_of.get(row[i_wait])
@@ -210,13 +219,42 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             if len(wait_of) == _WAITS_CACHED:
                 wait_of.clear()
             wait = wait_of[row[i_wait]] = _wait(row[i_wait].strip())
-        if wait.__class__ is str:
-            diagnostics.append(f"row {reader.line_num}: {wait}")
+        return wait if wait.__class__ is str else append + (wait,)
+
+    line_num = reader.line_num
+    for line in source:
+        line_num += 1
+        text, sep, tail = line.partition(delimiter) if i_stamp == 0 else cut(line)
+        stamp = stamp_of.get(text)
+        tail_entry = tail_of.get(tail)
+        if stamp is None or tail_entry is None:  # a cached text was checked as it was cached
+            if (sep and len(line) <= limit and '"' not in line and "\0" not in line
+                    and ("\r" not in line or "\r" not in line.rstrip("\r\n"))):
+                if stamp is None:
+                    if len(stamp_of) == _STAMPS_CACHED:
+                        stamp_of.clear()
+                    stamp = stamp_of[text] = _stamp(text)
+                if tail_entry is None and stamp.__class__ is not str:
+                    tail_entry = parse_tail(line.rstrip("\r\n").split(delimiter))
+                    if len(tail_of) < _TAILS_CACHED:
+                        tail_of[tail] = tail_entry
+            else:  # csv reads a line that a split would misread
+                row_reader = csv.reader(chain([line], source), delimiter=delimiter)
+                row = next(row_reader)
+                line_num += row_reader.line_num - 1
+                if not row:
+                    continue
+                row += [""] * (width - len(row))
+                stamp = _stamp(row[i_stamp])
+                if stamp.__class__ is not str:
+                    tail_entry = parse_tail(row)
+        if stamp.__class__ is str or tail_entry.__class__ is str:  # the stamp's reason first
+            diagnostics.append(f"row {line_num}: {stamp if stamp.__class__ is str else tail_entry}")
             continue
-        add_stamp, add_wait, add_line = append
+        add_stamp, add_wait, add_line, wait = tail_entry
         add_stamp(stamp)
         add_wait(wait)
-        add_line(reader.line_num)
+        add_line(line_num)
 
     rejected = len(diagnostics)  # only rejections so far
     replaced = []  # (line, slice, stamp) per replaced row

@@ -7,7 +7,6 @@ something honest to be checked against.
 
 from __future__ import annotations
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from functools import reduce
 from itertools import combinations
 from math import fsum, isfinite, log2
 from operator import add
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -33,17 +32,7 @@ from mdlpatterns.codec import (
     recompute_usages,
     total_length,
 )
-from mdlpatterns.ingest import (
-    COLUMNS,
-    DIRECTIONS,
-    VEHICLE_CLASSES,
-    DistinctRows,
-    IngestError,
-    ParseResult,
-    canonical,
-    hour_text,
-    parse_records,
-)
+from mdlpatterns.ingest import DistinctRows, IngestError, ParseResult, hour_text, parse_records
 from mdlpatterns.mining import format_items, frequent_itemsets, parse_items
 from mdlpatterns.synth import SyntheticDataset, WaitTimeRecord, write_records_csv
 
@@ -290,98 +279,7 @@ def parse_synthetic(dataset: SyntheticDataset, tmp_path) -> ParseResult:
         return parse_records(fh)
 
 
-def kept_rows(result: ParseResult) -> list[tuple]:
-    """Every kept row in file order: (site, direction, class, timestamp, wait)."""
-    rows = sorted((line, *slice_, datetime.min + timedelta(microseconds=stamp), wait)
-                  for slice_, columns in result.slices.items()
-                  for stamp, wait, line in zip(*columns))
-    return [row[1:] for row in rows]
-
-
-# --- ingest oracle: a record per row, deduplicated and averaged in later passes --
-
-
-@dataclass
-class OracleParse:
-    records: list[WaitTimeRecord]
-    diagnostics: list[str]
-    rejected_rows: int
-    duplicate_rows: int
-
-
-def parse_records_oracle(stream: IO[str], delimiter: str = ",") -> OracleParse:
-    """The record-list ingest that the one-pass parse_records replaced.
-
-    ``csv.DictReader`` gives every row a dict, every valid row becomes a
-    WaitTimeRecord, and a second pass over the list, from the end, keeps the
-    last row per (site, direction, vehicle_class, timestamp). Rows are named
-    by their physical line.
-    """
-    reader = csv.DictReader(stream, delimiter=delimiter)
-    if reader.fieldnames is None:
-        raise IngestError("input has no header row")
-    missing = [c for c in COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise IngestError(f"missing required column(s): {', '.join(missing)}")
-
-    result = OracleParse(records=[], diagnostics=[], rejected_rows=0, duplicate_rows=0)
-    parsed: list[WaitTimeRecord] = []
-    for row in reader:
-        try:
-            parsed.append(_oracle_row(row))
-        except ValueError as exc:
-            result.diagnostics.append(f"row {reader.line_num}: {exc}")
-            result.rejected_rows += 1
-
-    seen: set[tuple] = set()
-    for rec in reversed(parsed):
-        key = (rec.site, rec.direction, rec.vehicle_class, rec.timestamp)
-        if key in seen:
-            result.diagnostics.append(
-                f"duplicate observation for {rec.site}/{rec.direction}/"
-                f"{rec.vehicle_class} at {rec.timestamp.isoformat()}; kept last"
-            )
-            result.duplicate_rows += 1
-            continue
-        seen.add(key)
-        result.records.append(rec)
-    result.records.reverse()
-    return result
-
-
-def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
-    raw_ts = (row.get("timestamp") or "").strip()
-    try:
-        timestamp = datetime.fromisoformat(raw_ts)
-    except ValueError:
-        raise ValueError(f"bad timestamp {raw_ts!r}")
-    try:
-        date.fromisoformat(raw_ts)
-    except ValueError:
-        pass
-    else:  # a date alone reads as midnight, but it has no time of day
-        raise ValueError(f"bad timestamp {raw_ts!r}")
-    if timestamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
-    site = (row.get("site") or "").strip()
-    if not site:
-        raise ValueError("empty site")
-    direction = canonical(row.get("direction") or "", DIRECTIONS, "direction")
-    vehicle_class = canonical(row.get("vehicle_class") or "", VEHICLE_CLASSES, "vehicle class")
-    raw_wait = (row.get("wait_minutes") or "").strip()
-    try:
-        wait = float(raw_wait)
-    except ValueError:
-        raise ValueError(f"bad wait minutes {raw_wait!r}")
-    # float() also reads digit groups ("1_5") and other scripts' digits; a
-    # wait is written with the characters of an ASCII number, inf or nan only
-    if not all(char in "0123456789+-.eEinfatyINFATY" for char in raw_wait):
-        raise ValueError(f"bad wait minutes {raw_wait!r}")
-    if not isfinite(wait):
-        raise ValueError(f"non-finite wait ({raw_wait})")
-    if wait < 0:
-        raise ValueError(f"negative wait ({raw_wait})")
-    return WaitTimeRecord(timestamp, site, direction, vehicle_class, wait)
+# --- ingest oracle: averaged in a later pass ------------------------------------
 
 
 def aggregate_hourly_oracle(

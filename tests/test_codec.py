@@ -705,7 +705,7 @@ def test_read_pattern_table_rejects_a_total_other_than_the_item_counts_sum(tmp_p
     ("PB:1,PB:2\t5000\t1.000000000", "two categories for site PB (PB:1,PB:2)"),
     ("LQ:2,PB:9\t4\t1.000000000", "category outside 1..4 (PB:9)"),
     ("# item_count\tPB:0\t3", "category outside 1..4 (PB:0)"),
-    ("# item_count\tLQ:2,PB:1\t3", "too many values to unpack"),
+    ("# item_count\tLQ:2,PB:1\t3", "item count names 2 items (LQ:2,PB:1)"),
 ], ids=["two-categories", "pattern-category", "item-count-category", "item-count-pair"])
 def test_read_pattern_table_rejects_what_no_hour_can_hold(tmp_path, line, reason):
     # its usage or count would enter the totals and shift every code length

@@ -1,8 +1,10 @@
 """Ingestion: parsing, deduplication, hourly means, categorization, assembly."""
 
+import csv
 import gc
 import io
 import re
+import sys
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta
@@ -11,6 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feed_oracle import (
+    EDGE_FEEDS,
+    expected_outcome,
+    kept_rows,
+    parse_outcome,
+    parse_records_oracle,
+)
 from helpers import (
     ACCEPTED_LATE,
     LATE_CHANGES,
@@ -22,9 +31,7 @@ from helpers import (
     change_late_row,
     collapse,
     hours_of,
-    kept_rows,
     outcome,
-    parse_records_oracle,
     read_transactions_oracle,
 )
 from mdlpatterns import read_transactions
@@ -272,6 +279,24 @@ def test_parse_and_aggregate_peak_under_96_bytes_per_kept_row(tmp_path):
     assert peak <= 96 * len(result.records)
 
 
+def test_parse_and_aggregate_peak_under_96_bytes_per_kept_row_when_no_tail_repeats(tmp_path):
+    # every row's wait is its own, so no text after a stamp repeats: the tail
+    # and wait caches fill to their bounds, and the peak stays within the same budget
+    path = tmp_path / "raw.csv"
+    records = generate_synthetic(seed=7, days=30).records
+    write_records_csv(str(path), [r._replace(wait_minutes=i / 1000) for i, r in enumerate(records)])
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            result = parse_records(fh)
+        hourly = aggregate_hourly(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(result.records), len(hourly)) == (18_000, 2_160)
+    assert peak <= 96 * len(result.records)
+
+
 # --- hourly aggregation ------------------------------------------------------
 
 
@@ -378,10 +403,23 @@ def five_minute_runs(draw):
 
 
 @st.composite
+def csv_spelling(draw, field: str) -> str:
+    """``field`` as only csv reads it: quoted, or a field of its own that is
+    quoted and holds the delimiter or a newline, or that holds a quote inside."""
+    kind = draw(st.sampled_from(["quoted", "delimiter", "newline", "inner quote"]))
+    if kind == "inner quote":
+        return field[:1] + '"' + field[1:] if field else 'x"'
+    inner = {"quoted": field, "delimiter": field + ",", "newline": field[:1] + "\n" + field[1:]}
+    return '"' + inner[kind] + '"'
+
+
+@st.composite
 def feeds(draw):
     """Raw feed text: columns in any order, maybe a repeated column that an
     earlier decoy shadows, and rows of every kind. Some rows are re-sent
-    later with a new wait, and the rows may be shuffled."""
+    later with a new wait, and the rows may be shuffled. A few fields, the
+    stamp among them, are spelled as only csv reads them, and the last line
+    may lack its newline."""
     order = draw(st.permutations(range(len(COLUMNS))))
     header = [COLUMNS[i] for i in order]
     decoy = draw(st.sampled_from([None, *COLUMNS]))
@@ -400,13 +438,35 @@ def feeds(draw):
     for fields in rows:
         by_column = [fields[i] for i in order if i < len(fields)] + fields[len(COLUMNS):]
         lines.append(["decoy"] + by_column if decoy and fields else by_column)
-    return "".join(",".join(line) + "\n" for line in lines)
+    for at, column in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 9)), max_size=3)):
+        line = lines[1 + at % len(lines[1:])] if lines[1:] else []
+        if line:
+            line[column % len(line)] = draw(csv_spelling(line[column % len(line)]))
+    text = "".join(",".join(line) + "\n" for line in lines)
+    return text.removesuffix("\n") if draw(st.booleans()) else text
 
 
 @given(text=feeds())
 @settings(max_examples=300, deadline=None)
 def test_one_pass_matches_the_record_list_oracle(text):
     matches_the_oracles(text)
+
+
+@pytest.mark.parametrize("name", EDGE_FEEDS)
+def test_parse_matches_the_oracle_or_csv_error_on_edge_feeds(name):
+    # other delimiters, other stamp columns with short rows, CRLF, whitespace
+    # lines and the lines only csv splits as csv does: each as the oracle reads
+    # it, or csv's own error where csv.reader raises
+    text, delimiter = EDGE_FEEDS[name]
+    assert parse_outcome(parse_records, text, delimiter) == expected_outcome(text, delimiter)
+
+
+def test_edge_feeds_reach_csv_errors_as_the_interpreter_has_them():
+    # a carriage return inside a line is csv's error everywhere, NUL only before 3.11
+    assert expected_outcome(*EDGE_FEEDS["carriage return mid-line"])[0] is csv.Error
+    nul = expected_outcome(*EDGE_FEEDS["NUL"])
+    assert (nul[0] is csv.Error) == (sys.version_info < (3, 11))
+    assert expected_outcome(*EDGE_FEEDS["field over the size limit"])[0] is csv.Error
 
 
 # --- keep-last: settled after the pass, from the late rows only ----------------

@@ -1,12 +1,14 @@
 """The golden snapshots on the other supported interpreters found on PATH.
 
 ``datetime.fromisoformat``, on which the feed parser and the staged readers
-rest, reads a narrower grammar on 3.10 than on 3.11 and later. So each of
-python3.10, python3.12 and python3.13, other than the interpreter running
-the tests, runs the CLI from this checkout's ``src`` on the two snapshot
-checks of ``test_golden.py``, and on the wide snapshot's staged chain with
-its stamps in another accepted form, which the staged readers take row by
-row, and must write the same bytes. Where the name
+rest, reads a narrower grammar on 3.10 than on 3.11 and later, and ``csv``
+reads NUL only from 3.11. So each of python3.10, python3.12 and python3.13,
+other than the interpreter running the tests, runs the CLI from this
+checkout's ``src`` on the two snapshot checks of ``test_golden.py``, and on
+the wide snapshot's staged chain with its stamps in another accepted form,
+which the staged readers take row by row, and must write the same bytes. It
+also parses the edge feeds of ``feed_oracle.py`` as the oracle and csv do
+there. Where the name
 on PATH does not start, the same minor version installed beside the running
 interpreter is tried (pyenv's layout). An interpreter found neither way is
 skipped, and the skip reason names it.
@@ -22,7 +24,8 @@ import pytest
 
 from test_golden import ARTIFACTS, GOLDEN, GOLDEN_WIDE
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 RUNNING = f"python{sys.version_info.major}.{sys.version_info.minor}"
 OTHERS = [name for name in ("python3.10", "python3.12", "python3.13") if name != RUNNING]
 TIMEOUT_S = 120
@@ -105,3 +108,13 @@ def test_staged_chain_reads_stamps_row_by_row_as_the_wide_golden_snapshot(python
     text, rows = re.subn(r"^(\d{4}-\d\d-\d\d)T(\d\d:\d\d),", r"\1 \2:00,", text, flags=re.M)
     assert rows == 720
     check_staged_chain(python, tmp_path, text)
+
+
+def test_parse_records_matches_the_oracle_on_edge_feeds(python):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
+               PYTHONDONTWRITEBYTECODE="1")
+    check = "import feed_oracle; print(feed_oracle.edge_feed_mismatches())"
+    done = subprocess.run([python, "-c", check], env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

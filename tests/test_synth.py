@@ -4,7 +4,8 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from helpers import kept_rows, parse_synthetic, read_manifest
+from feed_oracle import kept_rows
+from helpers import parse_synthetic, read_manifest
 from mdlpatterns.ingest import (
     aggregate_hourly,
     build_transactions,

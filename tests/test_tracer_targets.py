@@ -13,7 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from helpers import parse_records_oracle
+from feed_oracle import parse_records_oracle
 from mdlpatterns import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
