@@ -147,8 +147,7 @@ def _ingest(config: RunConfig, output: str) -> ingest.DistinctRows:
         parsed = ingest.parse_records(fh, delimiter=config.delimiter)
     for diag in parsed.diagnostics if warn else ():
         print(f"WARNING:mdlpatterns:ingest: {diag}", file=sys.stderr)
-    hourly = ingest.aggregate_hourly(parsed)
-    build = ingest.build_transactions(hourly, config.attributes, direction, vehicle_class)
+    build = ingest.build_transactions(parsed, config.attributes, direction, vehicle_class)
     if not build.transactions:
         raise ingest.IngestError(
             f"no complete hours for the configured attributes "

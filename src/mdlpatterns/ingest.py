@@ -5,20 +5,20 @@ observation: timestamp (ISO-8601, minute resolution), site identifier,
 direction, vehicle class, and wait minutes. The direction and vehicle class
 match one of DIRECTIONS and VEHICLE_CLASSES ignoring case and surrounding
 spaces, and are kept in that canonical spelling. Sites report at different
-rates (five-minute or hourly feeds); everything is averaged per clock hour
-before categorization so the sites line up.
+rates (five-minute or hourly feeds); the configured slice is averaged per
+clock hour before categorization so the sites line up.
 
 Pipeline:
     parse_records()      -> in one pass, three arrays per (site, direction,
                             vehicle_class) slice, in file order: stamp in
                             microseconds, wait, line; the last row per stamp
                             is kept (+ a diagnostic per rejected or replaced row)
-    aggregate_hourly()   -> (site, direction, vehicle_class, hour) -> mean minutes
-    discretize()         -> wait category 1..4
-    build_transactions() -> the database: every hour where every configured
-                            site has a value, collapsed to distinct rows
-                            (DistinctRows); incomplete hours are dropped and
-                            counted, never imputed
+    build_transactions() -> the database: per configured site, its configured
+                            slice's hourly means (aggregate_hourly), each a wait
+                            category 1..4 (discretize); every hour where every
+                            configured site has a value is kept, collapsed to
+                            distinct rows (DistinctRows); incomplete hours are
+                            dropped and counted, never imputed
 
 An hour is a position in the database: its clock hour, held as the text every
 artifact writes (hour_text: ``2016-08-22T10:00``), and its distinct row.
@@ -37,7 +37,7 @@ from functools import cache, partial
 from itertools import chain, compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
 from operator import add, eq, floordiv, ge, gt, itemgetter
-from typing import IO, TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from array import array
@@ -117,9 +117,6 @@ def _positions(rows: int) -> tuple[int, ...]:
         rows &= rows - 1  # clear the lowest set bit
     return tuple(positions)
 
-
-# (site, direction, vehicle_class, timestamp) of one observation
-RecordKey = tuple[str, str, str, datetime]
 
 _MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in microseconds
 # texts a parse cache holds: stamps pass, so theirs is cleared when full; a year's few
@@ -352,8 +349,9 @@ def _parse_slice(site: str, direction: str, vehicle_class: str) -> tuple[str, st
         return str(exc)
 
 
-def aggregate_hourly(parsed: ParseResult) -> dict[RecordKey, float]:
-    """Arithmetic mean of wait minutes per (site, direction, class, clock hour).
+def aggregate_hourly(stamps: array, waits: array) -> dict[int, float]:
+    """Arithmetic mean of one slice's wait minutes per clock hour, keyed by the
+    hour's number since ``datetime.min``, in the order of each hour's first row.
 
     A record at timestamp t contributes to the hour floor(t); hours with no
     records are simply absent. For an hourly feed the single value is the mean.
@@ -361,19 +359,14 @@ def aggregate_hourly(parsed: ParseResult) -> dict[RecordKey, float]:
     a category bound can move by one bit under another order or under a
     compensated sum (``sum`` is one from Python 3.12).
     """
-    groups = []  # [first kept line, slice, hour, sum, count] per slice and hour
-    for slice_, (stamps, waits, lines) in parsed.slices.items():
-        by_hour: dict[int, list] = {}  # hour -> its group; the columns are in file order
-        for hour, wait, line in zip(map(floordiv, stamps, repeat(_HOUR)), waits, lines):
-            group = by_hour.get(hour)
-            if group is None:
-                group = by_hour[hour] = [line, slice_, hour, 0.0, 0]
-            group[3] += wait
-            group[4] += 1
-        groups += by_hour.values()
-    groups.sort()  # first lines are distinct, so keys come in file order
-    clock = {hour: datetime.min + timedelta(hours=hour) for hour in {group[2] for group in groups}}
-    return {(*slice_, clock[hour]): total / rows for _, slice_, hour, total, rows in groups}
+    groups: dict[int, list] = {}  # hour -> [sum, count]; the columns are in file order
+    for hour, wait in zip(map(floordiv, stamps, repeat(_HOUR)), waits):
+        group = groups.get(hour)
+        if group is None:
+            group = groups[hour] = [0.0, 0]
+        group[0] += wait
+        group[1] += 1
+    return {hour: total / rows for hour, (total, rows) in groups.items()}
 
 
 def discretize(mean_wait: float) -> int:
@@ -394,14 +387,15 @@ def discretize(mean_wait: float) -> int:
 
 
 def build_transactions(
-    hourly: Mapping[RecordKey, float],
+    parsed: ParseResult,
     attributes: Sequence[str],
     direction: str,
     vehicle_class: str,
 ) -> TransactionBuild:
     """The database of every hour in which every configured site has a value.
 
-    Hours where any configured site is missing are excluded and recorded in
+    Each site's configured slice alone is averaged (aggregate_hourly). Hours
+    where any configured site is missing are excluded and recorded in
     ``excluded_hours``; nothing is imputed. Each hour's items are in the
     configured attribute order. Every hour is kept as its hour_text.
     """
@@ -410,22 +404,19 @@ def build_transactions(
     if len(set(attributes)) != len(attributes):
         raise IngestError("attribute list must be distinct")
 
-    by_hour: dict[datetime, dict[str, float]] = {}
-    for (site, rec_dir, rec_class, hour), mean in hourly.items():
-        if rec_dir != direction or rec_class != vehicle_class:
-            continue
-        if site not in attributes:
-            continue
-        by_hour.setdefault(hour, {})[site] = mean
+    means: dict[str, dict[int, float]] = {}  # site -> hour -> mean; a site with no slice has none
+    for site in attributes:
+        stamps, waits, _ = parsed.slices.get((site, direction, vehicle_class), ((), (), ()))
+        means[site] = aggregate_hourly(stamps, waits)
 
     hours, rows, excluded = [], [], []
-    for hour in sorted(by_hour):
-        values = by_hour[hour]
-        if any(site not in values for site in attributes):
-            excluded.append(hour_text(hour))
+    for hour in sorted(set().union(*means.values())):
+        text = hour_text(datetime.min + timedelta(hours=hour))
+        if any(hour not in means[site] for site in attributes):
+            excluded.append(text)
             continue
-        hours.append(hour_text(hour))
-        rows.append(tuple((site, discretize(values[site])) for site in attributes))
+        hours.append(text)
+        rows.append(tuple((site, discretize(means[site][hour])) for site in attributes))
     return TransactionBuild(DistinctRows(hours, rows), excluded)
 
 

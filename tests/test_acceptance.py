@@ -27,7 +27,6 @@ from mdlpatterns import compress, frequent_itemsets, least_support, score_all, t
 from mdlpatterns.cli import RunConfig, run_pipeline
 from mdlpatterns.codec import database_length, init_pattern_table, recompute_usages
 from mdlpatterns.ingest import (
-    aggregate_hourly,
     build_transactions,
     discretize,
     hour_text,
@@ -179,8 +178,8 @@ def test_criterion_6_synthetic_recall(tmp_path):
         dataset = generate_synthetic(
             seed=seed, days=30, dominance=0.95, anomalies=20
         )
-        hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-        db = build_transactions(hourly, SITES, "ToCanada", "Car").transactions
+        parsed = parse_synthetic(dataset, tmp_path)
+        db = build_transactions(parsed, SITES, "ToCanada", "Car").transactions
         candidates = frequent_itemsets(db, least_support("0.05", len(db), 2))
         result = compress(db, candidates)
         scored = score_all(db, result.table)
@@ -215,8 +214,8 @@ def test_criterion_8_score_accounting(tmp_path):
     cases.append(("compressed", collapse(rows), result.table))
 
     dataset = generate_synthetic(seed=0, days=10, anomalies=10)
-    hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-    db = build_transactions(hourly, SITES, "ToCanada", "Car").transactions
+    parsed = parse_synthetic(dataset, tmp_path)
+    db = build_transactions(parsed, SITES, "ToCanada", "Car").transactions
     candidates = frequent_itemsets(db, least_support("0.05", len(db), 2))
     synth_result = compress(db, candidates)
     cases.append(("synthetic", db, synth_result.table))

@@ -351,6 +351,27 @@ def test_exit_code_ingest_failure(tmp_path, capsys):
     assert "ingest stage failed" in capsys.readouterr().err
 
 
+def test_run_warns_of_incomplete_hours_and_fails_when_no_hour_is_complete(tmp_path, capsys):
+    # RB, the hourly site, misses three hours of a one-day feed: those hours
+    # are excluded with one warning; a site the feed never names leaves none
+    raw = make_raw(tmp_path, days=1)
+    lines = raw.read_text().splitlines(keepends=True)
+    gaps = ("T03:00,RB,", "T04:00,RB,", "T10:00,RB,")
+    raw.write_text("".join(line for line in lines if not any(gap in line for gap in gaps)))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().err == "WARNING:mdlpatterns:ingest: excluded 3 incomplete hour(s)\n"
+    hours = [line.partition(",")[0] for line in (out / "transactions.csv").read_text().splitlines()]
+    assert len(hours) == 1 + 21 and "2016-08-22T03:00" not in hours
+    assert cli.main(["run", "--input", str(raw), "--output-dir", str(tmp_path / "xx"),
+                     "--attributes", "PB,LQ,XX"]) == 10
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: ingest stage failed: no complete hours for the configured attributes "
+        "(24 hour(s) excluded)"
+    )
+
+
 @pytest.mark.parametrize("direction", ["ToUS", "Sideways"])
 def test_discretize_fails_where_run_ingest_fails(tmp_path, capsys, direction):
     """No complete hour (a ToCanada feed read as ToUS) or an unknown direction."""

@@ -62,8 +62,14 @@ def feed(*rows: str) -> str:
     return HEADER + "\n" + "".join(row + "\n" for row in rows)
 
 
-def hourly_of(*rows: str):
-    return aggregate_hourly(parse(feed(*rows)))
+def means_of(result) -> dict:
+    """aggregate_hourly of each parsed slice's columns, by slice."""
+    return {slice_: aggregate_hourly(stamps, waits)
+            for slice_, (stamps, waits, _) in result.slices.items()}
+
+
+def hourly_of(*rows: str) -> dict:
+    return means_of(parse(feed(*rows)))
 
 
 def micros(stamp: datetime) -> int:
@@ -71,10 +77,18 @@ def micros(stamp: datetime) -> int:
     return (stamp - datetime.min) // timedelta(microseconds=1)
 
 
+def hour_number(stamp: datetime) -> int:
+    """A clock hour as aggregate_hourly keys it: hours since datetime.min."""
+    return (stamp - datetime.min) // timedelta(hours=1)
+
+
+PB_CAR = ("PB", "ToCanada", "Car")
+
+
 def matches_the_oracles(text: str):
     """parse_records and aggregate_hourly on ``text``, checked against the
-    record-list oracles: kept rows, diagnostics, counts, hourly key order and
-    the exact bits of every mean."""
+    record-list oracles: kept rows, diagnostics, counts, and per slice the
+    hourly key order and the exact bits of every mean."""
     result = parse(text)
     oracle = parse_records_oracle(io.StringIO(text))
     assert kept_rows(result) == [
@@ -84,10 +98,13 @@ def matches_the_oracles(text: str):
     assert result.diagnostics == oracle.diagnostics
     assert result.rejected_rows == oracle.rejected_rows
     assert result.duplicate_rows == oracle.duplicate_rows
-    hourly = aggregate_hourly(result)
     expected = aggregate_hourly_oracle(oracle.records)
-    assert list(hourly) == list(expected)
-    assert [mean.hex() for mean in hourly.values()] == [mean.hex() for mean in expected.values()]
+    assert {key[:3] for key in expected} <= result.slices.keys()
+    for slice_, hourly in means_of(result).items():
+        # the oracle's means of this slice alone, in its key order
+        means = [(hour_number(key[3]), mean) for key, mean in expected.items() if key[:3] == slice_]
+        assert list(hourly) == [hour for hour, _ in means], slice_
+        assert [mean.hex() for mean in hourly.values()] == [mean.hex() for _, mean in means]
     return result
 
 
@@ -112,7 +129,8 @@ def test_parse_happy_path():
         ("PB", "ToCanada", "Car"): (array("q", [first_stamp]), array("d", [12.5]), array("q", [2])),
         ("LQ", "ToUS", "Truck"): (array("q", [second_stamp]), array("d", [0.0]), array("q", [3])),
     }
-    assert [key[3] for key in aggregate_hourly(result)] == [datetime(2016, 8, 22, 10)] * 2
+    assert [list(hourly) for hourly in means_of(result).values()] == [
+        [hour_number(datetime(2016, 8, 22, 10))]] * 2
 
 
 def test_parse_empty_input_raises():
@@ -196,7 +214,7 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
     assert result.rejected_rows == 1
     assert result.diagnostics[0].startswith("row 3: timestamp carries a UTC offset")
     # the naive row alone still builds; mixed with an aware one it could not be sorted
-    build = build_transactions(aggregate_hourly(result), ["PB"], "ToCanada", "Car")
+    build = build_transactions(result, ["PB"], "ToCanada", "Car")
     assert build.transactions.hours == ["2017-01-01T00:00"]
 
 
@@ -204,9 +222,8 @@ def test_parse_rejects_timestamp_with_utc_offset(stamp):
 def test_parse_rejects_a_stamp_with_no_time_of_day(stamp):
     # fromisoformat reads a date alone as midnight, so the row would land in hour 0
     result = parse(feed("2016-08-22T00:05,PB,ToCanada,Car,5", f"{stamp},PB,ToCanada,Car,40"))
-    hourly = aggregate_hourly(result)
     assert result.diagnostics == [f"row 3: bad timestamp {stamp.strip()!r}"]
-    assert hourly == {("PB", "ToCanada", "Car", datetime(2016, 8, 22, 0)): 5.0}
+    assert means_of(result) == {PB_CAR: {hour_number(datetime(2016, 8, 22, 0)): 5.0}}
 
 
 def test_parse_duplicate_keeps_last():
@@ -271,11 +288,11 @@ def test_parse_and_aggregate_peak_under_96_bytes_per_kept_row(tmp_path):
     try:
         with open(path, encoding="utf-8") as fh:
             result = parse_records(fh)
-        hourly = aggregate_hourly(result)
+        hourly = means_of(result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(result.records), len(hourly)) == (18_000, 2_160)
+    assert (len(result.records), sum(map(len, hourly.values()))) == (18_000, 2_160)
     assert peak <= 96 * len(result.records)
 
 
@@ -289,11 +306,11 @@ def test_parse_and_aggregate_peak_under_96_bytes_per_kept_row_when_no_tail_repea
     try:
         with open(path, encoding="utf-8") as fh:
             result = parse_records(fh)
-        hourly = aggregate_hourly(result)
+        hourly = means_of(result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(result.records), len(hourly)) == (18_000, 2_160)
+    assert (len(result.records), sum(map(len, hourly.values()))) == (18_000, 2_160)
     assert peak <= 96 * len(result.records)
 
 
@@ -304,14 +321,12 @@ def test_aggregate_hourly_means_five_minute_feed():
     hourly = hourly_of(
         *(f"2016-08-22T10:{5 * i:02d},PB,ToCanada,Car,{float(i)}" for i in range(12))
     )
-    key = ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10))
-    assert hourly == {key: 5.5}
+    assert hourly == {PB_CAR: {hour_number(datetime(2016, 8, 22, 10)): 5.5}}
 
 
 def test_aggregate_hourly_single_value_is_its_own_mean():
     hourly = hourly_of("2016-08-22T10:00,RB,ToCanada,Car,22.0")
-    key = ("RB", "ToCanada", "Car", datetime(2016, 8, 22, 10))
-    assert hourly[key] == 22.0
+    assert hourly[("RB", "ToCanada", "Car")][hour_number(datetime(2016, 8, 22, 10))] == 22.0
 
 
 def test_aggregate_hourly_separates_hours_and_sites():
@@ -320,7 +335,7 @@ def test_aggregate_hourly_separates_hours_and_sites():
         "2016-08-22T11:00,PB,ToCanada,Car,20.0",
         "2016-08-22T10:00,LQ,ToCanada,Car,30.0",
     )
-    assert len(hourly) == 3
+    assert sum(map(len, hourly.values())) == 3
 
 
 @given(
@@ -330,9 +345,10 @@ def test_aggregate_hourly_separates_hours_and_sites():
 )
 @settings(max_examples=100)
 def test_aggregate_mean_bounded_by_extremes(waits):
-    (mean,) = hourly_of(
+    (means,) = hourly_of(
         *(f"2016-08-22T10:{i % 60:02d},PB,ToCanada,Car,{w!r}" for i, w in enumerate(waits))
     ).values()
+    (mean,) = means.values()
     assert min(waits) - 1e-9 <= mean <= max(waits) + 1e-9
 
 
@@ -537,7 +553,7 @@ def test_keep_last_the_feed_year_shape():
                      for slot, wait in slots]
         rows.append(f"2016-08-22T{hour}:00,RB,ToCanada,Car,30")
     result = matches_the_oracles(feed(*rows))
-    assert (result.duplicate_rows, len(aggregate_hourly(result))) == (2, 6)
+    assert (result.duplicate_rows, sum(map(len, means_of(result).values()))) == (2, 6)
 
 
 # --- categorization ----------------------------------------------------------
@@ -565,19 +581,18 @@ def test_discretize_total_and_ordered(wait):
 
 
 def hourly_fixture():
-    hours = {
-        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 0.0,
-        ("LQ", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 8.0,
-        ("RB", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 40.0,
+    return parse(feed(
+        "2016-08-22T10:00,PB,ToCanada,Car,0.0",
+        "2016-08-22T10:00,LQ,ToCanada,Car,8.0",
+        "2016-08-22T10:00,RB,ToCanada,Car,40.0",
         # hour 11 misses RB and must be dropped
-        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 11)): 0.0,
-        ("LQ", "ToCanada", "Car", datetime(2016, 8, 22, 11)): 8.0,
+        "2016-08-22T11:00,PB,ToCanada,Car,0.0",
+        "2016-08-22T11:00,LQ,ToCanada,Car,8.0",
         # other direction, other class, other site: all ignored
-        ("PB", "ToUS", "Car", datetime(2016, 8, 22, 10)): 99.0,
-        ("PB", "ToCanada", "Truck", datetime(2016, 8, 22, 10)): 99.0,
-        ("XX", "ToCanada", "Car", datetime(2016, 8, 22, 10)): 99.0,
-    }
-    return hours
+        "2016-08-22T10:00,PB,ToUS,Car,99.0",
+        "2016-08-22T10:00,PB,ToCanada,Truck,99.0",
+        "2016-08-22T10:00,XX,ToCanada,Car,99.0",
+    ))
 
 
 def test_build_transactions_assembles_complete_hours_only():
@@ -593,20 +608,49 @@ def test_build_transactions_respects_attribute_order():
 
 
 def test_build_transactions_sorts_by_timestamp():
-    hours = {
-        ("PB", "ToCanada", "Car", datetime(2016, 8, 23, 5)): 1.0,
-        ("PB", "ToCanada", "Car", datetime(2016, 8, 22, 9)): 1.0,
-    }
-    build = build_transactions(hours, ["PB"], "ToCanada", "Car")
+    result = parse(feed("2016-08-23T05:00,PB,ToCanada,Car,1.0",
+                        "2016-08-22T09:00,PB,ToCanada,Car,1.0"))
+    build = build_transactions(result, ["PB"], "ToCanada", "Car")
     stamps = build.transactions.hours
     assert stamps == sorted(stamps)
 
 
 def test_build_transactions_validates_attributes():
     with pytest.raises(IngestError, match="nonempty"):
-        build_transactions({}, [], "ToCanada", "Car")
+        build_transactions(parse(feed()), [], "ToCanada", "Car")
     with pytest.raises(IngestError, match="distinct"):
-        build_transactions({}, ["PB", "PB"], "ToCanada", "Car")
+        build_transactions(parse(feed()), ["PB", "PB"], "ToCanada", "Car")
+
+
+def test_build_peak_on_a_four_slice_mix_is_near_its_peak_on_the_slices_own_feed(tmp_path):
+    # Four 30-day feeds, one per direction and vehicle class, mixed line by
+    # line: only the configured slice is averaged, so the other three add
+    # nothing to what build_transactions allocates, and the database is the same.
+    slices = [(direction, c) for direction in DIRECTIONS for c in VEHICLE_CLASSES]
+    feeds = {}
+    for direction, vehicle_class in slices:
+        path = tmp_path / f"{direction}-{vehicle_class}.csv"
+        dataset = generate_synthetic(seed=7, days=30, direction=direction,
+                                     vehicle_class=vehicle_class)
+        write_records_csv(str(path), dataset.records)
+        feeds[direction, vehicle_class] = path.read_text().splitlines(keepends=True)
+    mixed = parse(HEADER + "\n" + "".join(
+        line for lines in zip(*(lines[1:] for lines in feeds.values())) for line in lines
+    ))
+    for direction, vehicle_class in slices:
+        builds, peaks = [], []
+        for parsed in (parse("".join(feeds[direction, vehicle_class])), mixed):
+            tracemalloc.start()
+            try:
+                build = build_transactions(parsed, ["PB", "LQ", "RB"], direction, vehicle_class)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            db = build.transactions
+            builds.append((db.hours, db.index, db.items, build.excluded_hours))
+        assert builds[0] == builds[1], (direction, vehicle_class)
+        assert len(builds[0][0]) == 720
+        assert peaks[1] <= 1.25 * peaks[0], (direction, vehicle_class, peaks)
 
 
 # --- transaction file round trip ----------------------------------------------

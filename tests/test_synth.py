@@ -6,10 +6,7 @@ import pytest
 
 from feed_oracle import kept_rows
 from helpers import parse_synthetic, read_manifest
-from mdlpatterns.ingest import (
-    aggregate_hourly,
-    build_transactions,
-)
+from mdlpatterns.ingest import build_transactions
 from mdlpatterns.synth import (
     generate_synthetic,
     write_manifest,
@@ -67,8 +64,7 @@ def test_constant_regime_without_noise_is_uniform(tmp_path):
     dataset = generate_synthetic(
         seed=3, days=2, anomalies=0, dominance=1.0, regime="constant"
     )
-    hourly = aggregate_hourly(parse_synthetic(dataset, tmp_path))
-    build = build_transactions(hourly, SITES, "ToCanada", "Car")
+    build = build_transactions(parse_synthetic(dataset, tmp_path), SITES, "ToCanada", "Car")
     assert len(build.transactions) == 48
     assert build.excluded_hours == []
     categories = {tuple(cat for _, cat in items) for items in build.transactions.items}

@@ -62,6 +62,9 @@ def test_traced_run_counts_each_stage(tmp_path, monkeypatch):
     assert metrics["mining.calls"] == 1
     assert metrics["mining.itemsets"] > 0
     assert metrics["codec.trials"] == metrics["mining.itemsets"]
+    # build_transactions calls aggregate_hourly, and both stay timed
+    for name in ("ingest.aggregate_s", "ingest.build_s"):
+        assert metrics[name] > 0, name
 
 
 def test_traced_staged_score_and_report_time_each_layer(tmp_path, monkeypatch):
