@@ -1,7 +1,8 @@
 """Raw wait-time ingestion: parse, aggregate to hourly means, categorize, collapse.
 
 Input is delimiter-separated text with a header row. Each data row is one
-observation: timestamp (ISO-8601, minute resolution), site identifier,
+observation: timestamp (ASCII ``YYYY-MM-DD``, ``T`` or a space, ``HH:MM``,
+optional ``:SS``; the same on every supported interpreter), site identifier,
 direction, vehicle class, and wait minutes. The direction and vehicle class
 match one of DIRECTIONS and VEHICLE_CLASSES ignoring case and surrounding
 spaces, and are kept in that canonical spelling. Sites report at different
@@ -25,14 +26,14 @@ artifact writes (hour_text: ``2016-08-22T10:00``), and its distinct row.
 ParseResult and TransactionBuild are immutable NamedTuples. All operations
 are pure and deterministic. Only parse_records uses `csv` and `array`,
 imported as it starts: csv reads the header and any line a split would
-misread; each other line is cut at its stamp, and the text after the stamp
-is parsed once into a bounded cache.
+misread; each other line is cut at its stamp, and the stamp and the text
+after it are each parsed once into a bounded cache.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from functools import cache, partial
 from itertools import chain, compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
@@ -118,10 +119,12 @@ def _positions(rows: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
-_MICROSECOND, _HOUR = timedelta(microseconds=1), 3_600_000_000  # an hour in microseconds
+_HOUR = 3_600_000_000  # an hour in microseconds
 # texts a parse cache holds: stamps pass, so theirs is cleared when full; a year's few
-# thousand tails recur, so the first are kept; waits are parsed for new tails only
-_STAMPS_CACHED, _TAILS_CACHED, _WAITS_CACHED = 1 << 10, 1 << 12, 1 << 11
+# thousand tails recur, so the first are kept
+_STAMPS_CACHED, _TAILS_CACHED = 1 << 10, 1 << 12
+# the separators of the stamps _stamp reads, at positions 4, 7, 10, 13 and 16
+_STAMP_FORMS = frozenset(["--T:", "-- :", "--T::", "-- ::"])
 
 
 class ParseResult(NamedTuple):
@@ -159,7 +162,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     to its slice's appends and wait, or why it is rejected, and that cache
     keeps the first _TAILS_CACHED tails. A line holding a quote, NUL, ``\\r``
     before its end or more than ``csv.field_size_limit()`` characters, or too
-    short to reach its stamp, is read as one csv row instead, and is not cached.
+    short to reach its stamp, is read as one csv row instead; its stamp is
+    looked up in the stamp cache, and its tail is not cached.
 
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name reads its last column and a short row reads its missing fields as
@@ -186,9 +190,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
 
     slices: dict[tuple[str, str, str], tuple[array, array, array]] = {}
     diagnostics: list[str] = []
-    # stamp and wait text -> value, or why it is rejected; each cleared when full
-    stamp_of: dict[str, int | str] = {}
-    wait_of: dict[str, float | str] = {}
+    stamp_of: dict[str, int | str] = {}  # stamp text -> _stamp of it; cleared when full
     appends: dict[tuple[str, str, str], tuple] = {}  # slice fields -> its columns' appends
     tail_of: dict[str, tuple | str] = {}  # tail -> its entry (parse_tail)
 
@@ -211,11 +213,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
                 return slice_
             columns = slices.setdefault(slice_, (array("q"), array("d"), array("q")))
             append = appends[fields] = tuple(column.append for column in columns)
-        wait = wait_of.get(row[i_wait])
-        if wait is None:
-            if len(wait_of) == _WAITS_CACHED:
-                wait_of.clear()
-            wait = wait_of[row[i_wait]] = _wait(row[i_wait].strip())
+        wait = _wait(row[i_wait].strip())
         return wait if wait.__class__ is str else append + (wait,)
 
     line_num = reader.line_num
@@ -225,26 +223,29 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
         stamp = stamp_of.get(text)
         tail_entry = tail_of.get(tail)
         if stamp is None or tail_entry is None:  # a cached text was checked as it was cached
-            if (sep and len(line) <= limit and '"' not in line and "\0" not in line
-                    and ("\r" not in line or "\r" not in line.rstrip("\r\n"))):
-                if stamp is None:
-                    if len(stamp_of) == _STAMPS_CACHED:
-                        stamp_of.clear()
-                    stamp = stamp_of[text] = _stamp(text)
-                if tail_entry is None and stamp.__class__ is not str:
-                    tail_entry = parse_tail(line.rstrip("\r\n").split(delimiter))
-                    if len(tail_of) < _TAILS_CACHED:
-                        tail_of[tail] = tail_entry
-            else:  # csv reads a line that a split would misread
+            row = None
+            if (not sep or len(line) > limit or '"' in line or "\0" in line
+                    or "\r" in line and "\r" in line.rstrip("\r\n")):
+                # csv reads a line that a split would misread; only its stamp is cached
                 row_reader = csv.reader(chain([line], source), delimiter=delimiter)
                 row = next(row_reader)
                 line_num += row_reader.line_num - 1
                 if not row:
                     continue
                 row += [""] * (width - len(row))
-                stamp = _stamp(row[i_stamp])
-                if stamp.__class__ is not str:
+                text = row[i_stamp]
+                stamp = stamp_of.get(text)
+            if stamp is None:
+                if len(stamp_of) == _STAMPS_CACHED:
+                    stamp_of.clear()
+                stamp = stamp_of[text] = _stamp(text)
+            if stamp.__class__ is not str:
+                if row is not None:
                     tail_entry = parse_tail(row)
+                elif tail_entry is None:
+                    tail_entry = parse_tail(line.rstrip("\r\n").split(delimiter))
+                    if len(tail_of) < _TAILS_CACHED:
+                        tail_of[tail] = tail_entry
         if stamp.__class__ is str or tail_entry.__class__ is str:  # the stamp's reason first
             diagnostics.append(f"row {line_num}: {stamp if stamp.__class__ is str else tail_entry}")
             continue
@@ -260,8 +261,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
             replaced += ((lines[row], slice_, stamps[row]) for row in rows)
             slices[slice_] = tuple(map(_without, (stamps, waits, lines), repeat(rows)))
     for _, slice_, stamp in sorted(replaced, reverse=True):  # lines are distinct
-        diagnostics.append(f"duplicate observation for {'/'.join(slice_)} "
-                           f"at {(datetime.min + stamp * _MICROSECOND).isoformat()}; kept last")
+        at = (datetime.min + timedelta(microseconds=stamp)).isoformat()
+        diagnostics.append(f"duplicate observation for {'/'.join(slice_)} at {at}; kept last")
     return ParseResult(slices, diagnostics, rejected, len(replaced))
 
 
@@ -300,15 +301,18 @@ def _without(column: array, rows: list[int]) -> array:
 
 
 def _stamp(raw: str) -> int | str:
-    """A naive timestamp in microseconds since ``datetime.min``, or why it is rejected."""
+    """A stamp in microseconds since ``datetime.min``, or why it is rejected: the
+    stripped text is ASCII ``YYYY-MM-DD``, ``T`` or a space, ``HH:MM`` and optional
+    ``:SS``, its form checked by position, then its digits by fromisoformat."""
     text = raw.strip()
-    try:
-        stamp = _read_stamp(text)
-    except ValueError:
-        return f"bad timestamp {text!r}"
-    if stamp.tzinfo is not None:
-        return f"timestamp carries a UTC offset ({text!r})"
-    return (stamp - datetime.min) // _MICROSECOND
+    if len(text) in (16, 19) and text[4::3] in _STAMP_FORMS and text.isascii():
+        try:
+            delta = datetime.fromisoformat(text) - datetime.min
+        except ValueError:
+            pass
+        else:  # the grammar has no fraction of a second
+            return (delta.days * 86_400 + delta.seconds) * 1_000_000
+    return f"bad timestamp {text!r}"
 
 
 def _wait(text: str) -> float | str:
@@ -322,19 +326,6 @@ def _wait(text: str) -> float | str:
     if not 0 <= wait < inf:
         return f"{'non-finite' if not isfinite(wait) else 'negative'} wait ({text})"
     return wait
-
-
-def _read_stamp(text: str) -> datetime:
-    """A raw or staged row's stamp. Raises ValueError on a bad one, or on a
-    date with no time of day, which fromisoformat would read as midnight."""
-    stamp = datetime.fromisoformat(text)
-    if len(text) <= 10:  # no longer than a date
-        try:
-            date.fromisoformat(text)
-        except ValueError:
-            return stamp
-        raise ValueError(f"timestamp has no time of day ({text!r})")
-    return stamp
 
 
 def _parse_slice(site: str, direction: str, vehicle_class: str) -> tuple[str, str, str] | str:
@@ -429,21 +420,6 @@ def hour_text(stamp: datetime) -> str:
     return stamp.isoformat(timespec="minutes")
 
 
-def parse_hour(text: str) -> datetime:
-    """The hour that starts an artifact row. Raises ValueError on a bad stamp,
-    on a date with no time of day, on a UTC offset or nonzero seconds, which
-    hour_text would not write back, or on a stamp off the hour, which would
-    give its hour a second row."""
-    stamp = _read_stamp(text)
-    if stamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({text!r})")
-    if stamp.second or stamp.microsecond:
-        raise ValueError(f"timestamp has seconds ({text!r})")
-    if stamp.minute:
-        raise ValueError(f"timestamp is not on the hour ({text!r})")
-    return stamp
-
-
 # Each character that every hour_text stamp has at a fixed position.
 _HOUR_MARKS = tuple(zip((4, 7, 10, 13, 14, 15), "--T:00"))
 
@@ -472,9 +448,10 @@ def read_stamped(rows: Callable[[Callable[[str], Any]], Any], column: Callable[[
     """A staged file read by its row loop ``rows``, which reads each stamp with
     the reader it is given. The first pass keeps every stamp as its text and
     checks ``column`` of the result in one call (parse_hours). If that pass
-    raises or parse_hours returns False, the loop runs again with hour_text of
-    parse_hour per row, which also rejects an hour read before; that pass
-    alone gives the result or the diagnostic. Either way an hour is its text."""
+    raises or parse_hours returns False, the loop runs again and checks each
+    stamp as it comes, with parse_hours and against the hours read before it;
+    that pass alone gives the result or the diagnostic. Either way an hour is
+    its text, as hour_text writes it."""
     try:
         result = rows(str)
         if parse_hours(column(result)):
@@ -484,11 +461,12 @@ def read_stamped(rows: Callable[[Callable[[str], Any]], Any], column: Callable[[
     seen: set[str] = set()
 
     def read(text: str) -> str:
-        hour = hour_text(parse_hour(text))
-        if hour in seen:
-            raise ValueError(f"repeated hour {hour}")
-        seen.add(hour)
-        return hour
+        if not parse_hours([text]):
+            raise ValueError(f"bad hour {text!r} (expected YYYY-MM-DDTHH:00)")
+        if text in seen:
+            raise ValueError(f"repeated hour {text}")
+        seen.add(text)
+        return text
 
     return rows(read)
 

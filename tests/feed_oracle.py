@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from math import isfinite
 from typing import IO, Any, Callable, Mapping
 
@@ -82,20 +83,28 @@ def parse_records_oracle(stream: IO[str], delimiter: str = ",") -> OracleParse:
     return result
 
 
+# The raw feed's stamp grammar, in ASCII: a date, T or a space, hours and
+# minutes, optional seconds.
+STAMP = re.compile(r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?", re.ASCII)
+
+
+def oracle_stamp(text: str) -> datetime | None:
+    """The instant a stripped stamp text names under STAMP, or None when the
+    text is not in that grammar or names no date and time."""
+    if not STAMP.fullmatch(text):
+        return None
+    fields = text[:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:] or "0"
+    try:
+        return datetime(*map(int, fields))
+    except ValueError:  # a field out of its range
+        return None
+
+
 def _oracle_row(row: Mapping[str, str]) -> WaitTimeRecord:
     raw_ts = (row.get("timestamp") or "").strip()
-    try:
-        timestamp = datetime.fromisoformat(raw_ts)
-    except ValueError:
+    timestamp = oracle_stamp(raw_ts)
+    if timestamp is None:
         raise ValueError(f"bad timestamp {raw_ts!r}")
-    try:
-        date.fromisoformat(raw_ts)
-    except ValueError:
-        pass
-    else:  # a date alone reads as midnight, but it has no time of day
-        raise ValueError(f"bad timestamp {raw_ts!r}")
-    if timestamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({raw_ts!r})")
     site = (row.get("site") or "").strip()
     if not site:
         raise ValueError("empty site")
@@ -144,6 +153,21 @@ def _layout(order: list[int], *rows: str) -> str:
     return "".join(",".join(line) + "\n" for line in lines)
 
 
+# Stamps that fromisoformat reads on some supported interpreters only, or
+# reads where STAMP does not: another separator, the basic and week forms, an
+# hour alone, a fraction of a second, a UTC offset, a date alone, a non-ASCII
+# digit; and the space and the seconds, which STAMP takes. A NUL for the T is
+# in the NUL feed: csv reads NUL only from 3.11.
+EDGE_STAMPS = [
+    "2016-08-22X11:00", "20160822T1200", "2016-W34-1T13:00", "2016-08-22T14",
+    "2016-08-22T15:00:00.5", "2016-08-22 16:00", "2016-08-22T17:00:00.500",
+    "2016-08-22T18:00Z", "2016-08-22T19:00+00:00", "2016-08-22", "2016-08-22T20:00:00",
+    "2016-08-22 21:00:00", "2016-08-22T22:00:00.000000", "2016-08-22T23:00:00+01:00",
+    "2016-08-23T00:0\u0661", "2016-02-30T10:00", "2016-08-23T01:00:60",
+]
+EDGE_STAMP_FEED = _feed(*(f"{stamp},PB,ToCanada,Car,{wait}"
+                          for wait, stamp in enumerate(EDGE_STAMPS)))
+
 LONG = csv.field_size_limit() + 1
 EDGE_FEEDS: dict[str, tuple[str, str]] = {  # name -> (feed text, delimiter)
     **{name: (_feed(*ROWS).replace(",", sep), sep)
@@ -175,6 +199,7 @@ EDGE_FEEDS: dict[str, tuple[str, str]] = {  # name -> (feed text, delimiter)
     "field over the size limit": (_feed(ROWS[0], f"2016-08-22T10:05,{'P' * LONG},ToCanada,Car,5"),
                                   ","),
     "line over the size limit": (_feed(ROWS[0], ROWS[1] + ",x" * (LONG // 2), ROWS[2]), ","),
+    "edge stamps": (EDGE_STAMP_FEED, ","),
 }
 
 

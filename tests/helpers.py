@@ -8,9 +8,10 @@ something honest to be checked against.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from functools import reduce
 from itertools import combinations
 from math import fsum, isfinite, log2
@@ -382,27 +383,23 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
     return scored, attributes
 
 
+# The one stamp form the staged readers take, in ASCII: an hour as hour_text writes it.
+HOUR_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:00", re.ASCII)
+
+
 def _oracle_hour_row(
     fields: Sequence[str], attributes: Sequence[str], earlier: set[str]
 ) -> Hour:
     """The stamp, as hour_text writes it, and categories that start an artifact
-    row; ValueError on a bad one, on a date with no time of day, on an offset,
-    seconds or minutes, or on an hour in ``earlier``, the hour texts of the
-    rows before it."""
-    stamp = datetime.fromisoformat(fields[0])
+    row; ValueError on a stamp not in HOUR_STAMP or naming no date and hour,
+    or on an hour in ``earlier``, the hour texts of the rows before it."""
+    hour = fields[0]
     try:
-        date.fromisoformat(fields[0])
+        if not HOUR_STAMP.fullmatch(hour):
+            raise ValueError
+        datetime(int(hour[:4]), int(hour[5:7]), int(hour[8:10]), int(hour[11:13]))
     except ValueError:
-        pass
-    else:  # a date alone reads as midnight, but it has no time of day
-        raise ValueError(f"timestamp has no time of day ({fields[0]!r})")
-    if stamp.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset ({fields[0]!r})")
-    if stamp.second or stamp.microsecond:
-        raise ValueError(f"timestamp has seconds ({fields[0]!r})")
-    if stamp.minute:
-        raise ValueError(f"timestamp is not on the hour ({fields[0]!r})")
-    hour = stamp.isoformat(timespec="minutes")
+        raise ValueError(f"bad hour {hour!r} (expected YYYY-MM-DDTHH:00)")
     if hour in earlier:
         raise ValueError(f"repeated hour {hour}")
     texts = fields[1 : 1 + len(attributes)]
@@ -433,10 +430,12 @@ def write_scores_oracle(
 
 
 # Stamps that no staged reader accepts: unparseable, a date with no time of
-# day, with a UTC offset, with seconds, off the hour.
+# day, with a UTC offset, with seconds, off the hour, an impossible date, and
+# an hour written otherwise than hour_text writes it.
 BAD_STAMPS = [
     "notadate", "", "2016-08-22", "2016-08-22T11:00+02:00", "2016-08-22T12:30:45",
-    "2016-08-22T12:00:00.5", "2016-08-22T12:30",
+    "2016-08-22T12:00:00.5", "2016-08-22T12:30", "2016-02-30T10:00", "2016-08-22 12:00",
+    "2016-08-22T12:00:00", "2016-08-22T12", "20160822T1200", " 2016-08-22T12:00",
 ]
 
 
@@ -496,14 +495,14 @@ def artifact_rows(draw, pools, ranked: bool = False):
 # A long artifact file has LONG_ROWS rows, so a change to row LATE follows
 # hundreds of stamps as hour_text writes them, which a reader takes in one call.
 LONG_ROWS, LATE = 1000, 990
-# The changes change_late_row makes: one late fault, one late stamp in a form
-# the readers accept besides hour_text's (ACCEPTED_LATE), or two faults.
+# The changes change_late_row makes: one late fault, one late stamp naming
+# its hour otherwise than hour_text writes it, which the readers reject too,
+# or two faults. Only "hours out of order" leaves a file the readers accept.
 LATE_CHANGES = [
     "bad stamp", "impossible date", "off the hour", "repeat", "repeat with a space",
     "space for the T", "seconds", "hour alone", "hours out of order",
     "stamp then category", "category then stamp",
 ]
-ACCEPTED_LATE = {"space for the T", "seconds", "hour alone"}
 
 
 def change_late_row(rows: list[list[str]], change: str) -> None:

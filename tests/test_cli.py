@@ -565,7 +565,8 @@ def test_report_names_the_bad_scores_line(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--scores", str(scores), "--output", str(tmp_path / "r")]) == 50
     err = capsys.readouterr().err
-    assert f"report stage failed: {scores}:3: Invalid isoformat string: 'notadate'" in err
+    assert (f"report stage failed: {scores}:3: bad hour 'notadate' "
+            "(expected YYYY-MM-DDTHH:00)") in err
 
 
 def test_report_rejects_scores_sorted_by_time(tmp_path, capsys):
@@ -609,7 +610,9 @@ def test_staged_compress_names_a_stamp_with_a_utc_offset(tmp_path, capsys):
         ["compress", "--transactions", str(txns), "--table-out", table, "--log-out", log]
     ) == 30
     err = capsys.readouterr().err
-    assert f"compress stage failed: {txns}:4: timestamp carries a UTC offset" in err
+    stamp = lines[3].partition(",")[0]
+    reason = f"{txns}:4: bad hour '{stamp}' (expected YYYY-MM-DDTHH:00)"
+    assert f"compress stage failed: {reason}" in err
 
 
 def test_each_database_is_collapsed_once(tmp_path, monkeypatch):

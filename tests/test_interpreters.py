@@ -1,17 +1,18 @@
 """The golden snapshots on the other supported interpreters found on PATH.
 
-``datetime.fromisoformat``, on which the feed parser and the staged readers
-rest, reads a narrower grammar on 3.10 than on 3.11 and later, and ``csv``
-reads NUL only from 3.11. So each of python3.10, python3.12 and python3.13,
-other than the interpreter running the tests, runs the CLI from this
-checkout's ``src`` on the two snapshot checks of ``test_golden.py``, and on
-the wide snapshot's staged chain with its stamps in another accepted form,
-which the staged readers take row by row, and must write the same bytes. It
-also parses the edge feeds of ``feed_oracle.py`` as the oracle and csv do
-there. Where the name
-on PATH does not start, the same minor version installed beside the running
-interpreter is tried (pyenv's layout). An interpreter found neither way is
-skipped, and the skip reason names it.
+``datetime.fromisoformat``, which checks the digits of every stamp the feed
+parser and the staged readers take, reads a narrower grammar on 3.10 than on
+3.11 and later, and ``csv`` reads NUL only from 3.11. So each of python3.10,
+python3.12 and python3.13, other than the interpreter running the tests,
+runs the CLI from this checkout's ``src`` on the two snapshot checks of
+``test_golden.py`` and must write the same bytes. The staged ``compress``
+must reject the wide snapshot with its stamps in another form as the running
+interpreter does, and the feed parser must read the edge stamps of
+``feed_oracle.py`` as the running interpreter does, and its edge feeds as
+the oracle and csv do there. Where the name on PATH does not start, the same
+minor version installed beside the running interpreter is tried (pyenv's
+layout). An interpreter found neither way is skipped, and the skip reason
+names it.
 """
 
 import os
@@ -101,20 +102,41 @@ def test_staged_chain_matches_wide_golden_snapshot(python, tmp_path):
     check_staged_chain(python, tmp_path, (GOLDEN_WIDE / "transactions.csv").read_text("utf-8"))
 
 
-def test_staged_chain_reads_stamps_row_by_row_as_the_wide_golden_snapshot(python, tmp_path):
-    # "2018-03-01 00:00:00" is not as hour_text writes an hour, so the staged
-    # readers parse each stamp with fromisoformat, whose grammar varies by version
+def test_staged_compress_rejects_the_wide_snapshot_with_spaces(python, tmp_path):
+    # "2018-03-01 00:00:00" is not as hour_text writes an hour, which is the
+    # one form the staged readers take, whatever fromisoformat reads
     text = (GOLDEN_WIDE / "transactions.csv").read_text(encoding="utf-8")
     text, rows = re.subn(r"^(\d{4}-\d\d-\d\d)T(\d\d:\d\d),", r"\1 \2:00,", text, flags=re.M)
     assert rows == 720
-    check_staged_chain(python, tmp_path, text)
+    (tmp_path / "transactions.csv").write_text(text, encoding="utf-8")
+    args = ["compress", "--transactions", "transactions.csv", "--table-out", "pattern_table.tsv",
+            "--log-out", "acceptance_log.tsv"]
+    here = run_cli(sys.executable, tmp_path, *args)
+    assert here.returncode == 30
+    assert here.stderr == ("error: compress stage failed: transactions.csv:2: "
+                           "bad hour '2018-03-01 00:00:00' (expected YYYY-MM-DDTHH:00)\n")
+    done = run_cli(python, tmp_path, *args)
+    assert (done.returncode, done.stderr) == (here.returncode, here.stderr)
+
+
+def run_check(python: str, code: str) -> str:
+    """What ``python -c code`` prints, importing this checkout's source and feed_oracle."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([python, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_parse_records_matches_the_oracle_on_edge_feeds(python):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
-               PYTHONDONTWRITEBYTECODE="1")
-    check = "import feed_oracle; print(feed_oracle.edge_feed_mismatches())"
-    done = subprocess.run([python, "-c", check], env=env, capture_output=True, text=True,
-                          timeout=TIMEOUT_S)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    mismatches = run_check(python, "import feed_oracle; print(feed_oracle.edge_feed_mismatches())")
+    assert mismatches == "[]\n"
+
+
+def test_parse_records_reads_the_edge_stamps_as_the_running_interpreter(python):
+    # the kept rows and the diagnostics, each stamp checked by its characters'
+    # positions before fromisoformat reads its digits
+    check = ("import feed_oracle as f; "
+             "print(ascii(f.parse_outcome(f.parse_records, f.EDGE_STAMP_FEED, ',')))")
+    assert run_check(python, check) == run_check(sys.executable, check)
