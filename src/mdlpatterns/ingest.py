@@ -14,20 +14,20 @@ Pipeline:
                             vehicle_class) slice, in file order: stamp in
                             microseconds, wait, line; the last row per stamp
                             is kept (+ a diagnostic per rejected or replaced row)
-    build_transactions() -> the database: per configured site, its configured
-                            slice's hourly means (aggregate_hourly), each a wait
-                            category 1..4 (discretize); every hour where every
-                            configured site has a value is kept, collapsed to
-                            distinct rows (DistinctRows); incomplete hours are
-                            dropped and counted, never imputed
+    build_transactions() -> the database, built by column: per configured site,
+                            its configured slice's hourly means (aggregate_hourly),
+                            each a wait category 1..4 (discretize); every hour
+                            where every configured site has a value is kept,
+                            collapsed to distinct rows (DistinctRows); incomplete
+                            hours are dropped and counted, never imputed
 
 An hour is a position in the database: its clock hour, held as the text every
 artifact writes (hour_text: ``2016-08-22T10:00``), and its distinct row.
 ParseResult and TransactionBuild are immutable NamedTuples. All operations
 are pure and deterministic. Only parse_records uses `csv` and `array`,
 imported as it starts: csv reads the header and any line a split would
-misread; each other line is cut at its stamp, and the stamp and the text
-after it are each parsed once into a bounded cache.
+misread; each other line is cut at its stamp, and the text after it and the
+stamp's hour and minute texts are each parsed once into a bounded cache.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def _positions(rows: int) -> tuple[int, ...]:
 
 
 _HOUR = 3_600_000_000  # an hour in microseconds
-# texts a parse cache holds: stamps pass, so theirs is cleared when full; a year's few
-# thousand tails recur, so the first are kept
+# texts a parse cache holds: hours pass, so theirs is cleared when full, as is the offsets'
+# (3,600 seconds fit); a year's few thousand tails recur, so the first are kept
 _STAMPS_CACHED, _TAILS_CACHED = 1 << 10, 1 << 12
 # the separators of the stamps _stamp reads, at positions 4, 7, 10, 13 and 16
 _STAMP_FORMS = frozenset(["--T:", "-- :", "--T::", "-- ::"])
@@ -158,12 +158,15 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     row; these follow the rejections, latest replaced row first.
 
     csv reads the header. Each line is then cut into its stamp text and its
-    tail, the rest of the line, and each is looked up in a cache: a tail maps
-    to its slice's appends and wait, or why it is rejected, and that cache
-    keeps the first _TAILS_CACHED tails. A line holding a quote, NUL, ``\\r``
-    before its end or more than ``csv.field_size_limit()`` characters, or too
-    short to reach its stamp, is read as one csv row instead; its stamp is
-    looked up in the stamp cache, and its tail is not cached.
+    tail, the rest of the line. A tail maps, in a cache keeping the first
+    _TAILS_CACHED, to its slice's appends and wait or why it is rejected. A
+    stamp is its hour, the text before its first colon, plus its offset, the
+    minute text after it: _stamp reads each once into a cache cleared when
+    full, and reads whole, for its reason, a stamp that either rejects. A
+    line holding a quote, NUL, ``\\r`` before its end or more than
+    ``csv.field_size_limit()`` characters, or too short to reach its stamp,
+    is read as one csv row instead; its stamp is stripped before its
+    look-ups, and its tail is not cached.
 
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name reads its last column and a short row reads its missing fields as
@@ -190,7 +193,8 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
 
     slices: dict[tuple[str, str, str], tuple[array, array, array]] = {}
     diagnostics: list[str] = []
-    stamp_of: dict[str, int | str] = {}  # stamp text -> _stamp of it; cleared when full
+    hour_of: dict[str, int | None] = {}  # "YYYY-MM-DDTHH" -> its hour in microseconds, or None
+    offset_of: dict[str, int | None] = {}  # "MM" or "MM:SS" -> its offset in the hour, or None
     appends: dict[tuple[str, str, str], tuple] = {}  # slice fields -> its columns' appends
     tail_of: dict[str, tuple | str] = {}  # tail -> its entry (parse_tail)
 
@@ -200,6 +204,21 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
         if len(fields) <= i_stamp:
             return "", "", line
         return fields.pop(i_stamp), delimiter, delimiter.join(fields)
+
+    def part(cache: dict[str, int | None], key: str, form: str, size: int) -> int | None:
+        """``cache[key]``: _stamp(form % key), None if it is rejected; cleared when full."""
+        if key not in cache:
+            if len(cache) == size:
+                cache.clear()
+            cache[key] = value if (value := _stamp(form % key)).__class__ is int else None
+        return cache[key]
+
+    def stamp_of(text: str) -> int | str:
+        """_stamp(text): the hour before its first colon plus the offset after it."""
+        head, _, rest = text.partition(":")
+        hour = part(hour_of, head, "%s:00", _STAMPS_CACHED)
+        offset = None if hour is None else part(offset_of, rest, "0001-01-01T00:%s", _TAILS_CACHED)
+        return _stamp(text) if offset is None else hour + offset  # _stamp gives the reason
 
     def parse_tail(row: list[str]) -> tuple | str:
         """A row's tail entry: (*appends, wait), or why its slice, then its wait, is rejected."""
@@ -220,25 +239,24 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     for line in source:
         line_num += 1
         text, sep, tail = line.partition(delimiter) if i_stamp == 0 else cut(line)
-        stamp = stamp_of.get(text)
-        tail_entry = tail_of.get(tail)
-        if stamp is None or tail_entry is None:  # a cached text was checked as it was cached
+        head, _, rest = text.partition(":")
+        hour, offset, tail_entry = hour_of.get(head), offset_of.get(rest), tail_of.get(tail)
+        stamp = None if hour is None or offset is None else hour + offset
+        if stamp is None or tail_entry is None:  # cached texts were checked as they were cached
             row = None
             if (not sep or len(line) > limit or '"' in line or "\0" in line
                     or "\r" in line and "\r" in line.rstrip("\r\n")):
-                # csv reads a line that a split would misread; only its stamp is cached
+                # csv reads a line that a split would misread; its stamp, stripped, is
+                # looked up, so no cached text holds a character only csv reads
                 row_reader = csv.reader(chain([line], source), delimiter=delimiter)
                 row = next(row_reader)
                 line_num += row_reader.line_num - 1
                 if not row:
                     continue
                 row += [""] * (width - len(row))
-                text = row[i_stamp]
-                stamp = stamp_of.get(text)
-            if stamp is None:
-                if len(stamp_of) == _STAMPS_CACHED:
-                    stamp_of.clear()
-                stamp = stamp_of[text] = _stamp(text)
+                stamp = stamp_of(row[i_stamp].strip())
+            elif stamp is None:
+                stamp = stamp_of(text)
             if stamp.__class__ is not str:
                 if row is not None:
                     tail_entry = parse_tail(row)
@@ -395,20 +413,22 @@ def build_transactions(
     if len(set(attributes)) != len(attributes):
         raise IngestError("attribute list must be distinct")
 
-    means: dict[str, dict[int, float]] = {}  # site -> hour -> mean; a site with no slice has none
-    for site in attributes:
-        stamps, waits, _ = parsed.slices.get((site, direction, vehicle_class), ((), (), ()))
-        means[site] = aggregate_hourly(stamps, waits)
+    means = [aggregate_hourly(*parsed.slices.get((site, direction, vehicle_class), ((), ()))[:2])
+             for site in attributes]  # per site, hour -> mean; a site with no slice has none
 
-    hours, rows, excluded = [], [], []
-    for hour in sorted(set().union(*means.values())):
-        text = hour_text(datetime.min + timedelta(hours=hour))
-        if any(hour not in means[site] for site in attributes):
-            excluded.append(text)
-            continue
-        hours.append(text)
-        rows.append(tuple((site, discretize(means[site][hour])) for site in attributes))
-    return TransactionBuild(DistinctRows(hours, rows), excluded)
+    def texts(hours: list[int]) -> list[str]:
+        """hour_text of each hour, numbered since datetime.min; each day's date formatted once."""
+        dates = {day: hour_text(datetime.min + timedelta(days=day))[:11]  # "2016-08-22T"
+                 for day in set(map(floordiv, hours, repeat(24)))}
+        return [f"{dates[hour // 24]}{hour % 24:02}:00" for hour in hours]
+
+    hours = sorted(set(means[0]).intersection(*means[1:]))
+    excluded = sorted(set().union(*means).difference(hours))
+    # a site's item per category, one tuple that every row holding it shares
+    rows = zip(*(map({category: (site, category) for category in range(1, 5)}.__getitem__,
+                     map(discretize, map(hourly.__getitem__, hours)))
+                 for site, hourly in zip(attributes, means)))
+    return TransactionBuild(DistinctRows(texts(hours), list(rows)), texts(excluded))
 
 
 # --- transaction file format -------------------------------------------------

@@ -165,8 +165,15 @@ EDGE_STAMPS = [
     "2016-08-22 21:00:00", "2016-08-22T22:00:00.000000", "2016-08-22T23:00:00+01:00",
     "2016-08-23T00:0\u0661", "2016-02-30T10:00", "2016-08-23T01:00:60",
 ]
+# Stamps in hours seen above, so their hour text is cached and their minute
+# text may be: seconds, the space form, padding, and bad minutes after a good hour.
+REPEATED_HOURS = [
+    "2016-08-22T16:05", "2016-08-22 16:10:30", " 2016-08-22T16:15 ", "\t2016-08-22 21:20",
+    "2016-08-22T20:25:00", "2016-08-22T16:6x", "2016-08-22T16:60", "2016-08-22T16:0\u0661",
+    "2016-08-22T16: 5", "2016-08-22T16:05:0", "2016-08-22T20:00",
+]
 EDGE_STAMP_FEED = _feed(*(f"{stamp},PB,ToCanada,Car,{wait}"
-                          for wait, stamp in enumerate(EDGE_STAMPS)))
+                          for wait, stamp in enumerate(EDGE_STAMPS + REPEATED_HOURS)))
 
 LONG = csv.field_size_limit() + 1
 EDGE_FEEDS: dict[str, tuple[str, str]] = {  # name -> (feed text, delimiter)
@@ -192,6 +199,8 @@ EDGE_FEEDS: dict[str, tuple[str, str]] = {  # name -> (feed text, delimiter)
     "quoted stamp": (_feed('"2016-08-22T10:05",PB,ToCanada,Car,5',
                            '"not, a date",PB,ToCanada,Car,5',
                            '"2016-08-22T10:05\r",PB,ToCanada,Car,6', *ROWS), ","),
+    "carriage return after a quoted stamp": (_feed(ROWS[0], '"2016-08-22T10:05\r",PB,ToUS,Car,5',
+                                                   "2016-08-22T10:05\r,PB,ToCanada,Car,5"), ","),
     "quote inside a field": (_feed(ROWS[0], '2016-08-22T10:05,P"B,ToCanada,Car,5',
                                    '2016-08-22T10:10,PB,ToCanada,Car,5"', ROWS[1]), ","),
     "quote left open": (_feed(ROWS[0], '2016-08-22T10:05,"PB,ToCanada,Car,5', ROWS[1]), ","),

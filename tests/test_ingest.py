@@ -10,7 +10,7 @@ from array import array
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feed_oracle import (
@@ -530,16 +530,85 @@ def test_edge_feeds_reach_csv_errors_as_the_interpreter_has_them():
     assert expected_outcome(*EDGE_FEEDS["field over the size limit"])[0] is csv.Error
 
 
-def test_a_quoted_feed_parses_each_stamp_text_once(monkeypatch):
-    # csv reads every quoted line, and its stamp goes through the stamp cache
-    # as a split line's does; stamp 0, at 0001-01-01T00:00, is cached too
+def test_a_quoted_feed_parses_each_hour_and_minute_text_once(monkeypatch):
+    # csv reads every quoted line, and its stamp goes through the hour and
+    # minute caches as a split line's does: the text before the first colon is
+    # read as that hour at :00, the rest as that minute of hour 0 of year 1,
+    # each once; hour 0 of year 1 is cached too. A rejected stamp is read whole
+    # for its reason, once per row.
     calls = []
     monkeypatch.setattr(ingest, "_stamp", lambda raw: calls.append(raw) or _stamp(raw))
     rows = [f'"{stamp}","{site}","ToCanada","Car","5"'
             for stamp in ["0001-01-01T00:00", "2016-08-22T10:00", "bad"] for site in "ABC"]
     result = parse(feed(*rows))
-    assert calls == ["0001-01-01T00:00", "2016-08-22T10:00", "bad"]
+    assert calls == ["0001-01-01T00:00", "0001-01-01T00:00", "2016-08-22T10:00",
+                     "bad:00", "bad", "bad", "bad"]
     assert result.rejected_rows == 3 and len(result.records) == 6
+
+
+@st.composite
+def crossed_stamps(draw):
+    """Up to three stamp_texts, and each one's text before its first colon joined
+    to each other's text after it."""
+    parts = [raw.partition(":") for raw in draw(st.lists(stamp_texts(), min_size=1, max_size=3))]
+    return [head + colon + rest for head, colon, _ in parts for _, _, rest in parts]
+
+
+@given(stamps=crossed_stamps(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_each_stamp_is_its_hour_plus_its_minute_as_the_grammar_reads_the_whole(stamps, data):
+    # each stamp twice, split and quoted, in any order: later rows find their
+    # hour and minute texts cached, and split rows their tail too
+    lines = data.draw(st.permutations([(raw, quoted) for raw in stamps for quoted in (0, 1)]))
+    text = "".join(f'"{raw}";PB;ToUS;Car;5\n' if quoted else f"{raw};PB;ToCanada;Car;5\n"
+                   for raw, quoted in lines)
+    result = parse_records(io.StringIO(HEADER.replace(",", ";") + "\n" + text), ";")
+    kept, reasons = [], []
+    for row, (raw, quoted) in enumerate(lines, start=2):
+        stamp = _stamp(raw)
+        if isinstance(stamp, str):
+            reasons.append(f"row {row}: {stamp}")
+        else:  # keep-last: a later row with the same stamp replaces this one
+            kept = [k for k in kept if k != (DIRECTIONS[1 - quoted], stamp)]
+            kept.append((DIRECTIONS[1 - quoted], stamp))
+    assert [(direction, micros(at)) for _, direction, _, at, _ in kept_rows(result)] == kept
+    assert result.diagnostics[:result.rejected_rows] == reasons
+    assert all(reason.split(": ", 1)[1].startswith("bad timestamp '") for reason in reasons)
+
+
+def synth_feed(tmp_path) -> list[str]:
+    """The lines of ``synth --seed 7 --days 30``: 720 hours, header first."""
+    write_records_csv(str(tmp_path / "raw.csv"), generate_synthetic(seed=7, days=30).records)
+    return (tmp_path / "raw.csv").read_text().splitlines(keepends=True)
+
+
+def stamp_calls(monkeypatch, text: str, delimiter: str = ",") -> int:
+    calls = []
+    monkeypatch.setattr(ingest, "_stamp", lambda raw: calls.append(raw) or _stamp(raw))
+    parse_records(io.StringIO(text), delimiter)
+    return len(calls)
+
+
+def test_a_feed_parses_each_clock_hour_once(tmp_path, monkeypatch):
+    # one _stamp call per hour and per minute text, not per stamp text (8,672 here),
+    # whether the feed is written hour by hour or site by site
+    header, *body = synth_feed(tmp_path)
+    minutes = {line.partition(",")[0].partition(":")[2] for line in body}
+    assert stamp_calls(monkeypatch, header + "".join(body)) <= 720 + len(minutes)
+    by_site = sorted(body, key=lambda line: line.split(",")[1])
+    assert stamp_calls(monkeypatch, header + "".join(by_site)) <= 3 * 720 + 12
+
+
+def test_padded_stamps_stay_cached(tmp_path, monkeypatch):
+    # a stamp column written with spaces around it, the site first: each padded
+    # hour and minute text is cached as it is written
+    header, *body = synth_feed(tmp_path)
+    padded = ["site,timestamp,direction,vehicle_class,wait_minutes\n"]
+    for line in body:
+        stamp, site, rest = line.split(",", 2)
+        padded.append(f"{site}, {stamp} ,{rest}")
+    assert stamp_calls(monkeypatch, "".join(padded)) <= 720 + 12
+    assert kept_rows(parse("".join(padded))) == kept_rows(parse(header + "".join(body)))
 
 
 # --- keep-last: settled after the pass, from the late rows only ----------------
@@ -670,6 +739,31 @@ def test_build_transactions_sorts_by_timestamp():
     build = build_transactions(result, ["PB"], "ToCanada", "Car")
     stamps = build.transactions.hours
     assert stamps == sorted(stamps)
+
+
+# hours whose text is easy to get wrong: years 1 and 9999, and Feb 29
+EDGE_HOURS = [datetime(1, 1, 1, 0), datetime(1, 1, 1, 23), datetime(9999, 12, 31, 23),
+              datetime(2016, 2, 29, 5), datetime(2000, 2, 29, 0), datetime(1900, 3, 1, 0)]
+SITE_SETS = [("PB",), ("LQ",), ("PB", "LQ")]
+
+
+@given(sites_of=st.dictionaries(
+    st.one_of(st.sampled_from(EDGE_HOURS), st.datetimes(max_value=datetime(9999, 12, 31, 23))
+              .map(lambda at: at.replace(minute=0, second=0, microsecond=0))),
+    st.sampled_from(SITE_SETS), max_size=40))
+@example(sites_of=dict(zip(EDGE_HOURS, SITE_SETS * 2)))
+def test_build_transactions_writes_each_hour_as_hour_text(sites_of):
+    # an hour with a value at one site only is excluded; every hour, kept or
+    # excluded, is written as hour_text writes it
+    slices = {(site, "ToCanada", "Car"): tuple(map(array, "qdq", (
+        [micros(at) for at, sites in sites_of.items() if site in sites],
+        [5.0 for sites in sites_of.values() if site in sites],
+        [0 for sites in sites_of.values() if site in sites]))) for site in ("PB", "LQ")}
+    build = build_transactions(ingest.ParseResult(slices, [], 0, 0), ["PB", "LQ"], "ToCanada", "Car")
+    assert build.transactions.hours == [hour_text(at) for at in sorted(sites_of)
+                                        if len(sites_of[at]) == 2]
+    assert build.excluded_hours == [hour_text(at) for at in sorted(sites_of)
+                                    if len(sites_of[at]) == 1]
 
 
 def test_build_transactions_validates_attributes():

@@ -136,7 +136,8 @@ def test_parse_records_matches_the_oracle_on_edge_feeds(python):
 
 def test_parse_records_reads_the_edge_stamps_as_the_running_interpreter(python):
     # the kept rows and the diagnostics, each stamp checked by its characters'
-    # positions before fromisoformat reads its digits
+    # positions before fromisoformat reads its digits; the feed's repeated
+    # hours are read as a cached hour plus a minute text, which must agree
     check = ("import feed_oracle as f; "
              "print(ascii(f.parse_outcome(f.parse_records, f.EDGE_STAMP_FEED, ',')))")
     assert run_check(python, check) == run_check(sys.executable, check)
