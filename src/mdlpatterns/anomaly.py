@@ -16,7 +16,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import PatternTable, cover_rows
 from .codec import cover_database  # noqa: F401  (perfbench/tracer.py wraps this binding)
-from .ingest import DistinctRows, Item, parse_categories, read_stamped
+from .ingest import DistinctRows, Item, parse_categories, read_stamped, site_fault
 from .mining import exact_ceil, format_items, parse_items
 
 REPORT_VERSION = "pattern-anomaly-report v1"
@@ -125,8 +125,8 @@ def read_scores(path: str) -> tuple[Ranking, list[str]]:
     The ranking must be as write_scores writes it: each rank is the row's place
     among the data rows, no score is above the row before it, and the hours of
     one distinct row (equal categories, score and cover) ascend. No two rows
-    may hold one hour. The header names each site once, by a name that is not
-    empty, then score_bits, rank and cover. A distinct row is parsed and
+    may hold one hour. The header names sites in which site_fault finds no
+    fault, then score_bits, rank and cover. A distinct row is parsed and
     checked once: a finite score, and a cover whose patterns are disjoint and
     together hold exactly its items. The stamps are read as read_stamped reads
     them: in one call when every one is as hour_text writes it, else per row."""
@@ -142,10 +142,8 @@ def _ranked_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[Ranking, l
         attributes = header[1:-3]
         if header[0] != "timestamp" or tuple(header[-3:]) != SCORES_TAIL or not attributes:
             raise ValueError(f"{path}: bad scores header")
-        if len(set(attributes)) != len(attributes):
-            raise ValueError(f"{path}: scores header names a site twice")
-        if "" in attributes:
-            raise ValueError(f"{path}: scores header names an empty site")
+        if fault := site_fault(attributes):
+            raise ValueError(f"{path}: scores header {fault}")
         rows: dict[tuple[str, str], int] = {}  # (categories and score, cover) text -> row
         last_hour: list = []  # per row
         previous = inf

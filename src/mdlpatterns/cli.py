@@ -66,8 +66,8 @@ class RunConfig(NamedTuple):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
         if not all(type(name) is str for name in self.attributes):
             raise ValueError(f"attributes must be site names (str), got {self.attributes!r}")
-        if not self.attributes or len(set(self.attributes) - {""}) < len(self.attributes):
-            raise ValueError(f"attributes must be distinct nonempty names, got {self.attributes!r}")
+        if fault := ingest.site_fault(self.attributes):
+            raise ValueError(f"attribute list {self.attributes!r} {fault}")
         if self.log_level.upper() not in LOG_LEVELS:
             raise ValueError(f"Unknown level: {self.log_level.upper()!r}")
         if len(self.delimiter) != 1:

@@ -344,32 +344,33 @@ def read_pattern_table(path: str) -> PatternTable:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if not line or line == "# pattern-table v1":
                 continue
             try:
-                if line.startswith("#"):
-                    fields = line[1:].strip().split("\t")
-                    if fields[0] == "total_singleton_count":
-                        _, total = check_fields(fields, 2)
-                        totals.append((lineno, parse_count(total)))
-                    elif fields[0] == "item_count":
-                        _, items_text, count_text = check_fields(fields, 3)
-                        if len(items := parse_items(items_text)) != 1:
-                            raise ValueError(f"item count names {len(items)} items ({items_text})")
-                        (item,) = items
-                        if item in singleton_counts:
-                            raise ValueError(f"repeated item count {items_text}")
-                        singleton_counts[item] = parse_count(count_text)
-                        if singleton_counts[item] < 1:
-                            raise ValueError(f"item count {count_text} for {items_text} is below 1")
-                    continue
-                items_text, usage_text, _bits = check_fields(line.split("\t"), 3)
-                pattern, usage = parse_items(items_text), parse_count(usage_text)
-                if usage < 0:
-                    raise ValueError(f"negative usage {usage} for {items_text}")
-                if pattern in usages:
-                    raise ValueError(f"repeated pattern {items_text}")
-                usages[pattern] = usage
+                fields = line.split("\t")
+                if fields[0] == "# total_singleton_count":
+                    _, total = check_fields(fields, 2)
+                    totals.append((lineno, parse_count(total)))
+                elif fields[0] == "# item_count":
+                    _, items_text, count_text = check_fields(fields, 3)
+                    if len(items := parse_items(items_text)) != 1:
+                        raise ValueError(f"item count names {len(items)} items ({items_text})")
+                    (item,) = items
+                    if item in singleton_counts:
+                        raise ValueError(f"repeated item count {items_text}")
+                    singleton_counts[item] = parse_count(count_text)
+                    if singleton_counts[item] < 1:
+                        raise ValueError(f"item count {count_text} for {items_text} is below 1")
+                elif line.startswith("#"):
+                    raise ValueError(f"unknown comment line {line!r}")
+                else:
+                    items_text, usage_text, _bits = check_fields(fields, 3)
+                    pattern, usage = parse_items(items_text), parse_count(usage_text)
+                    if usage < 0:
+                        raise ValueError(f"negative usage {usage} for {items_text}")
+                    if pattern in usages:
+                        raise ValueError(f"repeated pattern {items_text}")
+                    usages[pattern] = usage
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     if not usages:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from datetime import datetime, timedelta
 from functools import cache, partial
-from itertools import chain, compress, count, islice, pairwise, repeat, starmap
+from itertools import compress, count, islice, pairwise, repeat, starmap
 from math import inf, isfinite
 from operator import add, eq, floordiv, ge, gt, itemgetter
 from typing import IO, TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
@@ -62,6 +62,15 @@ def canonical(text: str, names: Sequence[str], noun: str) -> str:
         if name.lower() == text.strip().lower():
             return name
     raise ValueError(f"unknown {noun} {text!r} (expected {' or '.join(names)})")
+
+
+def site_fault(sites: Sequence[str]) -> str | None:
+    """Why ``sites`` cannot be a site list that every artifact reads back, or None."""
+    for site in sites:  # raw sites are stripped; in pattern_table.tsv a "#" line is a comment
+        if site != site.strip() or site.startswith("#") or any(c in site for c in ",\t|\r\n"):
+            return f"names site {site!r}, which has space around it, a leading '#' or a separator"
+    return ("names no site" if not sites else "names a site twice" if len(set(sites)) < len(sites)
+            else "names an empty site" if "" in sites else None)
 
 
 class DistinctRows:
@@ -178,8 +187,9 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
     import csv
     from array import array
 
-    source = iter(stream)
-    reader = csv.reader(source, delimiter=delimiter)
+    source, pending = iter(stream), []  # pending: a line csv reads before the rest of source
+    reader = csv.reader(iter(lambda: pending.pop() if pending else next(source, None), None),
+                        delimiter=delimiter)
     header = next(reader, None)
     if header is None:
         raise IngestError("input has no header row")
@@ -235,7 +245,7 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
         wait = _wait(row[i_wait].strip())
         return wait if wait.__class__ is str else append + (wait,)
 
-    line_num = reader.line_num
+    line_num = read = reader.line_num  # read: the lines csv has read
     for line in source:
         line_num += 1
         text, sep, tail = line.partition(delimiter) if i_stamp == 0 else cut(line)
@@ -248,9 +258,9 @@ def parse_records(stream: IO[str], delimiter: str = ",") -> ParseResult:
                     or "\r" in line and "\r" in line.rstrip("\r\n")):
                 # csv reads a line that a split would misread; its stamp, stripped, is
                 # looked up, so no cached text holds a character only csv reads
-                row_reader = csv.reader(chain([line], source), delimiter=delimiter)
-                row = next(row_reader)
-                line_num += row_reader.line_num - 1
+                pending.append(line)
+                row = next(reader)
+                line_num, read = line_num + reader.line_num - read - 1, reader.line_num
                 if not row:
                     continue
                 row += [""] * (width - len(row))
@@ -408,10 +418,8 @@ def build_transactions(
     ``excluded_hours``; nothing is imputed. Each hour's items are in the
     configured attribute order. Every hour is kept as its hour_text.
     """
-    if not attributes:
-        raise IngestError("attribute list must be nonempty")
-    if len(set(attributes)) != len(attributes):
-        raise IngestError("attribute list must be distinct")
+    if fault := site_fault(attributes):
+        raise IngestError(f"attribute list {list(attributes)!r} {fault}")
 
     means = [aggregate_hourly(*parsed.slices.get((site, direction, vehicle_class), ((), ()))[:2])
              for site in attributes]  # per site, hour -> mean; a site with no slice has none
@@ -530,11 +538,11 @@ def write_transactions(path: str, db: DistinctRows, attributes: Sequence[str]) -
 def read_transactions(path: str) -> tuple[DistinctRows, list[str]]:
     """Read a transaction file back; returns (database, attribute names).
 
-    Every row is checked, no two rows may hold one hour, and the header names
-    each site once, by a name that is not empty. Each distinct category text is
-    parsed once, so its rows share one items tuple. Rows may come in any time
-    order. The stamps are read as read_stamped reads them: in one call when
-    every one is as hour_text writes it, else per row."""
+    Every row is checked, no two rows may hold one hour, and site_fault finds no
+    fault in the header's sites. Each distinct category text is parsed once, so
+    its rows share one items tuple. Rows may come in any time order. The stamps
+    are read as read_stamped reads them: in one call when every one is as
+    hour_text writes it, else per row."""
     hours, hour_items, attributes = read_stamped(partial(_transaction_rows, path), itemgetter(0))
     return DistinctRows(hours, hour_items), attributes
 
@@ -550,10 +558,8 @@ def _transaction_rows(path: str, read_hour: Callable[[str], Any]) -> tuple[list,
         if columns[0] != "timestamp" or len(columns) < 2:
             raise IngestError(f"{path}: bad transaction header {header!r}")
         attributes = columns[1:]
-        if len(set(attributes)) != len(attributes):
-            raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
-        if "" in attributes:
-            raise IngestError(f"{path}: transaction header names an empty site ({header!r})")
+        if fault := site_fault(attributes):
+            raise IngestError(f"{path}: transaction header {fault} ({header!r})")
         hours, hour_items = [], []
         rows: dict[str, tuple[Item, ...]] = {}  # category text -> items
         for lineno, line in enumerate(fh, start=2):

@@ -300,6 +300,39 @@ def aggregate_hourly_oracle(
 # --- artifact I/O oracles: every row split, parsed and formatted in full ---------
 
 
+# A site name that every artifact reads back as written: no whitespace at either
+# end (a raw feed's sites are stripped), no leading '#' (a comment line of a
+# pattern table), and none of the artifacts' separators: ',', tab, '|', '\r', '\n'.
+SITE_NAME = re.compile(r"(?!#)(?!\s)[^,\t|\r\n]+(?<!\s)")
+
+
+# Site names drawn toward what the artifacts split on or read as a comment, a
+# colon (items split at their last one), surrounding and inner spaces, two
+# characters that str.strip() takes for spaces (a no-break space and \x1c), and
+# non-ASCII letters.
+SITE_NAMES = st.one_of(
+    st.sampled_from(["PB", "LQ", "Peace Bridge", "A:B"]),
+    st.text(st.sampled_from([*"PBLQ", ",", "\t", "|", "#", ":", " ", "\n", "\r", "\u00a0",
+                             "\x1c", "é", "Ω"]), max_size=4),
+)
+
+
+def site_fault_oracle(sites: Sequence[str]) -> str | None:
+    """Why no artifact could hold ``sites`` as its site list, or None; the first
+    fault found in this order: a nonempty name outside SITE_NAME, in list order,
+    then no site, a site named twice, an empty name."""
+    for site in sites:
+        if site and not SITE_NAME.fullmatch(site):
+            return f"names site {site!r}, which has space around it, a leading '#' or a separator"
+    if not sites:
+        return "names no site"
+    if len(Counter(sites)) != len(sites):
+        return "names a site twice"
+    if "" in sites:
+        return "names an empty site"
+    return None
+
+
 def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
     """The per-row transaction reader that read_transactions replaced; its
     hours come in file order, each as hour_text writes it."""
@@ -311,10 +344,9 @@ def read_transactions_oracle(path: str) -> tuple[list[Hour], list[str]]:
         if columns[0] != "timestamp" or len(columns) < 2:
             raise IngestError(f"{path}: bad transaction header {header!r}")
         attributes = columns[1:]
-        if len(set(attributes)) != len(attributes):
-            raise IngestError(f"{path}: transaction header names a site twice ({header!r})")
-        if "" in attributes:
-            raise IngestError(f"{path}: transaction header names an empty site ({header!r})")
+        fault = site_fault_oracle(attributes)
+        if fault is not None:
+            raise IngestError(f"{path}: transaction header {fault} ({header!r})")
         transactions, seen = [], set()  # seen: the earlier rows' hour texts
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -342,10 +374,9 @@ def read_scores_oracle(path: str) -> tuple[list[ScoredHour], list[str]]:
         attributes = header[1:-3]
         if not attributes or [header[0], *header[-3:]] != ["timestamp", *SCORES_TAIL]:
             raise ValueError(f"{path}: bad scores header")
-        if len(set(attributes)) != len(attributes):
-            raise ValueError(f"{path}: scores header names a site twice")
-        if "" in attributes:
-            raise ValueError(f"{path}: scores header names an empty site")
+        fault = site_fault_oracle(attributes)
+        if fault is not None:
+            raise ValueError(f"{path}: scores header {fault}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:

@@ -287,6 +287,21 @@ def test_read_scores_rejects_a_header_naming_an_empty_site(sites, tmp_path):
     assert outcome(read_scores_oracle, str(path)) == (ValueError, reason)
 
 
+@pytest.mark.parametrize("site", ["#A", " PB", "PB ", "P,B", "P|B"])
+def test_read_scores_rejects_a_header_site_an_artifact_cannot_hold(site, tmp_path):
+    # run refuses each such site before any stage, so no run writes one
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        f"timestamp\t{site}\tscore_bits\trank\tcover\n"
+        f"2016-08-22T10:00\t1\t1.000000000\t1\t{site}:1\n", encoding="utf-8"
+    )
+    reason = (f"{path}: scores header names site {site!r}, which has space around it, "
+              "a leading '#' or a separator")
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_scores(str(path))
+    assert outcome(read_scores_oracle, str(path)) == (ValueError, reason)
+
+
 def test_read_scores_rejects_a_rank_out_of_place(tmp_path):
     # top_fraction and the top-k take the first rows, so they must be the top ranks
     path = tmp_path / "scores.tsv"

@@ -1,13 +1,22 @@
 """Command-line interface: config handling, staged runs, exit codes, determinism."""
 
+import csv
+import functools
+import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import SITE_NAMES, site_fault_oracle
 from mdlpatterns import cli, codec, ingest, mining
 from mdlpatterns.cli import RunConfig, run_pipeline
 
@@ -100,7 +109,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_validation(tmp_path, capsys):
-    with pytest.raises(ValueError, match="attributes"):
+    with pytest.raises(ValueError, match=re.escape("attribute list [] names no site")):
         RunConfig(input="x", attributes=[]).validate()
     with pytest.raises(ValueError, match="top_fraction"):
         RunConfig(input="x", top_fraction=0.0).validate()
@@ -127,8 +136,9 @@ def test_config_validation(tmp_path, capsys):
         ({"input": "raw.csv", "log_level": "LOUD"}, "Unknown level: 'LOUD'"),
         ({"input": "raw.csv", "attributes": [1, 2]}, "attributes must be site names"),
         ({"input": "raw.csv", "attributes": ["PB", ["LQ"]]}, "attributes must be site names"),
-        ({"input": "raw.csv", "attributes": ["PB", "PB"]}, "attributes must be distinct"),
-        ({"input": "raw.csv", "attributes": [""]}, "attributes must be distinct"),
+        ({"input": "raw.csv", "attributes": ["PB", "PB"]},
+         "attribute list ['PB', 'PB'] names a site twice"),
+        ({"input": "raw.csv", "attributes": [""]}, "attribute list [''] names an empty site"),
         (["raw.csv"], "JSON object"),
         ({"top_k": 3}, "'input' key"),
     ]:
@@ -390,7 +400,7 @@ def test_discretize_rejects_empty_attributes(tmp_path, capsys):
     raw = make_raw(tmp_path, days=1)
     args = ["discretize", "--input", str(raw), "--output", str(tmp_path / "t.csv")]
     assert cli.main(args + ["--attributes", ""]) == 1
-    assert "attributes must be distinct nonempty names, got []" in capsys.readouterr().err
+    assert "attribute list [] names no site" in capsys.readouterr().err
 
 
 def test_an_empty_site_name_fails_alike_from_the_flag_and_the_config(tmp_path, capsys):
@@ -401,9 +411,66 @@ def test_an_empty_site_name_fails_alike_from_the_flag_and_the_config(tmp_path, c
     for args in (["--input", raw, "--attributes", "PB,,LQ", "--output-dir", out],
                  ["--config", str(config)]):
         outcomes.append((cli.main(["run", *args]), capsys.readouterr().err))
-    message = "error: attributes must be distinct nonempty names, got ['PB', '', 'LQ']\n"
+    message = "error: attribute list ['PB', '', 'LQ'] names an empty site\n"
     assert outcomes == [(1, message)] * 2
     assert not os.path.exists(out)
+
+
+def quiet_main(argv: list[str]) -> tuple[int, str]:
+    """cli.main's exit code and stderr, its stdout dropped."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@example(sites=["P,B", "LQ"])
+@example(sites=["P|B", "LQ"])
+@example(sites=["P\tB", "LQ"])
+@example(sites=["#A", "LQ"])
+@example(sites=["RB ", "LQ"])
+@example(sites=["Peace Bridge", "A:B"])
+@given(sites=st.lists(SITE_NAMES, min_size=2, max_size=2))
+def test_run_takes_only_sites_its_staged_chain_reads_back(sites):
+    # A site list run accepts gives artifacts that the staged chain reproduces
+    # byte for byte; one it refuses exits 1 before any stage, names the site
+    # list and writes nothing.
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, out = os.path.join(tmp, "raw.csv"), os.path.join(tmp, "out")
+        with open(raw, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "site", "direction", "vehicle_class", "wait_minutes"])
+            for hour in range(48):
+                stamp = f"2016-08-{22 + hour // 24}T{hour % 24:02}:00"
+                for i, site in enumerate(sites):  # the second site's category changes faster
+                    wait = (0, 10, 20, 40)[hour * (i + 1) % 4]
+                    writer.writerow([stamp, site, "ToCanada", "Car", wait])
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"input": raw, "attributes": sites, "output_dir": out}, fh)
+        fault = site_fault_oracle(sites)
+        code, err = quiet_main(["run", "--config", config])
+        if fault is not None:
+            assert (code, err) == (1, f"error: attribute list {sites!r} {fault}\n")
+            assert not os.path.exists(out)
+            return
+        assert (code, err) == (0, "")
+        stage = functools.partial(os.path.join, tmp)
+        txns, table, scores = (stage(name) for name in
+                               ("transactions.csv", "pattern_table.tsv", "scores.tsv"))
+        for argv in (
+            ["discretize", "--input", raw, "--output", txns, "--attributes=" + ",".join(sites)],
+            ["mine", "--transactions", txns, "--output", stage("itemsets.tsv")],
+            ["compress", "--transactions", txns, "--table-out", table,
+             "--log-out", stage("acceptance_log.tsv")],
+            ["score", "--transactions", txns, "--table", table, "--output", scores],
+            ["report", "--scores", scores, "--output", stage("report.txt")],
+        ):
+            assert quiet_main(argv) == (0, ""), argv
+        for name in ARTIFACTS[1:]:
+            with open(stage(name), "rb") as staged, open(os.path.join(out, name), "rb") as ran:
+                assert staged.read() == ran.read(), name
 
 
 def test_exit_code_mine_failure(tmp_path):
@@ -498,7 +565,7 @@ def test_exit_code_report_failure(tmp_path):
 @pytest.mark.parametrize(
     "command, option, message",
     [
-        ("discretize", ["--attributes", ","], "attributes must be distinct nonempty names"),
+        ("discretize", ["--attributes", ","], "attribute list ['', ''] names a site twice"),
         ("mine", ["--threshold", "0"], "bad threshold '0': absolute threshold must be >= 1"),
         ("mine", ["--threshold-minimum", "0"], "bad threshold '0.05': minimum must be >= 1"),
         ("compress", ["--threshold", "zero"], "bad threshold 'zero'"),

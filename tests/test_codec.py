@@ -677,8 +677,13 @@ def test_read_pattern_table_rejects_empty(tmp_path):
     ("# item_count\tPB:1\nPB:1\t3\t0.000000000\n", "3: expected 3 fields"),
     ("# total_singleton_count\nPB:1\t3\t0.000000000\n", "3: expected 2 fields"),
     ("PB:1\t3\n", "3: expected 3 fields"),
+    # skipped as a comment, a pattern line of a site starting with '#' would
+    # leave the table, and the scores would come from another table
+    ("#A:1\t4\t0.000000000\n", "3: unknown comment line '#A:1\\t4\\t0.000000000'"),
+    ("# pattern-table v2\n", "3: unknown comment line '# pattern-table v2'"),
 ], ids=["negative-usage", "repeated-pattern", "repeated-item-count", "zero-item-count",
-        "negative-item-count", "short-item-count", "short-total", "short-pattern"])
+        "negative-item-count", "short-item-count", "short-total", "short-pattern",
+        "hash-pattern", "other-version"])
 def test_read_pattern_table_rejects_bad_pattern_lines(tmp_path, body, reason):
     path = tmp_path / "table.tsv"
     path.write_text("# pattern-table v1\n# total_singleton_count\t18\n" + body)

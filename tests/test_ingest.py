@@ -25,6 +25,7 @@ from feed_oracle import (
 from helpers import (
     LATE_CHANGES,
     LONG_ROWS,
+    SITE_NAMES,
     Hour,
     aggregate_hourly_oracle,
     artifact_rows,
@@ -34,6 +35,7 @@ from helpers import (
     hours_of,
     outcome,
     read_transactions_oracle,
+    site_fault_oracle,
 )
 from mdlpatterns import ingest, read_transactions
 from mdlpatterns.ingest import (
@@ -49,6 +51,7 @@ from mdlpatterns.ingest import (
     hour_text,
     parse_hours,
     parse_records,
+    site_fault,
     write_transactions,
 )
 from mdlpatterns.synth import generate_synthetic, write_records_csv
@@ -530,6 +533,19 @@ def test_edge_feeds_reach_csv_errors_as_the_interpreter_has_them():
     assert expected_outcome(*EDGE_FEEDS["field over the size limit"])[0] is csv.Error
 
 
+def test_a_stream_that_yields_empty_lines_parses_as_the_oracle_reads_it():
+    # csv reads "" as a line holding no row; after one, the next line that
+    # only csv splits is read in its own turn, and every line keeps its number
+    lines = [HEADER + "\n", "", '"2016-08-22T10:05",PB,ToCanada,Car,5\n', "",
+             '2016-08-22T10:10,"P\n', 'B",ToCanada,Car,5\n', "",
+             "2016-08-22T10:15,PB,ToCanada,Car,x\n", "2016-08-22T10:20,PB,ToCanada,Car,6\n"]
+    result, oracle = parse_records(iter(lines)), parse_records_oracle(iter(lines))
+    assert kept_rows(result) == [(r.site, r.direction, r.vehicle_class, r.timestamp,
+                                  r.wait_minutes) for r in oracle.records]
+    assert [site for site, *_ in kept_rows(result)] == ["PB", "P\nB", "PB"]
+    assert result.diagnostics == oracle.diagnostics == ["row 8: bad wait minutes 'x'"]
+
+
 def test_a_quoted_feed_parses_each_hour_and_minute_text_once(monkeypatch):
     # csv reads every quoted line, and its stamp goes through the hour and
     # minute caches as a split line's does: the text before the first colon is
@@ -766,11 +782,23 @@ def test_build_transactions_writes_each_hour_as_hour_text(sites_of):
                                     if len(sites_of[at]) == 1]
 
 
+@given(sites=st.lists(SITE_NAMES, max_size=4))
+@settings(max_examples=500)
+def test_site_fault_states_the_site_rule(sites):
+    # the rule run, the build and both staged readers share, against its regex oracle
+    assert site_fault(sites) == site_fault_oracle(sites)
+
+
 def test_build_transactions_validates_attributes():
-    with pytest.raises(IngestError, match="nonempty"):
+    with pytest.raises(IngestError, match=re.escape("attribute list [] names no site")):
         build_transactions(parse(feed()), [], "ToCanada", "Car")
-    with pytest.raises(IngestError, match="distinct"):
+    with pytest.raises(IngestError, match=re.escape("attribute list ['PB', 'PB'] names a site")):
         build_transactions(parse(feed()), ["PB", "PB"], "ToCanada", "Car")
+    # an empty name, and one that no stripped raw site can match, build no database
+    with pytest.raises(IngestError, match=re.escape("attribute list ['PB', ''] names an empty")):
+        build_transactions(parse(feed()), ["PB", ""], "ToCanada", "Car")
+    with pytest.raises(IngestError, match=re.escape("attribute list ['PB '] names site 'PB ',")):
+        build_transactions(parse(feed()), ["PB "], "ToCanada", "Car")
 
 
 def test_build_peak_on_a_four_slice_mix_is_near_its_peak_on_the_slices_own_feed(tmp_path):
@@ -905,6 +933,23 @@ def test_read_transactions_rejects_a_header_naming_an_empty_site(header, tmp_pat
     path = tmp_path / "transactions.csv"
     path.write_text(f"{header}\n2016-08-22T10:00,1,2\n")
     reason = f"{path}: transaction header names an empty site ({header!r})"
+    with pytest.raises(IngestError, match=re.escape(reason)):
+        read_transactions(str(path))
+    assert outcome(read_transactions_oracle, str(path)) == (IngestError, reason)
+
+
+@pytest.mark.parametrize("header, site", [
+    ("timestamp,#A,PB", "#A"), ("timestamp, PB", " PB"), ("timestamp,P|B", "P|B"),
+    ("timestamp,P\tB", "P\tB"), ("timestamp,PB,\u00a0LQ", "\u00a0LQ"),
+])
+def test_read_transactions_rejects_a_header_site_an_artifact_cannot_hold(header, site, tmp_path):
+    # run refuses each such site before any stage, so no run writes one; a raw
+    # site is stripped, so a site with space around it matches no feed row
+    path = tmp_path / "transactions.csv"
+    row = ",".join(["2016-08-22T10:00"] + ["1"] * header.count(","))
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    reason = (f"{path}: transaction header names site {site!r}, which has space around it, "
+              f"a leading '#' or a separator ({header!r})")
     with pytest.raises(IngestError, match=re.escape(reason)):
         read_transactions(str(path))
     assert outcome(read_transactions_oracle, str(path)) == (IngestError, reason)
